@@ -7,6 +7,8 @@ conditional log-likelihood, PIT) reduces to lookups into the table
     C[n, x] = P( Binomial(n, alpha) + eps == x )        (or <= x),
 
 built once per parameter value for all needed past counts n and outcomes x.
+A fit reads the table through flat indices n * (x_max+1) + x computed once
+per grid, since the table shape is fixed by the grid's largest counts.
 """
 
 import numpy as np
@@ -42,3 +44,26 @@ def mixture_site_values(table, lagged, phi, x_idx):
     for j in range(lagged.shape[1]):
         out += phi[j] * table[lagged[:, j], x_idx]
     return out
+
+
+def flat_site_index(x_idx, pasts, x_max):
+    """Indices into a raveled table of row width x_max+1, one row per lag.
+
+    ``x_idx`` holds each site's outcome index and ``pasts`` one same-shape
+    array of past counts per lag; returns the (len(pasts), x_idx.size)
+    block past * (x_max+1) + x_idx, each row in row-major site order.
+    """
+    flat = np.empty((len(pasts), x_idx.size), dtype=np.intp)
+    for row, past in zip(flat, pasts):
+        row = row.reshape(x_idx.shape)
+        np.multiply(past, int(x_max) + 1, out=row)
+        row += x_idx
+    return flat
+
+
+def lag_site_values(table, flat, out=None):
+    """Per-lag table values table.flat[flat[j, s]] for a flat_site_index block.
+
+    The indices are in range by construction, so no bounds check is paid.
+    """
+    return np.take(table.ravel(), flat, out=out, mode="clip")

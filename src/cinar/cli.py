@@ -204,6 +204,10 @@ def _fit_dict(fit, n_free_params):
             "n_iter": fit.diagnostics.n_iter,
             "converged": fit.diagnostics.converged,
             "grad_norm": fit.diagnostics.grad_norm,
+            "n_fev": fit.diagnostics.n_fev,
+            "n_grad": fit.diagnostics.n_grad,
+            "message": fit.diagnostics.message,
+            "se_error": fit.diagnostics.se_error,
         },
     }
 
@@ -416,6 +420,11 @@ def cmd_simstudy(args):
             "threads": args.threads,
             "out": str(args.out),
         },
+        "n_nonconverged": [
+            {"n1": res.n1, "n2": res.n2, "estimator": res.label,
+             "count": res.n_nonconverged}
+            for res in results
+        ],
     }
     _write_json(meta, Path(args.out).with_suffix(".meta.json"))
     return 0

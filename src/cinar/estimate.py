@@ -3,8 +3,8 @@
 Three estimators for the dependence coefficients and innovation
 parameters: Yule--Walker (sample-ACF linear system), conditional least
 squares (closed-form normal equations), and conditional maximum
-likelihood (constrained optimization through a smooth bijection), plus
-finite-difference observed-information standard errors.
+likelihood (quasi-Newton search on the exact score through a smooth
+bijection), plus observed-information standard errors.
 """
 
 import warnings
@@ -15,12 +15,13 @@ import numpy as np
 from scipy import optimize
 from scipy.special import expit, logit, softmax
 
-from ._kernels import mixture_site_values, thinning_convolution_table
+from ._kernels import (flat_site_index, lag_site_values,
+                       thinning_convolution_table)
 from .diagnose import information_criteria
 from .acf import sample_acf, sample_acvf
 from .errors import CinarError, NumericalError, ValidationError
 from .innovations import NbMarginalInnovation, PoissonInnovation
-from .model import CinarParams, lagged_stack, validate_params
+from .model import CinarParams, lag_views, lagged_stack, validate_params
 
 __all__ = [
     "FitDiagnostics",
@@ -33,17 +34,29 @@ __all__ = [
     "observed_fisher_se",
 ]
 
-_SQRT_EPS = np.sqrt(np.finfo(float).eps)
 _CBRT_EPS = np.finfo(float).eps ** (1.0 / 3.0)
+# objective value the optimizer sees outside the model's domain
+_WALL = 1e300
+_GTOL_PER_SITE = 1e-7
 
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Optimizer bookkeeping; trivial for the closed-form estimators."""
+    """Optimizer bookkeeping; trivial for the closed-form estimators.
+
+    ``n_fev`` counts log-likelihood evaluations over every start and the
+    standard errors, ``n_grad`` those that also computed the score;
+    ``message`` is the optimizer's stop reason for the kept start, and
+    ``se_error`` says why CML standard errors are missing.
+    """
 
     n_iter: int
     converged: bool
     grad_norm: Optional[float] = None
+    n_fev: int = 0
+    n_grad: int = 0
+    message: Optional[str] = None
+    se_error: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -198,18 +211,6 @@ def cls_estimate(grid, order):
 # =============================================================================
 
 
-def _loglik_core(x, lagged, alpha, phi, innovation):
-    """Sum of log conditional probabilities; (-inf, bad-site index) on zeros."""
-    table = thinning_convolution_table(
-        alpha, innovation, int(lagged.max()), int(x.max())
-    )
-    p_site = mixture_site_values(table, lagged, phi, x)
-    bad = np.flatnonzero(p_site <= 0.0)
-    if bad.size:
-        return -np.inf, bad
-    return float(np.sum(np.log(p_site))), bad
-
-
 def cml_loglik(params, grid):
     """Conditional log-likelihood of the grid's interior sites.
 
@@ -221,17 +222,18 @@ def cml_loglik(params, grid):
     verdict = validate_params(params)
     if not verdict:
         raise ValidationError("invalid parameters: " + "; ".join(verdict.violations))
-    x, lagged = lagged_stack(grid.values, params.order)
-    value, bad = _loglik_core(x, lagged, params.alpha, params.phi, params.innovation)
+    likelihood = _CmlLikelihood(grid.values, params.order)
+    value, bad, _ = likelihood.evaluate(params.theta, params.innovation)
     if bad.size:
-        width = grid.n2 - params.order.p2
-        r, c = divmod(int(bad[0]), width)
-        warnings.warn(
-            f"{bad.size} interior site(s) have zero conditional probability;"
-            f" first at grid cell ({r + params.order.p1}, {c + params.order.p2})",
-            stacklevel=2,
-        )
+        warnings.warn(_zero_sites(bad, grid, params.order), stacklevel=2)
     return value
+
+
+def _zero_sites(bad, grid, order):
+    """Name the zero-probability interior sites by count and first grid cell."""
+    r, c = divmod(int(bad[0]), grid.n2 - order.p2)
+    return (f"{bad.size} interior site(s) have zero conditional probability;"
+            f" first at grid cell ({r + order.p1}, {c + order.p2})")
 
 
 def _normalize_family(family):
@@ -274,6 +276,150 @@ def _unpack(z, m, family):
     else:
         i_eps = None
     return theta, mu_eps, i_eps
+
+
+class _CmlLikelihood:
+    """Conditional log-likelihood of one grid, with its exact score.
+
+    Built once per grid: each interior site's outcome and past counts at
+    the chosen ``lags`` (indices into the order's lag set, default all)
+    become flat indices into the thinning-convolution table C, so an
+    evaluation builds C once and reads it with one gather.  The score
+    needs only transforms of the same table, with W = d loglik / dC:
+
+    * d/dphi_j = sum_s C[l_sj, x_s] / p_s, the per-lag gather over p;
+    * d/dalpha through thinning: dC[n, x]/dalpha = n (C[n-1, x-1] - C[n-1, x]);
+    * d/dpsi through the innovation PMF e: de/dpsi = e * h_psi (series
+      convolution, see ``score_series``), so dC/dpsi = C @ toeplitz(h_psi)
+      and the contraction with W is sum_k h_psi[k] r[k], where
+      r[k] = sum_{n,y} C[n, y] W[n, y+k].
+
+    ``family`` ('poisson' or 'nb') is needed only by the parametrized
+    entry points ``natural``, ``value_and_grad`` and ``hessian``.
+    Counts evaluations in ``n_fev``, of which ``n_grad`` carried the score.
+    """
+
+    def __init__(self, values, order, family=None, lags=None):
+        x, pasts = lag_views(values, order)
+        if lags is not None:
+            pasts = [pasts[k] for k in lags]
+        self.family = family
+        self.n_sites = x.size
+        self.n_max = max(int(past.max()) for past in pasts)
+        self.x_max = int(x.max())
+        self._flat = flat_site_index(x, pasts, self.x_max)
+        self._site_values = np.empty(self._flat.shape)
+        # column offset x - y of each (y, x) cell of C.T @ W; the lower
+        # triangle goes to a spare bin past x_max
+        cols = np.arange(self.x_max + 1)
+        offsets = cols[None, :] - cols[:, None]
+        offsets[offsets < 0] = self.x_max + 1
+        self._offsets = offsets.ravel()
+        self.n_fev = self.n_grad = 0
+
+    def evaluate(self, theta, innovation, score=False):
+        """(loglik, zero-probability site indices, score or None).
+
+        The score is taken over (theta at the chosen lags, innovation
+        parameters of ``innovation.score_series``).  With zero-probability
+        sites the log-likelihood is -inf and no score is computed.
+        """
+        self.n_fev += 1
+        alpha = float(theta.sum())
+        phi = theta / alpha
+        table = thinning_convolution_table(
+            alpha, innovation, self.n_max, self.x_max
+        )
+        values = lag_site_values(table, self._flat, out=self._site_values)
+        p_site = phi @ values
+        bad = np.flatnonzero(p_site <= 0.0)
+        if bad.size:
+            return -np.inf, bad, None
+        loglik = float(np.sum(np.log(p_site)))
+        if not score:
+            return loglik, bad, None
+        self.n_grad += 1
+        # The score is linear in 1/p, which overflows for sites of tiny
+        # probability; weight by scale/p instead, scale an exact power of
+        # two, and divide it out at the end.
+        scale = 1.0
+        exponent = int(np.frexp(p_site.min())[1])
+        if exponent < -500:
+            scale = float(np.ldexp(1.0, exponent + 500))
+        inv_p = np.divide(scale, p_site, out=p_site)
+        d_phi = values @ inv_p
+        weights = np.zeros(table.size)
+        for j, rows in enumerate(self._flat):
+            weights += phi[j] * np.bincount(rows, inv_p, minlength=table.size)
+        weights = weights.reshape(table.shape)
+        step = -table[:-1]
+        step[:, 1:] += table[:-1, :-1]
+        d_alpha = np.arange(1, self.n_max + 1) @ np.sum(weights[1:] * step, axis=1)
+        cross = np.bincount(self._offsets, (table.T @ weights).ravel(),
+                            minlength=self.x_max + 2)[:-1]
+        d_innovation = innovation.score_series(self.x_max) @ cross
+        d_alpha += d_innovation[0]
+        d_theta = d_alpha + (d_phi - phi @ d_phi) / alpha
+        return loglik, bad, np.concatenate([d_theta, d_innovation[1:]]) / scale
+
+    def natural(self, vec):
+        """(loglik, score) at (theta, mu_eps[, i_eps]); (-inf, None) outside
+        the model's domain."""
+        m = self._flat.shape[0]
+        theta, mu_eps = vec[:m], float(vec[m])
+        if not np.isfinite(mu_eps) or mu_eps <= 0 or mu_eps > 1e12:
+            return -np.inf, None
+        i_eps = float(vec[m + 1]) if self.family == "nb" else None
+        try:
+            innovation = _make_innovation(
+                self.family, mu_eps, i_eps, float(theta.sum())
+            )
+        except CinarError:
+            return -np.inf, None
+        loglik, _, grad = self.evaluate(theta, innovation, score=True)
+        return loglik, grad
+
+    def value_and_grad(self, z):
+        """(loglik, score) in the optimizer's unconstrained coordinates (see
+        ``_pack``); (-inf, None) outside the model's domain."""
+        m = self._flat.shape[0]
+        theta, mu_eps, i_eps = _unpack(z, m, self.family)
+        vec = np.append(theta, [mu_eps] if i_eps is None else [mu_eps, i_eps])
+        loglik, grad = self.natural(vec)
+        if grad is None:
+            return loglik, None
+        alpha = float(theta.sum())
+        phi = theta / alpha
+        d_theta = grad[:m]
+        mean = phi @ d_theta
+        out = np.empty_like(grad)
+        out[0] = alpha * (1.0 - alpha) * mean
+        out[1:m] = alpha * phi[:-1] * (d_theta[:-1] - mean)
+        out[m] = mu_eps * grad[m]
+        if i_eps is not None:
+            out[m + 1] = (i_eps - 1.0) * grad[m + 1]
+        return loglik, out
+
+    def hessian(self, vec):
+        """Central differences of the score at (theta, mu_eps[, i_eps]).
+
+        Step cbrt(eps)*(1+|v_i|) per axis, 2p score evaluations; the
+        result is symmetrized.
+        """
+        steps = _CBRT_EPS * (1.0 + np.abs(vec))
+        hess = np.empty((vec.size, vec.size))
+        for i, h in enumerate(steps):
+            shift = np.zeros(vec.size)
+            shift[i] = h
+            _, up = self.natural(vec + shift)
+            _, down = self.natural(vec - shift)
+            if up is None or down is None:
+                raise NumericalError(
+                    f"score undefined within {h:.3g} of coordinate {i}"
+                    " of the standard-error stencil"
+                )
+            hess[i] = (up - down) / (2.0 * h)
+        return 0.5 * (hess + hess.T)
 
 
 def _project_interior(theta, mu_eps, i_eps, m):
@@ -329,18 +475,6 @@ def _initial_point(grid, order, family, init):
     return _project_interior(theta, mu_eps, i_eps, m)
 
 
-def _central_grad(fn, z):
-    """Central finite-difference gradient, step sqrt(eps)*(1+|z_i|)."""
-    g = np.zeros_like(z)
-    for i in range(z.size):
-        h = _SQRT_EPS * (1.0 + abs(z[i]))
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (fn(zp) - fn(zm)) / (2.0 * h)
-    return g
-
-
 def _parse_fix_zero(fix_zero, order):
     """Indices into the lag set for coefficients pinned to zero."""
     lags = list(order.lags)
@@ -373,8 +507,11 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
 
     The constraints (theta_ij >= 0, sum < 1, mu_eps > 0, dispersion > 1
     for the NB family) are enforced through a smooth bijection to an
-    unconstrained space, where a quasi-Newton search runs from the CLS
-    (fallback YW, fallback neutral) start, or from ``init`` when given.
+    unconstrained space, where BFGS on the exact score runs from the CLS
+    (fallback YW, fallback neutral) start, or from ``init`` when given;
+    points where the likelihood is zero or undefined act as a wall of
+    value 1e300 the line search backs away from.  Raises NumericalError,
+    naming a zero-probability site, when every start lies on that wall.
     ``fix_zero`` names lag coefficients pinned to exactly 0 (simplified
     models), e.g. ``("theta_11",)`` or ``[(1, 1)]``; they are excluded
     from the free parameters, the information criteria, and carry zero
@@ -386,25 +523,13 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
     fixed_idx = _parse_fix_zero(fix_zero, order)
     free_idx = np.array([k for k in range(m) if k not in fixed_idx], dtype=int)
     m_free = free_idx.size
-    x, lagged = lagged_stack(grid.values, order)
+    likelihood = _CmlLikelihood(grid.values, order, family, lags=free_idx)
 
-    def scatter(theta_free):
-        theta = np.zeros(m)
-        theta[free_idx] = theta_free
-        return theta
-
-    def neg_loglik(z):
-        theta_free, mu_eps, i_eps = _unpack(z, m_free, family)
-        if not np.isfinite(mu_eps) or mu_eps <= 0 or mu_eps > 1e12:
-            return 1e300
-        alpha = float(theta_free.sum())
-        try:
-            innovation = _make_innovation(family, mu_eps, i_eps, alpha)
-        except CinarError:
-            return 1e300
-        theta = scatter(theta_free)
-        value, _ = _loglik_core(x, lagged, alpha, theta / alpha, innovation)
-        return -value if np.isfinite(value) else 1e300
+    def objective(z):
+        loglik, grad = likelihood.value_and_grad(z)
+        if grad is None:
+            return _WALL, np.zeros_like(z)
+        return -loglik, -grad
 
     theta0, mu0, i0 = _initial_point(grid, order, family, init)
     theta0_free, mu0, i0 = _project_interior(theta0[free_idx], mu0, i0, m_free)
@@ -414,37 +539,37 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
         offsets = np.array([0.5, -0.5, 1.0, -1.0])
         starts.extend(z0 + off for off in offsets)
 
+    # The log-likelihood is a sum over sites, so its rounding noise grows
+    # with their number; a gradient tolerance below that noise leaves the
+    # line search chasing it.
+    gtol = _GTOL_PER_SITE * likelihood.n_sites
     best = None
     total_iter = 0
     for start in starts:
         res = optimize.minimize(
-            neg_loglik, start, method="BFGS",
-            options={"gtol": 1e-8, "maxiter": 500},
+            objective, start, method="BFGS", jac=True,
+            options={"gtol": gtol, "maxiter": 500},
         )
         total_iter += int(res.nit)
         if best is None or res.fun < best.fun:
             best = res
-
-    z_hat = best.x
-    loglik_max = -neg_loglik(z_hat)
-    grad = _central_grad(neg_loglik, z_hat)
-    grad_norm = float(np.linalg.norm(grad, ord=np.inf))
-    tol = 1e-5 * (1.0 + abs(loglik_max))
-    if grad_norm > tol:
-        polish = optimize.minimize(
-            neg_loglik, z_hat, method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
+    if not best.fun < _WALL:
+        _, bad, _ = likelihood.evaluate(
+            theta0_free, _make_innovation(family, mu0, i0, theta0_free.sum())
         )
-        total_iter += int(polish.nit)
-        if polish.fun <= best.fun:
-            z_hat = polish.x
-            loglik_max = -neg_loglik(z_hat)
-            grad = _central_grad(neg_loglik, z_hat)
-            grad_norm = float(np.linalg.norm(grad, ord=np.inf))
-    converged = grad_norm <= tol
+        raise NumericalError(
+            "no CML start has a finite conditional likelihood: "
+            + (_zero_sites(bad, grid, order) if bad.size
+               else "the start lies outside the model's domain")
+        )
 
-    theta_free, mu_eps, i_eps = _unpack(z_hat, m_free, family)
-    theta = scatter(theta_free)
+    loglik_max = -float(best.fun)
+    grad_norm = float(np.linalg.norm(best.jac, ord=np.inf))
+    converged = grad_norm <= 1e-5 * (1.0 + abs(loglik_max))
+
+    theta_free, mu_eps, i_eps = _unpack(best.x, m_free, family)
+    theta = np.zeros(m)
+    theta[free_idx] = theta_free
     alpha = float(theta.sum())
     innovation_params = [mu_eps] if family == "poisson" else [mu_eps, i_eps]
     estimates = np.concatenate([theta, innovation_params])
@@ -455,29 +580,19 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
         order, theta, _make_innovation(family, mu_eps, i_eps, alpha)
     )
 
-    def free_loglik(vec):
-        inn = _make_innovation(
-            family, float(vec[m_free]),
-            float(vec[m_free + 1]) if family == "nb" else None,
-            float(vec[:m_free].sum()),
-        )
-        full = scatter(vec[:m_free])
-        value, _ = _loglik_core(
-            x, lagged, float(vec[:m_free].sum()), full / full.sum(), inn
-        )
-        return value
-
     vec_free = np.concatenate([theta_free, innovation_params])
+    se_error = None
     try:
         se_free = _se_from_loglik(
-            free_loglik, vec_free, n_theta=m_free, has_dispersion=family == "nb"
+            likelihood.hessian, vec_free, n_theta=m_free,
+            has_dispersion=family == "nb",
         )
         std_errors = np.zeros(estimates.size)
         std_errors[np.concatenate([free_idx, np.arange(m, estimates.size)])] = se_free
-    except CinarError:
-        std_errors = None
+    except NumericalError as exc:
+        std_errors, se_error = None, str(exc)
     aic, bic = information_criteria(
-        loglik_max, vec_free.size, grid.n1, grid.n2, x.size
+        loglik_max, vec_free.size, grid.n1, grid.n2, likelihood.n_sites
     )
     return FitResult(
         method="CML",
@@ -485,7 +600,9 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
         estimates=estimates,
         admissible=bool(validate_params(params_hat)),
         diagnostics=FitDiagnostics(
-            n_iter=total_iter, converged=converged, grad_norm=grad_norm
+            n_iter=total_iter, converged=converged, grad_norm=grad_norm,
+            n_fev=likelihood.n_fev, n_grad=likelihood.n_grad,
+            message=str(best.message), se_error=se_error,
         ),
         std_errors=std_errors,
         loglik=loglik_max,
@@ -532,9 +649,10 @@ def _params_vector(params):
     )
 
 
-def _se_from_loglik(fn, vec, n_theta=None, has_dispersion=False):
-    """Boundary-guarded FD-Hessian standard errors at a stationary point.
+def _se_from_loglik(hessian, vec, n_theta=None, has_dispersion=False):
+    """Boundary-guarded standard errors from a log-likelihood Hessian.
 
+    ``hessian`` maps ``vec`` to the Hessian of the log-likelihood there.
     When ``n_theta`` is given, refuses vectors whose finite-difference
     stencil would cross a constraint boundary (theta >= 0, mu_eps > 0,
     dispersion > 1).
@@ -548,8 +666,7 @@ def _se_from_loglik(fn, vec, n_theta=None, has_dispersion=False):
                 "estimate too close to the constraint boundary for"
                 " finite-difference standard errors"
             )
-    hess = fd_hessian(fn, vec)
-    neg = -hess
+    neg = -hessian(vec)
     eigvals = np.linalg.eigvalsh(neg)
     if not np.all(np.isfinite(eigvals)) or eigvals.min() <= 0.0:
         raise NumericalError(
@@ -563,29 +680,17 @@ def _se_from_loglik(fn, vec, n_theta=None, has_dispersion=False):
 def observed_fisher_se(params, grid, loglik_fn=None):
     """Standard errors from the negative Hessian of the log-likelihood.
 
-    The Hessian is taken by central finite differences in the original
-    parametrization (theta lex, mu_eps[, i_eps]) at ``params``; standard
+    The Hessian is taken in the original parametrization (theta lex,
+    mu_eps[, i_eps]) at ``params``: by central differences of the exact
+    score, or, when ``loglik_fn`` (a map from that vector to a real)
+    replaces the model log-likelihood, by ``fd_hessian`` of it.  Standard
     errors are the square roots of the diagonal of its negative inverse.
-    ``loglik_fn`` (a map from that vector to a real) replaces the model
-    log-likelihood when given.
     """
     vec, family = _params_vector(params)
-    m = params.order.n_lags
-    n_theta = None
-    if loglik_fn is None:
-        n_theta = m
-        x, lagged = lagged_stack(grid.values, params.order)
-
-        def loglik_fn(v):
-            theta = v[:m]
-            alpha = float(theta.sum())
-            innovation = _make_innovation(
-                family, float(v[m]), float(v[m + 1]) if family == "nb" else None,
-                alpha,
-            )
-            value, _ = _loglik_core(x, lagged, alpha, theta / alpha, innovation)
-            return value
-
+    if loglik_fn is not None:
+        return _se_from_loglik(lambda v: fd_hessian(loglik_fn, v), vec)
+    likelihood = _CmlLikelihood(grid.values, params.order, family)
     return _se_from_loglik(
-        loglik_fn, vec, n_theta=n_theta, has_dispersion=family == "nb"
+        likelihood.hessian, vec, n_theta=params.order.n_lags,
+        has_dispersion=family == "nb",
     )

@@ -103,6 +103,19 @@ class PoissonInnovation:
             raise ValidationError("kmax must be >= 0")
         return stats.poisson.pmf(np.arange(kmax + 1), self.mu)
 
+    def score_series(self, kmax):
+        """Series of d log G(u) / d(alpha, mu) for the PGF G(u) = exp(mu (u-1)).
+
+        Row r holds the first kmax+1 coefficients h_r, so that the PMF
+        derivative is the truncated convolution ``pmf_table(kmax) * h_r``.
+        The law does not depend on the thinning probability alpha.
+        """
+        h = np.zeros((2, int(kmax) + 1))
+        h[1, 0] = -1.0
+        if kmax >= 1:
+            h[1, 1] = 1.0
+        return h
+
     def moments(self):
         return self.mu, self.mu
 
@@ -177,6 +190,54 @@ class NbMarginalInnovation(_InverseCdfMixin):
         mu_eps = (1.0 - self.alpha) * mu_x
         sigma2_eps = (1.0 - self.alpha**2) * sigma2_x - self.alpha * mu_eps
         return mu_eps, sigma2_eps
+
+    # -- score series ---------------------------------------------------------
+
+    def _log_pgf_series(self, kmax):
+        """Series of d log G(u) / d(nu, pi, alpha), one row per parameter.
+
+        With d = 1-pi and c = d*alpha/A the PGF factors as
+        G(u) = A**nu (1-cu)**nu (1-du)**(-nu), so log G has the series
+        nu log A + nu sum_k (d**k - c**k) u**k / k, differentiated here term
+        by term (A and c move with d and alpha).
+        """
+        nu, alpha = self.nu, self.alpha
+        d = 1.0 - self.pi
+        a = np.exp(self._log_a)
+        c = d * alpha / a
+        k = np.arange(1.0, kmax + 1.0)
+        d_pow, c_pow = d ** (k - 1.0), c ** (k - 1.0)
+        h = np.empty((3, int(kmax) + 1))
+        h[0, 0] = self._log_a
+        h[0, 1:] = (d * d_pow - c * c_pow) / k
+        # d/dpi = -d/dd, with dA/dd = -(1-alpha) and dc/dd = alpha/A**2
+        h[1, 0] = nu * (1.0 - alpha) / a
+        h[1, 1:] = -nu * (d_pow - alpha / a**2 * c_pow)
+        # dA/dalpha = d and dc/dalpha = d(1-d)/A**2
+        h[2, 0] = nu * d / a
+        h[2, 1:] = -nu * d * (1.0 - d) / a**2 * c_pow
+        return h
+
+    def score_series(self, kmax):
+        """Series of d log G(u) / d(alpha, mu_eps, i_eps) at fixed targets.
+
+        The innovation mean mu_eps and dispersion i_eps are the parameters
+        of ``from_targets``; the alpha row moves (nu, pi) with alpha so the
+        targets stay fixed.  Row r holds the first kmax+1 coefficients h_r,
+        so that the PMF derivative is the truncated convolution
+        ``pmf_table(kmax) * h_r``.
+        """
+        nu, pi, alpha = self.nu, self.pi, self.alpha
+        d = 1.0 - pi
+        h_nu, h_pi, h_alpha = self._log_pgf_series(kmax)
+        # nu = mu (1+alpha) / ((1-alpha)(i-1)) and pi = (1+alpha)/(alpha+i),
+        # written through i - 1 = (1+alpha) d / pi and mu = nu (1-alpha) d / pi
+        return np.stack([
+            h_alpha + 2.0 * nu / (1.0 - alpha**2) * h_nu
+            + d * pi / (1.0 + alpha) * h_pi,
+            pi / ((1.0 - alpha) * d) * h_nu,
+            -nu * pi / ((1.0 + alpha) * d) * h_nu - pi**2 / (1.0 + alpha) * h_pi,
+        ])
 
     # -- pmf ------------------------------------------------------------------
 

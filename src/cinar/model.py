@@ -292,6 +292,17 @@ def lagged_stack(values, order):
     lagged : 2-D array, shape (len(x), n_lags)
         lagged[:, m] holds the counts at lag S[m], aligned with x.
     """
+    x, pasts = lag_views(values, order)
+    return x.reshape(-1), np.stack([past.reshape(-1) for past in pasts], axis=1)
+
+
+def lag_views(values, order):
+    """Interior counts and, per lag of S, the aligned past counts, as views.
+
+    Returns the (n1-p1, n2-p2) interior block of ``values`` and a list of
+    same-shape views, one per lag in lexicographic order; ``lagged_stack``
+    is their row-major flattening.  Nothing is copied.
+    """
     values = np.asarray(values)
     n1, n2 = values.shape
     p1, p2 = order.p1, order.p2
@@ -299,8 +310,5 @@ def lagged_stack(values, order):
         raise ValidationError(
             f"grid {n1}x{n2} too small for order ({p1},{p2}); need n1 > p1 and n2 > p2"
         )
-    x = values[p1:, p2:].reshape(-1)
-    cols = [
-        values[p1 - i : n1 - i, p2 - j : n2 - j].reshape(-1) for (i, j) in order.lags
-    ]
-    return x, np.stack(cols, axis=1)
+    pasts = [values[p1 - i : n1 - i, p2 - j : n2 - j] for (i, j) in order.lags]
+    return values[p1:, p2:], pasts

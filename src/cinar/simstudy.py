@@ -16,7 +16,8 @@ An arm tag names the estimator plus optional twists, e.g.::
 
 Estimator failures inside a replication (degenerate grids, singular
 systems) are counted and excluded from the aggregates rather than
-aborting the study.
+aborting the study.  CML fits that end without meeting their convergence
+criterion stay in the aggregates and are counted in ``n_nonconverged``.
 """
 
 import csv
@@ -66,7 +67,11 @@ class StudyArm:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """Aggregates for one (grid size, arm) cell: means and sds per parameter."""
+    """Aggregates for one (grid size, arm) cell: means and sds per parameter.
+
+    ``n_nonconverged`` counts the kept replications whose fit did not meet
+    its convergence criterion; they are included in the means and sds.
+    """
 
     n1: int
     n2: int
@@ -76,6 +81,7 @@ class StudyResult:
     names: tuple
     means: np.ndarray
     sds: np.ndarray
+    n_nonconverged: int = 0
 
 
 def parse_arm(tag):
@@ -130,9 +136,10 @@ def _one_rep(task):
                         " for this data-generating process"
                     )
                 fit = cml_estimate(grid, order, family=family)
-            results.append((fit.names, tuple(float(v) for v in fit.estimates)))
+            results.append((fit.names, tuple(float(v) for v in fit.estimates),
+                            fit.diagnostics.converged))
         except CinarError:
-            results.append((None, None))
+            results.append((None, None, True))
     return results
 
 
@@ -172,11 +179,11 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
         per_size = outcomes[s * reps:(s + 1) * reps]
         for a, arm in enumerate(arms):
             fits = [rep_out[a] for rep_out in per_size]
-            kept = [(names, est) for names, est in fits if names is not None]
+            kept = [fit for fit in fits if fit[0] is not None]
             n_failed = reps - len(kept)
             if kept:
                 names = kept[0][0]
-                stacked = np.array([est for _, est in kept], dtype=float)
+                stacked = np.array([est for _, est, _ in kept], dtype=float)
                 means = stacked.mean(axis=0)
                 sds = (stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1
                        else np.full(stacked.shape[1], np.nan))
@@ -185,6 +192,7 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
             results.append(StudyResult(
                 n1=n1, n2=n2, label=arm.label, n_reps=len(kept),
                 n_failed=n_failed, names=names, means=means, sds=sds,
+                n_nonconverged=sum(not converged for _, _, converged in kept),
             ))
     return results
 

@@ -200,6 +200,28 @@ class TestCmdFit:
                                       lib_cml.std_errors)
         assert by_method["YW"]["std_errors"] is None
 
+    def test_diagnostics_block_is_additive(self, tmp_path):
+        """The fit JSON keeps its diagnostics keys and adds the new ones."""
+        path = _simulate_csv(tmp_path, seed=9)
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--grid", str(path), "--order", "1,1",
+                     "--method", "cls,cml", "--out", str(out)]) == 0
+        by_method = {f["method"]: f["diagnostics"]
+                     for f in json.loads(out.read_text())["fits"]}
+        lib = cml_estimate(read_grid(path), ModelOrder(1, 1)).diagnostics
+        cml = by_method["CML"]
+        assert list(cml) == ["n_iter", "converged", "grad_norm", "n_fev",
+                             "n_grad", "message", "se_error"]
+        assert (cml["n_iter"], cml["converged"], cml["grad_norm"]) == (
+            lib.n_iter, lib.converged, lib.grad_norm)
+        assert (cml["n_fev"], cml["n_grad"], cml["message"]) == (
+            lib.n_fev, lib.n_grad, lib.message)
+        assert cml["n_fev"] >= cml["n_grad"] > 0
+        assert cml["se_error"] is None
+        assert by_method["CLS"] == {
+            "n_iter": 0, "converged": True, "grad_norm": None, "n_fev": 0,
+            "n_grad": 0, "message": None, "se_error": None}
+
     def test_fix_pins_coefficient_to_zero(self, tmp_path):
         path = _simulate_csv(tmp_path, seed=21, theta="0.25,0.35,0.0")
         out = tmp_path / "fit.json"
@@ -403,6 +425,49 @@ class TestSimstudy:
         res = results[0]
         assert res.n_failed > 0
         assert res.n_reps + res.n_failed == 6
+
+    def test_nonconverged_fits_counted_not_dropped(self, tmp_path,
+                                                   monkeypatch):
+        """Non-converged CML fits stay in the aggregates and are counted."""
+        import cinar.simstudy as simstudy
+        from cinar.estimate import FitDiagnostics, FitResult
+
+        calls = []
+
+        def stuck(grid, order, family="poisson", **kwargs):
+            calls.append(1)
+            return FitResult(
+                method="CML",
+                names=("theta_01", "theta_10", "theta_11", "mu_eps"),
+                estimates=np.array([0.1, 0.2, 0.1, 1.0 + len(calls)]),
+                admissible=True,
+                diagnostics=FitDiagnostics(n_iter=500, converged=False),
+            )
+
+        monkeypatch.setattr(simstudy, "cml_estimate", stuck)
+        params = CinarParams(ModelOrder(1, 1), np.array([0.15, 0.15, 0.1]),
+                             PoissonInnovation(1.0))
+        cml, cls = run_study(params, [(12, 12)], ["cml", "cls"], reps=3,
+                             master_seed=5)
+        assert (cml.n_reps, cml.n_failed, cml.n_nonconverged) == (3, 0, 3)
+        assert cls.n_nonconverged == 0
+        np.testing.assert_allclose(cml.means, [0.1, 0.2, 0.1, 3.0], rtol=1e-12)
+        np.testing.assert_allclose(cml.sds, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+
+        out = tmp_path / "study.csv"
+        calls.clear()
+        assert main(["simstudy", "--order", "1,1", "--theta", "0.15,0.15,0.1",
+                     "--mu-eps", "1.0", "--sizes", "12,12", "--methods",
+                     "cml,cls", "--reps", "3", "--seed", "5",
+                     "--out", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert meta["n_nonconverged"] == [
+            {"n1": 12, "n2": 12, "estimator": "cml", "count": 3},
+            {"n1": 12, "n2": 12, "estimator": "cls", "count": 0},
+        ]
+        rows = list(csv.DictReader(out.open()))
+        assert set(rows[0]) == {"n1", "n2", "estimator", "reps_ok",
+                                "reps_failed", "stat", "param", "value"}
 
     def test_misspecified_arms_parse(self):
         """Arm tags carry order and family overrides."""

@@ -1,5 +1,7 @@
 """Tests for the Yule--Walker, least-squares, and likelihood estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
@@ -24,7 +26,9 @@ from cinar import (
     simulate_cinar,
     yw_estimate,
 )
-from cinar.estimate import FitDiagnostics, FitResult, _solve_checked
+import cinar.estimate as estimate_module
+from cinar.estimate import (FitDiagnostics, FitResult, _CmlLikelihood,
+                            _solve_checked)
 from cinar.model import lagged_stack
 
 ORDER11 = ModelOrder(1, 1)
@@ -418,6 +422,232 @@ class TestCmlEstimate:
             mu_n.append(cml_estimate(grid, ORDER11, family="nb").mu_eps)
         assert 1.15 < np.mean(mu_p) < 1.5
         assert abs(np.mean(mu_n) - 1.005) < 0.05
+
+
+# =============================================================================
+# Exact score and the optimizer built on it
+# =============================================================================
+
+
+def _nb(theta, mu, i_eps):
+    theta = np.asarray(theta, dtype=float)
+    return CinarParams(ORDER11, theta,
+                       NbMarginalInnovation.from_targets(mu, i_eps, theta.sum()))
+
+
+def _central_diff(fn, vec, rel_step=1e-5):
+    grad = np.empty(vec.size)
+    for i in range(vec.size):
+        h = rel_step * (1.0 + abs(vec[i]))
+        up, down = vec.copy(), vec.copy()
+        up[i] += h
+        down[i] -= h
+        grad[i] = (fn(up) - fn(down)) / (2.0 * h)
+    return grad
+
+
+def _nb_pmf_mp(nu, pi, alpha, k):
+    """P(eps = k) of the NB-marginal innovation from its two-branch formula."""
+    import mpmath as mp
+
+    d = 1 - pi
+    a = 1 - d * (1 - alpha)
+    if k == 0:
+        return a**nu
+    return mp.fsum(
+        mp.binomial(nu, j) * a ** (nu - j) * (1 - a) ** j
+        * mp.binomial(k - 1, j - 1) * d ** (k - j) * pi**j
+        for j in range(1, k + 1)
+    )
+
+
+class TestCmlScore:
+    ORDER22 = ModelOrder(2, 2)
+
+    @pytest.mark.parametrize("case", ["poisson-11", "poisson-22-fixed", "nb-11"])
+    def test_score_matches_central_differences(self, case):
+        """Analytic score equals central differences of cml_loglik (rtol 1e-6)."""
+        if case == "poisson-11":
+            grid = _sim(_poi([0.3, 0.4, 0.1], 1.0), 40, seed=1)
+            order, family, free = ORDER11, "poisson", [0, 1, 2]
+            vec = np.array([0.25, 0.35, 0.12, 1.2])
+        elif case == "poisson-22-fixed":
+            order, family = self.ORDER22, "poisson"
+            truth = CinarParams(order, np.full(8, 0.1), PoissonInnovation(1.0))
+            grid = _sim(truth, 40, seed=2)
+            free = [0, 1, 2, 4, 5, 6, 7]  # theta_11 (index 3) pinned to 0
+            vec = np.array([0.12, 0.08, 0.1, 0.11, 0.09, 0.1, 0.13, 1.3])
+        else:
+            grid = _sim(_nb([0.2, 0.2, 0.5], 1.0, 2.0), 40, seed=3)
+            order, family, free = ORDER11, "nb", [0, 1, 2]
+            vec = np.array([0.22, 0.18, 0.45, 1.1, 2.3])
+        m = len(free)
+
+        def loglik(v):
+            theta = np.zeros(order.n_lags)
+            theta[free] = v[:m]
+            innovation = (PoissonInnovation(v[m]) if family == "poisson"
+                          else NbMarginalInnovation.from_targets(
+                              v[m], v[m + 1], theta.sum()))
+            return cml_loglik(CinarParams(order, theta, innovation), grid)
+
+        likelihood = _CmlLikelihood(grid.values, order, family, lags=free)
+        value, score = likelihood.natural(vec)
+        assert value == pytest.approx(loglik(vec), rel=1e-12)
+        np.testing.assert_allclose(score, _central_diff(loglik, vec), rtol=1e-6)
+
+    def test_unconstrained_gradient_matches_central_differences(self):
+        grid = _sim(_nb([0.2, 0.2, 0.5], 1.0, 2.0), 30, seed=4)
+        likelihood = _CmlLikelihood(grid.values, ORDER11, "nb")
+        z = estimate_module._pack(np.array([0.22, 0.18, 0.45]), 1.1, 2.3, "nb")
+        _, grad = likelihood.value_and_grad(z)
+        want = _central_diff(lambda v: likelihood.value_and_grad(v)[0], z)
+        np.testing.assert_allclose(grad, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("nu, pi, alpha", [
+        (1.7, 0.45, 0.6), (0.6, 0.7, 0.3), (4.2, 0.3, 0.85),
+    ])
+    def test_nb_pmf_derivatives_match_mpmath(self, nu, pi, alpha):
+        """d e / d(nu, pi, alpha) = e * h against 50-digit differentiation."""
+        import mpmath as mp
+
+        kmax = 25
+        innovation = NbMarginalInnovation(nu, pi, alpha)
+        pmf = innovation.pmf_table(kmax)
+        got = np.array([np.convolve(pmf, h)[: kmax + 1]
+                        for h in innovation._log_pgf_series(kmax)])
+        with mp.workdps(50):
+            point = [mp.mpf(nu), mp.mpf(pi), mp.mpf(alpha)]
+            want = np.array([
+                [float(mp.diff(
+                    lambda t: _nb_pmf_mp(*(point[:i] + [t] + point[i + 1:]), k),
+                    point[i])) for k in range(kmax + 1)]
+                for i in range(3)
+            ])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("family, rtol", [("poisson", 1e-4), ("nb", 1e-3)])
+    def test_score_se_match_fd_hessian_se(self, family, rtol):
+        """Score-difference SEs equal fd_hessian SEs.
+
+        The oracle is the noisier side: at its fixed step, rounding in the
+        log-likelihood moves the NB dispersion SE by about 2e-4 relative,
+        and the gap closes as that step grows, while the score-difference
+        SEs do not move with the step.
+        """
+        truth = (_poi([0.3, 0.4, 0.1], 1.0) if family == "poisson"
+                 else _nb([0.2, 0.2, 0.5], 1.0, 2.0))
+        grid = _sim(truth, 40, seed=33)
+        fit = cml_estimate(grid, ORDER11, family=family)
+        params = (CinarParams(ORDER11, fit.theta, PoissonInnovation(fit.mu_eps))
+                  if family == "poisson" else _nb(fit.theta, fit.mu_eps, fit.i_eps))
+
+        def loglik(v):
+            theta = v[:3]
+            innovation = (PoissonInnovation(v[3]) if family == "poisson"
+                          else NbMarginalInnovation.from_targets(
+                              v[3], v[4], theta.sum()))
+            return cml_loglik(CinarParams(ORDER11, theta, innovation), grid)
+
+        via_fd = observed_fisher_se(params, grid, loglik_fn=loglik)
+        np.testing.assert_allclose(observed_fisher_se(params, grid), via_fd,
+                                   rtol=rtol)
+        np.testing.assert_allclose(fit.std_errors, via_fd, rtol=rtol)
+
+    @pytest.mark.parametrize("family", ["poisson", "nb"])
+    def test_fit_uses_few_likelihood_evaluations(self, family, monkeypatch):
+        """A 50x50 fit, standard errors included, builds <= 50 tables.
+
+        Finite-difference gradients would need several hundred.
+        """
+        truth = (_poi([0.3, 0.4, 0.1], 1.0) if family == "poisson"
+                 else _nb([0.2, 0.2, 0.5], 1.0, 2.0))
+        grid = _sim(truth, 50, seed=202)
+        builds = []
+        build = estimate_module.thinning_convolution_table
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(estimate_module, "thinning_convolution_table",
+                            counting)
+        fit = cml_estimate(grid, ORDER11, family=family)
+        assert fit.diagnostics.converged and fit.std_errors is not None
+        assert len(builds) <= 50
+        assert fit.diagnostics.n_fev == len(builds)
+        assert 0 < fit.diagnostics.n_grad <= fit.diagnostics.n_fev
+
+    def test_line_search_across_the_wall_ends_without_warnings(self, monkeypatch):
+        """Trial points of zero likelihood are refused, not differentiated.
+
+        A count of 200 with an all-zero past has a probability that
+        underflows to 0 once mu_eps drops below about 1.8; starting at
+        mu_eps = 6, the first line search steps past that wall.
+        """
+        values = np.array(_sim(_poi([0.3, 0.4, 0.1], 3.0), 30, seed=3).values)
+        values[10, 9] = values[9, 10] = values[9, 9] = 0
+        values[10, 10] = 200
+        grid = CountGrid(values)
+        init = FitResult(method="CML",
+                         names=("theta_01", "theta_10", "theta_11", "mu_eps"),
+                         estimates=np.array([0.3, 0.4, 0.1, 6.0]),
+                         admissible=True, diagnostics=FitDiagnostics(0, True))
+        walls = []
+        value_and_grad = _CmlLikelihood.value_and_grad
+
+        def watched(self, z):
+            loglik, grad = value_and_grad(self, z)
+            if grad is None:
+                walls.append(z)
+            return loglik, grad
+
+        monkeypatch.setattr(_CmlLikelihood, "value_and_grad", watched)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fit = cml_estimate(grid, ORDER11, init=init)
+            except NumericalError as exc:
+                assert "grid cell" in str(exc)
+            else:
+                assert fit.diagnostics.converged
+                assert np.isfinite(fit.loglik)
+        assert walls, "no trial point reached the wall"
+
+    def test_every_start_on_the_wall_names_the_site(self):
+        """Zero likelihood at the start: a NumericalError locating the site."""
+        values = np.ones((12, 12), dtype=int)
+        values[5, 6] = values[6, 5] = values[5, 5] = 0
+        values[6, 6] = 400
+        with pytest.raises(NumericalError, match=r"grid cell \(6, 6\)"):
+            cml_estimate(CountGrid(values), ORDER11)
+
+
+class TestFitDiagnostics:
+    def test_counts_and_stop_reason(self):
+        grid = _sim(_poi([0.2, 0.2, 0.35], 1.5), 30, seed=55)
+        diag = cml_estimate(grid, ORDER11).diagnostics
+        assert diag.n_fev >= diag.n_grad > 0
+        assert isinstance(diag.message, str) and diag.message
+        assert diag.se_error is None
+
+    def test_multistart_sums_counts(self):
+        grid = _sim(_poi([0.2, 0.2, 0.35], 1.5), 25, seed=81)
+        single = cml_estimate(grid, ORDER11).diagnostics
+        multi = cml_estimate(grid, ORDER11, multistart=True).diagnostics
+        assert multi.n_fev > single.n_fev and multi.n_iter > single.n_iter
+
+    def test_missing_standard_errors_carry_a_reason(self):
+        grid = _sim(_poi([1e-6, 1e-6, 1e-6], 1.0), 40, seed=12, burn=30)
+        fit = cml_estimate(grid, ORDER11)
+        assert fit.std_errors is None
+        assert "boundary" in fit.diagnostics.se_error
+
+    def test_closed_form_estimators_report_no_optimizer_work(self):
+        grid = _sim(_poi([0.2, 0.2, 0.35], 1.5), 20, seed=4)
+        diag = cls_estimate(grid, ORDER11).diagnostics
+        assert (diag.n_fev, diag.n_grad, diag.message, diag.se_error) == (
+            0, 0, None, None)
 
 
 # =============================================================================
