@@ -5,30 +5,29 @@ diagnostics for unilateral thinning-based count autoregressions with
 Poisson or negative-binomial marginals, plus a censored (signed) variant.
 """
 
-from .errors import CinarError, ConvergenceError, NumericalError, ValidationError
+from .errors import CinarError, NumericalError, ValidationError
 from .model import (
     CinarParams,
     CountGrid,
     ModelOrder,
     ParamsVerdict,
     SignPattern,
-    alpha_phi_to_theta,
     lag_set,
     stationary_moments,
-    theta_to_alpha_phi,
     validate_params,
 )
 from .innovations import (
     NbMarginalInnovation,
     PoissonInnovation,
     TabulatedInnovation,
+    innovation_family,
+    innovation_from_estimates,
     nb_params_from_targets,
 )
-from .simulate import SimConfig, binomial_thin, simulate_cinar, simulate_tobit_cinar
+from .simulate import SimConfig, simulate_cinar, simulate_tobit_cinar
 from .acf import (
     AcfTable,
     acf_closed_form_11,
-    acf_recursion_residual,
     sample_acf,
     sample_acvf,
     theoretical_acf,
@@ -70,7 +69,6 @@ __all__ = [
     "CinarError",
     "ValidationError",
     "NumericalError",
-    "ConvergenceError",
     "ModelOrder",
     "CinarParams",
     "SignPattern",
@@ -78,15 +76,14 @@ __all__ = [
     "ParamsVerdict",
     "lag_set",
     "validate_params",
-    "theta_to_alpha_phi",
-    "alpha_phi_to_theta",
     "stationary_moments",
     "PoissonInnovation",
     "NbMarginalInnovation",
     "TabulatedInnovation",
+    "innovation_family",
+    "innovation_from_estimates",
     "nb_params_from_targets",
     "SimConfig",
-    "binomial_thin",
     "simulate_cinar",
     "simulate_tobit_cinar",
     "AcfTable",
@@ -94,7 +91,6 @@ __all__ = [
     "sample_acf",
     "theoretical_acf",
     "acf_closed_form_11",
-    "acf_recursion_residual",
     "FitResult",
     "FitDiagnostics",
     "yw_estimate",

@@ -12,8 +12,24 @@ per grid, since the table shape is fixed by the grid's largest counts.
 """
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import toeplitz
+from scipy.special import betaln, xlog1py, xlogy
+
+
+def binomial_rows(n_max, alpha):
+    """b[n, z] = P(Binomial(n, alpha) = z) for 0 <= n, z <= n_max.
+
+    Each entry is taken in log space, C(n, z) through ``betaln``; entries
+    with z > n are 0.
+    """
+    n = np.arange(int(n_max) + 1.0)
+    z = n[None, :]
+    n = n[:, None]
+    upper = z > n
+    gap = np.where(upper, 0.0, n - z)
+    log_b = (xlogy(z, alpha) + xlog1py(gap, -alpha)
+             - np.log1p(n) - betaln(gap + 1.0, z + 1.0))
+    return np.where(upper, 0.0, np.exp(log_b))
 
 
 def thinning_convolution_table(alpha, innovation, n_max, x_max, cumulative=False):
@@ -23,8 +39,7 @@ def thinning_convolution_table(alpha, innovation, n_max, x_max, cumulative=False
     alpha)-thinned count plus an independent innovation draw.
     """
     n_max, x_max = int(n_max), int(x_max)
-    z = np.arange(n_max + 1)
-    b = stats.binom.pmf(z[None, :], z[:, None], alpha)  # b[n, zz]
+    b = binomial_rows(n_max, alpha)
     e = innovation.pmf_table(x_max)
     if cumulative:
         e = np.cumsum(e)

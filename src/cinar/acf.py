@@ -24,7 +24,6 @@ __all__ = [
     "sample_acf",
     "theoretical_acf",
     "acf_closed_form_11",
-    "acf_recursion_residual",
 ]
 
 
@@ -42,8 +41,8 @@ class AcfTable:
 
     def __post_init__(self):
         window = (int(self.window[0]), int(self.window[1]))
-        if window[0] < 1 or window[1] < 1:
-            raise ValidationError(f"window must be positive, got {window}")
+        if window[0] < 0 or window[1] < 0:
+            raise ValidationError(f"window must be non-negative, got {window}")
         values = np.asarray(self.values, dtype=float).copy()
         if values.shape != (2 * window[0] + 1, 2 * window[1] + 1):
             raise ValidationError(
@@ -141,6 +140,8 @@ def sample_acvf(grid, k, l):
 def sample_acf(grid, window):
     """Sample autocorrelation table over {|k| <= K, |l| <= L}."""
     K, L = int(window[0]), int(window[1])
+    if K < 0 or L < 0:
+        raise ValidationError(f"window must be non-negative, got {(K, L)}")
     gamma0 = sample_acvf(grid, 0, 0)
     if gamma0 <= 0.0:
         raise ValidationError("degenerate grid: sample variance is zero")
@@ -183,8 +184,8 @@ def theoretical_acf(params, window, tol=1e-12, max_sweeps=None):
     if not verdict:
         raise ValidationError("invalid parameters: " + "; ".join(verdict.violations))
     K, L = int(window[0]), int(window[1])
-    if K < 1 or L < 1:
-        raise ValidationError(f"window must be positive, got {(K, L)}")
+    if K < 0 or L < 0:
+        raise ValidationError(f"window must be non-negative, got {(K, L)}")
     order = params.order
     alpha = params.alpha
     theta = params.theta
@@ -240,28 +241,6 @@ def _max_residual(big, P, Q, K, L, alpha, phi, lags):
     upper[P, Q + 1:] = True
     diff = np.where(upper, big - pred, 0.0)
     return float(np.max(np.abs(diff[block])))
-
-
-def acf_recursion_residual(table, params):
-    """Max absolute recursion residual of a table, over equations whose
-    lagged neighbours all lie inside the table window."""
-    K, L = table.window
-    order = params.order
-    alpha = params.alpha
-    phi = params.phi
-    lags = order.lags
-    worst = 0.0
-    for k in range(-K + order.p1, K + 1):
-        for l in range(-L + order.p2, L + 1):
-            if not (k >= 1 or (k == 0 and l >= 1)):
-                continue
-            if l - order.p2 < -L:
-                continue
-            pred = alpha * sum(
-                p * table.value(k - i, l - j) for (i, j), p in zip(lags, phi)
-            )
-            worst = max(worst, abs(table.value(k, l) - pred))
-    return worst
 
 
 # =============================================================================

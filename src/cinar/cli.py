@@ -22,9 +22,9 @@ import numpy as np
 from .acf import sample_acf, theoretical_acf
 from .diagnose import build_diagnostics
 from .errors import CinarError, NumericalError, ValidationError
-from .estimate import (_make_innovation, _normalize_family, cls_estimate,
-                       cml_estimate, yw_estimate)
+from .estimate import cls_estimate, cml_estimate, yw_estimate
 from .gridio import read_grid, write_grid
+from .innovations import innovation_family, innovation_from_estimates
 from .model import CinarParams, ModelOrder, SignPattern
 from .simstudy import parse_arm, run_study, write_study_csv
 from .simulate import SimConfig, simulate_cinar, simulate_tobit_cinar
@@ -112,14 +112,19 @@ def _build_params(args):
     p1, p2 = _parse_int_pair(args.order, "--order")
     order = ModelOrder(p1, p2)
     theta = np.asarray(_parse_floats(args.theta, "--theta"), dtype=float)
-    family = _normalize_family(args.family)
-    if family == "poisson" and args.i_eps is not None:
-        raise ValidationError("--i-eps applies to the nb family only")
-    if family == "nb" and args.i_eps is None:
-        raise ValidationError("the nb family needs --i-eps")
-    innovation = _make_innovation(family, args.mu_eps, args.i_eps,
-                                  float(theta.sum()))
-    return CinarParams(order, theta, innovation), family
+    family = innovation_family(args.family)
+    for name in ("mu_eps", "i_eps"):
+        flag = "--" + name.replace("_", "-")
+        given = getattr(args, name) is not None
+        if given and name not in family.param_names:
+            raise ValidationError(f"{flag} does not apply to the {family.name}"
+                                  " family")
+        if not given and name in family.param_names:
+            raise ValidationError(f"the {family.name} family needs {flag}")
+    innovation = family.from_params(
+        [getattr(args, name) for name in family.param_names], float(theta.sum())
+    )
+    return CinarParams(order, theta, innovation), family.name
 
 
 def _write_json(payload, path):
@@ -227,7 +232,7 @@ def cmd_fit(args):
     fixes = _parse_fixes(args.fix) if args.fix else ()
     if fixes and "cml" not in methods:
         raise ValidationError("--fix applies to the cml method")
-    family = _normalize_family(args.family)
+    family = innovation_family(args.family).name
 
     fits = []
     exit_code = 0
@@ -268,18 +273,11 @@ def cmd_fit(args):
 # =============================================================================
 
 
-def _write_unit_acf_csv(path):
-    """Window (0, 0): the table is the single cell rho(0,0) = 1."""
-    with open(path, "w", newline="") as fh:
-        fh.write("l\\k,0\r\n0,1.0\r\n")
-
-
 def cmd_acf(args):
     window = _parse_int_pair(args.window, "--window")
     if args.grid is not None:
         grid = read_grid(args.grid, header=args.header)
-        source = "sample"
-        table = None if window == (0, 0) else sample_acf(grid, window)
+        table = sample_acf(grid, window)
     else:
         if args.order is None or args.theta is None or args.mu_eps is None:
             raise ValidationError(
@@ -287,12 +285,8 @@ def cmd_acf(args):
                 " (--order --theta --mu-eps [--i-eps])"
             )
         params, _ = _build_params(args)
-        source = "theoretical"
-        table = None if window == (0, 0) else theoretical_acf(params, window)
-    if table is None:
-        _write_unit_acf_csv(args.out)
-    else:
-        table.to_csv(args.out)
+        table = theoretical_acf(params, window)
+    table.to_csv(args.out)
     return 0
 
 
@@ -320,19 +314,11 @@ def _params_from_fit_file(path, method):
             f"{path}: no {wanted} fit in file (has {present})"
         )
     order = ModelOrder(*payload["config"]["order"])
-    names = list(chosen["names"])
-    estimates = [float(v) for v in chosen["estimates"]]
-    theta = np.array([est for name, est in zip(names, estimates)
+    estimates = {name: float(value)
+                 for name, value in zip(chosen["names"], chosen["estimates"])}
+    theta = np.array([value for name, value in estimates.items()
                       if name.startswith("theta")])
-    mu_eps = estimates[names.index("mu_eps")]
-    i_eps = (estimates[names.index("i_eps")]
-             if "i_eps" in names else None)
-    # YW reports a moment dispersion estimate; treat it as NB only when it
-    # actually exceeds 1, otherwise fall back to Poisson.
-    family = "nb" if i_eps is not None and i_eps > 1.0 else "poisson"
-    innovation = _make_innovation(family, mu_eps,
-                                  i_eps if family == "nb" else None,
-                                  float(theta.sum()))
+    innovation = innovation_from_estimates(estimates, float(theta.sum()))
     params = CinarParams(order, theta, innovation)
     return params, chosen.get("loglik"), chosen.get("n_free_params")
 

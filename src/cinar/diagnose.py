@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
-from ._kernels import mixture_site_values, thinning_convolution_table
+from ._kernels import (binomial_rows, mixture_site_values,
+                       thinning_convolution_table)
 from .acf import AcfTable, sample_acf
 from .errors import ValidationError
 from .model import lagged_stack, validate_params
@@ -159,9 +159,10 @@ def tobit_conditional_pmf(params, signs, past, site=None):
     lower = int(np.minimum(signs.signs, 0) @ past)
     upper = int(np.max(np.where(signs.signs > 0, past, 0))) + eps_max
     acc = np.zeros(upper - lower + 1)
+    rows = binomial_rows(past.max(), alpha)
     for j in range(past.size):
         n = int(past[j])
-        bp = stats.binom.pmf(np.arange(n + 1), n, alpha)
+        bp = rows[n, : n + 1]
         if signs.signs[j] > 0:
             contrib = np.convolve(bp, ep)  # support 0 .. n + eps_max
             off = 0 - lower

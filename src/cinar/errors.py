@@ -2,9 +2,11 @@
 
 The split mirrors how failures are reported at the command line: validation
 problems (bad parameters, malformed input) are distinct from numerical
-failures (singular systems, non-finite objectives), which are distinct from
-an optimizer that simply did not converge.
+failures (singular systems, non-finite objectives).  An optimizer that did
+not converge is not an error: fits report it in their diagnostics.
 """
+
+__all__ = ["CinarError", "ValidationError", "NumericalError"]
 
 
 class CinarError(Exception):
@@ -17,7 +19,3 @@ class ValidationError(CinarError):
 
 class NumericalError(CinarError):
     """Singular linear systems, non-finite values, failed factorizations."""
-
-
-class ConvergenceError(CinarError):
-    """An iterative routine stopped without meeting its tolerance."""

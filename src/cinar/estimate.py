@@ -20,7 +20,7 @@ from ._kernels import (flat_site_index, lag_site_values,
 from .diagnose import information_criteria
 from .acf import sample_acf, sample_acvf
 from .errors import CinarError, NumericalError, ValidationError
-from .innovations import NbMarginalInnovation, PoissonInnovation
+from .innovations import innovation_family
 from .model import CinarParams, lag_views, lagged_stack, validate_params
 
 __all__ = [
@@ -125,10 +125,6 @@ class FitResult:
         return None
 
 
-def _theta_names(order):
-    return tuple(f"theta_{i}{j}" for (i, j) in order.lags)
-
-
 def _moments_admissible(theta, mu_eps, sigma2_eps=None):
     """Would a parameter point with these moments pass validation?"""
     ok = bool(np.all(theta >= 0.0)) and 0.0 < float(theta.sum()) < 1.0
@@ -172,7 +168,7 @@ def yw_estimate(grid, order):
     i_eps = sigma2_eps / mu_eps if mu_eps != 0.0 else float("nan")
     return FitResult(
         method="YW",
-        names=_theta_names(order) + ("mu_eps", "i_eps"),
+        names=order.theta_names() + ("mu_eps", "i_eps"),
         estimates=np.concatenate([theta, [mu_eps, i_eps]]),
         admissible=_moments_admissible(theta, mu_eps, sigma2_eps),
         diagnostics=FitDiagnostics(n_iter=0, converged=True),
@@ -199,7 +195,7 @@ def cls_estimate(grid, order):
     theta, mu_eps = coef[:-1], float(coef[-1])
     return FitResult(
         method="CLS",
-        names=_theta_names(order) + ("mu_eps",),
+        names=order.theta_names() + ("mu_eps",),
         estimates=coef,
         admissible=_moments_admissible(theta, mu_eps),
         diagnostics=FitDiagnostics(n_iter=0, converged=True),
@@ -236,46 +232,27 @@ def _zero_sites(bad, grid, order):
             f" first at grid cell ({r + order.p1}, {c + order.p2})")
 
 
-def _normalize_family(family):
-    tag = str(family).lower().replace("-", "").replace("_", "")
-    if tag in ("poisson", "poi", "p"):
-        return "poisson"
-    if tag in ("nb", "nbmarginal", "negbin", "negativebinomial", "n"):
-        return "nb"
-    raise ValidationError(
-        f"unknown innovation family {family!r}: use 'poisson' or 'nb'"
-    )
+def _pack(theta, extra, lower):
+    """Map interior parameters to the unconstrained optimizer space.
 
-
-def _make_innovation(family, mu_eps, i_eps, alpha):
-    if family == "poisson":
-        return PoissonInnovation(mu_eps)
-    return NbMarginalInnovation.from_targets(mu_eps, i_eps, alpha)
-
-
-def _pack(theta, mu_eps, i_eps, family):
-    """Map interior parameters to the unconstrained optimizer space."""
+    ``extra`` holds the innovation parameters and ``lower`` their open
+    lower bounds; each maps to the log of its distance from its bound.
+    """
     alpha = float(theta.sum())
     phi = theta / alpha
-    z = [logit(alpha)]
-    z.extend(np.log(phi[:-1]) - np.log(phi[-1]))
-    z.append(np.log(mu_eps))
-    if family == "nb":
-        z.append(np.log(i_eps - 1.0))
-    return np.asarray(z, dtype=float)
+    return np.concatenate([
+        [logit(alpha)],
+        np.log(phi[:-1]) - np.log(phi[-1]),
+        np.log(np.asarray(extra, dtype=float) - lower),
+    ])
 
 
-def _unpack(z, m, family):
-    """Inverse of _pack: logistic alpha, softmax phi, exp mu, 1+exp dispersion."""
+def _unpack(z, m, lower):
+    """Inverse of _pack: logistic alpha, softmax phi, bound + exp innovation."""
     alpha = float(expit(z[0]))
     logits = np.append(z[1:m], 0.0)
     theta = alpha * softmax(logits)
-    mu_eps = float(np.exp(np.clip(z[m], -700.0, 700.0)))
-    if family == "nb":
-        i_eps = 1.0 + float(np.exp(np.clip(z[m + 1], -700.0, 700.0)))
-    else:
-        i_eps = None
-    return theta, mu_eps, i_eps
+    return theta, lower + np.exp(np.clip(z[m:], -700.0, 700.0))
 
 
 class _CmlLikelihood:
@@ -294,8 +271,9 @@ class _CmlLikelihood:
       and the contraction with W is sum_k h_psi[k] r[k], where
       r[k] = sum_{n,y} C[n, y] W[n, y+k].
 
-    ``family`` ('poisson' or 'nb') is needed only by the parametrized
-    entry points ``natural``, ``value_and_grad`` and ``hessian``.
+    ``family`` (an innovation family class, see ``innovations``) is needed
+    only by the parametrized entry points ``natural``, ``value_and_grad``
+    and ``hessian``.
     Counts evaluations in ``n_fev``, of which ``n_grad`` carried the score.
     """
 
@@ -363,17 +341,16 @@ class _CmlLikelihood:
         return loglik, bad, np.concatenate([d_theta, d_innovation[1:]]) / scale
 
     def natural(self, vec):
-        """(loglik, score) at (theta, mu_eps[, i_eps]); (-inf, None) outside
-        the model's domain."""
+        """(loglik, score) at (theta, innovation parameters); (-inf, None)
+        outside the model's domain."""
         m = self._flat.shape[0]
-        theta, mu_eps = vec[:m], float(vec[m])
-        if not np.isfinite(mu_eps) or mu_eps <= 0 or mu_eps > 1e12:
+        theta, extra = vec[:m], vec[m:]
+        # the first innovation parameter is the mean mu_eps; a larger one
+        # only builds huge tables
+        if not extra[0] <= 1e12:
             return -np.inf, None
-        i_eps = float(vec[m + 1]) if self.family == "nb" else None
         try:
-            innovation = _make_innovation(
-                self.family, mu_eps, i_eps, float(theta.sum())
-            )
+            innovation = self.family.from_params(extra, float(theta.sum()))
         except CinarError:
             return -np.inf, None
         loglik, _, grad = self.evaluate(theta, innovation, score=True)
@@ -383,9 +360,9 @@ class _CmlLikelihood:
         """(loglik, score) in the optimizer's unconstrained coordinates (see
         ``_pack``); (-inf, None) outside the model's domain."""
         m = self._flat.shape[0]
-        theta, mu_eps, i_eps = _unpack(z, m, self.family)
-        vec = np.append(theta, [mu_eps] if i_eps is None else [mu_eps, i_eps])
-        loglik, grad = self.natural(vec)
+        lower = self.family.lower_bounds
+        theta, extra = _unpack(z, m, lower)
+        loglik, grad = self.natural(np.append(theta, extra))
         if grad is None:
             return loglik, None
         alpha = float(theta.sum())
@@ -395,13 +372,11 @@ class _CmlLikelihood:
         out = np.empty_like(grad)
         out[0] = alpha * (1.0 - alpha) * mean
         out[1:m] = alpha * phi[:-1] * (d_theta[:-1] - mean)
-        out[m] = mu_eps * grad[m]
-        if i_eps is not None:
-            out[m + 1] = (i_eps - 1.0) * grad[m + 1]
+        out[m:] = (extra - lower) * grad[m:]
         return loglik, out
 
     def hessian(self, vec):
-        """Central differences of the score at (theta, mu_eps[, i_eps]).
+        """Central differences of the score at (theta, innovation parameters).
 
         Step cbrt(eps)*(1+|v_i|) per axis, 2p score evaluations; the
         result is symmetrized.
@@ -422,18 +397,20 @@ class _CmlLikelihood:
         return 0.5 * (hess + hess.T)
 
 
-def _project_interior(theta, mu_eps, i_eps, m):
-    """Pull a possibly inadmissible start strictly inside the constraints."""
+def _project_interior(theta, extra, lower):
+    """Pull a possibly inadmissible start strictly inside the constraints.
+
+    Innovation parameters move at least 1e-4 above a zero bound and 1%
+    above a positive one.
+    """
     theta = np.clip(np.nan_to_num(np.asarray(theta, dtype=float), nan=0.0),
                     1e-4, None)
     total = theta.sum()
     if total >= 1.0 - 1e-3:
         theta *= (1.0 - 1e-3) / total
-    mu_eps = float(mu_eps) if np.isfinite(mu_eps) and mu_eps > 1e-4 else 1e-4
-    if i_eps is None or not np.isfinite(i_eps) or i_eps < 1.01:
-        i_eps = max(i_eps if i_eps is not None and np.isfinite(i_eps) else 0.0,
-                    1.01)
-    return theta[:m], mu_eps, i_eps
+    floor = np.maximum(1.01 * np.asarray(lower), 1e-4)
+    extra = np.asarray(extra, dtype=float)
+    return theta, np.where(np.isfinite(extra) & (extra >= floor), extra, floor)
 
 
 def _moment_dispersion(grid, alpha):
@@ -446,7 +423,11 @@ def _moment_dispersion(grid, alpha):
 
 
 def _initial_point(grid, order, family, init):
-    """CLS start, falling back to YW, falling back to a neutral interior point."""
+    """CLS start, falling back to YW, falling back to a neutral interior point.
+
+    Returns theta and the innovation parameters of ``family``; a missing
+    dispersion comes from the sample variance.
+    """
     m = order.n_lags
     if init is not None:
         theta = np.asarray(init.theta, dtype=float)
@@ -470,9 +451,12 @@ def _initial_point(grid, order, family, init):
             theta = np.full(m, 0.3 / m)
             mu_eps = max(float(np.mean(grid.values)) * 0.7, 1e-2)
             i_eps = 1.5
-    if family == "nb" and i_eps is None:
+    if i_eps is None and "i_eps" in family.param_names:
         i_eps = _moment_dispersion(grid, float(np.clip(np.sum(theta), 0.0, 0.99)))
-    return _project_interior(theta, mu_eps, i_eps, m)
+    start = {"mu_eps": mu_eps, "i_eps": i_eps}
+    return _project_interior(
+        theta, [start[name] for name in family.param_names], family.lower_bounds
+    )
 
 
 def _parse_fix_zero(fix_zero, order):
@@ -518,7 +502,8 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
     standard error.  ``multistart`` adds four fixed perturbed starts and
     keeps the best optimum.  Deterministic.
     """
-    family = _normalize_family(family)
+    family = innovation_family(family)
+    lower = family.lower_bounds
     m = order.n_lags
     fixed_idx = _parse_fix_zero(fix_zero, order)
     free_idx = np.array([k for k in range(m) if k not in fixed_idx], dtype=int)
@@ -531,9 +516,9 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
             return _WALL, np.zeros_like(z)
         return -loglik, -grad
 
-    theta0, mu0, i0 = _initial_point(grid, order, family, init)
-    theta0_free, mu0, i0 = _project_interior(theta0[free_idx], mu0, i0, m_free)
-    z0 = _pack(theta0_free, mu0, i0, family)
+    theta0, extra0 = _initial_point(grid, order, family, init)
+    theta0_free, extra0 = _project_interior(theta0[free_idx], extra0, lower)
+    z0 = _pack(theta0_free, extra0, lower)
     starts = [z0]
     if multistart:
         offsets = np.array([0.5, -0.5, 1.0, -1.0])
@@ -555,7 +540,7 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
             best = res
     if not best.fun < _WALL:
         _, bad, _ = likelihood.evaluate(
-            theta0_free, _make_innovation(family, mu0, i0, theta0_free.sum())
+            theta0_free, family.from_params(extra0, theta0_free.sum())
         )
         raise NumericalError(
             "no CML start has a finite conditional likelihood: "
@@ -567,25 +552,20 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
     grad_norm = float(np.linalg.norm(best.jac, ord=np.inf))
     converged = grad_norm <= 1e-5 * (1.0 + abs(loglik_max))
 
-    theta_free, mu_eps, i_eps = _unpack(best.x, m_free, family)
+    theta_free, extra = _unpack(best.x, m_free, lower)
     theta = np.zeros(m)
     theta[free_idx] = theta_free
-    alpha = float(theta.sum())
-    innovation_params = [mu_eps] if family == "poisson" else [mu_eps, i_eps]
-    estimates = np.concatenate([theta, innovation_params])
-    names = _theta_names(order) + (
-        ("mu_eps",) if family == "poisson" else ("mu_eps", "i_eps")
-    )
+    estimates = np.concatenate([theta, extra])
     params_hat = CinarParams(
-        order, theta, _make_innovation(family, mu_eps, i_eps, alpha)
+        order, theta, family.from_params(extra, float(theta.sum()))
     )
 
-    vec_free = np.concatenate([theta_free, innovation_params])
+    vec_free = np.concatenate([theta_free, extra])
     se_error = None
     try:
         se_free = _se_from_loglik(
-            likelihood.hessian, vec_free, n_theta=m_free,
-            has_dispersion=family == "nb",
+            likelihood.hessian, vec_free,
+            lower=np.concatenate([np.zeros(m_free), lower]),
         )
         std_errors = np.zeros(estimates.size)
         std_errors[np.concatenate([free_idx, np.arange(m, estimates.size)])] = se_free
@@ -596,7 +576,7 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
     )
     return FitResult(
         method="CML",
-        names=names,
+        names=order.theta_names() + family.param_names,
         estimates=estimates,
         admissible=bool(validate_params(params_hat)),
         diagnostics=FitDiagnostics(
@@ -637,31 +617,17 @@ def fd_hessian(fn, x0):
     return hess
 
 
-def _params_vector(params):
-    """(theta lex, mu_eps[, i_eps]) plus the family tag for rebuilding."""
-    mu_eps, sigma2_eps = params.innovation.moments()
-    if isinstance(params.innovation, NbMarginalInnovation):
-        return np.concatenate([params.theta, [mu_eps, sigma2_eps / mu_eps]]), "nb"
-    if isinstance(params.innovation, PoissonInnovation):
-        return np.concatenate([params.theta, [mu_eps]]), "poisson"
-    raise ValidationError(
-        "standard errors support the Poisson and NB innovation families only"
-    )
-
-
-def _se_from_loglik(hessian, vec, n_theta=None, has_dispersion=False):
+def _se_from_loglik(hessian, vec, lower=None):
     """Boundary-guarded standard errors from a log-likelihood Hessian.
 
     ``hessian`` maps ``vec`` to the Hessian of the log-likelihood there.
-    When ``n_theta`` is given, refuses vectors whose finite-difference
-    stencil would cross a constraint boundary (theta >= 0, mu_eps > 0,
-    dispersion > 1).
+    When ``lower`` holds the coordinates' lower bounds (0 for theta, the
+    family's bounds for the innovation parameters), refuses vectors whose
+    finite-difference stencil would reach one.
     """
-    if n_theta is not None:
+    if lower is not None:
         steps = _CBRT_EPS * (1.0 + np.abs(vec))
-        lo = vec - steps
-        if (np.any(lo[:n_theta] < 0) or lo[n_theta] <= 0
-                or (has_dispersion and lo[n_theta + 1] <= 1)):
+        if np.any(vec - steps <= lower):
             raise NumericalError(
                 "estimate too close to the constraint boundary for"
                 " finite-difference standard errors"
@@ -680,17 +646,23 @@ def _se_from_loglik(hessian, vec, n_theta=None, has_dispersion=False):
 def observed_fisher_se(params, grid, loglik_fn=None):
     """Standard errors from the negative Hessian of the log-likelihood.
 
-    The Hessian is taken in the original parametrization (theta lex,
-    mu_eps[, i_eps]) at ``params``: by central differences of the exact
+    The Hessian is taken in the original parametrization (theta lex, then
+    the innovation family's ``param_names``) at ``params``: by central
+    differences of the exact
     score, or, when ``loglik_fn`` (a map from that vector to a real)
     replaces the model log-likelihood, by ``fd_hessian`` of it.  Standard
     errors are the square roots of the diagonal of its negative inverse.
     """
-    vec, family = _params_vector(params)
+    family = type(params.innovation)
+    if not hasattr(family, "from_params"):
+        raise ValidationError(
+            "standard errors support the Poisson and NB innovation families only"
+        )
+    vec = np.concatenate([params.theta, params.innovation.params()])
     if loglik_fn is not None:
         return _se_from_loglik(lambda v: fd_hessian(loglik_fn, v), vec)
     likelihood = _CmlLikelihood(grid.values, params.order, family)
     return _se_from_loglik(
-        likelihood.hessian, vec, n_theta=params.order.n_lags,
-        has_dispersion=family == "nb",
+        likelihood.hessian, vec,
+        lower=np.concatenate([np.zeros(params.order.n_lags), family.lower_bounds]),
     )

@@ -1,27 +1,41 @@
 """Innovation (noise) distributions for count autoregressions.
 
-Three families are provided:
+A CINAR field is defined by its innovation family, and each family
+declares itself once, here: its ``name`` and ``aliases``, the names of its
+innovation parameters and their open lower bounds, ``from_params`` to
+build the law at a thinning probability, and ``params`` to read them back.
 
 * ``PoissonInnovation`` -- Poisson(mu) innovations; the induced stationary
   marginal of the field is again Poisson.
 * ``NbMarginalInnovation`` -- the innovation law that makes the stationary
   marginal of the field exactly NB(nu, pi) under total thinning probability
-  alpha.  Its PMF mixes generalized binomial coefficients (which alternate
-  in sign for non-integer nu) with geometric tails, so it is evaluated in
-  log space with a signed log-sum-exp.
-* ``TabulatedInnovation`` -- arbitrary finite PMF on {0, ..., K}, mostly for
-  tests and degenerate edge cases.
+  alpha.  Its PMF follows a three-term recurrence read off its PGF.
+
+``innovation_family`` looks a family up by name, and
+``innovation_from_estimates`` finds the law a fit describes.
+``TabulatedInnovation`` is an arbitrary finite PMF on {0, ..., K}, mostly
+for tests and degenerate edge cases; it is not a family that can be fitted.
 
 All distributions are immutable after construction; the cumulative table
 used for inverse-CDF sampling is a lazily grown cache and is the only
 mutable state (idempotent to rebuild, so concurrent use is safe).
 """
 
+import math
+
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln, gammasgn, logsumexp
+from scipy.special import gammaln, xlogy
 
 from .errors import NumericalError, ValidationError
+
+__all__ = [
+    "PoissonInnovation",
+    "NbMarginalInnovation",
+    "TabulatedInnovation",
+    "innovation_family",
+    "innovation_from_estimates",
+    "nb_params_from_targets",
+]
 
 # Truncation rule for infinite-support summations: stop once the cumulative
 # mass is >= 1 - TAIL_MASS and at least TAIL_RUN consecutive terms fell
@@ -32,7 +46,7 @@ TAIL_RUN = 10
 
 
 class _InverseCdfMixin:
-    """Shared lazily-extended CDF table, sampling, and quantiles."""
+    """Shared point PMF, lazily-extended CDF table, sampling, and quantiles."""
 
     _cdf = None  # grown on demand; None until first use
 
@@ -68,6 +82,13 @@ class _InverseCdfMixin:
     def _finite_support(self, k_hi):
         return False
 
+    def pmf(self, k):
+        """P(eps = k), elementwise over ``k``; 0 at negative k."""
+        k = np.asarray(k)
+        table = self.pmf_table(max(int(k.max()), 0))
+        out = np.where(k >= 0, table[np.clip(k, 0, None)], 0.0)
+        return out if k.ndim else float(out)
+
     def quantile(self, q):
         """Smallest k with P(eps <= k) >= q."""
         if not 0.0 <= q <= 1.0:
@@ -83,8 +104,13 @@ class _InverseCdfMixin:
         return out if size is not None else int(out)
 
 
-class PoissonInnovation:
+class PoissonInnovation(_InverseCdfMixin):
     """Poisson(mu) innovations; equidispersed, full support on {0, 1, ...}."""
+
+    name = "poisson"
+    aliases = ("poisson", "poi", "p")
+    param_names = ("mu_eps",)
+    lower_bounds = (0.0,)
 
     def __init__(self, mu):
         mu = float(mu)
@@ -95,13 +121,23 @@ class PoissonInnovation:
     def __repr__(self):
         return f"PoissonInnovation(mu={self.mu:g})"
 
-    def pmf(self, k):
-        return stats.poisson.pmf(k, self.mu)
+    @classmethod
+    def from_params(cls, values, alpha):
+        """The law with parameters ``values`` (see ``param_names``); it does
+        not depend on the thinning probability alpha."""
+        (mu_eps,) = values
+        return cls(mu_eps)
+
+    def params(self):
+        """Parameter values in ``param_names`` order."""
+        return (self.mu,)
 
     def pmf_table(self, kmax):
+        """P(eps=k) for k = 0..kmax, each term taken in log space."""
         if kmax < 0:
             raise ValidationError("kmax must be >= 0")
-        return stats.poisson.pmf(np.arange(kmax + 1), self.mu)
+        k = np.arange(int(kmax) + 1)
+        return np.exp(xlogy(k, self.mu) - gammaln(k + 1) - self.mu)
 
     def score_series(self, kmax):
         """Series of d log G(u) / d(alpha, mu) for the PGF G(u) = exp(mu (u-1)).
@@ -119,11 +155,6 @@ class PoissonInnovation:
     def moments(self):
         return self.mu, self.mu
 
-    def quantile(self, q):
-        if not 0.0 <= q <= 1.0:
-            raise ValidationError(f"quantile level must be in [0,1], got {q}")
-        return int(stats.poisson.ppf(q, self.mu)) if q > 0 else 0
-
     def sample(self, rng, size=None):
         out = rng.poisson(self.mu, size)
         return out if size is not None else int(out)
@@ -132,19 +163,21 @@ class PoissonInnovation:
 class NbMarginalInnovation(_InverseCdfMixin):
     """Innovation law inducing an NB(nu, pi) stationary marginal.
 
-    With total thinning probability alpha, the innovation PMF is determined
-    by the probability-generating-function ratio pgf_X(u)/pgf_X(1-alpha+
-    alpha*u) for X ~ NB(nu, pi).  Writing A = 1-(1-pi)(1-alpha) and
-    B = 1-A, inversion gives the two-branch formula
+    With total thinning probability alpha, the innovation PGF is the ratio
+    pgf_X(u)/pgf_X(1-alpha+alpha*u) for X ~ NB(nu, pi).  Writing d = 1-pi,
+    A = 1-d(1-alpha) and c = d*alpha/A, it factors as
 
-        P(eps=0) = A**nu
-        P(eps=k) = sum_{j=1..k} C(nu, j) A**(nu-j) B**j
-                          * C(k-1, j-1) (1-pi)**(k-j) pi**j ,  k >= 1,
+        G(u) = A**nu (1-cu)**nu (1-du)**(-nu),
 
-    with the generalized binomial coefficient C(nu, j) = Gamma(nu+1) /
-    (Gamma(nu-j+1) j!).  For non-integer nu the C(nu, j) alternate in sign
-    once j > nu, so the inner sum is evaluated with a signed log-sum-exp.
+    so P(eps=0) = A**nu and the PMF follows the recurrence of
+    ``pmf_table``.  The parameters a fit reports are the innovation mean
+    mu_eps and dispersion i_eps (see ``nb_params_from_targets``).
     """
+
+    name = "nb"
+    aliases = ("nb", "nbmarginal", "negbin", "negativebinomial", "n")
+    param_names = ("mu_eps", "i_eps")
+    lower_bounds = (0.0, 1.0)
 
     def __init__(self, nu, pi, alpha):
         nu, pi, alpha = float(nu), float(pi), float(alpha)
@@ -157,9 +190,8 @@ class NbMarginalInnovation(_InverseCdfMixin):
         self.nu = nu
         self.pi = pi
         self.alpha = alpha
-        # A = pi + (1-pi)*alpha in (0,1); logs reused by every pmf call
-        self._log_a = np.log1p(-(1.0 - pi) * (1.0 - alpha))
-        self._log_b = np.log1p(-pi) + np.log1p(-alpha)
+        # log A, A = pi + (1-pi)*alpha in (0,1)
+        self._log_a = float(np.log1p(-(1.0 - pi) * (1.0 - alpha)))
 
     def __repr__(self):
         return (
@@ -172,6 +204,18 @@ class NbMarginalInnovation(_InverseCdfMixin):
         """Construct from innovation mean and dispersion (see nb_params_from_targets)."""
         nu, pi = nb_params_from_targets(mu_eps, i_eps, alpha)
         return cls(nu, pi, alpha)
+
+    @classmethod
+    def from_params(cls, values, alpha):
+        """The law with parameters ``values`` (see ``param_names``) at
+        thinning probability alpha."""
+        mu_eps, i_eps = values
+        return cls.from_targets(mu_eps, i_eps, alpha)
+
+    def params(self):
+        """Parameter values in ``param_names`` order."""
+        mu_eps, sigma2_eps = self.moments()
+        return (mu_eps, sigma2_eps / mu_eps)
 
     # -- marginal-law helpers -------------------------------------------------
 
@@ -196,10 +240,8 @@ class NbMarginalInnovation(_InverseCdfMixin):
     def _log_pgf_series(self, kmax):
         """Series of d log G(u) / d(nu, pi, alpha), one row per parameter.
 
-        With d = 1-pi and c = d*alpha/A the PGF factors as
-        G(u) = A**nu (1-cu)**nu (1-du)**(-nu), so log G has the series
-        nu log A + nu sum_k (d**k - c**k) u**k / k, differentiated here term
-        by term (A and c move with d and alpha).
+        log G has the series nu log A + nu sum_k (d**k - c**k) u**k / k,
+        differentiated here term by term (A and c move with d and alpha).
         """
         nu, alpha = self.nu, self.alpha
         d = 1.0 - self.pi
@@ -241,62 +283,46 @@ class NbMarginalInnovation(_InverseCdfMixin):
 
     # -- pmf ------------------------------------------------------------------
 
-    def _log_terms(self, k, j):
-        """Signed log magnitude of the j-th summand of P(eps=k), j >= 1."""
-        nu, pi = self.nu, self.pi
-        log_c_nu = gammaln(nu + 1.0) - gammaln(nu - j + 1.0) - gammaln(j + 1.0)
-        # At Gamma poles (nu - j + 1 a non-positive integer) the coefficient
-        # is exactly 0: gammaln already gives -inf magnitude, but gammasgn is
-        # NaN there and would poison the signed log-sum-exp.
-        sign = gammasgn(nu - j + 1.0)
-        sign = np.where(np.isnan(sign), 1.0, sign)
-        log_c_k = gammaln(k) - gammaln(j) - gammaln(k - j + 1.0)
-        mag = (
-            log_c_nu
-            + (nu - j) * self._log_a
-            + j * self._log_b
-            + log_c_k
-            + (k - j) * np.log1p(-pi)
-            + j * np.log(pi)
-        )
-        return mag, sign
-
-    def _pmf_scalar(self, k):
-        if k < 0:
-            return 0.0
-        if k == 0:
-            return float(np.exp(self.nu * self._log_a))
-        j = np.arange(1, k + 1, dtype=float)
-        mag, sign = self._log_terms(float(k), j)
-        total, total_sign = logsumexp(mag, b=sign, return_sign=True)
-        return float(max(total_sign * np.exp(total), 0.0))
-
-    def pmf(self, k):
-        k_arr = np.asarray(k)
-        out = np.array(
-            [self._pmf_scalar(int(kk)) for kk in np.atleast_1d(k_arr).ravel()]
-        ).reshape(np.atleast_1d(k_arr).shape)
-        return out.reshape(k_arr.shape) if k_arr.ndim else float(out[0])
-
     def pmf_table(self, kmax):
-        """P(eps=k) for k = 0..kmax, built in one triangular pass."""
+        """P(eps=k) for k = 0..kmax by the PGF's three-term recurrence.
+
+        G'/G = nu (d-c) / ((1-cu)(1-du)) is rational, so g[k] = P(eps=k)
+        satisfies (Panjer 1981; Sundt 1992)
+
+            (k+1) g[k+1] = ((c+d) k + nu (d-c)) g[k] - c d (k-1) g[k-1]
+
+        from g[0] = A**nu.  It runs as the equivalent pair with w = G/(1-cu),
+
+            (k+1) g[k+1] = d k g[k] + nu (d-c) w[k],   w[k+1] = c w[k] + g[k+1],
+
+        whose terms are all positive: the PMF keeps its relative accuracy,
+        and its total mass stays 1 to within about 1e-13 even when c is
+        close to d.  Values are scaled by powers of two that keep them near
+        1, so an A**nu below the float range cannot zero the table.
+        """
         if kmax < 0:
             raise ValidationError("kmax must be >= 0")
         kmax = int(kmax)
-        table = np.empty(kmax + 1)
-        table[0] = np.exp(self.nu * self._log_a)
-        if kmax == 0:
-            return table
-        if kmax > 2048:  # avoid a (kmax x kmax) temporary; per-k fallback
-            table[1:] = [self._pmf_scalar(k) for k in range(1, kmax + 1)]
-            return table
-        k = np.arange(1.0, kmax + 1.0)[:, None]
-        j = np.arange(1.0, kmax + 1.0)[None, :]
-        mag, sign = self._log_terms(k, j)
-        mag = np.where(j <= k, mag, -np.inf)
-        total, total_sign = logsumexp(mag, b=sign, axis=1, return_sign=True)
-        table[1:] = np.maximum(total_sign * np.exp(total), 0.0)
-        return table
+        pi, alpha, a = self.pi, self.alpha, math.exp(self._log_a)
+        d = 1.0 - pi
+        c = d * alpha / a
+        # nu (d-c), with d-c = d pi (1-alpha) / A free of cancellation
+        drift = self.nu * d * pi * (1.0 - alpha) / a
+        # g[0] = 2**(exponent + frac) with frac in [0, 1)
+        log2_g0 = self.nu * self._log_a / math.log(2.0)
+        exponent = math.floor(log2_g0)
+        g = w = 2.0 ** (log2_g0 - exponent)
+        scaled = np.empty(kmax + 1)
+        exponents = np.empty(kmax + 1, dtype=np.int64)
+        for k in range(kmax + 1):
+            scaled[k], exponents[k] = g, exponent
+            g = (d * k * g + drift * w) / (k + 1)
+            w = c * w + g
+            shift = math.frexp(w)[1]
+            if not -500 <= shift <= 500:
+                g, w = math.ldexp(g, -shift), math.ldexp(w, -shift)
+                exponent += shift
+        return np.ldexp(scaled, exponents)
 
 
 class TabulatedInnovation(_InverseCdfMixin):
@@ -325,12 +351,6 @@ class TabulatedInnovation(_InverseCdfMixin):
     def _finite_support(self, k_hi):
         return k_hi >= self.support_max
 
-    def pmf(self, k):
-        k_arr = np.asarray(k)
-        inside = (k_arr >= 0) & (k_arr <= self.support_max)
-        out = np.where(inside, self.probs[np.clip(k_arr, 0, self.support_max)], 0.0)
-        return out if k_arr.ndim else float(out)
-
     def pmf_table(self, kmax):
         if kmax < 0:
             raise ValidationError("kmax must be >= 0")
@@ -344,6 +364,42 @@ class TabulatedInnovation(_InverseCdfMixin):
         mean = float(self.probs @ k)
         var = float(self.probs @ k**2) - mean**2
         return mean, var
+
+
+# every family, the one with the most parameters first
+_FAMILIES = (NbMarginalInnovation, PoissonInnovation)
+
+
+def innovation_family(name):
+    """The innovation family class called ``name`` or one of its aliases.
+
+    Case, '-' and '_' are ignored, so 'NB', 'neg-bin' and 'nb_marginal'
+    all name the NB-marginal family.
+    """
+    tag = str(name).lower().replace("-", "").replace("_", "")
+    for family in _FAMILIES:
+        if tag in family.aliases:
+            return family
+    raise ValidationError(
+        f"unknown innovation family {name!r}: use 'poisson' or 'nb'"
+    )
+
+
+def innovation_from_estimates(estimates, alpha):
+    """The innovation law that a fit's estimates describe.
+
+    ``estimates`` maps parameter names to values.  The law is that of the
+    family with the most parameters that all appear there above their
+    lower bounds, so a moment fit whose dispersion estimate is 1 or less
+    reads as Poisson.
+    """
+    for family in _FAMILIES:
+        values = [estimates.get(name, np.nan) for name in family.param_names]
+        if all(value > bound for value, bound in zip(values, family.lower_bounds)):
+            return family.from_params(values, alpha)
+    raise ValidationError(
+        f"no innovation family has parameters in bounds among {estimates}"
+    )
 
 
 def nb_params_from_targets(mu_eps, i_eps, alpha):

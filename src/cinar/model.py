@@ -27,6 +27,17 @@ import numpy as np
 
 from .errors import ValidationError
 
+__all__ = [
+    "ModelOrder",
+    "CinarParams",
+    "SignPattern",
+    "CountGrid",
+    "ParamsVerdict",
+    "lag_set",
+    "validate_params",
+    "stationary_moments",
+]
+
 # ---------------------------------------------------------------------------
 # lag-set machinery
 # ---------------------------------------------------------------------------
@@ -66,8 +77,8 @@ class ModelOrder:
         return (self.p1 + 1) * (self.p2 + 1) - 1
 
     def theta_names(self):
-        """Coefficient names ("theta01", "theta10", ...) in lag order."""
-        return [f"theta{i}{j}" for (i, j) in self.lags]
+        """Coefficient names ("theta_01", "theta_10", ...) in lag order."""
+        return tuple(f"theta_{i}{j}" for (i, j) in self.lags)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +186,7 @@ class CountGrid:
 
 
 # ---------------------------------------------------------------------------
-# validation and reparametrization
+# validation
 # ---------------------------------------------------------------------------
 
 
@@ -222,29 +233,6 @@ def validate_params(params):
             f"{inn_alpha:.6g} but theta implies {alpha:.6g}"
         )
     return ParamsVerdict(ok=not violations, violations=tuple(violations))
-
-
-def theta_to_alpha_phi(theta):
-    """Split theta into (alpha, phi) with alpha = sum(theta), phi = theta/alpha."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0):
-        raise ValidationError("theta must be nonnegative")
-    alpha = float(np.sum(theta))
-    if alpha == 0.0:
-        raise ValidationError("degenerate dependence: all theta are zero")
-    if alpha >= 1.0:
-        raise ValidationError(f"sum of theta must be < 1, got {alpha:.6g}")
-    return alpha, theta / alpha
-
-
-def alpha_phi_to_theta(alpha, phi):
-    """Inverse of theta_to_alpha_phi: theta = alpha * phi."""
-    phi = np.asarray(phi, dtype=float)
-    if not 0 < alpha < 1:
-        raise ValidationError(f"alpha must be in (0,1), got {alpha:.6g}")
-    if np.any(phi < 0) or abs(float(np.sum(phi)) - 1.0) > 1e-10:
-        raise ValidationError("phi must be a probability vector over the lag set")
-    return alpha * phi
 
 
 def stationary_moments(params):

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import CinarError, ValidationError
 from .estimate import cls_estimate, cml_estimate, yw_estimate
-from .innovations import NbMarginalInnovation, PoissonInnovation
 from .model import ModelOrder
 from .simulate import SimConfig, simulate_cinar
 
@@ -107,14 +106,6 @@ def replication_seed(master_seed, rep):
     return int(sequence.generate_state(1, dtype=np.uint64)[0])
 
 
-def _dgp_family(params):
-    if isinstance(params.innovation, NbMarginalInnovation):
-        return "nb"
-    if isinstance(params.innovation, PoissonInnovation):
-        return "poisson"
-    return None
-
-
 def _one_rep(task):
     """Simulate one grid and fit every arm to it; top-level for process pools."""
     params, n1, n2, burn_in, arms, seed = task
@@ -129,7 +120,7 @@ def _one_rep(task):
             elif arm.method == "cls":
                 fit = cls_estimate(grid, order)
             else:
-                family = arm.family or _dgp_family(params)
+                family = arm.family or getattr(params.innovation, "name", None)
                 if family is None:
                     raise ValidationError(
                         f"arm {arm.label!r} needs an explicit innovation family"

@@ -24,7 +24,6 @@ from .model import CinarParams, CountGrid, SignPattern
 
 __all__ = [
     "SimConfig",
-    "binomial_thin",
     "simulate_cinar",
     "simulate_tobit_cinar",
 ]
@@ -63,20 +62,6 @@ class SimConfig:
             raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
-
-
-def binomial_thin(x, alpha, rng):
-    """One binomial thinning draw: alpha applied to a count x.
-
-    Conventions: thinning with alpha = 0 gives 0 and alpha = 1 returns x
-    unchanged, for any x >= 0.
-    """
-    x = int(x)
-    if x < 0:
-        raise ValidationError(f"thinned count must be >= 0, got {x}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"thinning probability must be in [0,1], got {alpha}")
-    return int(rng.binomial(x, alpha))
 
 
 def simulate_cinar(config, return_decisions=False):

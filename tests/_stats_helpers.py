@@ -32,3 +32,27 @@ def chisq_gof(values, pmf, level=0.01):
     dof = len(exp) - 1
     crit = float(stats.chi2.ppf(1.0 - level, dof))
     return stat, dof, crit, float(stats.chi2.sf(stat, dof))
+
+
+def nb_pmf_mp(nu, pi, alpha, k):
+    """P(eps = k) of the NB-marginal innovation from its two-branch formula.
+
+    With d = 1-pi and A = 1-d(1-alpha), P(eps=0) = A**nu and, for k >= 1,
+
+        P(eps=k) = sum_{j=1..k} C(nu, j) A**(nu-j) (1-A)**j
+                       * C(k-1, j-1) d**(k-j) pi**j,
+
+    an alternating sum for non-integer nu, so it is evaluated in mpmath at
+    the caller's working precision.
+    """
+    import mpmath as mp
+
+    d = 1 - pi
+    a = 1 - d * (1 - alpha)
+    if k == 0:
+        return a**nu
+    return mp.fsum(
+        mp.binomial(nu, j) * a ** (nu - j) * (1 - a) ** j
+        * mp.binomial(k - 1, j - 1) * d ** (k - j) * pi**j
+        for j in range(1, k + 1)
+    )

@@ -14,12 +14,13 @@ from cinar import (
     SimConfig,
     ValidationError,
     acf_closed_form_11,
-    acf_recursion_residual,
     sample_acf,
     sample_acvf,
     simulate_cinar,
     theoretical_acf,
 )
+
+from _acf_oracle import acf_recursion_residual
 
 
 def _poi_params(theta, order=None):

@@ -1,6 +1,8 @@
 """CLI and grid I/O: round trips, determinism, exit codes, file contents."""
 
+import ast
 import csv
+import importlib
 import json
 import subprocess
 import sys
@@ -288,13 +290,17 @@ class TestCmdAcf:
                 == theoretical_acf(params, (2, 2)).to_csv_string())
 
     def test_zero_window_single_cell(self, tmp_path):
-        """Window (0,0) emits the single trivial cell rho(0,0) = 1."""
+        """Window (0,0) emits the single trivial cell rho(0,0) = 1, from a
+        grid and from model flags alike."""
         path = _simulate_csv(tmp_path, seed=3, n=(10, 10))
-        out = tmp_path / "acf0.csv"
-        assert main(["acf", "--grid", str(path), "--window", "0,0",
-                     "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
-        assert rows == [["l\\k", "0"], ["0", "1.0"]]
+        sources = (["--grid", str(path)],
+                   ["--order", "1,1", "--theta", "0.2,0.2,0.1",
+                    "--mu-eps", "1.0"])
+        for k, source in enumerate(sources):
+            out = tmp_path / f"acf0-{k}.csv"
+            assert main(["acf", *source, "--window", "0,0",
+                         "--out", str(out)]) == 0
+            assert out.read_bytes() == b"l\\k,0\r\n0,1.0\r\n"
 
     def test_needs_grid_or_model(self, tmp_path):
         rc = main(["acf", "--window", "1,1", "--out", str(tmp_path / "a.csv")])
@@ -396,17 +402,24 @@ class TestSimstudy:
         assert means == dict(zip(fit["names"], fit["estimates"]))
 
     def test_thread_count_does_not_change_results(self, tmp_path):
-        """Aggregates are identical for serial and pooled execution."""
+        """Aggregates are identical for serial and pooled execution, and so
+        is the study CSV, CML arm included."""
         params = CinarParams(ModelOrder(1, 1), np.array([0.15, 0.15, 0.1]),
                              PoissonInnovation(1.0))
-        serial = run_study(params, [(12, 12)], ["yw", "cls"], reps=4,
+        serial = run_study(params, [(12, 12)], ["yw", "cls", "cml"], reps=4,
                            master_seed=5, threads=1)
-        pooled = run_study(params, [(12, 12)], ["yw", "cls"], reps=4,
+        pooled = run_study(params, [(12, 12)], ["yw", "cls", "cml"], reps=4,
                            master_seed=5, threads=2)
         for a, b in zip(serial, pooled):
             assert a.label == b.label and a.n_reps == b.n_reps
             np.testing.assert_array_equal(a.means, b.means)
             np.testing.assert_array_equal(a.sds, b.sds)
+        tables = []
+        for k, results in enumerate((serial, pooled)):
+            write_study_csv(results, tmp_path / f"study-{k}.csv")
+            tables.append((tmp_path / f"study-{k}.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert serial[2].label == "cml" and serial[2].n_reps == 4
 
     def test_same_grid_shared_across_arms(self):
         """All arms of one replication see the same simulated grid."""
@@ -525,3 +538,26 @@ class TestEntryPoint:
             [sys.executable, "-m", "cinar.cli", "frobnicate"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_import_leaves_scipy_stats_out(self):
+        """Importing the package and its CLI does not load scipy.stats."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, cinar, cinar.cli;"
+             " print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_cli_imports_public_names_only(self):
+        """Every name cli.py imports from a sibling module is in its __all__."""
+        import cinar.cli as cli
+
+        with open(cli.__file__) as fh:
+            tree = ast.parse(fh.read())
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1]
+        assert imports
+        for node in imports:
+            module = importlib.import_module(f"cinar.{node.module}")
+            for alias in node.names:
+                assert alias.name in module.__all__, (node.module, alias.name)

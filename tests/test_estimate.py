@@ -16,11 +16,11 @@ from cinar import (
     SimConfig,
     TabulatedInnovation,
     ValidationError,
-    alpha_phi_to_theta,
     cls_estimate,
     cml_estimate,
     cml_loglik,
     fd_hessian,
+    innovation_family,
     observed_fisher_se,
     sample_acf,
     simulate_cinar,
@@ -30,6 +30,8 @@ import cinar.estimate as estimate_module
 from cinar.estimate import (FitDiagnostics, FitResult, _CmlLikelihood,
                             _solve_checked)
 from cinar.model import lagged_stack
+
+from _stats_helpers import nb_pmf_mp
 
 ORDER11 = ModelOrder(1, 1)
 
@@ -268,9 +270,7 @@ class TestCmlLoglik:
         theta = np.array([0.25, 0.35, 0.15])
         direct = CinarParams(ORDER11, theta, PoissonInnovation(1.1))
         alpha, phi = theta.sum(), theta / theta.sum()
-        rebuilt = CinarParams(
-            ORDER11, alpha_phi_to_theta(alpha, phi), PoissonInnovation(1.1)
-        )
+        rebuilt = CinarParams(ORDER11, alpha * phi, PoissonInnovation(1.1))
         assert cml_loglik(direct, grid) == pytest.approx(
             cml_loglik(rebuilt, grid), abs=1e-10
         )
@@ -446,21 +446,6 @@ def _central_diff(fn, vec, rel_step=1e-5):
     return grad
 
 
-def _nb_pmf_mp(nu, pi, alpha, k):
-    """P(eps = k) of the NB-marginal innovation from its two-branch formula."""
-    import mpmath as mp
-
-    d = 1 - pi
-    a = 1 - d * (1 - alpha)
-    if k == 0:
-        return a**nu
-    return mp.fsum(
-        mp.binomial(nu, j) * a ** (nu - j) * (1 - a) ** j
-        * mp.binomial(k - 1, j - 1) * d ** (k - j) * pi**j
-        for j in range(1, k + 1)
-    )
-
-
 class TestCmlScore:
     ORDER22 = ModelOrder(2, 2)
 
@@ -491,15 +476,17 @@ class TestCmlScore:
                               v[m], v[m + 1], theta.sum()))
             return cml_loglik(CinarParams(order, theta, innovation), grid)
 
-        likelihood = _CmlLikelihood(grid.values, order, family, lags=free)
+        likelihood = _CmlLikelihood(grid.values, order,
+                                    innovation_family(family), lags=free)
         value, score = likelihood.natural(vec)
         assert value == pytest.approx(loglik(vec), rel=1e-12)
         np.testing.assert_allclose(score, _central_diff(loglik, vec), rtol=1e-6)
 
     def test_unconstrained_gradient_matches_central_differences(self):
         grid = _sim(_nb([0.2, 0.2, 0.5], 1.0, 2.0), 30, seed=4)
-        likelihood = _CmlLikelihood(grid.values, ORDER11, "nb")
-        z = estimate_module._pack(np.array([0.22, 0.18, 0.45]), 1.1, 2.3, "nb")
+        likelihood = _CmlLikelihood(grid.values, ORDER11, NbMarginalInnovation)
+        z = estimate_module._pack(np.array([0.22, 0.18, 0.45]), [1.1, 2.3],
+                                  NbMarginalInnovation.lower_bounds)
         _, grad = likelihood.value_and_grad(z)
         want = _central_diff(lambda v: likelihood.value_and_grad(v)[0], z)
         np.testing.assert_allclose(grad, want, rtol=1e-6)
@@ -520,7 +507,7 @@ class TestCmlScore:
             point = [mp.mpf(nu), mp.mpf(pi), mp.mpf(alpha)]
             want = np.array([
                 [float(mp.diff(
-                    lambda t: _nb_pmf_mp(*(point[:i] + [t] + point[i + 1:]), k),
+                    lambda t: nb_pmf_mp(*(point[:i] + [t] + point[i + 1:]), k),
                     point[i])) for k in range(kmax + 1)]
                 for i in range(3)
             ])

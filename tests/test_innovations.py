@@ -9,6 +9,8 @@ with scipy's reference distributions only.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cinar import (
@@ -18,6 +20,8 @@ from cinar import (
     ValidationError,
     nb_params_from_targets,
 )
+
+from _stats_helpers import nb_pmf_mp
 
 
 def _thinned_pmf(marginal_pmf, alpha, zmax):
@@ -56,6 +60,14 @@ class TestPoisson:
         q = inn.quantile(1 - 1e-12)
         assert stats.poisson.cdf(q, 2.0) >= 1 - 1e-12
         assert stats.poisson.cdf(q - 1, 2.0) < 1 - 1e-12
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.7, 37.5, 1e3])
+    def test_pmf_table_matches_scipy(self, mu):
+        """The log-space table equals scipy.stats.poisson.pmf (rtol 1e-12)."""
+        kmax = int(mu + 12 * np.sqrt(mu)) + 20
+        want = stats.poisson.pmf(np.arange(kmax + 1), mu)
+        np.testing.assert_allclose(PoissonInnovation(mu).pmf_table(kmax), want,
+                                   rtol=1e-12, atol=0)
 
 
 # =============================================================================
@@ -102,7 +114,7 @@ class TestNbMarginalPmf:
         assert np.max(np.abs(recon - target)) < 1e-9
 
     def test_table_matches_scalar_path(self):
-        """Vectorized triangular build equals the per-k evaluation."""
+        """Point evaluations agree with the table."""
         inn = NbMarginalInnovation(nu=3.3, pi=0.45, alpha=0.7)
         table = inn.pmf_table(60)
         scalars = np.array([inn.pmf(k) for k in range(61)])
@@ -111,7 +123,7 @@ class TestNbMarginalPmf:
     def test_log_space_robust_large_nu_large_k(self):
         """nu=1e3 and k up to 1e4 stay finite and nonnegative."""
         inn = NbMarginalInnovation(nu=1000.0, pi=0.6, alpha=0.4)
-        # underflow-to-zero is fine in a log-sum-exp; overflow/invalid is not
+        # a tail that underflows to zero is fine; overflow/invalid is not
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             values = inn.pmf(np.array([0, 1, 10, 100, 1000, 10_000]))
         assert np.all(np.isfinite(values))
@@ -119,6 +131,44 @@ class TestNbMarginalPmf:
 
     def test_negative_k_is_zero(self):
         assert NbMarginalInnovation(1.0, 0.5, 0.5).pmf(-3) == 0.0
+
+    @pytest.mark.parametrize("mu_eps, i_eps, alpha", [
+        (0.1, 50.0, 0.3), (0.3, 1.05, 0.05), (1.5, 2.2, 0.5),
+    ])
+    def test_recurrence_matches_mpmath(self, mu_eps, i_eps, alpha):
+        """Up to k=400, entries >= 1e-280 match the 60-digit two-branch sum
+        to rtol 1e-11; in double precision that alternating sum loses up to
+        40 digits in these tails."""
+        import mpmath as mp
+
+        inn = NbMarginalInnovation.from_targets(mu_eps, i_eps, alpha)
+        table = inn.pmf_table(400)
+        ks = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 400]
+        with mp.workdps(60):
+            point = (mp.mpf(inn.nu), mp.mpf(inn.pi), mp.mpf(alpha))
+            want = np.array([float(nb_pmf_mp(*point, k)) for k in ks])
+        kept = want >= 1e-280
+        assert kept.sum() >= 10
+        np.testing.assert_allclose(table[ks][kept], want[kept], rtol=1e-11,
+                                   atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu_eps=st.floats(1e-3, 1e3),
+           i_eps=st.floats(1.0, 50.0, exclude_min=True).filter(
+               lambda i: i - 1.0 > 1e-8),
+           alpha=st.floats(0.0, 0.999, exclude_min=True))
+    @example(mu_eps=1e3, i_eps=1.01, alpha=0.5)
+    def test_tables_are_probability_vectors(self, mu_eps, i_eps, alpha):
+        """Finite, nonnegative, and the grown CDF reaches 1 within 1e-9.
+
+        (1e3, 1.01, 0.5) has nu = 3e5 and P(eps=0) = A**nu = exp(-995),
+        below the float range.
+        """
+        inn = NbMarginalInnovation.from_targets(mu_eps, i_eps, alpha)
+        kmax = inn.quantile(1.0)
+        table = inn.pmf_table(kmax)
+        assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
+        assert abs(table.sum() - 1.0) <= 1e-9
 
 
 class TestNbMoments:

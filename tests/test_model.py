@@ -13,10 +13,8 @@ from cinar import (
     NbMarginalInnovation,
     SignPattern,
     ValidationError,
-    alpha_phi_to_theta,
     lag_set,
     stationary_moments,
-    theta_to_alpha_phi,
     validate_params,
 )
 from cinar.model import lagged_stack
@@ -51,7 +49,7 @@ class TestModelOrder:
                 assert len(lag_set(p1, p2)) == (p1 + 1) * (p2 + 1) - 1
 
     def test_theta_names(self):
-        assert ModelOrder(1, 1).theta_names() == ["theta01", "theta10", "theta11"]
+        assert ModelOrder(1, 1).theta_names() == ("theta_01", "theta_10", "theta_11")
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ValidationError):
@@ -104,35 +102,36 @@ class TestValidateParams:
 
 
 class TestReparametrization:
+    """theta = alpha * phi, split by CinarParams.alpha and CinarParams.phi."""
+
     def test_known_split_09(self):
-        alpha, phi = theta_to_alpha_phi([0.2, 0.2, 0.5])
-        assert alpha == pytest.approx(0.9, abs=1e-15)
-        assert phi == pytest.approx([2 / 9, 2 / 9, 5 / 9], abs=1e-15)
+        params = _poi_params([0.2, 0.2, 0.5])
+        assert params.alpha == pytest.approx(0.9, abs=1e-15)
+        assert params.phi == pytest.approx([2 / 9, 2 / 9, 5 / 9], abs=1e-15)
 
     def test_known_split_08(self):
-        alpha, phi = theta_to_alpha_phi([0.3, 0.4, 0.1])
-        assert alpha == pytest.approx(0.8, abs=1e-15)
-        assert phi == pytest.approx([0.375, 0.5, 0.125], abs=1e-15)
+        params = _poi_params([0.3, 0.4, 0.1])
+        assert params.alpha == pytest.approx(0.8, abs=1e-15)
+        assert params.phi == pytest.approx([0.375, 0.5, 0.125], abs=1e-15)
 
     def test_degenerate_zero_errors(self):
         with pytest.raises(ValidationError):
-            theta_to_alpha_phi([0.0, 0.0, 0.0])
+            _poi_params([0.0, 0.0, 0.0]).phi
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=2, max_size=9).filter(
-            lambda v: 0 < sum(v)
-        ),
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=8, max_size=8),
         st.floats(0.01, 0.99),
     )
-    def test_round_trip(self, raw, alpha):
+    def test_round_trip(self, p, raw, alpha):
         """theta -> (alpha, phi) -> theta round-trips within 1e-12."""
-        raw = np.asarray(raw) + 1e-6
+        order = ModelOrder(*p)
+        raw = np.asarray(raw[: order.n_lags]) + 1e-6
         theta = alpha * raw / raw.sum()
-        a, phi = theta_to_alpha_phi(theta)
-        assert abs(phi.sum() - 1.0) < 1e-12
-        back = alpha_phi_to_theta(a, phi)
-        assert np.max(np.abs(back - theta)) < 1e-12
+        params = _poi_params(theta, order=order)
+        assert abs(params.phi.sum() - 1.0) < 1e-12
+        assert np.max(np.abs(params.alpha * params.phi - theta)) < 1e-12
 
 
 # =============================================================================

@@ -14,11 +14,12 @@ from cinar import (
     SimConfig,
     TabulatedInnovation,
     ValidationError,
-    binomial_thin,
     simulate_cinar,
     simulate_tobit_cinar,
     stationary_moments,
 )
+
+from cinar._kernels import binomial_rows
 
 from _stats_helpers import chisq_gof
 
@@ -58,27 +59,26 @@ def nb_grid():
 
 
 class TestBinomialThin:
+    """The law of alpha o n, tabulated for likelihoods and diagnostics."""
+
     def test_alpha_zero_is_zero(self):
         """Thinning with alpha = 0 is the constant 0."""
-        gen = np.random.default_rng(1)
-        assert all(binomial_thin(x, 0.0, gen) == 0 for x in (0, 1, 7, 500))
+        rows = binomial_rows(500, 0.0)
+        np.testing.assert_allclose(rows[:, 0], 1.0, rtol=1e-11)
+        assert np.all(rows[:, 1:] == 0.0)
 
     def test_alpha_one_is_identity(self):
-        gen = np.random.default_rng(1)
-        assert all(binomial_thin(x, 1.0, gen) == x for x in (0, 1, 7, 500))
+        rows = binomial_rows(500, 1.0)
+        np.testing.assert_allclose(np.diag(rows), 1.0, rtol=1e-11)
+        assert np.all(rows[~np.eye(501, dtype=bool)] == 0.0)
 
     def test_mean_matches_binomial(self):
-        """x=50, alpha=0.3: mean over 1e5 draws is 15 within 0.07."""
-        gen = np.random.default_rng(6021)
-        draws = np.array([binomial_thin(50, 0.3, gen) for _ in range(100_000)])
-        assert abs(draws.mean() - 15.0) < 0.07
-
-    def test_invalid_inputs(self):
-        gen = np.random.default_rng(1)
-        with pytest.raises(ValidationError):
-            binomial_thin(-1, 0.5, gen)
-        with pytest.raises(ValidationError):
-            binomial_thin(3, 1.5, gen)
+        """n=50, alpha=0.3: unit mass, mean 15, and scipy's binomial PMF."""
+        row = binomial_rows(50, 0.3)[50]
+        z = np.arange(51)
+        assert row.sum() == pytest.approx(1.0, abs=1e-13)
+        assert row @ z == pytest.approx(15.0, abs=1e-12)
+        np.testing.assert_allclose(row, stats.binom.pmf(z, 50, 0.3), rtol=1e-12)
 
 
 # =============================================================================
