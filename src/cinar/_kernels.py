@@ -49,18 +49,6 @@ def thinning_convolution_table(alpha, innovation, n_max, x_max, cumulative=False
     return b @ t
 
 
-def mixture_site_values(table, lagged, phi, x_idx):
-    """phi-mixture of table rows selected per site.
-
-    ``lagged`` is (n_sites, m) past counts, ``x_idx`` (n_sites,) outcome
-    indices; returns sum_j phi[j] * table[lagged[:, j], x_idx] per site.
-    """
-    out = np.zeros(lagged.shape[0])
-    for j in range(lagged.shape[1]):
-        out += phi[j] * table[lagged[:, j], x_idx]
-    return out
-
-
 def flat_site_index(x_idx, pasts, x_max):
     """Indices into a raveled table of row width x_max+1, one row per lag.
 

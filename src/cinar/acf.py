@@ -122,19 +122,24 @@ def sample_acvf(grid, k, l):
     in-grid, with divisor n1*n2.  Negative-lex lags are served through the
     identity gamma(k,l) = gamma(-k,-l), making the symmetry exact.
     """
-    k, l = int(k), int(l)
     v = _grid_values(grid)
-    n1, n2 = v.shape
+    return _acvf(v - v.mean(), k, l)
+
+
+def _acvf(centred, k, l):
+    """``sample_acvf`` of the grid whose centred values are ``centred``."""
+    k, l = int(k), int(l)
+    n1, n2 = centred.shape
     if abs(k) >= n1 or abs(l) >= n2:
         raise ValidationError(
             f"lag ({k},{l}) out of range for a {n1}x{n2} grid"
         )
     if k < 0 or (k == 0 and l < 0):
         k, l = -k, -l
-    centred = v - v.mean()
     a = centred[k:, max(l, 0): n2 + min(l, 0)]
     b = centred[: n1 - k, max(-l, 0): n2 + min(-l, 0)]
-    return float((a * b).sum() / (n1 * n2))
+    # row sums, then a pairwise sum over rows: no grid-sized temporary
+    return float(np.einsum("ij,ij->i", a, b).sum() / (n1 * n2))
 
 
 def sample_acf(grid, window):
@@ -142,7 +147,9 @@ def sample_acf(grid, window):
     K, L = int(window[0]), int(window[1])
     if K < 0 or L < 0:
         raise ValidationError(f"window must be non-negative, got {(K, L)}")
-    gamma0 = sample_acvf(grid, 0, 0)
+    v = _grid_values(grid)
+    centred = v - v.mean()
+    gamma0 = _acvf(centred, 0, 0)
     if gamma0 <= 0.0:
         raise ValidationError("degenerate grid: sample variance is zero")
     values = np.empty((2 * K + 1, 2 * L + 1))
@@ -150,7 +157,7 @@ def sample_acf(grid, window):
         for l in range(-L, L + 1):
             if k == 0 and l < 0:
                 continue
-            values[k + K, l + L] = sample_acvf(grid, k, l) / gamma0
+            values[k + K, l + L] = _acvf(centred, k, l) / gamma0
     values[K, L] = 1.0
     _mirror_lex_negative(values, K, L)
     return AcfTable((K, L), values)

@@ -12,11 +12,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import (binomial_rows, mixture_site_values,
+from ._kernels import (binomial_rows, flat_site_index, lag_site_values,
                        thinning_convolution_table)
 from .acf import AcfTable, sample_acf
 from .errors import ValidationError
-from .model import lagged_stack, validate_params
+from .model import lag_views, validate_params
 
 __all__ = [
     "ConditionalPmf",
@@ -216,20 +216,16 @@ def pearson_residuals(params, grid):
     sample ACF on the |k|,|l| <= 2 window.
     """
     _validated(params)
-    order = params.order
-    x, lagged = lagged_stack(grid.values, order)
-    alpha, phi = params.alpha, params.phi
+    x, pasts = lag_views(grid.values, params.order)
+    alpha = params.alpha
     mu_eps, sigma2_eps = params.innovation.moments()
-    lag = lagged.astype(float)
-    w1 = lag @ phi
-    w2 = lag**2 @ phi
+    w1 = sum(p * past for p, past in zip(params.phi, pasts))
+    w2 = sum(p * past**2 for p, past in zip(params.phi, pasts))
     mean = mu_eps + alpha * w1
     var = sigma2_eps + alpha * (1.0 - alpha) * w1 + alpha**2 * (w2 - w1**2)
     if np.any(var <= 0):
         raise ValidationError("conditional variance must be positive")
     res = (x - mean) / np.sqrt(var)
-    shape = (grid.n1 - order.p1, grid.n2 - order.p2)
-    res = res.reshape(shape)
     return PearsonResiduals(
         values=res,
         mean=float(res.mean()),
@@ -250,31 +246,39 @@ def pit_histogram(params, grid, bins=10):
     bins = int(bins)
     if bins < 2:
         raise ValidationError(f"bins must be >= 2, got {bins}")
-    order = params.order
-    x, lagged = lagged_stack(grid.values, order)
-    alpha, phi = params.alpha, params.phi
-    table = thinning_convolution_table(
-        alpha, params.innovation, int(lagged.max()), int(x.max()),
-        cumulative=True,
+    x, pasts = lag_views(grid.values, params.order)
+    x_max = int(x.max())
+    cdf = thinning_convolution_table(
+        params.alpha, params.innovation, max(int(p.max()) for p in pasts),
+        x_max, cumulative=True,
     )
-    f_hi = np.clip(mixture_site_values(table, lagged, phi, x), 0.0, 1.0)
-    x_lo = np.maximum(x - 1, 0)
-    f_lo = np.where(
-        x >= 1, mixture_site_values(table, lagged, phi, x_lo), 0.0
-    )
-    f_lo = np.clip(f_lo, 0.0, None)
-    f_lo = np.minimum(f_lo, f_hi)
+    # A zero column in front (F(-1) = 0) puts F(x-1) just before F(x) in
+    # the raveled table; lag by lag, memory stays a few site vectors.
+    table = np.pad(cdf, ((0, 0), (1, 0)))
+    f_lo, f_hi, values = np.zeros(x.size), np.zeros(x.size), np.empty(x.size)
+    for p, past in zip(params.phi, pasts):
+        (flat,) = flat_site_index(x, [past], x_max + 1)
+        f_lo += p * lag_site_values(table, flat, out=values)
+        flat += 1
+        f_hi += p * lag_site_values(table, flat, out=values)
+    del flat, values
+    np.clip(f_hi, 0.0, 1.0, out=f_hi)
+    np.minimum(np.maximum(f_lo, 0.0, out=f_lo), f_hi, out=f_lo)
     # A saturated CDF tail can make F(x-1) == F(x) in floating point; give
     # such a site its unit mass as a point at F(x) instead of dropping it.
     collapsed = (f_hi - f_lo <= 0.0) & (f_hi > 0.0)
-    f_lo = np.where(collapsed, np.nextafter(f_hi, -np.inf), f_lo)
-    denom = np.maximum(f_hi - f_lo, 1e-300)
+    f_lo[collapsed] = np.nextafter(f_hi[collapsed], -np.inf)
+    weight = 1.0 / np.maximum(f_hi - f_lo, 1e-300)
 
+    # each site adds weight times its overlap with [F(x-1), F(x)] to a cell
     edges = np.linspace(0.0, 1.0, bins + 1)
-    seg_lo = np.maximum(f_lo[:, None], edges[None, :-1])
-    seg_hi = np.minimum(f_hi[:, None], edges[None, 1:])
-    overlap = np.clip(seg_hi - seg_lo, 0.0, None) / denom[:, None]
-    return bins * overlap.mean(axis=0)
+    heights = np.empty(bins)
+    overlap, start = np.empty_like(f_hi), np.empty_like(f_lo)
+    for b in range(bins):
+        np.minimum(f_hi, edges[b + 1], out=overlap)
+        overlap -= np.maximum(f_lo, edges[b], out=start)
+        heights[b] = np.maximum(overlap, 0.0, out=overlap) @ weight
+    return heights * (bins / f_hi.size)
 
 
 def information_criteria(loglik_max, n_params, n1, n2, n_ell):

@@ -56,6 +56,9 @@ class _InverseCdfMixin:
         k_hi = 63 if cdf is None else len(cdf) - 1
         if upto is not None:
             k_hi = max(k_hi, int(upto))
+        # rounding moves a table's mass by about mu_eps ulps (A**nu and the
+        # NB recurrence, Poisson's log-space terms); allow 16 times that
+        floor = 1.0 - TAIL_MASS - 16.0 * np.finfo(float).eps * self.moments()[0]
         while True:
             table = self.pmf_table(k_hi)
             if not np.all(np.isfinite(table)):
@@ -65,11 +68,11 @@ class _InverseCdfMixin:
                 )
             cdf = np.cumsum(table)
             tail_ok = (
-                cdf[-1] >= 1.0 - TAIL_MASS
+                cdf[-1] >= floor
                 and len(table) > TAIL_RUN
                 and np.all(table[-TAIL_RUN:] < TAIL_TERM)
             )
-            mass_ok = target is None or cdf[-1] >= min(target, 1.0 - TAIL_MASS)
+            mass_ok = target is None or cdf[-1] >= min(target, floor)
             span_ok = upto is None or k_hi >= upto
             if (tail_ok or self._finite_support(k_hi)) and mass_ok and span_ok:
                 break

@@ -10,8 +10,10 @@ counts.
 Randomness comes from a counter-based Philox generator seeded by
 ``SimConfig.seed``.  The generator is consumed in a fixed order (innovation
 field, decision field, then binomial thinnings along successive
-anti-diagonals), so identical configs produce bit-identical grids while the
-interior loop stays vectorized across each anti-diagonal wavefront.
+anti-diagonals), so identical configs produce bit-identical grids.  Each
+anti-diagonal is a strided slice of the raveled grid, drawn by ascending
+row as in the fancy-indexing loop of ``tests/_sim_oracle.py``, whose
+grids these equal bit for bit.
 """
 
 from dataclasses import dataclass
@@ -75,8 +77,7 @@ def simulate_cinar(config, return_decisions=False):
         raise ValidationError(
             "sign pattern supplied; use simulate_tobit_cinar for the censored model"
         )
-    return _simulate_kernel(config, signs=None, censor=False,
-                            return_decisions=return_decisions)
+    return _simulate_kernel(config, return_decisions)
 
 
 def simulate_tobit_cinar(config, return_decisions=False):
@@ -94,8 +95,7 @@ def simulate_tobit_cinar(config, return_decisions=False):
         raise ValidationError(
             "sign pattern order does not match the model order"
         )
-    return _simulate_kernel(config, signs=config.signs, censor=True,
-                            return_decisions=return_decisions)
+    return _simulate_kernel(config, return_decisions)
 
 
 def _check_sim_params(params):
@@ -121,9 +121,9 @@ def _check_sim_params(params):
         raise ValidationError("innovation variance must be finite and >= 0")
 
 
-def _simulate_kernel(config, signs, censor, return_decisions):
-    """Shared recursion for the plain and censored simulators."""
-    params = config.params
+def _simulate_kernel(config, return_decisions):
+    """Shared recursion: censored (Tobit) when ``config.signs`` is set."""
+    params, signs = config.params, config.signs
     _check_sim_params(params)
     order = params.order
     p1, p2 = order.p1, order.p2
@@ -133,42 +133,39 @@ def _simulate_kernel(config, signs, censor, return_decisions):
     alpha = params.alpha
     cum_phi = np.cumsum(params.phi)
     lags = np.asarray(order.lags, dtype=np.int64)
-    m = len(lags)
-    sgn = np.ones(m, dtype=np.int64) if signs is None else signs.signs
 
     gen = np.random.Generator(np.random.Philox(int(config.seed)))
 
     # Fixed consumption order: innovation field, then decision uniforms,
-    # then thinning draws diagonal by diagonal.
-    eps = np.asarray(params.innovation.sample(gen, size=(big1, big2)),
-                     dtype=np.int64)
-    dec = np.searchsorted(cum_phi, gen.random((big1, big2)), side="left")
-    dec = np.minimum(dec, m - 1).astype(np.int64)
+    # then thinning draws diagonal by diagonal.  Margin sites keep their
+    # innovation draw; interior sites add a thinned past to it.
+    xf = np.asarray(params.innovation.sample(gen, size=(big1, big2)),
+                    dtype=np.int64).reshape(-1)
+    dec = np.searchsorted(cum_phi, gen.random(xf.size), side="left")
+    np.minimum(dec, len(lags) - 1, out=dec)
 
-    i_sel = lags[dec, 0]
-    j_sel = lags[dec, 1]
-    s_sel = sgn[dec]
-
-    x = np.zeros((big1, big2), dtype=np.int64)
-    # margin band: sites whose full lag neighbourhood would fall off the grid
-    x[:p1, :] = eps[:p1, :]
-    x[:, :p2] = eps[:, :p2]
+    # site (s, d - s) of diagonal d is xf[s * step + d]; xf[src] is its
+    # selected past
+    step = big2 - 1
+    src = np.arange(xf.size) - (lags[:, 0] * big2 + lags[:, 1])[dec]
+    if signs is not None:
+        sgn = signs.signs[dec]
 
     # interior sites (s >= p1, t >= p2) by ascending anti-diagonal s + t = d;
     # every referenced past lies on a strictly smaller diagonal
     for d in range(p1 + p2, big1 + big2 - 1):
-        s_lo = max(p1, d - (big2 - 1))
+        s_lo = max(p1, d - step)
         s_hi = min(big1 - 1, d - p2)
         if s_lo > s_hi:
             continue
-        ss = np.arange(s_lo, s_hi + 1)
-        tt = d - ss
-        past = x[ss - i_sel[ss, tt], tt - j_sel[ss, tt]]
-        thin = gen.binomial(past, alpha)
-        y = s_sel[ss, tt] * thin + eps[ss, tt]
-        x[ss, tt] = np.maximum(y, 0) if censor else y
+        sl = slice(s_lo * step + d, s_hi * step + d + 1, step)
+        thin = gen.binomial(xf[src[sl]], alpha)
+        if signs is not None:
+            xf[sl] = np.maximum(sgn[sl] * thin + xf[sl], 0)
+        else:
+            xf[sl] += thin
 
-    grid = CountGrid(x[big1 - n1:, big2 - n2:])
+    grid = CountGrid(xf.reshape(big1, big2)[big1 - n1:, big2 - n2:])
     if return_decisions:
-        return grid, dec[big1 - n1:, big2 - n2:].copy()
+        return grid, dec.reshape(big1, big2)[big1 - n1:, big2 - n2:].copy()
     return grid

@@ -130,6 +130,20 @@ class TestSampleAcvf:
 
 
 class TestSampleAcf:
+    @pytest.mark.parametrize("window", [(0, 0), (2, 2), (3, 1)])
+    def test_equals_per_lag_acvf_exactly(self, window):
+        """The grid is centred once for the table; every entry is still
+        exactly sample_acvf(k, l) / sample_acvf(0, 0)."""
+        params = CinarParams(ModelOrder(1, 1), np.array([0.2, 0.2, 0.35]),
+                             PoissonInnovation(1.5))
+        grid = simulate_cinar(SimConfig(params, 200, 200, burn_in=50, seed=8))
+        tab = sample_acf(grid, window)
+        K, L = window
+        gamma0 = sample_acvf(grid, 0, 0)
+        for k in range(-K, K + 1):
+            for l in range(-L, L + 1):
+                assert tab.value(k, l) == sample_acvf(grid, k, l) / gamma0
+
     def test_center_is_one(self):
         rng = np.random.default_rng(4)
         tab = sample_acf(CountGrid(rng.poisson(2.0, (30, 30))), (2, 2))

@@ -1,5 +1,7 @@
 """Tests for conditional laws, residuals, PIT, and information criteria."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -25,6 +27,8 @@ from cinar import (
 )
 from cinar.diagnose import ConditionalPmf, DiagnosticsReport
 from cinar.model import lagged_stack
+
+from _diag_oracle import pearson_oracle, pit_oracle
 
 
 def _poi_params(theta=(0.2, 0.2, 0.35), mu=1.5):
@@ -365,6 +369,68 @@ class TestPitHistogram:
         grid = simulate_cinar(SimConfig(params, n1=8, n2=8, burn_in=10, seed=0))
         with pytest.raises(ValidationError, match="bins"):
             pit_histogram(params, grid, bins=1)
+
+
+def _grid_with_outlier(params, seed):
+    """A seeded 200x200 grid with one count of 150, far in the tail.
+
+    At that site F(x-1) and F(x) both round to 1.
+    """
+    grid = simulate_cinar(SimConfig(params, n1=200, n2=200, burn_in=50, seed=seed))
+    values = grid.values.copy()
+    values[120, 80] = 150
+    return CountGrid(values)
+
+
+_ORACLE_CASES = {
+    "poisson-11": (_poi_params(), 41),
+    "nb-11": (_nb_params(theta=(0.25, 0.15, 0.3), mu=1.0, i_eps=2.5), 42),
+    "poisson-21": (CinarParams(ModelOrder(2, 1), np.array([0.1, 0.2, 0.05, 0.15, 0.1]),
+                               PoissonInnovation(2.0)), 43),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_ORACLE_CASES))
+def oracle_case(request):
+    params, seed = _ORACLE_CASES[request.param]
+    return params, _grid_with_outlier(params, seed)
+
+
+class TestGridDiagnosticsAgainstLaggedStack:
+    """The lag-view diagnostics equal the lagged_stack formulas on 200x200."""
+
+    def test_pit_matches_sites_by_bins_formula(self, oracle_case):
+        params, grid = oracle_case
+        assert np.count_nonzero(grid.values[1:, 1:] == 0) > 50
+        for bins in (10, 7):
+            want, collapsed = pit_oracle(params, grid, bins)
+            assert collapsed >= 1
+            np.testing.assert_allclose(pit_histogram(params, grid, bins), want,
+                                       rtol=1e-12)
+
+    def test_pearson_matches_lagged_stack_formula(self, oracle_case):
+        """rtol 1e-12; atol 1e-13 covers residuals that round to about 0."""
+        params, grid = oracle_case
+        res = pearson_residuals(params, grid)
+        want = pearson_oracle(params, grid)
+        assert res.values.shape == want.shape
+        np.testing.assert_allclose(res.values, want, rtol=1e-12, atol=1e-13)
+        assert res.mean == pytest.approx(want.mean(), rel=1e-12, abs=1e-13)
+        assert res.variance == pytest.approx(want.var(ddof=1), rel=1e-12)
+
+    def test_pit_memory_stays_below_one_sites_by_bins_array(self):
+        """Peak traced memory on 300x300 is under one float (sites x bins) array."""
+        params = _poi_params()
+        grid = simulate_cinar(SimConfig(params, n1=300, n2=300, burn_in=50, seed=4))
+        bins = 10
+        pit_histogram(params, grid, bins)  # the innovation's CDF cache is built
+        tracemalloc.start()
+        try:
+            pit_histogram(params, grid, bins)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 299 * 299 * bins * 8
 
 
 # =============================================================================

@@ -7,6 +7,8 @@ law).  The oracle builds both PMFs by brute-force summation/convolution
 with scipy's reference distributions only.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -169,6 +171,25 @@ class TestNbMarginalPmf:
         table = inn.pmf_table(kmax)
         assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
         assert abs(table.sum() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("make", [
+        lambda: NbMarginalInnovation.from_targets(3e4, 1.01, 0.5),
+        lambda: NbMarginalInnovation.from_targets(3e4, 20.0, 0.9),
+        lambda: PoissonInnovation(3e4),
+    ], ids=["nb-1.01", "nb-20", "poisson"])
+    def test_large_mean_table_answers_in_a_second(self, make):
+        """At mu_eps = 3e4 rounding leaves the table's mass a few 1e-12
+        from 1; the CDF still stops growing, and quantile and sample
+        answer in under 1 s."""
+        start = time.perf_counter()
+        inn = make()
+        kmax = inn.quantile(1.0)
+        draws = inn.sample(np.random.default_rng(0), size=1000)
+        assert time.perf_counter() - start < 1.0
+        mu, s2 = inn.moments()
+        assert mu + 5.0 * np.sqrt(s2) < kmax < 2.0 * mu
+        assert abs(inn.pmf_table(kmax).sum() - 1.0) <= 1e-9
+        assert abs(draws.mean() - mu) < 5.0 * np.sqrt(s2 / draws.size)
 
 
 class TestNbMoments:

@@ -21,6 +21,7 @@ from cinar import (
 
 from cinar._kernels import binomial_rows
 
+from _sim_oracle import simulate_oracle
 from _stats_helpers import chisq_gof
 
 
@@ -233,3 +234,42 @@ class TestSimulateTobit:
         assert g.values.min() == 0
         # the negative branch really subtracts: mean drops below mu_eps
         assert g.values.mean() < 1.0
+
+
+# =============================================================================
+# Strided wavefront against the per-diagonal loop oracle
+# =============================================================================
+
+
+def _oracle_params(p1, p2, family):
+    order = ModelOrder(p1, p2)
+    weights = np.arange(1.0, order.n_lags + 1.0)
+    theta = 0.85 * weights / weights.sum()
+    innovation = {
+        "poisson": PoissonInnovation(1.3),
+        "nb": NbMarginalInnovation.from_targets(1.3, 2.5, 0.85),
+        "degenerate": TabulatedInnovation([1.0]),
+    }[family]
+    return CinarParams(order, theta, innovation)
+
+
+@pytest.mark.parametrize("burn_in", [0, 100])
+@pytest.mark.parametrize("censored", [False, True], ids=["plain", "tobit"])
+@pytest.mark.parametrize("family", ["poisson", "nb", "degenerate"])
+@pytest.mark.parametrize("p1, p2", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_matches_per_diagonal_oracle(p1, p2, family, censored, burn_in):
+    """Grids and decisions are bit-identical to the fancy-indexing loop,
+    on 1 x n, n x 1, (p1+1) x (p2+1) and 13 x 9 grids; Tobit runs carry
+    mixed signs."""
+    params = _oracle_params(p1, p2, family)
+    signs = None
+    if censored:
+        signs = SignPattern(params.order, (-1) ** np.arange(params.order.n_lags))
+    simulate = simulate_tobit_cinar if censored else simulate_cinar
+    for seed, (n1, n2) in enumerate([(1, 7), (7, 1), (p1 + 1, p2 + 1), (13, 9)]):
+        config = SimConfig(params, n1, n2, burn_in=burn_in, seed=seed, signs=signs)
+        grid, dec = simulate(config, return_decisions=True)
+        want_grid, want_dec = simulate_oracle(config, return_decisions=True)
+        assert np.array_equal(grid.values, want_grid.values)
+        assert np.array_equal(dec, want_dec)
+        assert dec.dtype == want_dec.dtype
