@@ -236,15 +236,17 @@ def cmd_fit(args):
 
     fits = []
     exit_code = 0
+    cls_fit = None  # CML starts from it, as it would solve it itself
     for method in methods:
         if method == "yw":
             fit = yw_estimate(grid, order)
             n_free = len(fit.names)
         elif method == "cls":
-            fit = cls_estimate(grid, order)
+            fit = cls_fit = cls_estimate(grid, order)
             n_free = len(fit.names)
         else:
-            fit = cml_estimate(grid, order, family=family, fix_zero=fixes)
+            fit = cml_estimate(grid, order, family=family, init=cls_fit,
+                               fix_zero=fixes)
             n_free = len(fit.names) - len(fixes)
             if not fit.diagnostics.converged:
                 exit_code = 4

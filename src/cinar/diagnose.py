@@ -268,7 +268,12 @@ def pit_histogram(params, grid, bins=10):
     # such a site its unit mass as a point at F(x) instead of dropping it.
     collapsed = (f_hi - f_lo <= 0.0) & (f_hi > 0.0)
     f_lo[collapsed] = np.nextafter(f_hi[collapsed], -np.inf)
-    weight = 1.0 / np.maximum(f_hi - f_lo, 1e-300)
+    # An F(x) that underflows to (about) 0 leaves no width to spread the
+    # mass over: the site is a point at 0, in the first cell.
+    weight = f_hi - f_lo
+    at_zero = weight < 1e-300
+    np.divide(1.0, weight, out=weight, where=~at_zero)
+    weight[at_zero] = 0.0
 
     # each site adds weight times its overlap with [F(x-1), F(x)] to a cell
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -278,6 +283,7 @@ def pit_histogram(params, grid, bins=10):
         np.minimum(f_hi, edges[b + 1], out=overlap)
         overlap -= np.maximum(f_lo, edges[b], out=start)
         heights[b] = np.maximum(overlap, 0.0, out=overlap) @ weight
+    heights[0] += np.count_nonzero(at_zero)
     return heights * (bins / f_hi.size)
 
 

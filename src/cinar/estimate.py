@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import toeplitz
 from scipy.special import expit, logit, softmax
 
 from ._kernels import (flat_site_index, lag_site_values,
@@ -44,8 +45,9 @@ _GTOL_PER_SITE = 1e-7
 class FitDiagnostics:
     """Optimizer bookkeeping; trivial for the closed-form estimators.
 
-    ``n_fev`` counts log-likelihood evaluations over every start and the
-    standard errors, ``n_grad`` those that also computed the score;
+    ``n_fev`` counts log-likelihood evaluations over every start, plus
+    one for the standard errors, whose exact Hessian takes a single
+    pass; ``n_grad`` counts the evaluations that also computed the score;
     ``message`` is the optimizer's stop reason for the kept start, and
     ``se_error`` says why CML standard errors are missing.
     """
@@ -256,7 +258,8 @@ def _unpack(z, m, lower):
 
 
 class _CmlLikelihood:
-    """Conditional log-likelihood of one grid, with its exact score.
+    """Conditional log-likelihood of one grid, with its exact score and
+    Hessian.
 
     Built once per grid: each interior site's outcome and past counts at
     the chosen ``lags`` (indices into the order's lag set, default all)
@@ -271,10 +274,13 @@ class _CmlLikelihood:
       and the contraction with W is sum_k h_psi[k] r[k], where
       r[k] = sum_{n,y} C[n, y] W[n, y+k].
 
+    The Hessian (``hessian``) differentiates these transforms once more.
+
     ``family`` (an innovation family class, see ``innovations``) is needed
     only by the parametrized entry points ``natural``, ``value_and_grad``
     and ``hessian``.
-    Counts evaluations in ``n_fev``, of which ``n_grad`` carried the score.
+    Counts evaluations in ``n_fev`` (a Hessian is one), of which ``n_grad``
+    carried the score.
     """
 
     def __init__(self, values, order, family=None, lags=None):
@@ -295,6 +301,18 @@ class _CmlLikelihood:
         self._offsets = offsets.ravel()
         self.n_fev = self.n_grad = 0
 
+    def _site_probabilities(self, alpha, phi, innovation):
+        """(table C, per-lag site values C[l_sj, x_s], site probabilities p).
+
+        One likelihood evaluation: one table build and one gather.
+        """
+        self.n_fev += 1
+        table = thinning_convolution_table(
+            alpha, innovation, self.n_max, self.x_max
+        )
+        values = lag_site_values(table, self._flat, out=self._site_values)
+        return table, values, phi @ values
+
     def evaluate(self, theta, innovation, score=False):
         """(loglik, zero-probability site indices, score or None).
 
@@ -302,14 +320,9 @@ class _CmlLikelihood:
         parameters of ``innovation.score_series``).  With zero-probability
         sites the log-likelihood is -inf and no score is computed.
         """
-        self.n_fev += 1
         alpha = float(theta.sum())
         phi = theta / alpha
-        table = thinning_convolution_table(
-            alpha, innovation, self.n_max, self.x_max
-        )
-        values = lag_site_values(table, self._flat, out=self._site_values)
-        p_site = phi @ values
+        table, values, p_site = self._site_probabilities(alpha, phi, innovation)
         bad = np.flatnonzero(p_site <= 0.0)
         if bad.size:
             return -np.inf, bad, None
@@ -317,13 +330,7 @@ class _CmlLikelihood:
         if not score:
             return loglik, bad, None
         self.n_grad += 1
-        # The score is linear in 1/p, which overflows for sites of tiny
-        # probability; weight by scale/p instead, scale an exact power of
-        # two, and divide it out at the end.
-        scale = 1.0
-        exponent = int(np.frexp(p_site.min())[1])
-        if exponent < -500:
-            scale = float(np.ldexp(1.0, exponent + 500))
+        scale = _inverse_scale(p_site)
         inv_p = np.divide(scale, p_site, out=p_site)
         d_phi = values @ inv_p
         weights = np.zeros(table.size)
@@ -376,25 +383,132 @@ class _CmlLikelihood:
         return loglik, out
 
     def hessian(self, vec):
-        """Central differences of the score at (theta, innovation parameters).
+        """Exact Hessian of the log-likelihood at (theta, innovation parameters).
 
-        Step cbrt(eps)*(1+|v_i|) per axis, 2p score evaluations; the
-        result is symmetrized.
+        One likelihood evaluation and one pass over the sites:
+        H = sum_s grad2 p_s / p_s - sum_s grad p_s grad p_s^T / p_s**2.
+        With a = (alpha, innovation parameters) and p_s = sum_j phi_j
+        C[l_sj, x_s], the first-order tables dC/da and second-order tables
+        d2C/da da' come from C alone: thinning shifts and differences C
+        along (n, x) (see the class docstring) and the innovation
+        convolves it with the series of ``score_series`` and
+        ``hessian_series``.  The first term contracts them with the per-lag
+        weights W_j[n, x], the sum of 1/p_s over the sites with l_sj = n and
+        x_s = x; the second is the Gram of the per-site score, gathered from
+        C and dC/da and divided by p_s in place.
         """
-        steps = _CBRT_EPS * (1.0 + np.abs(vec))
+        m = self._flat.shape[0]
+        theta, extra = vec[:m], vec[m:]
+        alpha = float(theta.sum())
+        phi = theta / alpha
+        innovation = self.family.from_params(extra, alpha)
+        table, values, p_site = self._site_probabilities(alpha, phi, innovation)
+        if np.any(p_site <= 0.0):
+            raise NumericalError(
+                f"{np.count_nonzero(p_site <= 0.0)} interior site(s) have zero"
+                " conditional probability: no observed information"
+            )
+        scale = _inverse_scale(p_site)
+        inv_p = scale / p_site
+        lag_weights = np.stack([np.bincount(rows, inv_p, minlength=table.size)
+                                for rows in self._flat])
+        del inv_p
+        d1, d2 = _table_derivatives(table, innovation.score_series(self.x_max),
+                                    innovation.hessian_series(self.x_max))
+
+        # First term, over s / p_s.  With A = dC/dalpha at a site's lags,
+        # d2p/dtheta_k dtheta_l = (A_k + A_l - 2 phi.A) / alpha
+        #   - (C_k + C_l - 2 p) / alpha**2 + phi.d2C/dalpha2, and
+        # d2p/dtheta_k dpsi = (dC/dpsi_k - phi.dC/dpsi) / alpha
+        #   + phi.d2C/dalpha dpsi.  g[j] and G[a, j] sum C and dC/da at lag j.
+        g = lag_weights @ table.ravel()
+        big_g = d1.reshape(d1.shape[0], -1) @ lag_weights.T
+        second = d2.reshape(d2.shape[0], d2.shape[1], -1) @ (phi @ lag_weights)
+        g_phi, big_g_phi = g - phi @ g, big_g - (big_g @ phi)[:, None]
         hess = np.empty((vec.size, vec.size))
-        for i, h in enumerate(steps):
-            shift = np.zeros(vec.size)
-            shift[i] = h
-            _, up = self.natural(vec + shift)
-            _, down = self.natural(vec - shift)
-            if up is None or down is None:
-                raise NumericalError(
-                    f"score undefined within {h:.3g} of coordinate {i}"
-                    " of the standard-error stencil"
-                )
-            hess[i] = (up - down) / (2.0 * h)
-        return 0.5 * (hess + hess.T)
+        hess[:m, :m] = (second[0, 0] + (big_g_phi[0][:, None] + big_g_phi[0])
+                        / alpha - (g_phi[:, None] + g_phi) / alpha**2)
+        hess[:m, m:] = big_g_phi[1:].T / alpha + second[0, 1:]
+        hess[m:, :m] = hess[:m, m:].T
+        hess[m:, m:] = second[1:, 1:]
+        hess /= scale
+
+        # Second term: the Gram of the per-site score, from phi_j dC/da
+        # gathered lag by lag.  Its entries are ratios to p_s, finite where
+        # 1/p_s is not, so they take no scale: s**2 can underflow.
+        site_d1 = np.empty((d1.shape[0], p_site.size))
+        gathered = np.empty(p_site.size)
+        for a, d_table in enumerate(d1):
+            lag_site_values(phi[0] * d_table, self._flat[0], out=site_d1[a])
+            for j in range(1, m):
+                site_d1[a] += lag_site_values(phi[j] * d_table, self._flat[j],
+                                              out=gathered)
+        del gathered
+        np.divide(site_d1, p_site, out=site_d1)
+        # alpha d log p_s / d theta_j = C[l_sj, x_s] / p_s - 1 + alpha dC/dalpha / p_s
+        values -= p_site
+        values /= p_site
+        values += alpha * site_d1[0]
+        d_psi = site_d1[1:]
+        hess[:m, :m] -= values @ values.T / alpha**2
+        cross = values @ d_psi.T / alpha
+        hess[:m, m:] -= cross
+        hess[m:, :m] -= cross.T
+        hess[m:, m:] -= d_psi @ d_psi.T
+        return hess
+
+
+def _inverse_scale(p_site):
+    """An exact power of two s <= 1 that keeps s / p_s finite.
+
+    Sums linear in 1/p overflow for sites of tiny probability; they are
+    taken over s / p_s and divided by s at the end.
+    """
+    exponent = int(np.frexp(p_site.min())[1])
+    return float(np.ldexp(1.0, exponent + 500)) if exponent < -500 else 1.0
+
+
+def _thinning_step(table):
+    """d table / d alpha through thinning: n (T[n-1, x-1] - T[n-1, x])."""
+    out = np.zeros_like(table)
+    out[1:] = -table[:-1]
+    out[1:, 1:] += table[:-1, :-1]
+    out *= np.arange(table.shape[0])[:, None]
+    return out
+
+
+def _convolve_rows(table, series):
+    """Each row of ``table`` convolved with ``series``, truncated to its width."""
+    col = np.zeros(series.size)
+    col[0] = series[0]
+    return table @ toeplitz(col, series)
+
+
+def _table_derivatives(table, h, hh):
+    """First and second derivatives of C over (alpha, innovation parameters).
+
+    C = B(alpha) conv e, with thinning rows B and innovation PMF e.  The
+    innovation moves as de/da = e * h_a and d2e/da da' = e * (h_a * h_a'
+    + hh_aa') (``score_series`` rows ``h``, ``hessian_series`` block
+    ``hh``); thinning moves C by ``_thinning_step``, which commutes with
+    the convolutions.  Returns d1 of shape (q, n, x) and d2 of (q, q, n, x).
+    """
+    q, width = h.shape
+    by_h = np.stack([_convolve_rows(table, row) for row in h])
+    step_by_h = np.stack([_thinning_step(t) for t in by_h])
+    step = _thinning_step(table)
+    d1 = by_h.copy()
+    d1[0] += step
+    d2 = np.empty((q, q) + table.shape)
+    for a in range(q):
+        for b in range(a, q):
+            series = np.convolve(h[a], h[b])[:width] + hh[a, b]
+            d2[a, b] = d2[b, a] = _convolve_rows(table, series)
+    # alpha (a = 0) also thins: once in d2C/dalpha da', twice in d2C/dalpha2
+    d2[0] += step_by_h
+    d2[1:, 0] += step_by_h[1:]
+    d2[0, 0] += step_by_h[0] + _thinning_step(step)
+    return d1, d2
 
 
 def _project_interior(theta, extra, lower):
@@ -622,15 +736,16 @@ def _se_from_loglik(hessian, vec, lower=None):
 
     ``hessian`` maps ``vec`` to the Hessian of the log-likelihood there.
     When ``lower`` holds the coordinates' lower bounds (0 for theta, the
-    family's bounds for the innovation parameters), refuses vectors whose
-    finite-difference stencil would reach one.
+    family's bounds for the innovation parameters), refuses vectors within
+    cbrt(eps)*(1+|v_i|) of one: the observed information of an estimate on
+    the boundary does not give its sampling spread.
     """
     if lower is not None:
         steps = _CBRT_EPS * (1.0 + np.abs(vec))
         if np.any(vec - steps <= lower):
             raise NumericalError(
                 "estimate too close to the constraint boundary for"
-                " finite-difference standard errors"
+                " observed-information standard errors"
             )
     neg = -hessian(vec)
     eigvals = np.linalg.eigvalsh(neg)
@@ -647,11 +762,11 @@ def observed_fisher_se(params, grid, loglik_fn=None):
     """Standard errors from the negative Hessian of the log-likelihood.
 
     The Hessian is taken in the original parametrization (theta lex, then
-    the innovation family's ``param_names``) at ``params``: by central
-    differences of the exact
-    score, or, when ``loglik_fn`` (a map from that vector to a real)
-    replaces the model log-likelihood, by ``fd_hessian`` of it.  Standard
-    errors are the square roots of the diagonal of its negative inverse.
+    the innovation family's ``param_names``) at ``params``: in closed form
+    from one likelihood pass, or, when ``loglik_fn`` (a map from that
+    vector to a real) replaces the model log-likelihood, by ``fd_hessian``
+    of it.  Standard errors are the square roots of the diagonal of its
+    negative inverse.
     """
     family = type(params.innovation)
     if not hasattr(family, "from_params"):

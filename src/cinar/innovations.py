@@ -155,6 +155,12 @@ class PoissonInnovation(_InverseCdfMixin):
             h[1, 1] = 1.0
         return h
 
+    def hessian_series(self, kmax):
+        """Series of the second derivatives of log G over (alpha, mu): zero,
+        since log G is linear in mu.  Entry [r, q] pairs rows r and q of
+        ``score_series``."""
+        return np.zeros((2, 2, int(kmax) + 1))
+
     def moments(self):
         return self.mu, self.mu
 
@@ -263,6 +269,42 @@ class NbMarginalInnovation(_InverseCdfMixin):
         h[2, 1:] = -nu * d * (1.0 - d) / a**2 * c_pow
         return h
 
+    def _log_pgf_hessian(self, kmax):
+        """Series of the second derivatives of log G(u) over (nu, pi, alpha).
+
+        Entry [r, q] pairs rows r and q of ``_log_pgf_series``.  log G is
+        linear in nu; the (pi, alpha) block differentiates log A and the
+        terms (d**k - c**k) / k once more.
+        """
+        nu, alpha = self.nu, self.alpha
+        d = 1.0 - self.pi
+        a = np.exp(self._log_a)
+        c = d * alpha / a
+        # derivatives of c in d and alpha (A moves with both)
+        c_d, c_alpha = alpha / a**2, d * (1.0 - d) / a**2
+        c_dd = 2.0 * alpha * (1.0 - alpha) / a**3
+        c_alphaalpha = -2.0 * d**2 * (1.0 - d) / a**3
+        c_dalpha = (1.0 - d - alpha * d) / a**3
+        k = np.arange(1.0, kmax + 1.0)
+        c_pow = c ** (k - 1.0)
+        # (k-1) x**(k-2), zero at k = 1
+        d_pow2, c_pow2 = np.zeros(k.size), np.zeros(k.size)
+        d_pow2[1:] = (k[1:] - 1.0) * d ** (k[1:] - 2.0)
+        c_pow2[1:] = (k[1:] - 1.0) * c ** (k[1:] - 2.0)
+        h = np.zeros((3, 3, int(kmax) + 1))
+        first = self._log_pgf_series(kmax)
+        h[0, 1] = h[1, 0] = first[1] / nu
+        h[0, 2] = h[2, 0] = first[2] / nu
+        # pi = 1 - d, so d/dpi = -d/dd
+        h[1, 1, 0] = -nu * ((1.0 - alpha) / a) ** 2
+        h[1, 1, 1:] = nu * (d_pow2 - c_pow2 * c_d**2 - c_pow * c_dd)
+        h[1, 2, 0] = -nu / a**2
+        h[1, 2, 1:] = nu * (c_pow2 * c_d * c_alpha + c_pow * c_dalpha)
+        h[2, 1] = h[1, 2]
+        h[2, 2, 0] = -nu * (d / a) ** 2
+        h[2, 2, 1:] = -nu * (c_pow2 * c_alpha**2 + c_pow * c_alphaalpha)
+        return h
+
     def score_series(self, kmax):
         """Series of d log G(u) / d(alpha, mu_eps, i_eps) at fixed targets.
 
@@ -283,6 +325,44 @@ class NbMarginalInnovation(_InverseCdfMixin):
             pi / ((1.0 - alpha) * d) * h_nu,
             -nu * pi / ((1.0 + alpha) * d) * h_nu - pi**2 / (1.0 + alpha) * h_pi,
         ])
+
+    def hessian_series(self, kmax):
+        """Series of the second derivatives of log G over (alpha, mu_eps,
+        i_eps) at fixed targets.
+
+        Entry [r, q] pairs rows r and q of ``score_series``, so that the
+        second PMF derivative is ``pmf_table(kmax) * (h_r * h_q + h_rq)``.
+        The chain rule through (nu, pi) takes the Jacobian of the map
+        (alpha, mu_eps, i_eps) -> (nu, pi, alpha) of ``score_series`` and
+        its second derivatives.
+        """
+        nu, pi, alpha = self.nu, self.pi, self.alpha
+        d = 1.0 - pi
+        plus, minus = 1.0 + alpha, 1.0 - alpha
+        # d(nu, pi, alpha) / d(alpha, mu_eps, i_eps)
+        jac = np.array([
+            [2.0 * nu / (minus * plus), pi / (minus * d), -nu * pi / (plus * d)],
+            [d * pi / plus, 0.0, -pi**2 / plus],
+            [1.0, 0.0, 0.0],
+        ])
+        # second derivatives of nu and of pi over (alpha, mu_eps, i_eps)
+        nu_a_i = -2.0 * nu * pi / (minus * plus**2 * d)
+        nu_m_i = -pi**2 / (minus * plus * d**2)
+        nu_a_m = 2.0 * pi / (minus**2 * plus * d)
+        nu_second = np.array([
+            [4.0 * nu / (minus**2 * plus), nu_a_m, nu_a_i],
+            [nu_a_m, 0.0, nu_m_i],
+            [nu_a_i, nu_m_i, 2.0 * nu * pi**2 / (plus * d) ** 2],
+        ])
+        pi_a_i = (pi - d) * pi**2 / plus**2
+        pi_second = np.array([
+            [-2.0 * d * pi**2 / plus**2, 0.0, pi_a_i],
+            [0.0, 0.0, 0.0],
+            [pi_a_i, 0.0, 2.0 * pi**3 / plus**2],
+        ])
+        h_nu, h_pi, _ = self._log_pgf_series(kmax)
+        return (np.einsum("ra,sb,rsk->abk", jac, jac, self._log_pgf_hessian(kmax))
+                + nu_second[:, :, None] * h_nu + pi_second[:, :, None] * h_pi)
 
     # -- pmf ------------------------------------------------------------------
 

@@ -224,6 +224,32 @@ class TestCmdFit:
             "n_iter": 0, "converged": True, "grad_norm": None, "n_fev": 0,
             "n_grad": 0, "message": None, "se_error": None}
 
+    def test_cml_starts_from_the_cls_fit(self, tmp_path, monkeypatch):
+        """yw,cls,cml solves CLS once; its CML block equals a cml-only run's."""
+        import cinar.cli as cli_module
+        import cinar.estimate as estimate_module
+
+        path = _simulate_csv(tmp_path, seed=9)
+        solve = estimate_module.cls_estimate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "cls_estimate", counting)
+        monkeypatch.setattr(estimate_module, "cls_estimate", counting)
+        blocks = {}
+        for methods in ("yw,cls,cml", "cml"):
+            out = tmp_path / f"{methods}.json"
+            calls.clear()
+            assert main(["fit", "--grid", str(path), "--order", "1,1",
+                         "--method", methods, "--out", str(out)]) == 0
+            assert len(calls) == 1
+            blocks[methods] = json.loads(out.read_text())["fits"][-1]
+        assert blocks["cml"]["method"] == "CML"
+        assert blocks["yw,cls,cml"] == blocks["cml"]
+
     def test_fix_pins_coefficient_to_zero(self, tmp_path):
         path = _simulate_csv(tmp_path, seed=21, theta="0.25,0.35,0.0")
         out = tmp_path / "fit.json"

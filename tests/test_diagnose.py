@@ -347,6 +347,23 @@ class TestPitHistogram:
             assert heights.mean() == pytest.approx(1.0, abs=1e-12)
             assert np.all(heights >= 0.0)
 
+    def test_site_whose_cdf_underflows_is_a_point_at_zero(self):
+        """F(x-1) = F(x) = 0 gives the site its unit mass in the first cell.
+
+        An outcome 0 below pasts of 800 has F(0) = 0.2**800, which
+        underflows to 0.
+        """
+        values = np.full((6, 6), 800)
+        values[3, 3] = 0
+        grid = CountGrid(values)
+        params = _poi_params(theta=(0.3, 0.4, 0.1), mu=1.0)
+        heights = pit_histogram(params, grid, bins=10)
+        assert heights.mean() == pytest.approx(1.0, abs=1e-12)
+        # one of 25 sites, on a density scale of 10 bins
+        assert heights[0] >= 10 / 25
+        report = build_diagnostics(params, grid)
+        np.testing.assert_array_equal(report.pit_bins, heights)
+
     def test_near_uniform_under_true_model(self):
         """Calibrated forecasts give an approximately flat histogram."""
         params = _poi_params(theta=(0.2, 0.2, 0.35), mu=1.5)

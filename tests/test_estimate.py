@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from cinar import (
@@ -31,6 +33,7 @@ from cinar.estimate import (FitDiagnostics, FitResult, _CmlLikelihood,
                             _solve_checked)
 from cinar.model import lagged_stack
 
+from _hessian_oracle import score_difference_hessian
 from _stats_helpers import nb_pmf_mp
 
 ORDER11 = ModelOrder(1, 1)
@@ -446,26 +449,33 @@ def _central_diff(fn, vec, rel_step=1e-5):
     return grad
 
 
-class TestCmlScore:
-    ORDER22 = ModelOrder(2, 2)
+def _likelihood_case(case):
+    """(grid, order, family name, free lag indices, parameter vector)."""
+    if case == "poisson-11":
+        grid = _sim(_poi([0.3, 0.4, 0.1], 1.0), 40, seed=1)
+        return grid, ORDER11, "poisson", [0, 1, 2], np.array([0.25, 0.35, 0.12, 1.2])
+    if case == "poisson-22-fixed":
+        order = ModelOrder(2, 2)
+        truth = CinarParams(order, np.full(8, 0.1), PoissonInnovation(1.0))
+        grid = _sim(truth, 40, seed=2)
+        free = [0, 1, 2, 4, 5, 6, 7]  # theta_11 (index 3) pinned to 0
+        vec = np.array([0.12, 0.08, 0.1, 0.11, 0.09, 0.1, 0.13, 1.3])
+        return grid, order, "poisson", free, vec
+    if case == "nb-11":
+        grid = _sim(_nb([0.2, 0.2, 0.5], 1.0, 2.0), 40, seed=3)
+        return grid, ORDER11, "nb", [0, 1, 2], np.array([0.22, 0.18, 0.45, 1.1, 2.3])
+    # an NB fit of Poisson data, at its estimate
+    grid = _sim(_poi([0.3, 0.4, 0.1], 1.0), 40, seed=5)
+    fit = cml_estimate(grid, ORDER11, family="nb")
+    assert fit.diagnostics.se_error is None and fit.i_eps < 1.5
+    return grid, ORDER11, "nb", [0, 1, 2], np.array(fit.estimates)
 
+
+class TestCmlScore:
     @pytest.mark.parametrize("case", ["poisson-11", "poisson-22-fixed", "nb-11"])
     def test_score_matches_central_differences(self, case):
         """Analytic score equals central differences of cml_loglik (rtol 1e-6)."""
-        if case == "poisson-11":
-            grid = _sim(_poi([0.3, 0.4, 0.1], 1.0), 40, seed=1)
-            order, family, free = ORDER11, "poisson", [0, 1, 2]
-            vec = np.array([0.25, 0.35, 0.12, 1.2])
-        elif case == "poisson-22-fixed":
-            order, family = self.ORDER22, "poisson"
-            truth = CinarParams(order, np.full(8, 0.1), PoissonInnovation(1.0))
-            grid = _sim(truth, 40, seed=2)
-            free = [0, 1, 2, 4, 5, 6, 7]  # theta_11 (index 3) pinned to 0
-            vec = np.array([0.12, 0.08, 0.1, 0.11, 0.09, 0.1, 0.13, 1.3])
-        else:
-            grid = _sim(_nb([0.2, 0.2, 0.5], 1.0, 2.0), 40, seed=3)
-            order, family, free = ORDER11, "nb", [0, 1, 2]
-            vec = np.array([0.22, 0.18, 0.45, 1.1, 2.3])
+        grid, order, family, free, vec = _likelihood_case(case)
         m = len(free)
 
         def loglik(v):
@@ -513,14 +523,57 @@ class TestCmlScore:
             ])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
 
+    @pytest.mark.parametrize("nu, pi, alpha", [
+        (1.7, 0.45, 0.6), (0.6, 0.7, 0.3), (4.2, 0.3, 0.85),
+    ])
+    def test_nb_pmf_second_derivatives_match_mpmath(self, nu, pi, alpha):
+        """d2 e / d(nu, pi, alpha)2 = e * (h_r * h_q + h_rq) against 50-digit
+        differentiation, for each pair r <= q."""
+        import mpmath as mp
+
+        kmax = 10
+        innovation = NbMarginalInnovation(nu, pi, alpha)
+        pmf = innovation.pmf_table(kmax)
+        h = innovation._log_pgf_series(kmax)
+        hh = innovation._log_pgf_hessian(kmax)
+        np.testing.assert_array_equal(hh, hh.transpose(1, 0, 2))
+        pairs = [(r, q) for r in range(3) for q in range(r, 3)]
+        got = np.array([
+            np.convolve(pmf, np.convolve(h[r], h[q])[: kmax + 1] + hh[r, q])
+            [: kmax + 1] for r, q in pairs
+        ])
+        with mp.workdps(50):
+            point = [mp.mpf(nu), mp.mpf(pi), mp.mpf(alpha)]
+            want = np.array([
+                [float(mp.diff(
+                    lambda *v: nb_pmf_mp(*v, k), point,
+                    tuple(int(r == i) + int(q == i) for i in range(3))))
+                 for k in range(kmax + 1)]
+                for r, q in pairs
+            ])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("case", [
+        "poisson-11", "poisson-22-fixed", "nb-11", "nb-fit-of-poisson",
+    ])
+    def test_exact_hessian_matches_score_differences(self, case):
+        """The closed-form Hessian equals central differences of the exact
+        score (rtol 1e-6), one table build against 2p."""
+        grid, order, family, free, vec = _likelihood_case(case)
+        likelihood = _CmlLikelihood(grid.values, order,
+                                    innovation_family(family), lags=free)
+        exact = likelihood.hessian(vec)
+        assert likelihood.n_fev == 1
+        np.testing.assert_allclose(
+            exact, score_difference_hessian(likelihood, vec), rtol=1e-6)
+
     @pytest.mark.parametrize("family, rtol", [("poisson", 1e-4), ("nb", 1e-3)])
     def test_score_se_match_fd_hessian_se(self, family, rtol):
-        """Score-difference SEs equal fd_hessian SEs.
+        """Exact observed-information SEs equal fd_hessian SEs.
 
         The oracle is the noisier side: at its fixed step, rounding in the
         log-likelihood moves the NB dispersion SE by about 2e-4 relative,
-        and the gap closes as that step grows, while the score-difference
-        SEs do not move with the step.
+        and the gap closes as that step grows; the exact SEs take no step.
         """
         truth = (_poi([0.3, 0.4, 0.1], 1.0) if family == "poisson"
                  else _nb([0.2, 0.2, 0.5], 1.0, 2.0))
@@ -673,6 +726,24 @@ class TestObservedFisherSe:
         assert np.all(np.isfinite(se)) and np.all(se > 0)
         np.testing.assert_allclose(se, fit.std_errors, atol=1e-10)
 
+    def test_peak_memory_on_a_large_grid(self):
+        """On 300x300 at order (2,2), the standard errors peak below twice
+        what the likelihood object holds (flat indices and site values)."""
+        import tracemalloc
+
+        params = CinarParams(ModelOrder(2, 2), np.full(8, 0.1),
+                             PoissonInnovation(5.0))
+        grid = _sim(params, 300, seed=7, burn=20)
+        n_sites = 298 * 298
+        tracemalloc.start()
+        try:
+            se = observed_fisher_se(params, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(se)) and np.all(se > 0)
+        assert peak < 4 * 8 * n_sites * 8, peak
+
     def test_boundary_point_refused(self):
         grid = _sim(_poi([0.2, 0.2, 0.3], 1.0), 12, seed=3, burn=20)
         hugging = CinarParams(
@@ -692,6 +763,54 @@ class TestObservedFisherSe:
             se_large.append(f_large.std_errors)
         ratio = np.mean(se_small, axis=0) / np.mean(se_large, axis=0)
         assert np.all(ratio > 3.0) and np.all(ratio < 5.0), ratio
+
+
+@st.composite
+def _edge_fit_case(draw):
+    """A small grid simulated at an edge of the parameter space, counts
+    capped at up to 500 (0 gives an all-zero grid), and the family to fit
+    to it."""
+    p1, p2 = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    order = ModelOrder(p1, p2)
+    n1, n2 = draw(st.one_of(
+        st.just((p1 + 1, p2 + 1)),
+        st.tuples(st.just(1), st.integers(1, 12)),
+        st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    ))
+    alpha = draw(st.floats(1e-3, 0.99))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=order.n_lags,
+                                     max_size=order.n_lags)))
+    theta = alpha * weights / weights.sum()
+    mu_eps = draw(st.floats(1e-3, 1e3))
+    i_eps = draw(st.one_of(st.none(), st.floats(1.05, 50.0)))
+    innovation = (PoissonInnovation(mu_eps) if i_eps is None else
+                  NbMarginalInnovation.from_targets(mu_eps, i_eps, theta.sum()))
+    config = SimConfig(CinarParams(order, theta, innovation), n1=n1, n2=n2,
+                       burn_in=20, seed=draw(st.integers(0, 2**31 - 1)))
+    cap = draw(st.integers(0, 500))
+    grid = CountGrid(np.minimum(simulate_cinar(config).values, cap))
+    return grid, order, draw(st.sampled_from(["poisson", "nb"]))
+
+
+class TestStandardErrorEdges:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_edge_fit_case())
+    def test_fit_ends_with_errors_or_a_reason(self, case):
+        """Finite SEs or a reason for their absence, or a cinar error with a
+        message; never a numpy warning."""
+        grid, order, family = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fit = cml_estimate(grid, order, family=family)
+            except (ValidationError, NumericalError) as exc:
+                assert str(exc)
+                return
+        if fit.std_errors is None:
+            assert fit.diagnostics.se_error
+        else:
+            assert np.all(np.isfinite(fit.std_errors))
+            assert fit.diagnostics.se_error is None
 
 
 # =============================================================================
