@@ -3,8 +3,9 @@
 Three estimators for the dependence coefficients and innovation
 parameters: Yule--Walker (sample-ACF linear system), conditional least
 squares (closed-form normal equations), and conditional maximum
-likelihood (quasi-Newton search on the exact score through a smooth
-bijection), plus observed-information standard errors.
+likelihood (trust-region Newton on the exact observed information through
+a smooth bijection), plus observed-information standard errors, which
+reuse the last Hessian of the likelihood search.
 """
 
 import warnings
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize
-from scipy.linalg import toeplitz
 from scipy.special import expit, logit, softmax
 
 from ._kernels import (flat_site_index, lag_site_values,
@@ -36,20 +37,25 @@ __all__ = [
 ]
 
 _CBRT_EPS = np.finfo(float).eps ** (1.0 / 3.0)
-# objective value the optimizer sees outside the model's domain
-_WALL = 1e300
-_GTOL_PER_SITE = 1e-7
+# objective outside the model's domain (infinite: a ratio to it cannot overflow)
+_WALL = np.inf
+# CML stops once a Newton step would gain under _GAIN_RTOL (1 + |loglik|),
+# far above the log-likelihood's rounding, or once the score in the
+# optimizer's coordinates falls under _GTOL, which ends the approach to an
+# optimum on a constraint boundary, where the likelihood flattens.
+_GAIN_RTOL = 1e-12
+_GTOL = 1e-5
 
 
 @dataclass(frozen=True)
 class FitDiagnostics:
     """Optimizer bookkeeping; trivial for the closed-form estimators.
 
-    ``n_fev`` counts log-likelihood evaluations over every start, plus
-    one for the standard errors, whose exact Hessian takes a single
-    pass; ``n_grad`` counts the evaluations that also computed the score;
-    ``message`` is the optimizer's stop reason for the kept start, and
-    ``se_error`` says why CML standard errors are missing.
+    ``n_fev`` counts log-likelihood evaluations; the standard errors add
+    none, as they reuse the Hessian of the last one.  ``n_grad`` counts
+    the evaluations that also computed the score; ``message`` is the
+    optimizer's stop reason, and ``se_error`` says why CML standard errors
+    are missing.
     """
 
     n_iter: int
@@ -221,7 +227,7 @@ def cml_loglik(params, grid):
     if not verdict:
         raise ValidationError("invalid parameters: " + "; ".join(verdict.violations))
     likelihood = _CmlLikelihood(grid.values, params.order)
-    value, bad, _ = likelihood.evaluate(params.theta, params.innovation)
+    value, bad = likelihood.evaluate(params.theta, params.innovation)
     if bad.size:
         warnings.warn(_zero_sites(bad, grid, params.order), stacklevel=2)
     return value
@@ -264,23 +270,15 @@ class _CmlLikelihood:
     Built once per grid: each interior site's outcome and past counts at
     the chosen ``lags`` (indices into the order's lag set, default all)
     become flat indices into the thinning-convolution table C, so an
-    evaluation builds C once and reads it with one gather.  The score
-    needs only transforms of the same table, with W = d loglik / dC:
-
-    * d/dphi_j = sum_s C[l_sj, x_s] / p_s, the per-lag gather over p;
-    * d/dalpha through thinning: dC[n, x]/dalpha = n (C[n-1, x-1] - C[n-1, x]);
-    * d/dpsi through the innovation PMF e: de/dpsi = e * h_psi (series
-      convolution, see ``score_series``), so dC/dpsi = C @ toeplitz(h_psi)
-      and the contraction with W is sum_k h_psi[k] r[k], where
-      r[k] = sum_{n,y} C[n, y] W[n, y+k].
-
-    The Hessian (``hessian``) differentiates these transforms once more.
+    evaluation builds C once and reads it with one gather.  The score and
+    the Hessian need only transforms of the same table: thinning shifts
+    and differences C along (n, x), dC[n, x]/dalpha = n (C[n-1, x-1] -
+    C[n-1, x]), and the innovation convolves it with the series of
+    ``score_series`` and ``hessian_series`` (see ``_table_derivatives``).
 
     ``family`` (an innovation family class, see ``innovations``) is needed
-    only by the parametrized entry points ``natural``, ``value_and_grad``
-    and ``hessian``.
-    Counts evaluations in ``n_fev`` (a Hessian is one), of which ``n_grad``
-    carried the score.
+    only by ``value_score_hessian``.  Counts evaluations in ``n_fev``, of
+    which ``n_grad`` also carried the score and the Hessian.
     """
 
     def __init__(self, values, order, family=None, lags=None):
@@ -293,12 +291,6 @@ class _CmlLikelihood:
         self.x_max = int(x.max())
         self._flat = flat_site_index(x, pasts, self.x_max)
         self._site_values = np.empty(self._flat.shape)
-        # column offset x - y of each (y, x) cell of C.T @ W; the lower
-        # triangle goes to a spare bin past x_max
-        cols = np.arange(self.x_max + 1)
-        offsets = cols[None, :] - cols[:, None]
-        offsets[offsets < 0] = self.x_max + 1
-        self._offsets = offsets.ravel()
         self.n_fev = self.n_grad = 0
 
     def _site_probabilities(self, alpha, phi, innovation):
@@ -313,101 +305,48 @@ class _CmlLikelihood:
         values = lag_site_values(table, self._flat, out=self._site_values)
         return table, values, phi @ values
 
-    def evaluate(self, theta, innovation, score=False):
-        """(loglik, zero-probability site indices, score or None).
-
-        The score is taken over (theta at the chosen lags, innovation
-        parameters of ``innovation.score_series``).  With zero-probability
-        sites the log-likelihood is -inf and no score is computed.
-        """
+    def evaluate(self, theta, innovation):
+        """(loglik, zero-probability site indices); the log-likelihood is
+        -inf when there are any."""
         alpha = float(theta.sum())
-        phi = theta / alpha
-        table, values, p_site = self._site_probabilities(alpha, phi, innovation)
+        _, _, p_site = self._site_probabilities(alpha, theta / alpha, innovation)
         bad = np.flatnonzero(p_site <= 0.0)
         if bad.size:
-            return -np.inf, bad, None
-        loglik = float(np.sum(np.log(p_site)))
-        if not score:
-            return loglik, bad, None
-        self.n_grad += 1
-        scale = _inverse_scale(p_site)
-        inv_p = np.divide(scale, p_site, out=p_site)
-        d_phi = values @ inv_p
-        weights = np.zeros(table.size)
-        for j, rows in enumerate(self._flat):
-            weights += phi[j] * np.bincount(rows, inv_p, minlength=table.size)
-        weights = weights.reshape(table.shape)
-        step = -table[:-1]
-        step[:, 1:] += table[:-1, :-1]
-        d_alpha = np.arange(1, self.n_max + 1) @ np.sum(weights[1:] * step, axis=1)
-        cross = np.bincount(self._offsets, (table.T @ weights).ravel(),
-                            minlength=self.x_max + 2)[:-1]
-        d_innovation = innovation.score_series(self.x_max) @ cross
-        d_alpha += d_innovation[0]
-        d_theta = d_alpha + (d_phi - phi @ d_phi) / alpha
-        return loglik, bad, np.concatenate([d_theta, d_innovation[1:]]) / scale
+            return -np.inf, bad
+        return float(np.sum(np.log(p_site))), bad
 
-    def natural(self, vec):
-        """(loglik, score) at (theta, innovation parameters); (-inf, None)
-        outside the model's domain."""
-        m = self._flat.shape[0]
-        theta, extra = vec[:m], vec[m:]
-        # the first innovation parameter is the mean mu_eps; a larger one
-        # only builds huge tables
-        if not extra[0] <= 1e12:
-            return -np.inf, None
-        try:
-            innovation = self.family.from_params(extra, float(theta.sum()))
-        except CinarError:
-            return -np.inf, None
-        loglik, _, grad = self.evaluate(theta, innovation, score=True)
-        return loglik, grad
+    def value_score_hessian(self, vec):
+        """(loglik, score, Hessian) at (theta, innovation parameters).
 
-    def value_and_grad(self, z):
-        """(loglik, score) in the optimizer's unconstrained coordinates (see
-        ``_pack``); (-inf, None) outside the model's domain."""
-        m = self._flat.shape[0]
-        lower = self.family.lower_bounds
-        theta, extra = _unpack(z, m, lower)
-        loglik, grad = self.natural(np.append(theta, extra))
-        if grad is None:
-            return loglik, None
-        alpha = float(theta.sum())
-        phi = theta / alpha
-        d_theta = grad[:m]
-        mean = phi @ d_theta
-        out = np.empty_like(grad)
-        out[0] = alpha * (1.0 - alpha) * mean
-        out[1:m] = alpha * phi[:-1] * (d_theta[:-1] - mean)
-        out[m:] = (extra - lower) * grad[m:]
-        return loglik, out
-
-    def hessian(self, vec):
-        """Exact Hessian of the log-likelihood at (theta, innovation parameters).
-
-        One likelihood evaluation and one pass over the sites:
-        H = sum_s grad2 p_s / p_s - sum_s grad p_s grad p_s^T / p_s**2.
+        One table build and one pass over the sites; (-inf, None, None)
+        outside the model's domain or where a site has zero probability.
         With a = (alpha, innovation parameters) and p_s = sum_j phi_j
         C[l_sj, x_s], the first-order tables dC/da and second-order tables
-        d2C/da da' come from C alone: thinning shifts and differences C
-        along (n, x) (see the class docstring) and the innovation
-        convolves it with the series of ``score_series`` and
-        ``hessian_series``.  The first term contracts them with the per-lag
-        weights W_j[n, x], the sum of 1/p_s over the sites with l_sj = n and
-        x_s = x; the second is the Gram of the per-site score, gathered from
+        d2C/da da' are contracted with the per-lag weights W_j[n, x], the
+        sum of 1/p_s over the sites with l_sj = n and x_s = x.  The score is
+        the first-order contraction; the Hessian is
+        H = sum_s grad2 p_s / p_s - sum_s grad p_s grad p_s^T / p_s**2,
+        whose second term is the Gram of the per-site score, gathered from
         C and dC/da and divided by p_s in place.
         """
         m = self._flat.shape[0]
         theta, extra = vec[:m], vec[m:]
         alpha = float(theta.sum())
+        # far out in the optimizer's coordinates alpha rounds to 1 or towards
+        # 0, where the Hessian's 1/alpha**2 overflows; the first innovation
+        # parameter is the mean mu_eps, and a larger one builds huge tables
+        if not (1e-100 < alpha < 1.0 and extra[0] <= 1e12):
+            return -np.inf, None, None
+        try:
+            innovation = self.family.from_params(extra, alpha)
+        except CinarError:
+            return -np.inf, None, None
         phi = theta / alpha
-        innovation = self.family.from_params(extra, alpha)
         table, values, p_site = self._site_probabilities(alpha, phi, innovation)
-        if np.any(p_site <= 0.0):
-            raise NumericalError(
-                f"{np.count_nonzero(p_site <= 0.0)} interior site(s) have zero"
-                " conditional probability: no observed information"
-            )
+        if not np.all(p_site > 0.0):
+            return -np.inf, None, None
+        self.n_grad += 1
+        loglik = float(np.sum(np.log(p_site)))
         scale = _inverse_scale(p_site)
         inv_p = scale / p_site
         lag_weights = np.stack([np.bincount(rows, inv_p, minlength=table.size)
@@ -416,15 +355,20 @@ class _CmlLikelihood:
         d1, d2 = _table_derivatives(table, innovation.score_series(self.x_max),
                                     innovation.hessian_series(self.x_max))
 
-        # First term, over s / p_s.  With A = dC/dalpha at a site's lags,
+        # Score and first Hessian term, over s / p_s.  g[j] and G[a, j] sum
+        # C and dC/da at lag j, so d/dphi_j = g[j], d/da = G phi and
+        # d/dtheta_k = d/dalpha + (g[k] - phi.g) / alpha.  With A = dC/dalpha
+        # at a site's lags,
         # d2p/dtheta_k dtheta_l = (A_k + A_l - 2 phi.A) / alpha
         #   - (C_k + C_l - 2 p) / alpha**2 + phi.d2C/dalpha2, and
         # d2p/dtheta_k dpsi = (dC/dpsi_k - phi.dC/dpsi) / alpha
-        #   + phi.d2C/dalpha dpsi.  g[j] and G[a, j] sum C and dC/da at lag j.
+        #   + phi.d2C/dalpha dpsi.
         g = lag_weights @ table.ravel()
         big_g = d1.reshape(d1.shape[0], -1) @ lag_weights.T
+        d_a = big_g @ phi
         second = d2.reshape(d2.shape[0], d2.shape[1], -1) @ (phi @ lag_weights)
-        g_phi, big_g_phi = g - phi @ g, big_g - (big_g @ phi)[:, None]
+        g_phi, big_g_phi = g - phi @ g, big_g - d_a[:, None]
+        score = np.concatenate([d_a[0] + g_phi / alpha, d_a[1:]]) / scale
         hess = np.empty((vec.size, vec.size))
         hess[:m, :m] = (second[0, 0] + (big_g_phi[0][:, None] + big_g_phi[0])
                         / alpha - (g_phi[:, None] + g_phi) / alpha**2)
@@ -455,7 +399,34 @@ class _CmlLikelihood:
         hess[:m, m:] -= cross
         hess[m:, :m] -= cross.T
         hess[m:, m:] -= d_psi @ d_psi.T
-        return hess
+        return loglik, score, hess
+
+
+def _chain_to_z(z, m, score, hess):
+    """The natural score g and Hessian H in the coordinates z of ``_pack``:
+    J^T g and J^T H J + sum_k g_k d2x_k/dz dz^T.  With theta = alpha s,
+    alpha' = alpha (1 - alpha), ds_k/dz_i = s_k (delta_ki - s_i) and u_i =
+    sum_k g_k ds_k/dz_i, the last term is alpha' (1 - 2 alpha) s.g in (0, 0),
+    alpha' u in (0, i), alpha (diag(u) - s u^T - u s^T) in (i, j), and
+    g e^z for each innovation parameter lower + exp(z)."""
+    n = z.size
+    alpha = float(expit(z[0]))
+    s = softmax(np.append(z[1:m], 0.0))
+    ext = np.exp(np.clip(z[m:], -700.0, 700.0))
+    slope = alpha * (1.0 - alpha)
+    mean = s @ score[:m]
+    u = s * (score[:m] - mean)
+    jac = np.zeros((n, n))
+    jac[:m, 0] = slope * s
+    jac[:m, 1:m] = alpha * (np.diag(s) - np.outer(s, s))[:, :-1]
+    jac[m:, m:] = np.diag(ext)
+    curv = np.zeros((n, n))
+    curv[0, 0] = slope * (1.0 - 2.0 * alpha) * mean
+    curv[0, 1:m] = curv[1:m, 0] = slope * u[:-1]
+    curv[1:m, 1:m] = alpha * (np.diag(u) - np.outer(s, u)
+                              - np.outer(u, s))[:-1, :-1]
+    curv[m:, m:] = np.diag(score[m:] * ext)
+    return jac.T @ score, jac.T @ hess @ jac + curv
 
 
 def _inverse_scale(p_site):
@@ -469,19 +440,23 @@ def _inverse_scale(p_site):
 
 
 def _thinning_step(table):
-    """d table / d alpha through thinning: n (T[n-1, x-1] - T[n-1, x])."""
+    """d table / d alpha through thinning, over the last two axes (n, x):
+    n (T[n-1, x-1] - T[n-1, x])."""
     out = np.zeros_like(table)
-    out[1:] = -table[:-1]
-    out[1:, 1:] += table[:-1, :-1]
-    out *= np.arange(table.shape[0])[:, None]
+    out[..., 1:, :] = -table[..., :-1, :]
+    out[..., 1:, 1:] += table[..., :-1, :-1]
+    out *= np.arange(table.shape[-2])[:, None]
     return out
 
 
 def _convolve_rows(table, series):
-    """Each row of ``table`` convolved with ``series``, truncated to its width."""
-    col = np.zeros(series.size)
-    col[0] = series[0]
-    return table @ toeplitz(col, series)
+    """Each row of ``table`` convolved with each row of ``series``, truncated
+    to its width; shape (len(series), n, x)."""
+    width = series.shape[1]
+    padded = np.concatenate([np.zeros((len(series), width - 1)), series], axis=1)
+    # upper[k, y, x] = padded[k, width - 1 - y + x] = series[k, x - y], 0 for x < y
+    upper = sliding_window_view(padded, width, axis=1)[:, ::-1]
+    return table @ np.ascontiguousarray(upper)
 
 
 def _table_derivatives(table, h, hh):
@@ -494,16 +469,16 @@ def _table_derivatives(table, h, hh):
     the convolutions.  Returns d1 of shape (q, n, x) and d2 of (q, q, n, x).
     """
     q, width = h.shape
-    by_h = np.stack([_convolve_rows(table, row) for row in h])
-    step_by_h = np.stack([_thinning_step(t) for t in by_h])
+    pairs = [(a, b) for a in range(q) for b in range(a, q)]
+    conv = _convolve_rows(table, np.vstack(
+        [h] + [np.convolve(h[a], h[b])[:width] + hh[a, b] for a, b in pairs]))
+    step_by_h = _thinning_step(conv[:q])
     step = _thinning_step(table)
-    d1 = by_h.copy()
+    d1 = conv[:q].copy()
     d1[0] += step
     d2 = np.empty((q, q) + table.shape)
-    for a in range(q):
-        for b in range(a, q):
-            series = np.convolve(h[a], h[b])[:width] + hh[a, b]
-            d2[a, b] = d2[b, a] = _convolve_rows(table, series)
+    for (a, b), c in zip(pairs, conv[q:]):
+        d2[a, b] = d2[b, a] = c
     # alpha (a = 0) also thins: once in d2C/dalpha da', twice in d2C/dalpha2
     d2[0] += step_by_h
     d2[1:, 0] += step_by_h[1:]
@@ -599,22 +574,26 @@ def _parse_fix_zero(fix_zero, order):
     return fixed
 
 
-def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
-                 fix_zero=()):
+def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
     """Maximum conditional likelihood over the open constraint region.
 
     The constraints (theta_ij >= 0, sum < 1, mu_eps > 0, dispersion > 1
     for the NB family) are enforced through a smooth bijection to an
-    unconstrained space, where BFGS on the exact score runs from the CLS
-    (fallback YW, fallback neutral) start, or from ``init`` when given;
-    points where the likelihood is zero or undefined act as a wall of
-    value 1e300 the line search backs away from.  Raises NumericalError,
-    naming a zero-probability site, when every start lies on that wall.
+    unconstrained space, where a trust-region Newton method on the exact
+    observed information (scipy's ``trust-exact``) runs from the CLS
+    (fallback YW, fallback neutral) start, or from ``init`` when given.
+    Each trial point costs one likelihood pass, which gives the value,
+    the score and the Hessian together; points where the likelihood is
+    zero or undefined act as an infinite wall, so a trial there is
+    rejected and the trust region shrinks.  The standard errors reuse the
+    Hessian of the last accepted point.  Raises NumericalError, naming a
+    zero-probability site, when the start lies on that wall, and
+    ValidationError when the grid has no more interior sites than free
+    parameters, which the likelihood cannot identify.
     ``fix_zero`` names lag coefficients pinned to exactly 0 (simplified
     models), e.g. ``("theta_11",)`` or ``[(1, 1)]``; they are excluded
     from the free parameters, the information criteria, and carry zero
-    standard error.  ``multistart`` adds four fixed perturbed starts and
-    keeps the best optimum.  Deterministic.
+    standard error.  Deterministic.
     """
     family = innovation_family(family)
     lower = family.lower_bounds
@@ -623,50 +602,68 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
     free_idx = np.array([k for k in range(m) if k not in fixed_idx], dtype=int)
     m_free = free_idx.size
     likelihood = _CmlLikelihood(grid.values, order, family, lags=free_idx)
+    n_free = m_free + len(lower)
+    if likelihood.n_sites <= n_free:
+        raise ValidationError(
+            "CML needs more interior sites than free parameters: the grid has"
+            f" {likelihood.n_sites} interior site(s) for {n_free} free parameters")
 
-    def objective(z):
-        loglik, grad = likelihood.value_and_grad(z)
-        if grad is None:
-            return _WALL, np.zeros_like(z)
-        return -loglik, -grad
+    last = {}
+
+    def fused(z):
+        """(-loglik, -score, -Hessian) in z, one pass per new point."""
+        if "z" not in last or not np.array_equal(z, last["z"]):
+            vec = np.concatenate(_unpack(z, m_free, lower))
+            loglik, score, hess = likelihood.value_score_hessian(vec)
+            last.update(z=np.array(z), vec=vec, hess=hess)
+            if score is None:
+                last["out"] = _WALL, np.zeros_like(z), np.zeros((z.size, z.size))
+            else:
+                grad_z, hess_z = _chain_to_z(z, m_free, score, hess)
+                last["out"] = -loglik, -grad_z, -hess_z
+        return last["out"]
 
     theta0, extra0 = _initial_point(grid, order, family, init)
     theta0_free, extra0 = _project_interior(theta0[free_idx], extra0, lower)
     z0 = _pack(theta0_free, extra0, lower)
-    starts = [z0]
-    if multistart:
-        offsets = np.array([0.5, -0.5, 1.0, -1.0])
-        starts.extend(z0 + off for off in offsets)
-
-    # The log-likelihood is a sum over sites, so its rounding noise grows
-    # with their number; a gradient tolerance below that noise leaves the
-    # line search chasing it.
-    gtol = _GTOL_PER_SITE * likelihood.n_sites
-    best = None
-    total_iter = 0
-    for start in starts:
-        res = optimize.minimize(
-            objective, start, method="BFGS", jac=True,
-            options={"gtol": gtol, "maxiter": 500},
-        )
-        total_iter += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-    if not best.fun < _WALL:
-        _, bad, _ = likelihood.evaluate(
+    if fused(z0)[0] == _WALL:
+        _, bad = likelihood.evaluate(
             theta0_free, family.from_params(extra0, theta0_free.sum())
         )
         raise NumericalError(
-            "no CML start has a finite conditional likelihood: "
+            "the CML start has no finite conditional likelihood: "
             + (_zero_sites(bad, grid, order) if bad.size
-               else "the start lies outside the model's domain")
+               else "it lies outside the model's domain")
         )
 
-    loglik_max = -float(best.fun)
-    grad_norm = float(np.linalg.norm(best.jac, ord=np.inf))
+    def small_gain(intermediate_result):
+        """Stop at a newly accepted point where the Newton step gains
+        g^T H^-1 g / 2 < _GAIN_RTOL (1 + |loglik|)."""
+        if np.array_equal(intermediate_result.x, last["z"]):
+            value, grad, hess = last["out"]
+            try:
+                half = np.linalg.solve(np.linalg.cholesky(hess), grad)
+            except np.linalg.LinAlgError:  # not convex here
+                return
+            if half @ half < 2.0 * _GAIN_RTOL * (1.0 + abs(value)):
+                raise StopIteration
+
+    res = optimize.minimize(
+        lambda z: fused(z)[:2], z0, method="trust-exact", jac=True,
+        hess=lambda z: fused(z)[2], callback=small_gain,
+        options={"gtol": _GTOL, "maxiter": 200},
+    )
+    # the last accepted point; a pass only when the last trial was refused
+    fused(res.x)
+    message = ("Newton step gain below tolerance" if res.status == 99
+               else str(res.message))
+
+    loglik_max = -float(res.fun)
+    grad_norm = float(np.linalg.norm(res.jac, ord=np.inf))
     converged = grad_norm <= 1e-5 * (1.0 + abs(loglik_max))
 
-    theta_free, extra = _unpack(best.x, m_free, lower)
+    vec_free = last["vec"]
+    theta_free, extra = vec_free[:m_free], vec_free[m_free:]
     theta = np.zeros(m)
     theta[free_idx] = theta_free
     estimates = np.concatenate([theta, extra])
@@ -674,11 +671,10 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
         order, theta, family.from_params(extra, float(theta.sum()))
     )
 
-    vec_free = np.concatenate([theta_free, extra])
     se_error = None
     try:
         se_free = _se_from_loglik(
-            likelihood.hessian, vec_free,
+            last["hess"], vec_free,
             lower=np.concatenate([np.zeros(m_free), lower]),
         )
         std_errors = np.zeros(estimates.size)
@@ -694,9 +690,9 @@ def cml_estimate(grid, order, family="poisson", init=None, multistart=False,
         estimates=estimates,
         admissible=bool(validate_params(params_hat)),
         diagnostics=FitDiagnostics(
-            n_iter=total_iter, converged=converged, grad_norm=grad_norm,
+            n_iter=int(res.nit), converged=converged, grad_norm=grad_norm,
             n_fev=likelihood.n_fev, n_grad=likelihood.n_grad,
-            message=str(best.message), se_error=se_error,
+            message=message, se_error=se_error,
         ),
         std_errors=std_errors,
         loglik=loglik_max,
@@ -731,10 +727,10 @@ def fd_hessian(fn, x0):
     return hess
 
 
-def _se_from_loglik(hessian, vec, lower=None):
-    """Boundary-guarded standard errors from a log-likelihood Hessian.
+def _se_from_loglik(hess, vec, lower=None):
+    """Boundary-guarded standard errors from the log-likelihood Hessian
+    ``hess`` at ``vec``.
 
-    ``hessian`` maps ``vec`` to the Hessian of the log-likelihood there.
     When ``lower`` holds the coordinates' lower bounds (0 for theta, the
     family's bounds for the innovation parameters), refuses vectors within
     cbrt(eps)*(1+|v_i|) of one: the observed information of an estimate on
@@ -747,7 +743,7 @@ def _se_from_loglik(hessian, vec, lower=None):
                 "estimate too close to the constraint boundary for"
                 " observed-information standard errors"
             )
-    neg = -hessian(vec)
+    neg = -hess
     eigvals = np.linalg.eigvalsh(neg)
     if not np.all(np.isfinite(eigvals)) or eigvals.min() <= 0.0:
         raise NumericalError(
@@ -775,9 +771,13 @@ def observed_fisher_se(params, grid, loglik_fn=None):
         )
     vec = np.concatenate([params.theta, params.innovation.params()])
     if loglik_fn is not None:
-        return _se_from_loglik(lambda v: fd_hessian(loglik_fn, v), vec)
-    likelihood = _CmlLikelihood(grid.values, params.order, family)
+        return _se_from_loglik(fd_hessian(loglik_fn, vec), vec)
+    _, _, hess = _CmlLikelihood(grid.values, params.order,
+                                family).value_score_hessian(vec)
+    if hess is None:
+        raise NumericalError("some interior site has zero conditional"
+                             " probability: no observed information")
     return _se_from_loglik(
-        likelihood.hessian, vec,
+        hess, vec,
         lower=np.concatenate([np.zeros(params.order.n_lags), family.lower_bounds]),
     )

@@ -8,7 +8,8 @@ _CBRT_EPS = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 def score_difference_hessian(likelihood, vec):
-    """Central differences of ``likelihood.natural``'s score at ``vec``.
+    """Central differences of ``likelihood.value_score_hessian``'s score at
+    ``vec``.
 
     Step cbrt(eps)*(1+|v_i|) per axis, 2p score evaluations; the result is
     symmetrized.
@@ -18,8 +19,8 @@ def score_difference_hessian(likelihood, vec):
     for i, h in enumerate(steps):
         shift = np.zeros(vec.size)
         shift[i] = h
-        _, up = likelihood.natural(vec + shift)
-        _, down = likelihood.natural(vec - shift)
+        _, up, _ = likelihood.value_score_hessian(vec + shift)
+        _, down, _ = likelihood.value_score_hessian(vec - shift)
         if up is None or down is None:
             raise NumericalError(
                 f"score undefined within {h:.3g} of coordinate {i}"

@@ -281,6 +281,14 @@ class TestCmdFit:
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_fewer_sites_than_parameters_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "small.csv"
+        path.write_text("300,412\n488,350\n317,500\n")
+        rc = main(["fit", "--grid", str(path), "--order", "2,1",
+                   "--method", "cml", "--out", str(tmp_path / "f.json")])
+        assert rc == 2
+        assert "1 interior site(s) for 6 free parameters" in capsys.readouterr().err
+
     def test_constant_grid_exits_2(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("\n".join(["2,2,2,2"] * 6) + "\n")

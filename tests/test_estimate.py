@@ -1,5 +1,6 @@
 """Tests for the Yule--Walker, least-squares, and likelihood estimators."""
 
+import time
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from cinar.estimate import (FitDiagnostics, FitResult, _CmlLikelihood,
                             _solve_checked)
 from cinar.model import lagged_stack
 
+from _bfgs_oracle import bfgs_fit
 from _hessian_oracle import score_difference_hessian
 from _stats_helpers import nb_pmf_mp
 
@@ -352,13 +354,22 @@ class TestCmlEstimate:
         se_mean = np.sqrt(xbar / grid.values.size)
         assert abs(fit.mu_eps - xbar) <= 2.0 * se_mean
 
-    def test_custom_init_and_multistart_reach_same_optimum(self):
+    def test_custom_init_reaches_same_optimum(self):
         grid = _sim(_poi([0.2, 0.2, 0.35], 1.5), 25, seed=81)
         base = cml_estimate(grid, ORDER11)
         seeded = cml_estimate(grid, ORDER11, init=cls_estimate(grid, ORDER11))
-        multi = cml_estimate(grid, ORDER11, multistart=True)
         np.testing.assert_allclose(seeded.estimates, base.estimates, atol=1e-4)
-        np.testing.assert_allclose(multi.estimates, base.estimates, atol=1e-4)
+
+    def test_fewer_sites_than_parameters_refused(self):
+        """A 3x2 grid at order (2,1) has one interior site for six free
+        parameters, a likelihood flat along directions that run to
+        infinity: refused at once, naming both counts."""
+        values = np.random.default_rng(0).integers(300, 501, size=(3, 2))
+        start = time.perf_counter()
+        with pytest.raises(ValidationError,
+                           match=r"1 interior site\(s\) for 6 free parameters"):
+            cml_estimate(CountGrid(values), ModelOrder(2, 1))
+        assert time.perf_counter() - start < 1.0
 
     def test_init_order_mismatch_rejected(self):
         grid = _sim(_poi([0.2, 0.2, 0.35], 1.5), 20, seed=82)
@@ -488,18 +499,30 @@ class TestCmlScore:
 
         likelihood = _CmlLikelihood(grid.values, order,
                                     innovation_family(family), lags=free)
-        value, score = likelihood.natural(vec)
+        value, score, _ = likelihood.value_score_hessian(vec)
         assert value == pytest.approx(loglik(vec), rel=1e-12)
         np.testing.assert_allclose(score, _central_diff(loglik, vec), rtol=1e-6)
 
     def test_unconstrained_gradient_matches_central_differences(self):
+        """The chain rule into the optimizer's coordinates, curvature of the
+        bijection included: the score against differences of the
+        log-likelihood, the Hessian against differences of the score, away
+        from the optimum."""
         grid = _sim(_nb([0.2, 0.2, 0.5], 1.0, 2.0), 30, seed=4)
         likelihood = _CmlLikelihood(grid.values, ORDER11, NbMarginalInnovation)
-        z = estimate_module._pack(np.array([0.22, 0.18, 0.45]), [1.1, 2.3],
-                                  NbMarginalInnovation.lower_bounds)
-        _, grad = likelihood.value_and_grad(z)
-        want = _central_diff(lambda v: likelihood.value_and_grad(v)[0], z)
+        lower = NbMarginalInnovation.lower_bounds
+        z = estimate_module._pack(np.array([0.22, 0.18, 0.45]), [1.1, 2.3], lower)
+
+        def in_z(v):
+            vec = np.concatenate(estimate_module._unpack(v, 3, lower))
+            loglik, score, hess = likelihood.value_score_hessian(vec)
+            return (loglik,) + estimate_module._chain_to_z(v, 3, score, hess)
+
+        _, grad, hess = in_z(z)
+        want = _central_diff(lambda v: in_z(v)[0], z)
         np.testing.assert_allclose(grad, want, rtol=1e-6)
+        rows = [_central_diff(lambda v: in_z(v)[1][i], z) for i in range(z.size)]
+        np.testing.assert_allclose(hess, rows, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("nu, pi, alpha", [
         (1.7, 0.45, 0.6), (0.6, 0.7, 0.3), (4.2, 0.3, 0.85),
@@ -562,7 +585,7 @@ class TestCmlScore:
         grid, order, family, free, vec = _likelihood_case(case)
         likelihood = _CmlLikelihood(grid.values, order,
                                     innovation_family(family), lags=free)
-        exact = likelihood.hessian(vec)
+        exact = likelihood.value_score_hessian(vec)[2]
         assert likelihood.n_fev == 1
         np.testing.assert_allclose(
             exact, score_difference_hessian(likelihood, vec), rtol=1e-6)
@@ -618,12 +641,44 @@ class TestCmlScore:
         assert fit.diagnostics.n_fev == len(builds)
         assert 0 < fit.diagnostics.n_grad <= fit.diagnostics.n_fev
 
+    @pytest.mark.parametrize("family", ["poisson", "nb"])
+    def test_newton_fit_builds_at_most_twelve_tables(self, family, monkeypatch):
+        """A 50x50 fit takes one table build per likelihood pass, at most 12
+        in all; the standard errors reuse the last Hessian and build none."""
+        truth = (_poi([0.3, 0.4, 0.1], 1.0) if family == "poisson"
+                 else _nb([0.2, 0.2, 0.5], 1.0, 2.0))
+        grid = _sim(truth, 50, seed=202)
+        builds, se_builds = [], []
+        build = estimate_module.thinning_convolution_table
+        se_from_loglik = estimate_module._se_from_loglik
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        def watched_se(*args, **kwargs):
+            before = len(builds)
+            try:
+                return se_from_loglik(*args, **kwargs)
+            finally:
+                se_builds.append(len(builds) - before)
+
+        monkeypatch.setattr(estimate_module, "thinning_convolution_table",
+                            counting)
+        monkeypatch.setattr(estimate_module, "_se_from_loglik", watched_se)
+        fit = cml_estimate(grid, ORDER11, family=family)
+        assert fit.diagnostics.converged and fit.std_errors is not None
+        assert len(builds) <= 12
+        assert fit.diagnostics.n_fev == len(builds)
+        assert se_builds == [0]
+
     def test_line_search_across_the_wall_ends_without_warnings(self, monkeypatch):
         """Trial points of zero likelihood are refused, not differentiated.
 
         A count of 200 with an all-zero past has a probability that
         underflows to 0 once mu_eps drops below about 1.8; starting at
-        mu_eps = 6, the first line search steps past that wall.
+        mu_eps = 400, a trust-region step on the way down steps past that
+        wall.
         """
         values = np.array(_sim(_poi([0.3, 0.4, 0.1], 3.0), 30, seed=3).values)
         values[10, 9] = values[9, 10] = values[9, 9] = 0
@@ -631,18 +686,18 @@ class TestCmlScore:
         grid = CountGrid(values)
         init = FitResult(method="CML",
                          names=("theta_01", "theta_10", "theta_11", "mu_eps"),
-                         estimates=np.array([0.3, 0.4, 0.1, 6.0]),
+                         estimates=np.array([0.3, 0.4, 0.1, 400.0]),
                          admissible=True, diagnostics=FitDiagnostics(0, True))
         walls = []
-        value_and_grad = _CmlLikelihood.value_and_grad
+        value_score_hessian = _CmlLikelihood.value_score_hessian
 
-        def watched(self, z):
-            loglik, grad = value_and_grad(self, z)
-            if grad is None:
-                walls.append(z)
-            return loglik, grad
+        def watched(self, vec):
+            loglik, score, hess = value_score_hessian(self, vec)
+            if score is None:
+                walls.append(vec)
+            return loglik, score, hess
 
-        monkeypatch.setattr(_CmlLikelihood, "value_and_grad", watched)
+        monkeypatch.setattr(_CmlLikelihood, "value_score_hessian", watched)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -663,6 +718,38 @@ class TestCmlScore:
             cml_estimate(CountGrid(values), ORDER11)
 
 
+def _oracle_case(index):
+    """(grid, order, family) of the 20 seeded 50x50 fits: Poisson and NB
+    (1,1) data, each fitted with its own family and with the other, and
+    Poisson (2,2)."""
+    kind, k = divmod(index, 4)
+    poisson, nb = _poi([0.3, 0.4, 0.1], 1.0), _nb([0.2, 0.2, 0.5], 1.0, 2.0)
+    truth, family = [(poisson, "poisson"), (nb, "nb"), (poisson, "nb"),
+                     (nb, "poisson"), (None, "poisson")][kind]
+    order = ORDER11
+    if truth is None:
+        order = ModelOrder(2, 2)
+        truth = CinarParams(order, np.full(8, 0.1), PoissonInnovation(1.0))
+    return _sim(truth, 50, seed=100 * (kind + 1) + k), order, family
+
+
+class TestTrustRegionAgainstBfgs:
+    @pytest.mark.parametrize("index", range(20))
+    def test_matches_bfgs(self, index):
+        """Interior optima agree with BFGS on the exact score within 1e-5
+        (estimates) and 1e-8 relative (log-likelihood); an NB fit of Poisson
+        data that ends at the i_eps -> 1 boundary, where the likelihood
+        flattens, gets at least as close to its supremum, within 1e-6."""
+        grid, order, family = _oracle_case(index)
+        fit = cml_estimate(grid, order, family=family)
+        estimates, loglik, _ = bfgs_fit(grid, order, family)
+        if family == "nb" and fit.i_eps < 1.0 + 1e-3:
+            assert fit.loglik >= loglik - 1e-6
+        else:
+            np.testing.assert_allclose(fit.estimates, estimates, atol=1e-5)
+            assert fit.loglik == pytest.approx(loglik, rel=1e-8)
+
+
 class TestFitDiagnostics:
     def test_counts_and_stop_reason(self):
         grid = _sim(_poi([0.2, 0.2, 0.35], 1.5), 30, seed=55)
@@ -670,12 +757,6 @@ class TestFitDiagnostics:
         assert diag.n_fev >= diag.n_grad > 0
         assert isinstance(diag.message, str) and diag.message
         assert diag.se_error is None
-
-    def test_multistart_sums_counts(self):
-        grid = _sim(_poi([0.2, 0.2, 0.35], 1.5), 25, seed=81)
-        single = cml_estimate(grid, ORDER11).diagnostics
-        multi = cml_estimate(grid, ORDER11, multistart=True).diagnostics
-        assert multi.n_fev > single.n_fev and multi.n_iter > single.n_iter
 
     def test_missing_standard_errors_carry_a_reason(self):
         grid = _sim(_poi([1e-6, 1e-6, 1e-6], 1.0), 40, seed=12, burn=30)
@@ -793,6 +874,15 @@ def _edge_fit_case(draw):
 
 
 class TestStandardErrorEdges:
+    def test_all_zero_grid_ends_without_warnings(self):
+        """The dependence is flat on an all-zero grid: trust-region steps
+        along it run until alpha rounds towards 0, and are refused there
+        rather than differentiated."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = cml_estimate(CountGrid(np.zeros((3, 6), dtype=int)), ORDER11)
+        assert np.isfinite(fit.loglik) and fit.diagnostics.converged
+
     @settings(max_examples=40, deadline=None)
     @given(case=_edge_fit_case())
     def test_fit_ends_with_errors_or_a_reason(self, case):
