@@ -19,10 +19,8 @@ from .model import (
 from .innovations import (
     NbMarginalInnovation,
     PoissonInnovation,
-    TabulatedInnovation,
     innovation_family,
     innovation_from_estimates,
-    nb_params_from_targets,
 )
 from .simulate import SimConfig, simulate_cinar, simulate_tobit_cinar
 from .acf import (
@@ -38,8 +36,6 @@ from .estimate import (
     cls_estimate,
     cml_estimate,
     cml_loglik,
-    fd_hessian,
-    observed_fisher_se,
     yw_estimate,
 )
 from .diagnose import (
@@ -79,10 +75,8 @@ __all__ = [
     "stationary_moments",
     "PoissonInnovation",
     "NbMarginalInnovation",
-    "TabulatedInnovation",
     "innovation_family",
     "innovation_from_estimates",
-    "nb_params_from_targets",
     "SimConfig",
     "simulate_cinar",
     "simulate_tobit_cinar",
@@ -97,8 +91,6 @@ __all__ = [
     "cls_estimate",
     "cml_loglik",
     "cml_estimate",
-    "fd_hessian",
-    "observed_fisher_se",
     "ConditionalPmf",
     "PearsonResiduals",
     "DiagnosticsReport",

@@ -12,8 +12,22 @@ per grid, since the table shape is fixed by the grid's largest counts.
 """
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betaln, xlog1py, xlogy
+
+from .errors import ValidationError
+
+# the most cells (128 MiB of float64) a table may take; larger ones are
+# refused before they are allocated
+_MAX_CELLS = 2**24
+
+
+def _check_cells(n_max, width):
+    """Refuse an (n_max+1) x (width+1) table larger than _MAX_CELLS."""
+    if (n_max + 1) * (width + 1) > _MAX_CELLS:
+        raise ValidationError(
+            f"count {max(n_max, width)} is too large: its probability table"
+            f" would exceed {_MAX_CELLS} cells")
 
 
 def binomial_rows(n_max, alpha):
@@ -22,6 +36,7 @@ def binomial_rows(n_max, alpha):
     Each entry is taken in log space, C(n, z) through ``betaln``; entries
     with z > n are 0.
     """
+    _check_cells(int(n_max), int(n_max))
     n = np.arange(int(n_max) + 1.0)
     z = n[None, :]
     n = n[:, None]
@@ -39,14 +54,23 @@ def thinning_convolution_table(alpha, innovation, n_max, x_max, cumulative=False
     alpha)-thinned count plus an independent innovation draw.
     """
     n_max, x_max = int(n_max), int(x_max)
+    _check_cells(n_max, max(n_max, x_max))
     b = binomial_rows(n_max, alpha)
     e = innovation.pmf_table(x_max)
     if cumulative:
         e = np.cumsum(e)
-    col = np.zeros(n_max + 1)
-    col[0] = e[0]
-    t = toeplitz(col, e)  # t[zz, x] = e[x - zz] for x >= zz, else 0
-    return b @ t
+    return b @ upper_toeplitz(e, n_max + 1)
+
+
+def upper_toeplitz(series, rows):
+    """t[..., y, x] = series[..., x - y] for x >= y, else 0, over ``rows``
+    rows: a row vector times t is its convolution with the series,
+    truncated to the series' length.  C-contiguous."""
+    padded = np.concatenate(
+        [np.zeros(series.shape[:-1] + (rows - 1,)), series], axis=-1)
+    # reversed, window y of the padded series has y zeros before series[0]
+    windows = sliding_window_view(padded, series.shape[-1], axis=-1)
+    return np.ascontiguousarray(windows[..., ::-1, :])
 
 
 def flat_site_index(x_idx, pasts, x_max):

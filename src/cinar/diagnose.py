@@ -128,16 +128,22 @@ def conditional_pmf(params, past, site=None):
 def conditional_moments(params, past):
     """Closed-form conditional mean and variance given the lagged past."""
     _validated(params)
-    past = _check_past(past, params.order.n_lags).astype(float)
-    alpha, phi = params.alpha, params.phi
+    past = _check_past(past, params.order.n_lags)
+    mean, variance = _mixture_moments(params, past)
+    return float(mean), float(variance)
+
+
+def _mixture_moments(params, pasts):
+    """Conditional mean and variance given the past at each lag: ``pasts``
+    holds one count or one array of counts per lag of S."""
+    alpha = params.alpha
     mu_eps, sigma2_eps = params.innovation.moments()
-    w1 = float(phi @ past)
-    w2 = float(phi @ past**2)
+    w1 = sum(p * past for p, past in zip(params.phi, pasts))
+    w2 = sum(p * np.square(past, dtype=float)
+             for p, past in zip(params.phi, pasts))
     mean = mu_eps + alpha * w1
-    variance = (
-        sigma2_eps + alpha * (1.0 - alpha) * w1 + alpha**2 * (w2 - w1**2)
-    )
-    return mean, variance
+    var = sigma2_eps + alpha * (1.0 - alpha) * w1 + alpha**2 * (w2 - w1**2)
+    return mean, var
 
 
 def tobit_conditional_pmf(params, signs, past, site=None):
@@ -217,12 +223,7 @@ def pearson_residuals(params, grid):
     """
     _validated(params)
     x, pasts = lag_views(grid.values, params.order)
-    alpha = params.alpha
-    mu_eps, sigma2_eps = params.innovation.moments()
-    w1 = sum(p * past for p, past in zip(params.phi, pasts))
-    w2 = sum(p * past**2 for p, past in zip(params.phi, pasts))
-    mean = mu_eps + alpha * w1
-    var = sigma2_eps + alpha * (1.0 - alpha) * w1 + alpha**2 * (w2 - w1**2)
+    mean, var = _mixture_moments(params, pasts)
     if np.any(var <= 0):
         raise ValidationError("conditional variance must be positive")
     res = (x - mean) / np.sqrt(var)

@@ -4,8 +4,9 @@ Three estimators for the dependence coefficients and innovation
 parameters: Yule--Walker (sample-ACF linear system), conditional least
 squares (closed-form normal equations), and conditional maximum
 likelihood (trust-region Newton on the exact observed information through
-a smooth bijection), plus observed-information standard errors, which
-reuse the last Hessian of the likelihood search.
+a smooth bijection).  Only the likelihood fit reports standard errors:
+``cml_estimate`` takes them from the observed information at its optimum,
+the last Hessian of its search.
 """
 
 import warnings
@@ -13,17 +14,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize
 from scipy.special import expit, logit, softmax
 
 from ._kernels import (flat_site_index, lag_site_values,
-                       thinning_convolution_table)
-from .diagnose import information_criteria
+                       thinning_convolution_table, upper_toeplitz)
+from .diagnose import _validated, information_criteria
 from .acf import sample_acf, sample_acvf
 from .errors import CinarError, NumericalError, ValidationError
 from .innovations import innovation_family
-from .model import CinarParams, lag_views, lagged_stack, validate_params
+from .model import CinarParams, lag_views, validate_params
 
 __all__ = [
     "FitDiagnostics",
@@ -32,8 +32,6 @@ __all__ = [
     "cls_estimate",
     "cml_loglik",
     "cml_estimate",
-    "fd_hessian",
-    "observed_fisher_se",
 ]
 
 _CBRT_EPS = np.finfo(float).eps ** (1.0 / 3.0)
@@ -195,10 +193,11 @@ def cls_estimate(grid, order):
     over the interior; solution ordered (theta lexicographic, mu_eps).
     Estimates are reported verbatim, inadmissible or not.
     """
-    x, lagged = lagged_stack(grid.values, order)
-    design = np.column_stack([lagged.astype(float), np.ones(x.size)])
+    x, pasts = lag_views(grid.values, order)
+    # one row per interior site, row-major: the past at each lag, then 1
+    design = np.stack(pasts + [np.ones(x.shape)], axis=-1).reshape(x.size, -1)
     amat = design.T @ design
-    bvec = design.T @ x.astype(float)
+    bvec = design.T @ x.ravel().astype(float)
     coef = _solve_checked(amat, bvec, "CLS normal equations singular")
     theta, mu_eps = coef[:-1], float(coef[-1])
     return FitResult(
@@ -220,12 +219,10 @@ def cml_loglik(params, grid):
 
     Each term is the log of the mixture-of-convolutions conditional PMF.
     Returns -inf (with a site report) when some observed count has zero
-    conditional probability, which can only happen with truncated-support
-    innovation laws or severe underflow.
+    conditional probability, which for the Poisson and NB laws means that
+    its probability underflowed.
     """
-    verdict = validate_params(params)
-    if not verdict:
-        raise ValidationError("invalid parameters: " + "; ".join(verdict.violations))
+    _validated(params)
     likelihood = _CmlLikelihood(grid.values, params.order)
     value, bad = likelihood.evaluate(params.theta, params.innovation)
     if bad.size:
@@ -449,16 +446,6 @@ def _thinning_step(table):
     return out
 
 
-def _convolve_rows(table, series):
-    """Each row of ``table`` convolved with each row of ``series``, truncated
-    to its width; shape (len(series), n, x)."""
-    width = series.shape[1]
-    padded = np.concatenate([np.zeros((len(series), width - 1)), series], axis=1)
-    # upper[k, y, x] = padded[k, width - 1 - y + x] = series[k, x - y], 0 for x < y
-    upper = sliding_window_view(padded, width, axis=1)[:, ::-1]
-    return table @ np.ascontiguousarray(upper)
-
-
 def _table_derivatives(table, h, hh):
     """First and second derivatives of C over (alpha, innovation parameters).
 
@@ -470,8 +457,10 @@ def _table_derivatives(table, h, hh):
     """
     q, width = h.shape
     pairs = [(a, b) for a in range(q) for b in range(a, q)]
-    conv = _convolve_rows(table, np.vstack(
-        [h] + [np.convolve(h[a], h[b])[:width] + hh[a, b] for a, b in pairs]))
+    # each row of the table convolved with each series, shape (len, n, x)
+    conv = table @ upper_toeplitz(np.vstack(
+        [h] + [np.convolve(h[a], h[b])[:width] + hh[a, b] for a, b in pairs]),
+        width)
     step_by_h = _thinning_step(conv[:q])
     step = _thinning_step(table)
     d1 = conv[:q].copy()
@@ -673,10 +662,8 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
 
     se_error = None
     try:
-        se_free = _se_from_loglik(
-            last["hess"], vec_free,
-            lower=np.concatenate([np.zeros(m_free), lower]),
-        )
+        se_free = _se_from_loglik(last["hess"], vec_free,
+                                  np.concatenate([np.zeros(m_free), lower]))
         std_errors = np.zeros(estimates.size)
         std_errors[np.concatenate([free_idx, np.arange(m, estimates.size)])] = se_free
     except NumericalError as exc:
@@ -706,43 +693,21 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
 # =============================================================================
 
 
-def fd_hessian(fn, x0):
-    """Central finite-difference Hessian, step cbrt(eps)*(1+|x_i|) per axis."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    h = _CBRT_EPS * (1.0 + np.abs(x0))
-    hess = np.empty((n, n))
-    f0 = fn(x0)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        hess[i, i] = (fn(x0 + ei) - 2.0 * f0 + fn(x0 - ei)) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                fn(x0 + ei + ej) - fn(x0 + ei - ej)
-                - fn(x0 - ei + ej) + fn(x0 - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return hess
-
-
-def _se_from_loglik(hess, vec, lower=None):
+def _se_from_loglik(hess, vec, lower):
     """Boundary-guarded standard errors from the log-likelihood Hessian
     ``hess`` at ``vec``.
 
-    When ``lower`` holds the coordinates' lower bounds (0 for theta, the
-    family's bounds for the innovation parameters), refuses vectors within
-    cbrt(eps)*(1+|v_i|) of one: the observed information of an estimate on
-    the boundary does not give its sampling spread.
+    ``lower`` holds the coordinates' lower bounds (0 for theta, the
+    family's bounds for the innovation parameters); a vector within
+    cbrt(eps)*(1+|v_i|) of one is refused, since the observed information
+    of an estimate on the boundary does not give its sampling spread.
     """
-    if lower is not None:
-        steps = _CBRT_EPS * (1.0 + np.abs(vec))
-        if np.any(vec - steps <= lower):
-            raise NumericalError(
-                "estimate too close to the constraint boundary for"
-                " observed-information standard errors"
-            )
+    steps = _CBRT_EPS * (1.0 + np.abs(vec))
+    if np.any(vec - steps <= lower):
+        raise NumericalError(
+            "estimate too close to the constraint boundary for"
+            " observed-information standard errors"
+        )
     neg = -hess
     eigvals = np.linalg.eigvalsh(neg)
     if not np.all(np.isfinite(eigvals)) or eigvals.min() <= 0.0:
@@ -752,32 +717,3 @@ def _se_from_loglik(hess, vec, lower=None):
         )
     cov = np.linalg.inv(neg)
     return np.sqrt(np.diag(cov))
-
-
-def observed_fisher_se(params, grid, loglik_fn=None):
-    """Standard errors from the negative Hessian of the log-likelihood.
-
-    The Hessian is taken in the original parametrization (theta lex, then
-    the innovation family's ``param_names``) at ``params``: in closed form
-    from one likelihood pass, or, when ``loglik_fn`` (a map from that
-    vector to a real) replaces the model log-likelihood, by ``fd_hessian``
-    of it.  Standard errors are the square roots of the diagonal of its
-    negative inverse.
-    """
-    family = type(params.innovation)
-    if not hasattr(family, "from_params"):
-        raise ValidationError(
-            "standard errors support the Poisson and NB innovation families only"
-        )
-    vec = np.concatenate([params.theta, params.innovation.params()])
-    if loglik_fn is not None:
-        return _se_from_loglik(fd_hessian(loglik_fn, vec), vec)
-    _, _, hess = _CmlLikelihood(grid.values, params.order,
-                                family).value_score_hessian(vec)
-    if hess is None:
-        raise NumericalError("some interior site has zero conditional"
-                             " probability: no observed information")
-    return _se_from_loglik(
-        hess, vec,
-        lower=np.concatenate([np.zeros(params.order.n_lags), family.lower_bounds]),
-    )

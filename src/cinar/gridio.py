@@ -16,13 +16,15 @@ from .model import CountGrid
 
 __all__ = ["read_grid", "write_grid"]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def read_grid(path, header=False):
     """Read a CountGrid from a CSV file of non-negative integers.
 
-    Raises ValidationError, naming the file position, for: a non-integer
-    or negative cell, ragged rows, or an empty file.  ``header=True``
-    skips the first line.
+    Raises ValidationError, naming the file position, for: a non-integer,
+    negative or beyond-int64 cell, ragged rows, or an empty file.
+    ``header=True`` skips the first line.
     """
     rows = []
     try:
@@ -49,6 +51,11 @@ def read_grid(path, header=False):
                     raise ValidationError(
                         f"{path}: negative count {value} at row {r + 1},"
                         f" column {c + 1}"
+                    )
+                if value > _INT64_MAX:
+                    raise ValidationError(
+                        f"{path}: count {value} too large for int64 at row"
+                        f" {r + 1}, column {c + 1}"
                     )
                 parsed.append(value)
             rows.append((r, parsed))

@@ -13,8 +13,6 @@ build the law at a thinning probability, and ``params`` to read them back.
 
 ``innovation_family`` looks a family up by name, and
 ``innovation_from_estimates`` finds the law a fit describes.
-``TabulatedInnovation`` is an arbitrary finite PMF on {0, ..., K}, mostly
-for tests and degenerate edge cases; it is not a family that can be fitted.
 
 All distributions are immutable after construction; the cumulative table
 used for inverse-CDF sampling is a lazily grown cache and is the only
@@ -31,10 +29,8 @@ from .errors import NumericalError, ValidationError
 __all__ = [
     "PoissonInnovation",
     "NbMarginalInnovation",
-    "TabulatedInnovation",
     "innovation_family",
     "innovation_from_estimates",
-    "nb_params_from_targets",
 ]
 
 # Truncation rule for infinite-support summations: stop once the cumulative
@@ -50,12 +46,12 @@ class _InverseCdfMixin:
 
     _cdf = None  # grown on demand; None until first use
 
-    def _ensure_cdf(self, upto=None, target=None):
-        """Grow the cached CDF until it covers ``upto`` and/or mass ``target``."""
-        cdf = self._cdf
-        k_hi = 63 if cdf is None else len(cdf) - 1
-        if upto is not None:
-            k_hi = max(k_hi, int(upto))
+    def _ensure_cdf(self):
+        """The cached CDF table; built on first use, doubling its length
+        until the tail is negligible."""
+        if self._cdf is not None:
+            return self._cdf
+        k_hi = 63
         # rounding moves a table's mass by about mu_eps ulps (A**nu and the
         # NB recurrence, Poisson's log-space terms); allow 16 times that
         floor = 1.0 - TAIL_MASS - 16.0 * np.finfo(float).eps * self.moments()[0]
@@ -67,23 +63,13 @@ class _InverseCdfMixin:
                     f" building the CDF up to k={k_hi}"
                 )
             cdf = np.cumsum(table)
-            tail_ok = (
-                cdf[-1] >= floor
-                and len(table) > TAIL_RUN
-                and np.all(table[-TAIL_RUN:] < TAIL_TERM)
-            )
-            mass_ok = target is None or cdf[-1] >= min(target, floor)
-            span_ok = upto is None or k_hi >= upto
-            if (tail_ok or self._finite_support(k_hi)) and mass_ok and span_ok:
+            if cdf[-1] >= floor and np.all(table[-TAIL_RUN:] < TAIL_TERM):
                 break
             k_hi *= 2
             if k_hi > 10_000_000:
                 raise ValidationError("innovation PMF mass does not accumulate to 1")
         object.__setattr__(self, "_cdf", cdf)
         return cdf
-
-    def _finite_support(self, k_hi):
-        return False
 
     def pmf(self, k):
         """P(eps = k), elementwise over ``k``; 0 at negative k."""
@@ -96,13 +82,13 @@ class _InverseCdfMixin:
         """Smallest k with P(eps <= k) >= q."""
         if not 0.0 <= q <= 1.0:
             raise ValidationError(f"quantile level must be in [0,1], got {q}")
-        cdf = self._ensure_cdf(target=q)
+        cdf = self._ensure_cdf()
         return int(np.searchsorted(cdf, min(q, cdf[-1]), side="left"))
 
     def sample(self, rng, size=None):
         """Inverse-CDF draw(s) using the cached table."""
         u = rng.random(size)
-        cdf = self._ensure_cdf(target=float(np.max(u)) if np.size(u) else None)
+        cdf = self._ensure_cdf()
         out = np.searchsorted(cdf, u, side="left")
         return out if size is not None else int(out)
 
@@ -128,8 +114,7 @@ class PoissonInnovation(_InverseCdfMixin):
     def from_params(cls, values, alpha):
         """The law with parameters ``values`` (see ``param_names``); it does
         not depend on the thinning probability alpha."""
-        (mu_eps,) = values
-        return cls(mu_eps)
+        return cls(*values)
 
     def params(self):
         """Parameter values in ``param_names`` order."""
@@ -180,7 +165,7 @@ class NbMarginalInnovation(_InverseCdfMixin):
 
     so P(eps=0) = A**nu and the PMF follows the recurrence of
     ``pmf_table``.  The parameters a fit reports are the innovation mean
-    mu_eps and dispersion i_eps (see ``nb_params_from_targets``).
+    mu_eps and dispersion i_eps (see ``from_targets``).
     """
 
     name = "nb"
@@ -210,16 +195,29 @@ class NbMarginalInnovation(_InverseCdfMixin):
 
     @classmethod
     def from_targets(cls, mu_eps, i_eps, alpha):
-        """Construct from innovation mean and dispersion (see nb_params_from_targets)."""
-        nu, pi = nb_params_from_targets(mu_eps, i_eps, alpha)
+        """The law with innovation mean mu_eps and dispersion ratio i_eps > 1
+        at thinning probability alpha.  By the stationary-moment identities
+        the field marginal NB(nu, pi) has pi = (1 + alpha) / (alpha + i_eps)
+        and nu = mu_eps (1 + alpha) / ((1 - alpha) (i_eps - 1))."""
+        mu_eps, i_eps, alpha = float(mu_eps), float(i_eps), float(alpha)
+        if mu_eps <= 0:
+            raise ValidationError(f"mu_eps must be > 0, got {mu_eps}")
+        if not 0.0 < alpha < 1.0:
+            raise ValidationError(f"alpha must be in (0,1), got {alpha}")
+        if i_eps - 1.0 <= 1e-8:
+            raise ValidationError(
+                "NB construction requires overdispersion: dispersion ratio must"
+                f" exceed 1, got {i_eps!r}"
+            )
+        pi = (1.0 + alpha) / (alpha + i_eps)
+        nu = mu_eps * (1.0 + alpha) / ((1.0 - alpha) * (i_eps - 1.0))
         return cls(nu, pi, alpha)
 
     @classmethod
     def from_params(cls, values, alpha):
         """The law with parameters ``values`` (see ``param_names``) at
         thinning probability alpha."""
-        mu_eps, i_eps = values
-        return cls.from_targets(mu_eps, i_eps, alpha)
+        return cls.from_targets(*values, alpha)
 
     def params(self):
         """Parameter values in ``param_names`` order."""
@@ -408,47 +406,6 @@ class NbMarginalInnovation(_InverseCdfMixin):
         return np.ldexp(scaled, exponents)
 
 
-class TabulatedInnovation(_InverseCdfMixin):
-    """Arbitrary finite-support PMF on {0, ..., K}."""
-
-    def __init__(self, probs):
-        probs = np.asarray(probs, dtype=float).copy()
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValidationError("tabulated PMF must be a non-empty 1-D vector")
-        if np.any(probs < 0):
-            raise ValidationError("tabulated PMF entries must be >= 0")
-        if abs(float(probs.sum()) - 1.0) > 1e-10:
-            raise ValidationError(
-                f"tabulated PMF must sum to 1 within 1e-10, got {probs.sum():.12g}"
-            )
-        probs.setflags(write=False)
-        self.probs = probs
-
-    def __repr__(self):
-        return f"TabulatedInnovation(support=0..{len(self.probs) - 1})"
-
-    @property
-    def support_max(self):
-        return len(self.probs) - 1
-
-    def _finite_support(self, k_hi):
-        return k_hi >= self.support_max
-
-    def pmf_table(self, kmax):
-        if kmax < 0:
-            raise ValidationError("kmax must be >= 0")
-        table = np.zeros(int(kmax) + 1)
-        hi = min(int(kmax), self.support_max)
-        table[: hi + 1] = self.probs[: hi + 1]
-        return table
-
-    def moments(self):
-        k = np.arange(len(self.probs), dtype=float)
-        mean = float(self.probs @ k)
-        var = float(self.probs @ k**2) - mean**2
-        return mean, var
-
-
 # every family, the one with the most parameters first
 _FAMILIES = (NbMarginalInnovation, PoissonInnovation)
 
@@ -483,31 +440,3 @@ def innovation_from_estimates(estimates, alpha):
     raise ValidationError(
         f"no innovation family has parameters in bounds among {estimates}"
     )
-
-
-def nb_params_from_targets(mu_eps, i_eps, alpha):
-    """Solve for (nu, pi) so the innovation law hits given mean and dispersion.
-
-    Given a target innovation mean mu_eps and dispersion ratio
-    i_eps = sigma2_eps / mu_eps > 1 under total thinning probability alpha,
-    the induced field marginal NB(nu, pi) must satisfy
-
-        pi = (1 + alpha) / (alpha + i_eps)
-        nu = mu_eps * (1 + alpha) / ((1 - alpha) * (i_eps - 1))
-
-    (both follow from the stationary-moment identities; the field dispersion
-    is 1/pi = (alpha + i_eps)/(1 + alpha)).  Closed form; no root finding.
-    """
-    mu_eps, i_eps, alpha = float(mu_eps), float(i_eps), float(alpha)
-    if mu_eps <= 0:
-        raise ValidationError(f"mu_eps must be > 0, got {mu_eps}")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0,1), got {alpha}")
-    if i_eps - 1.0 <= 1e-8:
-        raise ValidationError(
-            "NB construction requires overdispersion: dispersion ratio must"
-            f" exceed 1, got {i_eps!r}"
-        )
-    pi = (1.0 + alpha) / (alpha + i_eps)
-    nu = mu_eps * (1.0 + alpha) / ((1.0 - alpha) * (i_eps - 1.0))
-    return nu, pi

@@ -262,34 +262,12 @@ def stationary_moments(params):
 # ---------------------------------------------------------------------------
 
 
-def lagged_stack(values, order):
-    """Current values and their lagged companions over the interior.
-
-    For every interior site (s, t) with s > p1 and t > p2 (1-based), collects
-    the site's own count and the counts at each lag of S.
-
-    Parameters
-    ----------
-    values : 2-D integer array
-    order : ModelOrder
-
-    Returns
-    -------
-    x : 1-D array, length (n1-p1)*(n2-p2)
-        Interior counts, row-major.
-    lagged : 2-D array, shape (len(x), n_lags)
-        lagged[:, m] holds the counts at lag S[m], aligned with x.
-    """
-    x, pasts = lag_views(values, order)
-    return x.reshape(-1), np.stack([past.reshape(-1) for past in pasts], axis=1)
-
-
 def lag_views(values, order):
     """Interior counts and, per lag of S, the aligned past counts, as views.
 
-    Returns the (n1-p1, n2-p2) interior block of ``values`` and a list of
-    same-shape views, one per lag in lexicographic order; ``lagged_stack``
-    is their row-major flattening.  Nothing is copied.
+    The interior is every site (s, t) with s > p1 and t > p2 (1-based).
+    Returns its (n1-p1, n2-p2) block of ``values`` and a list of same-shape
+    views, one per lag in lexicographic order.  Nothing is copied.
     """
     values = np.asarray(values)
     n1, n2 = values.shape

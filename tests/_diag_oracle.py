@@ -9,7 +9,8 @@ cumulative table per lag with 2-D fancy indexing; ``pit_histogram`` and
 import numpy as np
 
 from cinar._kernels import thinning_convolution_table
-from cinar.model import lagged_stack
+
+from _stats_helpers import lagged_stack
 
 
 def _mixture(table, lagged, phi, x_idx):

@@ -1,8 +1,10 @@
-"""Score-difference Hessian: the oracle for the exact CML Hessian."""
+"""Difference Hessians and observed-information standard errors: the
+oracles for the exact CML Hessian and the standard errors of a fit."""
 
 import numpy as np
 
 from cinar.errors import NumericalError
+from cinar.estimate import _CmlLikelihood, _se_from_loglik
 
 _CBRT_EPS = np.finfo(float).eps ** (1.0 / 3.0)
 
@@ -27,3 +29,47 @@ def score_difference_hessian(likelihood, vec):
             )
         hess[i] = (up - down) / (2.0 * h)
     return 0.5 * (hess + hess.T)
+
+
+def fd_hessian(fn, x0):
+    """Central finite-difference Hessian, step cbrt(eps)*(1+|x_i|) per axis."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    h = _CBRT_EPS * (1.0 + np.abs(x0))
+    hess = np.empty((n, n))
+    f0 = fn(x0)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h[i]
+        hess[i, i] = (fn(x0 + ei) - 2.0 * f0 + fn(x0 - ei)) / h[i] ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h[j]
+            hess[i, j] = hess[j, i] = (
+                fn(x0 + ei + ej) - fn(x0 + ei - ej)
+                - fn(x0 - ei + ej) + fn(x0 - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return hess
+
+
+def observed_information_se(params, grid, loglik_fn=None):
+    """Boundary-guarded standard errors at ``params`` from the observed
+    information.
+
+    The Hessian is taken over theta (lexicographic) and the innovation
+    family's ``param_names``: exactly, from one likelihood pass, or, when
+    ``loglik_fn`` (a map from that vector to a real) is given, by
+    ``fd_hessian`` of it.
+    """
+    family = type(params.innovation)
+    vec = np.concatenate([params.theta, params.innovation.params()])
+    if loglik_fn is not None:
+        hess = fd_hessian(loglik_fn, vec)
+    else:
+        likelihood = _CmlLikelihood(grid.values, params.order, family)
+        _, _, hess = likelihood.value_score_hessian(vec)
+        if hess is None:
+            raise NumericalError("some interior site has zero conditional"
+                                 " probability: no observed information")
+    lower = np.concatenate([np.zeros(params.order.n_lags), family.lower_bounds])
+    return _se_from_loglik(hess, vec, lower)

@@ -3,6 +3,19 @@
 import numpy as np
 from scipy import stats
 
+from cinar.model import lag_views
+
+
+def lagged_stack(values, order):
+    """Interior counts and, per lag, their past counts, copied site by site.
+
+    Returns x, the interior counts in row-major order, and lagged, of shape
+    (len(x), n_lags), whose column m holds the counts at lag S[m] aligned
+    with x: the row-major flattening of ``lag_views``.
+    """
+    x, pasts = lag_views(values, order)
+    return x.reshape(-1), np.stack([past.reshape(-1) for past in pasts], axis=1)
+
 
 def chisq_gof(values, pmf, level=0.01):
     """Pearson chi-square GOF of integer draws against a fully known PMF.

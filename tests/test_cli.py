@@ -6,6 +6,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -75,6 +76,12 @@ class TestGridIo:
         path = tmp_path / "g.csv"
         path.write_text("1,2\n-3,4\n")
         with pytest.raises(ValidationError, match=r"negative.*row 2, column 1"):
+            read_grid(path)
+
+    def test_count_beyond_int64_located(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("1,2\n3,99999999999999999999\n")
+        with pytest.raises(ValidationError, match=r"int64 at row 2, column 2"):
             read_grid(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
@@ -281,6 +288,15 @@ class TestCmdFit:
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_count_beyond_int64_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("1,2,3\n4,99999999999999999999,6\n7,8,9\n")
+        rc = main(["fit", "--grid", str(path), "--order", "1,1",
+                   "--out", str(tmp_path / "f.json")])
+        assert rc == 2
+        assert "row 2, column 2" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
     def test_fewer_sites_than_parameters_exits_2(self, tmp_path, capsys):
         path = tmp_path / "small.csv"
         path.write_text("300,412\n488,350\n317,500\n")
@@ -411,6 +427,26 @@ class TestCmdDiagnose:
 # =============================================================================
 # simstudy command and harness
 # =============================================================================
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--method", "cml"],
+    ["diagnose", "--theta", "0.2,0.2,0.1", "--mu-eps", "1.0"],
+], ids=["fit-cml", "diagnose"])
+def test_count_too_large_for_a_table_exits_2_quickly(tmp_path, capsys, command):
+    """A count of 1e12 would need a thinning table of 1e24 cells: refused
+    with its count named before anything is allocated."""
+    values = np.ones((5, 5), dtype=np.int64)
+    values[2, 2] = 10**12
+    path = tmp_path / "big.csv"
+    write_grid(CountGrid(values), path)
+    start = time.perf_counter()
+    rc = main(command + ["--grid", str(path), "--order", "1,1",
+                         "--out", str(tmp_path / "out.json")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "count 1000000000000 is too large" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestSimstudy:

@@ -26,9 +26,9 @@ from cinar import (
     tobit_conditional_pmf,
 )
 from cinar.diagnose import ConditionalPmf, DiagnosticsReport
-from cinar.model import lagged_stack
 
 from _diag_oracle import pearson_oracle, pit_oracle
+from _stats_helpers import lagged_stack
 
 
 def _poi_params(theta=(0.2, 0.2, 0.35), mu=1.5):

@@ -17,26 +17,23 @@ from cinar import (
     NumericalError,
     PoissonInnovation,
     SimConfig,
-    TabulatedInnovation,
     ValidationError,
     cls_estimate,
     cml_estimate,
     cml_loglik,
-    fd_hessian,
     innovation_family,
-    observed_fisher_se,
     sample_acf,
     simulate_cinar,
     yw_estimate,
 )
 import cinar.estimate as estimate_module
 from cinar.estimate import (FitDiagnostics, FitResult, _CmlLikelihood,
-                            _solve_checked)
-from cinar.model import lagged_stack
+                            _se_from_loglik, _solve_checked)
 
 from _bfgs_oracle import bfgs_fit
-from _hessian_oracle import score_difference_hessian
-from _stats_helpers import nb_pmf_mp
+from _hessian_oracle import (fd_hessian, observed_information_se,
+                             score_difference_hessian)
+from _stats_helpers import lagged_stack, nb_pmf_mp
 
 ORDER11 = ModelOrder(1, 1)
 
@@ -281,13 +278,13 @@ class TestCmlLoglik:
         )
 
     def test_zero_probability_sentinel_with_site_report(self):
-        """Truncated innovation meets an impossible count: -inf plus warning."""
-        values = np.zeros((3, 3), dtype=int)
-        values[1, 1] = 9
-        params = CinarParams(
-            ORDER11, np.array([0.2, 0.2, 0.3]), TabulatedInnovation([0.5, 0.5])
-        )
-        with pytest.warns(UserWarning, match="zero conditional probability"):
+        """A count of 2000 with an all-zero past has a Poisson(1) probability
+        that underflows to 0: -inf plus a warning naming the grid cell."""
+        values = np.zeros((5, 5), dtype=int)
+        values[2, 3] = 2000
+        params = _poi([0.2, 0.2, 0.3], 1.0)
+        with pytest.warns(UserWarning, match=r"zero conditional probability;"
+                          r" first at grid cell \(2, 3\)"):
             value = cml_loglik(params, CountGrid(values))
         assert value == -np.inf
 
@@ -612,9 +609,9 @@ class TestCmlScore:
                               v[3], v[4], theta.sum()))
             return cml_loglik(CinarParams(ORDER11, theta, innovation), grid)
 
-        via_fd = observed_fisher_se(params, grid, loglik_fn=loglik)
-        np.testing.assert_allclose(observed_fisher_se(params, grid), via_fd,
-                                   rtol=rtol)
+        via_fd = observed_information_se(params, grid, loglik_fn=loglik)
+        np.testing.assert_allclose(observed_information_se(params, grid),
+                                   via_fd, rtol=rtol)
         np.testing.assert_allclose(fit.std_errors, via_fd, rtol=rtol)
 
     @pytest.mark.parametrize("family", ["poisson", "nb"])
@@ -789,20 +786,18 @@ class TestObservedFisherSe:
 
     def test_saddle_function_rejected(self):
         """A saddle in place of the likelihood triggers the maximum check."""
-        params = _poi([0.2, 0.2, 0.3], 1.0)
-        grid = _sim(params, 10, seed=2, burn=20)
-
         def saddle(v):
             return float(v[0] ** 2 - np.sum(v[1:] ** 2))
 
+        vec = np.array([0.2, 0.2, 0.3, 1.0])
         with pytest.raises(NumericalError, match="not at a maximum"):
-            observed_fisher_se(params, grid, loglik_fn=saddle)
+            _se_from_loglik(fd_hessian(saddle, vec), vec, np.zeros(4))
 
     def test_se_at_cml_optimum_positive_and_finite(self):
         grid = _sim(_poi([0.3, 0.4, 0.1], 1.0), 40, seed=33)
         fit = cml_estimate(grid, ORDER11)
         params = CinarParams(ORDER11, fit.theta, PoissonInnovation(fit.mu_eps))
-        se = observed_fisher_se(params, grid)
+        se = observed_information_se(params, grid)
         assert se.shape == (4,)
         assert np.all(np.isfinite(se)) and np.all(se > 0)
         np.testing.assert_allclose(se, fit.std_errors, atol=1e-10)
@@ -816,9 +811,13 @@ class TestObservedFisherSe:
                              PoissonInnovation(5.0))
         grid = _sim(params, 300, seed=7, burn=20)
         n_sites = 298 * 298
+        vec = np.append(params.theta, 5.0)
         tracemalloc.start()
         try:
-            se = observed_fisher_se(params, grid)
+            likelihood = _CmlLikelihood(grid.values, params.order,
+                                        PoissonInnovation)
+            hess = likelihood.value_score_hessian(vec)[2]
+            se = _se_from_loglik(hess, vec, np.zeros(9))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -827,11 +826,12 @@ class TestObservedFisherSe:
 
     def test_boundary_point_refused(self):
         grid = _sim(_poi([0.2, 0.2, 0.3], 1.0), 12, seed=3, burn=20)
-        hugging = CinarParams(
-            ORDER11, np.array([1e-9, 0.2, 0.2]), PoissonInnovation(1.0)
-        )
+        hugging = np.array([1e-9, 0.2, 0.2, 1.0])
+        likelihood = _CmlLikelihood(grid.values, ORDER11, PoissonInnovation)
+        hess = likelihood.value_score_hessian(hugging)[2]
+        assert np.all(np.isfinite(hess))
         with pytest.raises(NumericalError, match="boundary"):
-            observed_fisher_se(hugging, grid)
+            _se_from_loglik(hess, hugging, np.zeros(4))
 
     def test_rate_across_grid_sizes(self):
         """SEs shrink roughly like 1/sqrt(n1*n2): 20x20 vs 80x80 in [3, 5]."""

@@ -18,9 +18,7 @@ from scipy import stats
 from cinar import (
     NbMarginalInnovation,
     PoissonInnovation,
-    TabulatedInnovation,
     ValidationError,
-    nb_params_from_targets,
 )
 
 from _stats_helpers import nb_pmf_mp
@@ -215,22 +213,21 @@ class TestNbMoments:
 
     def test_params_from_targets_closed_form(self):
         """(mu,I,alpha)=(1,2,0.3) -> nu=13/7, pi=13/23 (hand-derived rationals)."""
-        nu, pi = nb_params_from_targets(1.0, 2.0, 0.3)
-        assert nu == pytest.approx(13 / 7, rel=1e-14)
-        assert pi == pytest.approx(13 / 23, rel=1e-14)
+        inn = NbMarginalInnovation.from_targets(1.0, 2.0, 0.3)
+        assert inn.nu == pytest.approx(13 / 7, rel=1e-14)
+        assert inn.pi == pytest.approx(13 / 23, rel=1e-14)
 
     def test_params_from_targets_strong_dependence(self):
         """(1, 2, 0.8) round-trips through the innovation moments."""
-        nu, pi = nb_params_from_targets(1.0, 2.0, 0.8)
-        assert (nu, pi) == pytest.approx((9.0, 9 / 14), rel=1e-14)
-        mu, s2 = NbMarginalInnovation(nu, pi, 0.8).moments()
+        inn = NbMarginalInnovation.from_targets(1.0, 2.0, 0.8)
+        assert (inn.nu, inn.pi) == pytest.approx((9.0, 9 / 14), rel=1e-14)
+        mu, s2 = inn.moments()
         assert (mu, s2) == pytest.approx((1.0, 2.0), abs=1e-8)
 
     def test_equidispersion_boundary_rejected(self):
-        with pytest.raises(ValidationError):
-            nb_params_from_targets(1.0, 1.0 + 1e-12, 0.5)
-        with pytest.raises(ValidationError):
-            nb_params_from_targets(1.0, 0.5, 0.5)
+        for i_eps in (1.0 + 1e-12, 0.5):
+            with pytest.raises(ValidationError, match="overdispersion"):
+                NbMarginalInnovation.from_targets(1.0, i_eps, 0.5)
 
 
 class TestNbSampling:
@@ -257,40 +254,3 @@ class TestNbSampling:
         assert np.array_equal(d1, d2)
         d3 = a.sample(np.random.default_rng(7), size=100)
         assert np.array_equal(d1, d3)
-
-
-# =============================================================================
-# Tabulated
-# =============================================================================
-
-
-class TestTabulated:
-    def test_delta_zero_always_zero(self):
-        inn = TabulatedInnovation([1.0])
-        rng = np.random.default_rng(0)
-        assert np.all(inn.sample(rng, size=1000) == 0)
-        assert inn.moments() == (0.0, 0.0)
-
-    def test_moments_exact(self):
-        inn = TabulatedInnovation([0.2, 0.5, 0.3])
-        mean, var = inn.moments()
-        assert mean == pytest.approx(1.1, rel=1e-14)
-        assert var == pytest.approx(0.2 * 1.21 + 0.5 * 0.01 + 0.3 * 0.81, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            TabulatedInnovation([0.5, 0.4])  # sums to 0.9
-        with pytest.raises(ValidationError):
-            TabulatedInnovation([1.2, -0.2])
-
-    def test_sampling_frequencies(self):
-        probs = [0.25, 0.5, 0.25]
-        rng = np.random.default_rng(5)
-        draws = TabulatedInnovation(probs).sample(rng, size=200_000)
-        freq = np.bincount(draws, minlength=3) / len(draws)
-        assert np.max(np.abs(freq - probs)) < 0.01
-
-    def test_pmf_outside_support(self):
-        inn = TabulatedInnovation([0.5, 0.5])
-        assert inn.pmf(5) == 0.0
-        assert inn.quantile(1.0) <= 1

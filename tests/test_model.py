@@ -17,7 +17,9 @@ from cinar import (
     stationary_moments,
     validate_params,
 )
-from cinar.model import lagged_stack
+from cinar.model import lag_views
+
+from _stats_helpers import lagged_stack
 
 
 def _poi_params(theta, mu=1.0, order=None):
@@ -243,4 +245,4 @@ class TestLaggedStack:
 
     def test_too_small_grid_raises(self):
         with pytest.raises(ValidationError):
-            lagged_stack(np.ones((2, 2), dtype=int), ModelOrder(2, 2))
+            lag_views(np.ones((2, 2), dtype=int), ModelOrder(2, 2))
