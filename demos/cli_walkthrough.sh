@@ -42,6 +42,12 @@ echo "sample:";      head -2 acf_sample.csv
 echo "theoretical:"; head -2 acf_model.csv
 
 echo
+echo "== model autocorrelation at strong dependence (alpha = 0.95) =="
+cinar acf --order 1,1 --theta 0.3,0.3,0.35 --mu-eps 1.0 --window 5,5 \
+    --out acf_strong.csv
+head -2 acf_strong.csv
+
+echo
 echo "== diagnostics for the fitted model =="
 cinar diagnose --grid grid.csv --params fit.json --out report.json
 python3 -c "

@@ -1,9 +1,9 @@
 """Spatial autocovariance and autocorrelation for count grids.
 
 Provides the sample ACvF/ACF of an observed grid, the theoretical ACF of a
-CINAR field (obtained by iterating its recursion system to a fixed point),
-and the order-(1,1) closed form with geometric decay rates (lambda, eta)
-along the axes.
+CINAR field (the inverse Fourier transform of its spectral density), and
+the order-(1,1) closed form with geometric decay rates (lambda, eta) along
+the axes.
 
 All lag tables are point-symmetric, ``rho(k,l) == rho(-k,-l)`` exactly: the
 canonical lex-positive half is computed once and mirrored.
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _MAX_CELLS
 from .errors import NumericalError, ValidationError
-from .model import validate_params
+from .model import _validated
 
 __all__ = [
     "AcfTable",
@@ -168,86 +169,63 @@ def sample_acf(grid, window):
 # =============================================================================
 
 
-def _shift_sum(table, lags, weights):
-    """sum_j weights[j] * table shifted by lags[j] (zero-padded edges)."""
-    out = np.zeros_like(table)
-    n1, n2 = table.shape
-    for (i, j), w in zip(lags, weights):
-        # out[k, l] += w * table[k - i, l - j]
-        out[i:, j:] += w * table[: n1 - i, : n2 - j]
-    return out
-
-
-def theoretical_acf(params, window, tol=1e-12, max_sweeps=None):
+def theoretical_acf(params, window):
     """Stationary ACF of a CINAR field on a lag window.
 
-    Iterates the recursion rho(k,l) = alpha * sum_ij phi_ij rho(k-i, l-j)
-    (valid on the lex-positive half-plane) to a fixed point on a window
-    padded far enough that the zeroed far field cannot disturb the
-    requested lags; each sweep contracts by alpha.  The returned table's
-    recursion residuals are verified to be <= 1e-8.
+    On the lex-positive half-plane the ACF obeys rho(k,l) = sum_ij theta_ij
+    rho(k-i, l-j), the recursion of a linear quarter-plane autoregression
+    with coefficients theta, whose one bounded solution with rho(0,0) = 1
+    is the normalised inverse Fourier transform of the spectral density
+    1 / |1 - sum_ij theta_ij exp(-i (i w1 + j w2))|^2.  The transform is
+    taken on a periodic grid wide enough that the aliased far field stays
+    below about 1e-12, and the returned table's recursion residuals are
+    verified to be <= 1e-8.  A grid above ``_MAX_CELLS`` cells (alpha very
+    near 1) is refused before it is allocated.
     """
-    verdict = validate_params(params)
-    if not verdict:
-        raise ValidationError("invalid parameters: " + "; ".join(verdict.violations))
+    _validated(params)
     K, L = int(window[0]), int(window[1])
     if K < 0 or L < 0:
         raise ValidationError(f"window must be non-negative, got {(K, L)}")
-    order = params.order
-    alpha = params.alpha
-    theta = params.theta
-    lags = order.lags
+    order, alpha = params.order, params.alpha
+    p1, p2 = order.p1, order.p2
 
-    # far-field truncation: |rho| decays at least like alpha per max(p1,p2)
-    # steps, so choose the pad to push the truncated mass below ~1e-10
-    pmax = max(order.p1, order.p2)
-    pad = int(np.ceil(pmax * np.log(1e-10) / np.log(alpha))) if alpha > 1e-10 else 1
-    pad = min(max(pad, 10, 3 * (order.p1 + order.p2)), 2000)
-    P, Q = K + pad, L + pad
+    # |rho| decays at least like alpha per max(p1, p2) lags, so an alias
+    # `pad` lags away from the window weighs below ~1e-12
+    pad = int(np.ceil(max(p1, p2) * np.log(1e-12) / np.log(alpha)))
+    P, Q = K + p1, L + p2  # the window and every recursion neighbour
+    shape = (max(P + pad, 2 * P + 1), max(Q + pad, 2 * Q + 1))
+    cells = shape[0] * shape[1]
+    if cells > _MAX_CELLS:
+        raise ValidationError(
+            f"alpha {alpha:.6g} is too close to 1 for the model ACF: its"
+            f" transform would take {cells} cells, above {_MAX_CELLS}")
 
-    if max_sweeps is None:
-        max_sweeps = int(np.ceil(np.log(tol) / np.log(max(alpha, 1e-10)))) + 50
+    coef = np.zeros((p1 + 1, p2 + 1))
+    coef[0, 0] = 1.0
+    coef[tuple(np.transpose(order.lags))] = -params.theta
+    density = np.abs(np.fft.rfft2(coef, s=shape))
+    density **= -2
+    acvf = np.fft.irfft2(density, s=shape)
+    big = acvf[np.ix_(np.arange(-P, P + 1), np.arange(-Q, Q + 1))] / acvf[0, 0]
 
-    big = np.zeros((2 * P + 1, 2 * Q + 1))
-    big[P, Q] = 1.0
-    upper = np.zeros_like(big, dtype=bool)
-    upper[P + 1:, :] = True
-    upper[P, Q + 1:] = True
+    def shifted(i, j):
+        """rho(k - i, l - j) over the window's lags (k, l)."""
+        return big[p1 - i: p1 - i + 2 * K + 1, p2 - j: p2 - j + 2 * L + 1]
 
-    for _ in range(max_sweeps):
-        new = alpha * _shift_sum(big, lags, params.phi)
-        delta = np.max(np.abs(np.where(upper, new - big, 0.0)))
-        big[upper] = new[upper]
-        _mirror_lex_negative(big, P, Q)
-        if delta < tol:
-            break
-    else:
+    # recursion residuals over the lex-positive lags of the window
+    out = shifted(0, 0).copy()
+    resid = out - sum(t * shifted(i, j) for (i, j), t in zip(order.lags, params.theta))
+    resid[:K] = 0.0
+    resid[K, :L + 1] = 0.0
+    worst = float(np.max(np.abs(resid)))
+    if worst > 1e-8:
         raise NumericalError(
-            f"ACF fixed-point iteration did not converge in {max_sweeps} sweeps"
-            f" (last sweep change {delta:.3e})"
+            f"ACF recursion residual {worst:.3e} exceeds 1e-8 on the requested window"
         )
 
-    resid = _max_residual(big, P, Q, K, L, alpha, params.phi, lags)
-    if resid > 1e-8:
-        raise NumericalError(
-            f"ACF recursion residual {resid:.3e} exceeds 1e-8 on the requested window"
-        )
-
-    out = big[P - K: P + K + 1, Q - L: Q + L + 1].copy()
     out[K, L] = 1.0
     _mirror_lex_negative(out, K, L)
     return AcfTable((K, L), out)
-
-
-def _max_residual(big, P, Q, K, L, alpha, phi, lags):
-    """Max recursion residual over lex-positive lags of the K,L window."""
-    pred = alpha * _shift_sum(big, lags, phi)
-    block = slice(P - K, P + K + 1), slice(Q - L, Q + L + 1)
-    upper = np.zeros_like(big, dtype=bool)
-    upper[P + 1:, :] = True
-    upper[P, Q + 1:] = True
-    diff = np.where(upper, big - pred, 0.0)
-    return float(np.max(np.abs(diff[block])))
 
 
 # =============================================================================
@@ -264,9 +242,7 @@ def acf_closed_form_11(params):
     recursion).  Raises when the closed form is inapplicable (degenerate
     denominator or negative discriminant); theoretical_acf always works.
     """
-    verdict = validate_params(params)
-    if not verdict:
-        raise ValidationError("invalid parameters: " + "; ".join(verdict.violations))
+    _validated(params)
     order = params.order
     if (order.p1, order.p2) != (1, 1):
         raise ValidationError("closed form requires order (1,1)")

@@ -12,6 +12,7 @@ convergence criterion (results are still written).
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -205,15 +206,7 @@ def _fit_dict(fit, n_free_params):
         "aic": fit.aic,
         "bic": fit.bic,
         "n_free_params": n_free_params,
-        "diagnostics": {
-            "n_iter": fit.diagnostics.n_iter,
-            "converged": fit.diagnostics.converged,
-            "grad_norm": fit.diagnostics.grad_norm,
-            "n_fev": fit.diagnostics.n_fev,
-            "n_grad": fit.diagnostics.n_grad,
-            "message": fit.diagnostics.message,
-            "se_error": fit.diagnostics.se_error,
-        },
+        "diagnostics": dataclasses.asdict(fit.diagnostics),
     }
 
 
@@ -300,29 +293,34 @@ def cmd_acf(args):
 def _params_from_fit_file(path, method):
     """Rebuild CinarParams (+ loglik, free-parameter count) from a fit JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read fit file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or malformed JSON
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    if "fits" not in payload or "config" not in payload:
-        raise ValidationError(f"{path}: not a fit result file")
     wanted = method.upper()
-    chosen = next((f for f in payload["fits"] if f["method"] == wanted), None)
-    if chosen is None:
-        present = [f["method"] for f in payload["fits"]]
-        raise ValidationError(
-            f"{path}: no {wanted} fit in file (has {present})"
-        )
-    order = ModelOrder(*payload["config"]["order"])
-    estimates = {name: float(value)
-                 for name, value in zip(chosen["names"], chosen["estimates"])}
+    try:
+        fits = payload["fits"]
+        chosen = next((f for f in fits if f["method"] == wanted), None)
+        if chosen is None:
+            present = [f["method"] for f in fits]
+            raise ValidationError(
+                f"{path}: no {wanted} fit in file (has {present})"
+            )
+        order = ModelOrder(*payload["config"]["order"])
+        estimates = {name: float(value)
+                     for name, value in zip(chosen["names"], chosen["estimates"])}
+        loglik, n_free = chosen.get("loglik"), chosen.get("n_free_params")
+        loglik = None if loglik is None else float(loglik)
+        n_free = None if n_free is None else int(n_free)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: not a fit result file"
+                              f" ({type(exc).__name__}: {exc})") from None
     theta = np.array([value for name, value in estimates.items()
                       if name.startswith("theta")])
     innovation = innovation_from_estimates(estimates, float(theta.sum()))
-    params = CinarParams(order, theta, innovation)
-    return params, chosen.get("loglik"), chosen.get("n_free_params")
+    return CinarParams(order, theta, innovation), loglik, n_free
 
 
 def cmd_diagnose(args):

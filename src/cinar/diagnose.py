@@ -16,7 +16,7 @@ from ._kernels import (binomial_rows, flat_site_index, lag_site_values,
                        thinning_convolution_table)
 from .acf import AcfTable, sample_acf
 from .errors import ValidationError
-from .model import lag_views, validate_params
+from .model import _validated, lag_views
 
 __all__ = [
     "ConditionalPmf",
@@ -95,13 +95,6 @@ def _check_past(past, m):
     if np.any(past < 0) or not np.all(past == np.floor(past)):
         raise ValidationError("past values must be nonnegative integers")
     return past.astype(np.int64)
-
-
-def _validated(params):
-    verdict = validate_params(params)
-    if not verdict:
-        raise ValidationError("invalid parameters: " + "; ".join(verdict.violations))
-    return params
 
 
 def _mixture_conditional(alpha, phi, innovation, past, site):

@@ -19,11 +19,11 @@ from scipy.special import expit, logit, softmax
 
 from ._kernels import (flat_site_index, lag_site_values,
                        thinning_convolution_table, upper_toeplitz)
-from .diagnose import _validated, information_criteria
+from .diagnose import information_criteria
 from .acf import sample_acf, sample_acvf
 from .errors import CinarError, NumericalError, ValidationError
 from .innovations import innovation_family
-from .model import CinarParams, lag_views, validate_params
+from .model import CinarParams, _validated, lag_views, validate_params
 
 __all__ = [
     "FitDiagnostics",

@@ -23,42 +23,22 @@ def read_grid(path, header=False):
     """Read a CountGrid from a CSV file of non-negative integers.
 
     Raises ValidationError, naming the file position, for: a non-integer,
-    negative or beyond-int64 cell, ragged rows, or an empty file.
-    ``header=True`` skips the first line.
+    negative or beyond-int64 cell, ragged rows, or an empty file; and,
+    naming the file, for bytes that are not UTF-8 CSV text.
+    ``header=True`` skips the first line; blank lines are skipped.
     """
-    rows = []
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read grid file: {exc}") from None
     with handle as fh:
-        for r, record in enumerate(csv.reader(fh)):
-            if header and r == 0:
-                continue
-            if not record or all(cell.strip() == "" for cell in record):
-                continue  # blank line (e.g. trailing newline)
-            parsed = []
-            for c, cell in enumerate(record):
-                text = cell.strip()
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: non-integer cell {text!r} at row {r + 1},"
-                        f" column {c + 1}"
-                    ) from None
-                if value < 0:
-                    raise ValidationError(
-                        f"{path}: negative count {value} at row {r + 1},"
-                        f" column {c + 1}"
-                    )
-                if value > _INT64_MAX:
-                    raise ValidationError(
-                        f"{path}: count {value} too large for int64 at row"
-                        f" {r + 1}, column {c + 1}"
-                    )
-                parsed.append(value)
-            rows.append((r, parsed))
+        try:
+            rows = [(r, _parse_row(path, record, r))
+                    for r, record in enumerate(csv.reader(fh))
+                    if not (header and r == 0)
+                    and any(cell.strip() for cell in record)]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: not UTF-8 CSV text ({exc})") from None
     if not rows:
         raise ValidationError(f"{path}: empty grid file")
     width = len(rows[0][1])
@@ -69,6 +49,32 @@ def read_grid(path, header=False):
                 f" expected {width}"
             )
     return CountGrid(np.array([parsed for _, parsed in rows], dtype=np.int64))
+
+
+def _parse_row(path, record, r):
+    """The counts of CSV ``record``, file row r (0-based)."""
+    parsed = []
+    for c, cell in enumerate(record):
+        text = cell.strip()
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: non-integer cell {text!r} at row {r + 1},"
+                f" column {c + 1}"
+            ) from None
+        if value < 0:
+            raise ValidationError(
+                f"{path}: negative count {value} at row {r + 1},"
+                f" column {c + 1}"
+            )
+        if value > _INT64_MAX:
+            raise ValidationError(
+                f"{path}: count {value} too large for int64 at row"
+                f" {r + 1}, column {c + 1}"
+            )
+        parsed.append(value)
+    return parsed
 
 
 def write_grid(grid, path):

@@ -235,6 +235,14 @@ def validate_params(params):
     return ParamsVerdict(ok=not violations, violations=tuple(violations))
 
 
+def _validated(params):
+    """Raise ValidationError, listing the violations, unless validate_params
+    passes."""
+    verdict = validate_params(params)
+    if not verdict:
+        raise ValidationError("invalid parameters: " + "; ".join(verdict.violations))
+
+
 def stationary_moments(params):
     """Stationary mean and variance of the field.
 
@@ -247,9 +255,7 @@ def stationary_moments(params):
     The dispersion ratio transfers monotonically: the field is over-, equi-,
     or under-dispersed exactly as the innovations are.
     """
-    verdict = validate_params(params)
-    if not verdict.ok:
-        raise ValidationError("; ".join(verdict.violations))
+    _validated(params)
     mu_eps, sigma2_eps = params.innovation.moments()
     alpha = params.alpha
     mu_x = mu_eps / (1.0 - alpha)

@@ -1,6 +1,7 @@
 """Sample and theoretical autocorrelation: oracles, symmetry, closed form."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cinar import (
     theoretical_acf,
 )
 
-from _acf_oracle import acf_recursion_residual
+from _acf_oracle import acf_recursion_residual, fixed_point_acf
 
 
 def _poi_params(theta, order=None):
@@ -235,7 +236,7 @@ class TestTheoreticalAcf:
         ],
     )
     def test_dense_solve_oracle(self, order, theta):
-        """Fixed point == direct linear solve of the same recursion system."""
+        """Spectral table == direct linear solve of the same recursion system."""
         par = _poi_params(theta, order)
         tab = theoretical_acf(par, (4, 4))
         oracle = _dense_recursion_solve(par, 4, 4)
@@ -253,6 +254,45 @@ class TestTheoreticalAcf:
     def test_invalid_params_raise(self):
         with pytest.raises(ValidationError):
             theoretical_acf(_poi_params([0.6, 0.6, 0.1]), (2, 2))
+
+    @pytest.mark.parametrize(
+        "order,theta",
+        [
+            (ModelOrder(1, 1), [0.3, 0.4, 0.1]),
+            (ModelOrder(2, 1), [0.1, 0.15, 0.2, 0.1, 0.05]),
+            (ModelOrder(1, 2), [0.25, 0.1, 0.2, 0.15, 0.05]),
+            (ModelOrder(2, 2), [0.1] * 8),
+        ],
+    )
+    def test_fixed_point_oracle(self, order, theta):
+        """Spectral table == the recursion iterated to a fixed point."""
+        par = _poi_params(theta, order)
+        tab = theoretical_acf(par, (4, 4))
+        oracle = fixed_point_acf(par, (4, 4))
+        assert np.max(np.abs(tab.values - oracle.values)) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.8, 0.95, 0.99])
+    def test_strong_dependence_matches_closed_form(self, alpha):
+        """Near alpha = 1 the table still equals the (1,1) closed form;
+        alpha 0.95 answers within a second."""
+        par = _poi_params(np.array([0.3, 0.3, 0.35]) * alpha / 0.95)
+        _, _, build = acf_closed_form_11(par)
+        start = time.perf_counter()
+        tab = theoretical_acf(par, (5, 5))
+        elapsed = time.perf_counter() - start
+        assert np.max(np.abs(tab.values - build((5, 5)).values)) < 1e-12
+        assert acf_recursion_residual(tab, par) <= 1e-8
+        if alpha == 0.95:
+            assert elapsed < 1.0
+
+    def test_oversized_transform_refused_quickly(self):
+        """(2,2) at alpha 0.99 needs a 30M-cell transform: refused, with
+        alpha and the cell count named, before anything is allocated."""
+        par = _poi_params([0.99 / 8] * 8, ModelOrder(2, 2))
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"alpha 0\.99 .* \d+ cells"):
+            theoretical_acf(par, (5, 5))
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.slow
     def test_matches_sample_acf_monte_carlo(self):
@@ -309,7 +349,8 @@ class TestClosedForm11:
 
     @pytest.mark.slow
     def test_agrees_with_fixed_point_on_random_draws(self):
-        """20 random applicable draws: closed form == solver within 1e-6."""
+        """20 random applicable draws: closed form == theoretical_acf
+        within 1e-6."""
         rng = np.random.default_rng(2718)
         done = 0
         while done < 20:

@@ -1,15 +1,21 @@
 """CLI and grid I/O: round trips, determinism, exit codes, file contents."""
 
 import ast
+import contextlib
 import csv
 import importlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cinar import (
     CinarParams,
@@ -104,6 +110,12 @@ class TestGridIo:
         path = tmp_path / "g.csv"
         path.write_text("1,2\n3,4\n\n")
         assert read_grid(path).values.shape == (2, 2)
+
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"\xff\xfe1,2\n3,4\n")
+        with pytest.raises(ValidationError, match="g.csv: not UTF-8"):
+            read_grid(path)
 
 
 # =============================================================================
@@ -422,6 +434,116 @@ class TestCmdDiagnose:
         rc = main(["diagnose", "--grid", str(grid_path), "--params",
                    str(bad), "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+    def test_fit_entry_without_names_is_named(self, fitted, tmp_path, capsys):
+        tmp, grid_path, fit_path = fitted
+        payload = json.loads(fit_path.read_text())
+        del payload["fits"][0]["names"]
+        bad = tmp_path / "nonames.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["diagnose", "--grid", str(grid_path), "--params",
+                   str(bad), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "nonames.json: not a fit result file" in capsys.readouterr().err
+
+
+# =============================================================================
+# malformed input files: refused with exit 2 and one error line
+# =============================================================================
+
+
+def _refused(argv_for, content, name):
+    """Run the CLI on ``content`` written to ``name``; return the exit code,
+    stderr, and whether the output file appeared."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / name, Path(tmp) / "out.json"
+        path.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv_for(str(path)) + ["--out", str(out)])
+        return rc, err.getvalue(), out.exists()
+
+
+@st.composite
+def _malformed_grid(draw):
+    """Bytes of a grid file that no command may accept."""
+    kind = draw(st.sampled_from(["ragged", "negative", "non-integer", "empty",
+                                 "1x1", "non-utf8"]))
+    if kind == "empty":
+        return draw(st.sampled_from([b"", b"\n", b"\n\n", b" , \n"]))
+    if kind == "1x1":
+        return b"%d\n" % draw(st.integers(0, 50))
+    width = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, 9).map(str), min_size=width,
+                                  max_size=width), min_size=2, max_size=6))
+    r = draw(st.integers(0, len(rows) - 1))
+    c = draw(st.integers(0, width - 1))
+    if kind == "ragged":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
+    elif kind == "negative":
+        rows[r][c] = str(-draw(st.integers(1, 10**6)))
+    elif kind == "non-integer":
+        rows[r][c] = draw(st.one_of(st.floats().map(repr),
+                                    st.text(alphabet="ab.e+-_ ", min_size=1)))
+    content = "".join(",".join(row) + "\n" for row in rows).encode()
+    if kind == "non-utf8":
+        at = draw(st.integers(0, len(content)))
+        bad = draw(st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3"]))
+        content = content[:at] + bad + content[at:]
+    return content
+
+
+@pytest.mark.parametrize("argv_for", [
+    lambda grid: ["fit", "--grid", grid, "--order", "1,1"],
+    lambda grid: ["diagnose", "--grid", grid, "--order", "1,1",
+                  "--theta", "0.2,0.2,0.1", "--mu-eps", "1.0"],
+], ids=["fit", "diagnose"])
+@settings(max_examples=60, deadline=None)
+@given(content=_malformed_grid())
+def test_malformed_grid_exits_2(argv_for, content):
+    rc, err, wrote = _refused(argv_for, content, "grid.csv")
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not wrote
+
+
+# the keys the fit reader needs, as paths into a fit result file
+_NEEDED_KEYS = (("fits",), ("config",), ("config", "order"),
+                ("fits", 0, "method"), ("fits", 0, "names"),
+                ("fits", 0, "estimates"))
+
+
+@st.composite
+def _malformed_fit_file(draw, text):
+    """A fit result file cut short, missing a needed key, or undecodable."""
+    kind = draw(st.sampled_from(["truncated", "missing-key", "non-utf8"]))
+    if kind == "truncated":
+        return text.rstrip()[:draw(st.integers(0, len(text.rstrip()) - 1))].encode()
+    if kind == "non-utf8":
+        at = draw(st.integers(0, len(text)))
+        return text[:at].encode() + b"\xff" + text[at:].encode()
+    payload = json.loads(text)
+    *parents, key = draw(st.sampled_from(_NEEDED_KEYS))
+    node = payload
+    for parent in parents:
+        node = node[parent]
+    del node[key]
+    return json.dumps(payload).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_malformed_fit_file_exits_2(fitted, data):
+    _, grid_path, fit_path = fitted
+    content = data.draw(_malformed_fit_file(fit_path.read_text()))
+    rc, err, wrote = _refused(
+        lambda params: ["diagnose", "--grid", str(grid_path), "--params", params],
+        content, "fit.json")
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not wrote
 
 
 # =============================================================================
