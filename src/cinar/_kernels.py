@@ -1,24 +1,27 @@
 """Internal vectorized building blocks shared by likelihood and diagnostics.
 
 The conditional law of a site given its past is a phi-mixture over lags of
-(thinned past) + innovation.  Everything downstream (conditional PMFs, the
-conditional log-likelihood, PIT) reduces to lookups into the table
+(thinned past) + innovation, so every table here thins a series s by the
+Pascal rule: row 0 is s, and
 
-    C[n, x] = P( Binomial(n, alpha) + eps == x )        (or <= x),
+    C[n, x] = (1 - alpha) C[n-1, x] + alpha C[n-1, x-1],
 
-built once per parameter value for all needed past counts n and outcomes x.
-A fit reads the table through flat indices n * (x_max+1) + x computed once
-per grid, since the table shape is fixed by the grid's largest counts.
+so row n is s convolved with Binomial(n, alpha), truncated at its width.
+Row-0 series: the innovation PMF e, giving C[n, x] = P(Binomial(n, alpha)
++ eps = x) (likelihood, conditional PMFs); its running sum, the CDF (PIT);
+the unit row, giving Binomial(n, alpha) itself (censored PMF); and e * h_a
+and e * (h_a * h_b + hh_ab), with the innovation's score and Hessian
+series (the likelihood's score and Hessian).  Each step is a convex
+combination, so a nonnegative series keeps its relative accuracy.  A fit
+reads a table through flat indices n * (x_max+1) + x computed once per grid.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import betaln, xlog1py, xlogy
 
 from .errors import ValidationError
 
 # the most cells (128 MiB of float64) a table may take; larger ones are
-# refused before they are allocated
+# refused before their series are allocated
 _MAX_CELLS = 2**24
 
 
@@ -30,47 +33,20 @@ def _check_cells(n_max, width):
             f" would exceed {_MAX_CELLS} cells")
 
 
-def binomial_rows(n_max, alpha):
-    """b[n, z] = P(Binomial(n, alpha) = z) for 0 <= n, z <= n_max.
-
-    Each entry is taken in log space, C(n, z) through ``betaln``; entries
-    with z > n are 0.
+def thinning_convolution_table(alpha, series, n_max):
+    """Tables C of shape series.shape[:-1] + (n_max+1, width), one per
+    series of the stack ``series``: row 0 is the series, row n its
+    Binomial(n, alpha) thinning (see module docstring).  Callers size the
+    table with ``_check_cells`` first.
     """
-    _check_cells(int(n_max), int(n_max))
-    n = np.arange(int(n_max) + 1.0)
-    z = n[None, :]
-    n = n[:, None]
-    upper = z > n
-    gap = np.where(upper, 0.0, n - z)
-    log_b = (xlogy(z, alpha) + xlog1py(gap, -alpha)
-             - np.log1p(n) - betaln(gap + 1.0, z + 1.0))
-    return np.where(upper, 0.0, np.exp(log_b))
-
-
-def thinning_convolution_table(alpha, innovation, n_max, x_max, cumulative=False):
-    """Table C of shape (n_max+1, x_max+1); see module docstring.
-
-    ``C[n, x]`` is the PMF (CDF when ``cumulative``) at x of a Binomial(n,
-    alpha)-thinned count plus an independent innovation draw.
-    """
-    n_max, x_max = int(n_max), int(x_max)
-    _check_cells(n_max, max(n_max, x_max))
-    b = binomial_rows(n_max, alpha)
-    e = innovation.pmf_table(x_max)
-    if cumulative:
-        e = np.cumsum(e)
-    return b @ upper_toeplitz(e, n_max + 1)
-
-
-def upper_toeplitz(series, rows):
-    """t[..., y, x] = series[..., x - y] for x >= y, else 0, over ``rows``
-    rows: a row vector times t is its convolution with the series,
-    truncated to the series' length.  C-contiguous."""
-    padded = np.concatenate(
-        [np.zeros(series.shape[:-1] + (rows - 1,)), series], axis=-1)
-    # reversed, window y of the padded series has y zeros before series[0]
-    windows = sliding_window_view(padded, series.shape[-1], axis=-1)
-    return np.ascontiguousarray(windows[..., ::-1, :])
+    series = np.asarray(series, dtype=float)
+    table = np.empty(series.shape[:-1] + (int(n_max) + 1, series.shape[-1]))
+    table[..., 0, :] = series
+    for n in range(1, int(n_max) + 1):
+        prev, row = table[..., n - 1, :], table[..., n, :]
+        np.multiply(prev, 1.0 - alpha, out=row)
+        row[..., 1:] += alpha * prev[..., :-1]
+    return table
 
 
 def flat_site_index(x_idx, pasts, x_max):

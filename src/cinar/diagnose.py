@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import (binomial_rows, flat_site_index, lag_site_values,
+from ._kernels import (_check_cells, flat_site_index, lag_site_values,
                        thinning_convolution_table)
 from .acf import AcfTable, sample_acf
 from .errors import ValidationError
@@ -101,7 +101,8 @@ def _mixture_conditional(alpha, phi, innovation, past, site):
     eps_max = innovation.quantile(1.0 - _TAIL)
     n_max = int(past.max())
     x_max = n_max + eps_max
-    table = thinning_convolution_table(alpha, innovation, n_max, x_max)
+    _check_cells(n_max, x_max)
+    table = thinning_convolution_table(alpha, innovation.pmf_table(x_max), n_max)
     probs = phi @ table[past, :]
     return ConditionalPmf.from_probs(probs, site)
 
@@ -152,13 +153,15 @@ def tobit_conditional_pmf(params, signs, past, site=None):
     past = _check_past(past, params.order.n_lags)
     alpha, phi = params.alpha, params.phi
     innovation = params.innovation
+    n_max = int(past.max())
+    _check_cells(n_max, n_max)
     eps_max = innovation.quantile(1.0 - _TAIL)
     ep = innovation.pmf_table(eps_max)
 
     lower = int(np.minimum(signs.signs, 0) @ past)
     upper = int(np.max(np.where(signs.signs > 0, past, 0))) + eps_max
     acc = np.zeros(upper - lower + 1)
-    rows = binomial_rows(past.max(), alpha)
+    rows = thinning_convolution_table(alpha, np.eye(1, n_max + 1)[0], n_max)
     for j in range(past.size):
         n = int(past[j])
         bp = rows[n, : n + 1]
@@ -241,11 +244,10 @@ def pit_histogram(params, grid, bins=10):
     if bins < 2:
         raise ValidationError(f"bins must be >= 2, got {bins}")
     x, pasts = lag_views(grid.values, params.order)
-    x_max = int(x.max())
+    x_max, n_max = int(x.max()), max(int(p.max()) for p in pasts)
+    _check_cells(n_max, max(n_max, x_max))
     cdf = thinning_convolution_table(
-        params.alpha, params.innovation, max(int(p.max()) for p in pasts),
-        x_max, cumulative=True,
-    )
+        params.alpha, np.cumsum(params.innovation.pmf_table(x_max)), n_max)
     # A zero column in front (F(-1) = 0) puts F(x-1) just before F(x) in
     # the raveled table; lag by lag, memory stays a few site vectors.
     table = np.pad(cdf, ((0, 0), (1, 0)))

@@ -17,8 +17,8 @@ import numpy as np
 from scipy import optimize
 from scipy.special import expit, logit, softmax
 
-from ._kernels import (flat_site_index, lag_site_values,
-                       thinning_convolution_table, upper_toeplitz)
+from ._kernels import (_check_cells, flat_site_index, lag_site_values,
+                       thinning_convolution_table)
 from .diagnose import information_criteria
 from .acf import sample_acf, sample_acvf
 from .errors import CinarError, NumericalError, ValidationError
@@ -40,9 +40,11 @@ _WALL = np.inf
 # CML stops once a Newton step would gain under _GAIN_RTOL (1 + |loglik|),
 # far above the log-likelihood's rounding, or once the score in the
 # optimizer's coordinates falls under _GTOL, which ends the approach to an
-# optimum on a constraint boundary, where the likelihood flattens.
+# optimum on a constraint boundary, where the likelihood flattens.  There
+# it behaves like sup - c e^z in the coordinate z of the vanishing
+# distance, so the score is the gap left to the supremum: _GTOL bounds it.
 _GAIN_RTOL = 1e-12
-_GTOL = 1e-5
+_GTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -268,10 +270,10 @@ class _CmlLikelihood:
     the chosen ``lags`` (indices into the order's lag set, default all)
     become flat indices into the thinning-convolution table C, so an
     evaluation builds C once and reads it with one gather.  The score and
-    the Hessian need only transforms of the same table: thinning shifts
-    and differences C along (n, x), dC[n, x]/dalpha = n (C[n-1, x-1] -
-    C[n-1, x]), and the innovation convolves it with the series of
-    ``score_series`` and ``hessian_series`` (see ``_table_derivatives``).
+    the Hessian need only tables thinned in the same build: thinning
+    shifts and differences C along (n, x), dC[n, x]/dalpha = n (C[n-1,
+    x-1] - C[n-1, x]), and the innovation parameters move its row-0
+    series (see ``_innovation_series`` and ``_table_derivatives``).
 
     ``family`` (an innovation family class, see ``innovations``) is needed
     only by ``value_score_hessian``.  Counts evaluations in ``n_fev``, of
@@ -286,27 +288,28 @@ class _CmlLikelihood:
         self.n_sites = x.size
         self.n_max = max(int(past.max()) for past in pasts)
         self.x_max = int(x.max())
+        _check_cells(self.n_max, max(self.n_max, self.x_max))
         self._flat = flat_site_index(x, pasts, self.x_max)
         self._site_values = np.empty(self._flat.shape)
         self.n_fev = self.n_grad = 0
 
-    def _site_probabilities(self, alpha, phi, innovation):
-        """(table C, per-lag site values C[l_sj, x_s], site probabilities p).
+    def _site_probabilities(self, alpha, phi, series):
+        """(tables, per-lag site values C[l_sj, x_s], site probabilities p).
 
-        One likelihood evaluation: one table build and one gather.
+        One likelihood evaluation: one build of the tables of the stacked
+        ``series``, the first of which is C, and one gather.
         """
         self.n_fev += 1
-        table = thinning_convolution_table(
-            alpha, innovation, self.n_max, self.x_max
-        )
-        values = lag_site_values(table, self._flat, out=self._site_values)
-        return table, values, phi @ values
+        tables = thinning_convolution_table(alpha, series, self.n_max)
+        values = lag_site_values(tables[0], self._flat, out=self._site_values)
+        return tables, values, phi @ values
 
     def evaluate(self, theta, innovation):
         """(loglik, zero-probability site indices); the log-likelihood is
         -inf when there are any."""
         alpha = float(theta.sum())
-        _, _, p_site = self._site_probabilities(alpha, theta / alpha, innovation)
+        _, _, p_site = self._site_probabilities(
+            alpha, theta / alpha, innovation.pmf_table(self.x_max)[None])
         bad = np.flatnonzero(p_site <= 0.0)
         if bad.size:
             return -np.inf, bad
@@ -339,18 +342,19 @@ class _CmlLikelihood:
         except CinarError:
             return -np.inf, None, None
         phi = theta / alpha
-        table, values, p_site = self._site_probabilities(alpha, phi, innovation)
+        tables, values, p_site = self._site_probabilities(
+            alpha, phi, _innovation_series(innovation, self.x_max))
         if not np.all(p_site > 0.0):
             return -np.inf, None, None
         self.n_grad += 1
         loglik = float(np.sum(np.log(p_site)))
         scale = _inverse_scale(p_site)
         inv_p = scale / p_site
+        table = tables[0]
         lag_weights = np.stack([np.bincount(rows, inv_p, minlength=table.size)
                                 for rows in self._flat])
         del inv_p
-        d1, d2 = _table_derivatives(table, innovation.score_series(self.x_max),
-                                    innovation.hessian_series(self.x_max))
+        d1, d2 = _table_derivatives(tables, 1 + extra.size)
 
         # Score and first Hessian term, over s / p_s.  g[j] and G[a, j] sum
         # C and dC/da at lag j, so d/dphi_j = g[j], d/da = G phi and
@@ -446,27 +450,38 @@ def _thinning_step(table):
     return out
 
 
-def _table_derivatives(table, h, hh):
+def _innovation_series(innovation, x_max):
+    """Row-0 series of the likelihood table and its derivative tables.
+
+    The innovation PMF e moves as de/da = e * h_a and d2e/da da' = e *
+    (h_a * h_a' + hh_aa') (``score_series`` rows ``h``, ``hessian_series``
+    block ``hh``), all truncated at x_max.  Returns the stack of e, each
+    e * h_a, and e * (h_a * h_b + hh_ab) for each pair a <= b.
+    """
+    e = innovation.pmf_table(x_max)
+    h, hh = innovation.score_series(x_max), innovation.hessian_series(x_max)
+    q, width = h.shape
+    inner = list(h) + [np.convolve(h[a], h[b])[:width] + hh[a, b]
+                       for a in range(q) for b in range(a, q)]
+    return np.vstack([e] + [np.convolve(e, s)[:width] for s in inner])
+
+
+def _table_derivatives(tables, q):
     """First and second derivatives of C over (alpha, innovation parameters).
 
-    C = B(alpha) conv e, with thinning rows B and innovation PMF e.  The
-    innovation moves as de/da = e * h_a and d2e/da da' = e * (h_a * h_a'
-    + hh_aa') (``score_series`` rows ``h``, ``hessian_series`` block
-    ``hh``); thinning moves C by ``_thinning_step``, which commutes with
-    the convolutions.  Returns d1 of shape (q, n, x) and d2 of (q, q, n, x).
+    ``tables`` holds the thinning of the ``_innovation_series`` stack: C,
+    then the innovation's q first- and q (q+1) / 2 second-derivative
+    tables.  Thinning moves C by ``_thinning_step``, which commutes with
+    the innovation's convolutions.  Returns d1 of shape (q, n, x) and d2
+    of (q, q, n, x); d1 reuses the memory of ``tables``.
     """
-    q, width = h.shape
+    table, d1 = tables[0], tables[1:q + 1]
     pairs = [(a, b) for a in range(q) for b in range(a, q)]
-    # each row of the table convolved with each series, shape (len, n, x)
-    conv = table @ upper_toeplitz(np.vstack(
-        [h] + [np.convolve(h[a], h[b])[:width] + hh[a, b] for a, b in pairs]),
-        width)
-    step_by_h = _thinning_step(conv[:q])
+    step_by_h = _thinning_step(d1)
     step = _thinning_step(table)
-    d1 = conv[:q].copy()
     d1[0] += step
     d2 = np.empty((q, q) + table.shape)
-    for (a, b), c in zip(pairs, conv[q:]):
+    for (a, b), c in zip(pairs, tables[q + 1:]):
         d2[a, b] = d2[b, a] = c
     # alpha (a = 0) also thins: once in d2C/dalpha da', twice in d2C/dalpha2
     d2[0] += step_by_h

@@ -22,8 +22,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def read_grid(path, header=False):
     """Read a CountGrid from a CSV file of non-negative integers.
 
-    Raises ValidationError, naming the file position, for: a non-integer,
-    negative or beyond-int64 cell, ragged rows, or an empty file; and,
+    Raises ValidationError, naming the file position, for: a cell that is
+    not ASCII digits (a negative count is named as such) or is beyond
+    int64, ragged rows, or an empty file; and,
     naming the file, for bytes that are not UTF-8 CSV text.
     ``header=True`` skips the first line; blank lines are skipped.
     """
@@ -52,29 +53,25 @@ def read_grid(path, header=False):
 
 
 def _parse_row(path, record, r):
-    """The counts of CSV ``record``, file row r (0-based)."""
-    parsed = []
-    for c, cell in enumerate(record):
-        text = cell.strip()
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValidationError(
-                f"{path}: non-integer cell {text!r} at row {r + 1},"
-                f" column {c + 1}"
-            ) from None
-        if value < 0:
-            raise ValidationError(
-                f"{path}: negative count {value} at row {r + 1},"
-                f" column {c + 1}"
-            )
-        if value > _INT64_MAX:
-            raise ValidationError(
-                f"{path}: count {value} too large for int64 at row"
-                f" {r + 1}, column {c + 1}"
-            )
-        parsed.append(value)
+    """The counts of CSV ``record``, file row r (0-based): ASCII digits once
+    whitespace is stripped, checked by row and located only on failure."""
+    cells = [cell.strip() for cell in record]
+    if not (_is_count("".join(cells)) and all(cells)):
+        c = next(c for c, text in enumerate(cells) if not _is_count(text))
+        text, where = cells[c], f"at row {r + 1}, column {c + 1}"
+        if text[:1] == "-" and _is_count(text[1:]) and int(text) < 0:
+            raise ValidationError(f"{path}: negative count {int(text)} {where}")
+        raise ValidationError(f"{path}: non-integer cell {text!r} {where}")
+    parsed = list(map(int, cells))
+    if max(parsed) > _INT64_MAX:
+        c = next(c for c, value in enumerate(parsed) if value > _INT64_MAX)
+        raise ValidationError(f"{path}: count {parsed[c]} too large for int64"
+                              f" at row {r + 1}, column {c + 1}")
     return parsed
+
+
+def _is_count(text):
+    return text.isascii() and text.isdigit()
 
 
 def write_grid(grid, path):

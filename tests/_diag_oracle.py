@@ -25,8 +25,8 @@ def pit_oracle(params, grid, bins=10):
     x, lagged = lagged_stack(grid.values, params.order)
     phi = params.phi
     table = thinning_convolution_table(
-        params.alpha, params.innovation, int(lagged.max()), int(x.max()),
-        cumulative=True,
+        params.alpha, np.cumsum(params.innovation.pmf_table(int(x.max()))),
+        int(lagged.max()),
     )
     f_hi = np.clip(_mixture(table, lagged, phi, x), 0.0, 1.0)
     x_lo = np.maximum(x - 1, 0)

@@ -6,6 +6,7 @@ import csv
 import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -72,11 +73,17 @@ class TestGridIo:
         np.testing.assert_array_equal(grid.values, [[1, 2, 3], [4, 5, 6]])
 
     def test_non_integer_cell_located(self, tmp_path):
-        """Rejection names the 1-based file row and column."""
+        """Rejection names the 1-based file row and column.  A cell is
+        ASCII digits only: Python's ``int`` also reads digit separators,
+        a plus sign and non-ASCII digits (U+0663 is an Arabic-Indic 3)."""
         path = tmp_path / "g.csv"
-        path.write_text("1,2\n3,4.5\n")
-        with pytest.raises(ValidationError, match=r"row 2, column 2"):
-            read_grid(path)
+        for text, cell in [("1,2\n3,4.5\n", "4.5"), ("1,2\n3,1_0\n", "1_0"),
+                           ("1,2\n3,+5\n", "+5"), ("1,2\n3,٣\n", "٣"),
+                           ("1,2\n3,-0\n", "-0"), ("1,2\n3, \n", "")]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"non-integer cell {cell!r} at row 2, column 2")):
+                read_grid(path)
 
     def test_negative_cell_located(self, tmp_path):
         path = tmp_path / "g.csv"

@@ -746,6 +746,28 @@ class TestTrustRegionAgainstBfgs:
             np.testing.assert_allclose(fit.estimates, estimates, atol=1e-5)
             assert fit.loglik == pytest.approx(loglik, rel=1e-8)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_boundary_stop_survives_table_rounding(self, seed, monkeypatch):
+        """The NB fit of Poisson data that ends at i_eps -> 1 (case 8) gets
+        within 1e-6 of the BFGS supremum when every table entry is moved
+        by one ulp in a seeded random direction: where the boundary
+        search stops does not hang on the tables' last bits."""
+        grid, order, family = _oracle_case(8)
+        _, loglik, _ = bfgs_fit(grid, order, family)
+        rng = np.random.default_rng(seed)
+        build = estimate_module.thinning_convolution_table
+
+        def perturbed(*args, **kwargs):
+            tables = build(*args, **kwargs)
+            towards = np.where(rng.random(tables.shape) < 0.5, -np.inf, np.inf)
+            return np.where(tables == 0.0, 0.0, np.nextafter(tables, towards))
+
+        monkeypatch.setattr(estimate_module, "thinning_convolution_table",
+                            perturbed)
+        fit = cml_estimate(grid, order, family=family)
+        assert fit.i_eps < 1.0 + 1e-3
+        assert fit.loglik >= loglik - 1e-6
+
 
 class TestFitDiagnostics:
     def test_counts_and_stop_reason(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cinar import (
@@ -18,7 +20,7 @@ from cinar import (
     stationary_moments,
 )
 
-from cinar._kernels import binomial_rows
+from cinar._kernels import thinning_convolution_table
 
 from _sim_oracle import simulate_oracle
 from _stats_helpers import chisq_gof
@@ -76,27 +78,61 @@ def nb_grid():
 # =============================================================================
 
 
+def _binomial_rows(n_max, alpha):
+    """rows[n, z] = P(Binomial(n, alpha) = z): the unit row thinned."""
+    return thinning_convolution_table(alpha, np.eye(1, n_max + 1)[0], n_max)
+
+
 class TestBinomialThin:
     """The law of alpha o n, tabulated for likelihoods and diagnostics."""
 
     def test_alpha_zero_is_zero(self):
         """Thinning with alpha = 0 is the constant 0."""
-        rows = binomial_rows(500, 0.0)
+        rows = _binomial_rows(500, 0.0)
         np.testing.assert_allclose(rows[:, 0], 1.0, rtol=1e-11)
         assert np.all(rows[:, 1:] == 0.0)
 
     def test_alpha_one_is_identity(self):
-        rows = binomial_rows(500, 1.0)
+        rows = _binomial_rows(500, 1.0)
         np.testing.assert_allclose(np.diag(rows), 1.0, rtol=1e-11)
         assert np.all(rows[~np.eye(501, dtype=bool)] == 0.0)
 
     def test_mean_matches_binomial(self):
         """n=50, alpha=0.3: unit mass, mean 15, and scipy's binomial PMF."""
-        row = binomial_rows(50, 0.3)[50]
+        row = _binomial_rows(50, 0.3)[50]
         z = np.arange(51)
         assert row.sum() == pytest.approx(1.0, abs=1e-13)
         assert row @ z == pytest.approx(15.0, abs=1e-12)
         np.testing.assert_allclose(row, stats.binom.pmf(z, 50, 0.3), rtol=1e-12)
+
+    def test_large_count_matches_mpmath(self):
+        """n=1000, alpha=0.37: within 1e-13 relative of 50-digit binomial
+        probabilities on every entry above 1e-10 of the row's largest."""
+        import mpmath as mp
+
+        n, alpha = 1000, 0.37
+        row = _binomial_rows(n, alpha)[n]
+        with mp.workdps(50):
+            a = mp.mpf(alpha)
+            exact = np.array([float(mp.binomial(n, z) * a**z * (1 - a) ** (n - z))
+                              for z in range(n + 1)])
+        kept = exact > 1e-10 * exact.max()
+        np.testing.assert_allclose(row[kept], exact[kept], rtol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0), n_max=st.integers(0, 60),
+           probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_thinned_cdf_is_running_sum_of_thinned_pmf(self, alpha, n_max,
+                                                       probs):
+        """Thinning a PMF's running sum, in the same stack as the PMF,
+        gives the running sums of the thinned PMF rows within 1e-14."""
+        pmf = np.asarray(probs)
+        pmf = pmf / pmf.sum() if pmf.sum() > 0 else np.eye(1, pmf.size)[0]
+        pmf_table, cdf_table = thinning_convolution_table(
+            alpha, np.vstack([pmf, np.cumsum(pmf)]), n_max)
+        assert cdf_table.shape == (n_max + 1, pmf.size)
+        np.testing.assert_allclose(cdf_table, np.cumsum(pmf_table, axis=1),
+                                   rtol=0.0, atol=1e-14)
 
 
 # =============================================================================
