@@ -454,12 +454,13 @@ def _innovation_series(innovation, x_max):
     """Row-0 series of the likelihood table and its derivative tables.
 
     The innovation PMF e moves as de/da = e * h_a and d2e/da da' = e *
-    (h_a * h_a' + hh_aa') (``score_series`` rows ``h``, ``hessian_series``
-    block ``hh``), all truncated at x_max.  Returns the stack of e, each
-    e * h_a, and e * (h_a * h_b + hh_ab) for each pair a <= b.
+    (h_a * h_a' + hh_aa'), where (h, hh) are the innovation's
+    ``derivative_series``: the first and second derivatives of its log-PGF
+    over (alpha, *param_names), all truncated at x_max.  Returns the stack
+    of e, each e * h_a, and e * (h_a * h_b + hh_ab) for each pair a <= b.
     """
     e = innovation.pmf_table(x_max)
-    h, hh = innovation.score_series(x_max), innovation.hessian_series(x_max)
+    h, hh = innovation.derivative_series(x_max)
     q, width = h.shape
     inner = list(h) + [np.convolve(h[a], h[b])[:width] + hh[a, b]
                        for a in range(q) for b in range(a, q)]
@@ -571,8 +572,11 @@ def _parse_fix_zero(fix_zero, order):
                 f"fixed coefficient {item!r} is not a lag of order "
                 f"({order.p1},{order.p2})"
             )
+        if lags.index(lag) in fixed:
+            raise ValidationError(
+                f"coefficient theta_{lag[0]}{lag[1]} is fixed twice ({item!r})")
         fixed.append(lags.index(lag))
-    fixed = sorted(set(fixed))
+    fixed.sort()
     if len(fixed) >= len(lags):
         raise ValidationError("cannot fix every dependence coefficient to zero")
     return fixed
@@ -652,11 +656,19 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
             if half @ half < 2.0 * _GAIN_RTOL * (1.0 + abs(value)):
                 raise StopIteration
 
-    res = optimize.minimize(
-        lambda z: fused(z)[:2], z0, method="trust-exact", jac=True,
-        hess=lambda z: fused(z)[2], callback=small_gain,
-        options={"gtol": _GTOL, "maxiter": 200},
-    )
+    try:
+        res = optimize.minimize(
+            lambda z: fused(z)[:2], z0, method="trust-exact", jac=True,
+            hess=lambda z: fused(z)[2], callback=small_gain,
+            options={"gtol": _GTOL, "maxiter": 200},
+        )
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        # scipy's subproblem solver, far out where its own iterates overflow
+        raise NumericalError(
+            "a trust-region step failed in scipy's trust-exact subproblem"
+            f" near the point {np.array2string(last['vec'], precision=6)}"
+            f" ({type(exc).__name__}: {exc})"
+        ) from exc
     # the last accepted point; a pass only when the last trial was refused
     fused(res.x)
     message = ("Newton step gain below tolerance" if res.status == 99

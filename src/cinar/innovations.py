@@ -3,7 +3,9 @@
 A CINAR field is defined by its innovation family, and each family
 declares itself once, here: its ``name`` and ``aliases``, the names of its
 innovation parameters and their open lower bounds, ``from_params`` to
-build the law at a thinning probability, and ``params`` to read them back.
+build the law at a thinning probability, and ``derivative_series``, the
+first and second derivatives of its log-PGF over (alpha, *param_names),
+which the CML score and Hessian are built from.
 
 * ``PoissonInnovation`` -- Poisson(mu) innovations; the induced stationary
   marginal of the field is again Poisson.
@@ -116,10 +118,6 @@ class PoissonInnovation(_InverseCdfMixin):
         not depend on the thinning probability alpha."""
         return cls(*values)
 
-    def params(self):
-        """Parameter values in ``param_names`` order."""
-        return (self.mu,)
-
     def pmf_table(self, kmax):
         """P(eps=k) for k = 0..kmax, each term taken in log space."""
         if kmax < 0:
@@ -127,24 +125,13 @@ class PoissonInnovation(_InverseCdfMixin):
         k = np.arange(int(kmax) + 1)
         return np.exp(xlogy(k, self.mu) - gammaln(k + 1) - self.mu)
 
-    def score_series(self, kmax):
-        """Series of d log G(u) / d(alpha, mu) for the PGF G(u) = exp(mu (u-1)).
-
-        Row r holds the first kmax+1 coefficients h_r, so that the PMF
-        derivative is the truncated convolution ``pmf_table(kmax) * h_r``.
-        The law does not depend on the thinning probability alpha.
-        """
+    def derivative_series(self, kmax):
+        """Series of the first and second derivatives of log G(u) = mu (u-1)
+        over (alpha, mu): the law does not move with alpha, and log G is
+        linear in mu.  Returns (h, hh) as ``NbMarginalInnovation`` does."""
         h = np.zeros((2, int(kmax) + 1))
-        h[1, 0] = -1.0
-        if kmax >= 1:
-            h[1, 1] = 1.0
-        return h
-
-    def hessian_series(self, kmax):
-        """Series of the second derivatives of log G over (alpha, mu): zero,
-        since log G is linear in mu.  Entry [r, q] pairs rows r and q of
-        ``score_series``."""
-        return np.zeros((2, 2, int(kmax) + 1))
+        h[1, :2] = [-1.0, 1.0][: int(kmax) + 1]
+        return h, np.zeros((2, 2, int(kmax) + 1))
 
     def moments(self):
         return self.mu, self.mu
@@ -152,6 +139,40 @@ class PoissonInnovation(_InverseCdfMixin):
     def sample(self, rng, size=None):
         out = rng.poisson(self.mu, size)
         return out if size is not None else int(out)
+
+
+# Taylor coefficients of P_0(x) = -log(1+x)/x, x P_0'(x) and x**2 P_0''(x),
+# highest power first: below x = 0.5 their closed forms cancel, and 64
+# terms reach 1e-16 relative there.
+_P0_TAYLOR = [(c, j * c, j * (j - 1) * c)
+              for j in range(63, -1, -1) for c in [(-1.0) ** (j + 1) / (j + 1)]]
+
+
+def _p_series(x, kmax):
+    """Series in u of P(x) = -log(1 + x (1-u)) / x, x P'(x) and x**2 P''(x).
+
+    P_0 = -log(1+x)/x, and for k >= 1, P_k = y**k / (k x) with y = x/(1+x),
+    so that x P_k' = P_k ((k-1) z - y) and x**2 P_k'' = P_k ((k-1)(k-2) z**2
+    - 4 (k-1) y z + 2 y**2) with z = 1/(1+x).  Returns the three rows of
+    kmax+1 coefficients.
+    """
+    y, z = x / (1.0 + x), 1.0 / (1.0 + x)
+    k = np.arange(1.0, int(kmax) + 1.0)
+    out = np.empty((3, k.size + 1))
+    if x < 0.5:
+        p0 = q0 = w0 = 0.0
+        for c_p, c_q, c_w in _P0_TAYLOR:  # Horner's rule
+            p0, q0, w0 = p0 * x + c_p, q0 * x + c_q, w0 * x + c_w
+        out[:, 0] = p0, q0, w0
+    else:
+        ell = math.log1p(x) / x
+        out[:, 0] = -ell, ell - z, 2.0 * (z - ell) + y * z
+    p = y**k / k / x
+    out[0, 1:] = p
+    out[1, 1:] = p * ((k - 1.0) * z - y)
+    out[2, 1:] = p * ((k - 1.0) * (k - 2.0) * z**2 - 4.0 * (k - 1.0) * y * z
+                      + 2.0 * y**2)
+    return out
 
 
 class NbMarginalInnovation(_InverseCdfMixin):
@@ -219,11 +240,6 @@ class NbMarginalInnovation(_InverseCdfMixin):
         thinning probability alpha."""
         return cls.from_targets(*values, alpha)
 
-    def params(self):
-        """Parameter values in ``param_names`` order."""
-        mu_eps, sigma2_eps = self.moments()
-        return (mu_eps, sigma2_eps / mu_eps)
-
     # -- marginal-law helpers -------------------------------------------------
 
     def marginal_moments(self):
@@ -242,125 +258,48 @@ class NbMarginalInnovation(_InverseCdfMixin):
         sigma2_eps = (1.0 - self.alpha**2) * sigma2_x - self.alpha * mu_eps
         return mu_eps, sigma2_eps
 
-    # -- score series ---------------------------------------------------------
+    def derivative_series(self, kmax):
+        """Series of the first and second derivatives of log G(u) over
+        (alpha, mu_eps, i_eps), the parameters of ``from_targets``.
 
-    def _log_pgf_series(self, kmax):
-        """Series of d log G(u) / d(nu, pi, alpha), one row per parameter.
+        With r = (i_eps - 1)/(1 + alpha) = (1-pi)/pi and P of ``_p_series``,
 
-        log G has the series nu log A + nu sum_k (d**k - c**k) u**k / k,
-        differentiated here term by term (A and c move with d and alpha).
+            log G(u) = mu_eps / (1 - alpha) [P(r) - alpha P(alpha r)],
+
+        differentiated through r, whose derivatives enter multiplied by r so
+        that none is squared at a far-out r.
+        Returns (h, hh): row a of h holds the first kmax+1 coefficients
+        h_a, and hh[a, b] those of the second derivative over a and b, so
+        that the PMF moves as ``pmf_table(kmax) * h_a`` and its second
+        derivative is ``pmf_table(kmax) * (h_a * h_b + hh_ab)``.
         """
-        nu, alpha = self.nu, self.alpha
-        d = 1.0 - self.pi
-        a = np.exp(self._log_a)
-        c = d * alpha / a
-        k = np.arange(1.0, kmax + 1.0)
-        d_pow, c_pow = d ** (k - 1.0), c ** (k - 1.0)
-        h = np.empty((3, int(kmax) + 1))
-        h[0, 0] = self._log_a
-        h[0, 1:] = (d * d_pow - c * c_pow) / k
-        # d/dpi = -d/dd, with dA/dd = -(1-alpha) and dc/dd = alpha/A**2
-        h[1, 0] = nu * (1.0 - alpha) / a
-        h[1, 1:] = -nu * (d_pow - alpha / a**2 * c_pow)
-        # dA/dalpha = d and dc/dalpha = d(1-d)/A**2
-        h[2, 0] = nu * d / a
-        h[2, 1:] = -nu * d * (1.0 - d) / a**2 * c_pow
-        return h
-
-    def _log_pgf_hessian(self, kmax):
-        """Series of the second derivatives of log G(u) over (nu, pi, alpha).
-
-        Entry [r, q] pairs rows r and q of ``_log_pgf_series``.  log G is
-        linear in nu; the (pi, alpha) block differentiates log A and the
-        terms (d**k - c**k) / k once more.
-        """
-        nu, alpha = self.nu, self.alpha
-        d = 1.0 - self.pi
-        a = np.exp(self._log_a)
-        c = d * alpha / a
-        # derivatives of c in d and alpha (A moves with both)
-        c_d, c_alpha = alpha / a**2, d * (1.0 - d) / a**2
-        c_dd = 2.0 * alpha * (1.0 - alpha) / a**3
-        c_alphaalpha = -2.0 * d**2 * (1.0 - d) / a**3
-        c_dalpha = (1.0 - d - alpha * d) / a**3
-        k = np.arange(1.0, kmax + 1.0)
-        c_pow = c ** (k - 1.0)
-        # (k-1) x**(k-2), zero at k = 1
-        d_pow2, c_pow2 = np.zeros(k.size), np.zeros(k.size)
-        d_pow2[1:] = (k[1:] - 1.0) * d ** (k[1:] - 2.0)
-        c_pow2[1:] = (k[1:] - 1.0) * c ** (k[1:] - 2.0)
-        h = np.zeros((3, 3, int(kmax) + 1))
-        first = self._log_pgf_series(kmax)
-        h[0, 1] = h[1, 0] = first[1] / nu
-        h[0, 2] = h[2, 0] = first[2] / nu
-        # pi = 1 - d, so d/dpi = -d/dd
-        h[1, 1, 0] = -nu * ((1.0 - alpha) / a) ** 2
-        h[1, 1, 1:] = nu * (d_pow2 - c_pow2 * c_d**2 - c_pow * c_dd)
-        h[1, 2, 0] = -nu / a**2
-        h[1, 2, 1:] = nu * (c_pow2 * c_d * c_alpha + c_pow * c_dalpha)
-        h[2, 1] = h[1, 2]
-        h[2, 2, 0] = -nu * (d / a) ** 2
-        h[2, 2, 1:] = -nu * (c_pow2 * c_alpha**2 + c_pow * c_alphaalpha)
-        return h
-
-    def score_series(self, kmax):
-        """Series of d log G(u) / d(alpha, mu_eps, i_eps) at fixed targets.
-
-        The innovation mean mu_eps and dispersion i_eps are the parameters
-        of ``from_targets``; the alpha row moves (nu, pi) with alpha so the
-        targets stay fixed.  Row r holds the first kmax+1 coefficients h_r,
-        so that the PMF derivative is the truncated convolution
-        ``pmf_table(kmax) * h_r``.
-        """
-        nu, pi, alpha = self.nu, self.pi, self.alpha
-        d = 1.0 - pi
-        h_nu, h_pi, h_alpha = self._log_pgf_series(kmax)
-        # nu = mu (1+alpha) / ((1-alpha)(i-1)) and pi = (1+alpha)/(alpha+i),
-        # written through i - 1 = (1+alpha) d / pi and mu = nu (1-alpha) d / pi
-        return np.stack([
-            h_alpha + 2.0 * nu / (1.0 - alpha**2) * h_nu
-            + d * pi / (1.0 + alpha) * h_pi,
-            pi / ((1.0 - alpha) * d) * h_nu,
-            -nu * pi / ((1.0 + alpha) * d) * h_nu - pi**2 / (1.0 + alpha) * h_pi,
-        ])
-
-    def hessian_series(self, kmax):
-        """Series of the second derivatives of log G over (alpha, mu_eps,
-        i_eps) at fixed targets.
-
-        Entry [r, q] pairs rows r and q of ``score_series``, so that the
-        second PMF derivative is ``pmf_table(kmax) * (h_r * h_q + h_rq)``.
-        The chain rule through (nu, pi) takes the Jacobian of the map
-        (alpha, mu_eps, i_eps) -> (nu, pi, alpha) of ``score_series`` and
-        its second derivatives.
-        """
-        nu, pi, alpha = self.nu, self.pi, self.alpha
-        d = 1.0 - pi
-        plus, minus = 1.0 + alpha, 1.0 - alpha
-        # d(nu, pi, alpha) / d(alpha, mu_eps, i_eps)
-        jac = np.array([
-            [2.0 * nu / (minus * plus), pi / (minus * d), -nu * pi / (plus * d)],
-            [d * pi / plus, 0.0, -pi**2 / plus],
-            [1.0, 0.0, 0.0],
-        ])
-        # second derivatives of nu and of pi over (alpha, mu_eps, i_eps)
-        nu_a_i = -2.0 * nu * pi / (minus * plus**2 * d)
-        nu_m_i = -pi**2 / (minus * plus * d**2)
-        nu_a_m = 2.0 * pi / (minus**2 * plus * d)
-        nu_second = np.array([
-            [4.0 * nu / (minus**2 * plus), nu_a_m, nu_a_i],
-            [nu_a_m, 0.0, nu_m_i],
-            [nu_a_i, nu_m_i, 2.0 * nu * pi**2 / (plus * d) ** 2],
-        ])
-        pi_a_i = (pi - d) * pi**2 / plus**2
-        pi_second = np.array([
-            [-2.0 * d * pi**2 / plus**2, 0.0, pi_a_i],
-            [0.0, 0.0, 0.0],
-            [pi_a_i, 0.0, 2.0 * pi**3 / plus**2],
-        ])
-        h_nu, h_pi, _ = self._log_pgf_series(kmax)
-        return (np.einsum("ra,sb,rsk->abk", jac, jac, self._log_pgf_hessian(kmax))
-                + nu_second[:, :, None] * h_nu + pi_second[:, :, None] * h_pi)
+        alpha = self.alpha
+        r = (1.0 - self.pi) / self.pi
+        m = self.nu * r  # mu_eps / (1 - alpha)
+        e = r * (1.0 + alpha)  # i_eps - 1
+        s, om = 1.0 / (1.0 + alpha), 1.0 - alpha
+        p_r, q_r, w_r = _p_series(r, kmax)
+        p_x, q_x, w_x = _p_series(alpha * r, kmax)
+        # log G = m F with F = P(r) - alpha P(alpha r); r moves as dr/di_eps
+        # = s and dr/dalpha = -r s.  a = r dF/dr, b = r**2 d2F/dr2 and, at
+        # fixed r, c = -alpha d2F/dalpha2 = -r d2F/dalpha dr; f_i, f_a, f_aa
+        # and f_ai differentiate F over i_eps and alpha with r moving.
+        f = p_r - alpha * p_x
+        a, b, c = q_r - alpha * q_x, w_r - alpha * w_x, 2.0 * q_x + w_x
+        f_i = a / e
+        f_a = -(p_x + q_x) - a * s
+        f_aa = (b + 2.0 * a) * s**2 - c * (om * s / alpha)
+        f_ai = -(c + (a + b) * s) / e
+        # dm/dmu_eps = 1 / (1 - alpha) and dm/dalpha = m / (1 - alpha)
+        g = f / om + f_a
+        h = np.stack([m * g, f / om, m * f_i])
+        hh = np.zeros((3, 3, int(kmax) + 1))
+        hh[0, 0] = m * (2.0 * g / om + f_aa)
+        hh[0, 1] = hh[1, 0] = g / om
+        hh[0, 2] = hh[2, 0] = m * (f_i / om + f_ai)
+        hh[1, 2] = hh[2, 1] = f_i / om
+        hh[2, 2] = m * (b / e / e)
+        return h, hh
 
     # -- pmf ------------------------------------------------------------------
 

@@ -52,24 +52,24 @@ def fd_hessian(fn, x0):
     return hess
 
 
-def observed_information_se(params, grid, loglik_fn=None):
-    """Boundary-guarded standard errors at ``params`` from the observed
+def observed_information_se(grid, order, family, vec, loglik_fn=None):
+    """Boundary-guarded standard errors at ``vec`` from the observed
     information.
 
-    The Hessian is taken over theta (lexicographic) and the innovation
-    family's ``param_names``: exactly, from one likelihood pass, or, when
+    ``vec`` holds theta (lexicographic) and then the parameters of the
+    innovation ``family`` (a family class) in ``param_names`` order.  The
+    Hessian is taken exactly, from one likelihood pass, or, when
     ``loglik_fn`` (a map from that vector to a real) is given, by
     ``fd_hessian`` of it.
     """
-    family = type(params.innovation)
-    vec = np.concatenate([params.theta, params.innovation.params()])
+    vec = np.asarray(vec, dtype=float)
     if loglik_fn is not None:
         hess = fd_hessian(loglik_fn, vec)
     else:
-        likelihood = _CmlLikelihood(grid.values, params.order, family)
+        likelihood = _CmlLikelihood(grid.values, order, family)
         _, _, hess = likelihood.value_score_hessian(vec)
         if hess is None:
             raise NumericalError("some interior site has zero conditional"
                                  " probability: no observed information")
-    lower = np.concatenate([np.zeros(params.order.n_lags), family.lower_bounds])
+    lower = np.concatenate([np.zeros(order.n_lags), family.lower_bounds])
     return _se_from_loglik(hess, vec, lower)

@@ -69,3 +69,29 @@ def nb_pmf_mp(nu, pi, alpha, k):
         * mp.binomial(k - 1, j - 1) * d ** (k - j) * pi**j
         for j in range(1, k + 1)
     )
+
+
+def nb_targets_mp(nu, pi, alpha):
+    """[alpha, mu_eps, i_eps] of the NB-marginal law (nu, pi, alpha), the
+    coordinates of ``NbMarginalInnovation.from_targets``, in mpmath."""
+    r = (1 - pi) / pi
+    return [alpha, nu * (1 - alpha) * r, 1 + (1 + alpha) * r]
+
+
+def nb_law_mp(alpha, mu_eps, i_eps):
+    """(nu, pi, alpha) of ``from_targets(mu_eps, i_eps, alpha)``, in mpmath."""
+    nu = mu_eps * (1 + alpha) / ((1 - alpha) * (i_eps - 1))
+    return nu, (1 + alpha) / (alpha + i_eps), alpha
+
+
+def nb_log_pgf_mp(nu, pi, alpha, k):
+    """Coefficient k of the NB-marginal innovation's log-PGF: nu log A at
+    k = 0 and nu (d**k - c**k) / k above, with d = 1-pi, A = 1-d(1-alpha)
+    and c = d alpha / A; in mpmath at the caller's working precision."""
+    import mpmath as mp
+
+    d = 1 - pi
+    a = 1 - d * (1 - alpha)
+    if k == 0:
+        return nu * mp.log(a)
+    return nu * (d**k - (d * alpha / a) ** k) / k

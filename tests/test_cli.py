@@ -301,6 +301,29 @@ class TestCmdFit:
                    "--fix", "theta11=0.5", "--out", str(tmp_path / "f.json")])
         assert rc == 2
 
+    def test_coefficient_fixed_twice_exits_2(self, tmp_path, capsys):
+        """Two spellings of one lag are refused, not counted twice among
+        the pinned coefficients."""
+        path = _simulate_csv(tmp_path, seed=3, theta="0.3,0.3,0.1")
+        rc = main(["fit", "--grid", str(path), "--order", "1,1",
+                   "--method", "cml", "--fix", "theta11=0,theta_11=0",
+                   "--out", str(tmp_path / "f.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "theta_11" in err[0] and "twice" in err[0]
+
+    def test_failed_trust_region_step_exits_3(self, tmp_path, capsys):
+        """A constant grid whose fit runs off to alpha -> 1, where scipy's
+        trust-exact subproblem fails, ends in one line and exit 3."""
+        path = tmp_path / "const.csv"
+        write_grid(CountGrid(np.full((3, 10), 412)), path)
+        rc = main(["fit", "--grid", str(path), "--order", "1,1",
+                   "--method", "cml", "--out", str(tmp_path / "f.json")])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "trust-region step failed" in err[0]
+
     def test_missing_grid_file_exits_2(self, tmp_path, capsys):
         rc = main(["fit", "--grid", str(tmp_path / "none.csv"),
                    "--order", "1,1", "--out", str(tmp_path / "f.json")])

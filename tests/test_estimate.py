@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
@@ -33,7 +33,7 @@ from cinar.estimate import (FitDiagnostics, FitResult, _CmlLikelihood,
 from _bfgs_oracle import bfgs_fit
 from _hessian_oracle import (fd_hessian, observed_information_se,
                              score_difference_hessian)
-from _stats_helpers import lagged_stack, nb_pmf_mp
+from _stats_helpers import lagged_stack, nb_law_mp, nb_pmf_mp, nb_targets_mp
 
 ORDER11 = ModelOrder(1, 1)
 
@@ -301,6 +301,13 @@ class TestCmlLoglik:
 
 
 class TestCmlEstimate:
+    def test_coefficient_fixed_twice_refused(self):
+        """'theta11' and (1, 1) name one lag; pinning it twice is refused
+        rather than counted as two fixed coefficients."""
+        grid = _sim(_poi([0.3, 0.3, 0.1], 1.0), 12, seed=3)
+        with pytest.raises(ValidationError, match="theta_11 is fixed twice"):
+            cml_estimate(grid, ORDER11, fix_zero=("theta11", (1, 1)))
+
     def test_deterministic(self):
         grid = _sim(_poi([0.3, 0.4, 0.1], 1.0), 25, seed=101)
         a = cml_estimate(grid, ORDER11)
@@ -525,20 +532,21 @@ class TestCmlScore:
         (1.7, 0.45, 0.6), (0.6, 0.7, 0.3), (4.2, 0.3, 0.85),
     ])
     def test_nb_pmf_derivatives_match_mpmath(self, nu, pi, alpha):
-        """d e / d(nu, pi, alpha) = e * h against 50-digit differentiation."""
+        """d e / d(alpha, mu_eps, i_eps) = e * h against 50-digit
+        differentiation."""
         import mpmath as mp
 
         kmax = 25
         innovation = NbMarginalInnovation(nu, pi, alpha)
         pmf = innovation.pmf_table(kmax)
-        got = np.array([np.convolve(pmf, h)[: kmax + 1]
-                        for h in innovation._log_pgf_series(kmax)])
+        h, _ = innovation.derivative_series(kmax)
+        got = np.array([np.convolve(pmf, row)[: kmax + 1] for row in h])
         with mp.workdps(50):
-            point = [mp.mpf(nu), mp.mpf(pi), mp.mpf(alpha)]
+            point = nb_targets_mp(mp.mpf(nu), mp.mpf(pi), mp.mpf(alpha))
             want = np.array([
-                [float(mp.diff(
-                    lambda t: nb_pmf_mp(*(point[:i] + [t] + point[i + 1:]), k),
-                    point[i])) for k in range(kmax + 1)]
+                [float(mp.diff(lambda *v: nb_pmf_mp(*nb_law_mp(*v), k), point,
+                               tuple(int(j == i) for j in range(3))))
+                 for k in range(kmax + 1)]
                 for i in range(3)
             ])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
@@ -547,15 +555,14 @@ class TestCmlScore:
         (1.7, 0.45, 0.6), (0.6, 0.7, 0.3), (4.2, 0.3, 0.85),
     ])
     def test_nb_pmf_second_derivatives_match_mpmath(self, nu, pi, alpha):
-        """d2 e / d(nu, pi, alpha)2 = e * (h_r * h_q + h_rq) against 50-digit
-        differentiation, for each pair r <= q."""
+        """d2 e / d(alpha, mu_eps, i_eps)2 = e * (h_r * h_q + h_rq) against
+        50-digit differentiation, for each pair r <= q."""
         import mpmath as mp
 
         kmax = 10
         innovation = NbMarginalInnovation(nu, pi, alpha)
         pmf = innovation.pmf_table(kmax)
-        h = innovation._log_pgf_series(kmax)
-        hh = innovation._log_pgf_hessian(kmax)
+        h, hh = innovation.derivative_series(kmax)
         np.testing.assert_array_equal(hh, hh.transpose(1, 0, 2))
         pairs = [(r, q) for r in range(3) for q in range(r, 3)]
         got = np.array([
@@ -563,10 +570,10 @@ class TestCmlScore:
             [: kmax + 1] for r, q in pairs
         ])
         with mp.workdps(50):
-            point = [mp.mpf(nu), mp.mpf(pi), mp.mpf(alpha)]
+            point = nb_targets_mp(mp.mpf(nu), mp.mpf(pi), mp.mpf(alpha))
             want = np.array([
                 [float(mp.diff(
-                    lambda *v: nb_pmf_mp(*v, k), point,
+                    lambda *v: nb_pmf_mp(*nb_law_mp(*v), k), point,
                     tuple(int(r == i) + int(q == i) for i in range(3))))
                  for k in range(kmax + 1)]
                 for r, q in pairs
@@ -599,8 +606,7 @@ class TestCmlScore:
                  else _nb([0.2, 0.2, 0.5], 1.0, 2.0))
         grid = _sim(truth, 40, seed=33)
         fit = cml_estimate(grid, ORDER11, family=family)
-        params = (CinarParams(ORDER11, fit.theta, PoissonInnovation(fit.mu_eps))
-                  if family == "poisson" else _nb(fit.theta, fit.mu_eps, fit.i_eps))
+        args = grid, ORDER11, innovation_family(family), fit.estimates
 
         def loglik(v):
             theta = v[:3]
@@ -609,9 +615,9 @@ class TestCmlScore:
                               v[3], v[4], theta.sum()))
             return cml_loglik(CinarParams(ORDER11, theta, innovation), grid)
 
-        via_fd = observed_information_se(params, grid, loglik_fn=loglik)
-        np.testing.assert_allclose(observed_information_se(params, grid),
-                                   via_fd, rtol=rtol)
+        via_fd = observed_information_se(*args, loglik_fn=loglik)
+        np.testing.assert_allclose(observed_information_se(*args), via_fd,
+                                   rtol=rtol)
         np.testing.assert_allclose(fit.std_errors, via_fd, rtol=rtol)
 
     @pytest.mark.parametrize("family", ["poisson", "nb"])
@@ -818,8 +824,8 @@ class TestObservedFisherSe:
     def test_se_at_cml_optimum_positive_and_finite(self):
         grid = _sim(_poi([0.3, 0.4, 0.1], 1.0), 40, seed=33)
         fit = cml_estimate(grid, ORDER11)
-        params = CinarParams(ORDER11, fit.theta, PoissonInnovation(fit.mu_eps))
-        se = observed_information_se(params, grid)
+        se = observed_information_se(grid, ORDER11, PoissonInnovation,
+                                     fit.estimates)
         assert se.shape == (4,)
         assert np.all(np.isfinite(se)) and np.all(se > 0)
         np.testing.assert_allclose(se, fit.std_errors, atol=1e-10)
@@ -905,8 +911,23 @@ class TestStandardErrorEdges:
             fit = cml_estimate(CountGrid(np.zeros((3, 6), dtype=int)), ORDER11)
         assert np.isfinite(fit.loglik) and fit.diagnostics.converged
 
+    def test_failed_trust_region_step_is_a_numerical_error(self):
+        """On a constant 3x10 grid of 412 the search runs to alpha -> 1 and
+        mu_eps -> 0, where scipy's trust-exact subproblem meets non-finite
+        iterates; that ends in a NumericalError naming the failed step."""
+        with pytest.raises(NumericalError, match="trust-region step failed"):
+            cml_estimate(CountGrid(np.full((3, 10), 412)), ORDER11)
+
+    @pytest.mark.parametrize("shape", [(3, 10), (6, 6)])
+    @pytest.mark.parametrize("count", [1, 5, 50])
+    def test_constant_grid_converges(self, shape, count):
+        """Constant grids that the trust-region search does finish on."""
+        fit = cml_estimate(CountGrid(np.full(shape, count)), ORDER11)
+        assert fit.diagnostics.converged
+
     @settings(max_examples=40, deadline=None)
     @given(case=_edge_fit_case())
+    @example(case=(CountGrid(np.full((3, 10), 412)), ORDER11, "poisson"))
     def test_fit_ends_with_errors_or_a_reason(self, case):
         """Finite SEs or a reason for their absence, or a cinar error with a
         message; never a numpy warning."""

@@ -8,6 +8,7 @@ with scipy's reference distributions only.
 """
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cinar import (
     ValidationError,
 )
 
-from _stats_helpers import nb_pmf_mp
+from _stats_helpers import nb_log_pgf_mp, nb_law_mp, nb_pmf_mp, nb_targets_mp
 
 
 def _thinned_pmf(marginal_pmf, alpha, zmax):
@@ -228,6 +229,59 @@ class TestNbMoments:
         for i_eps in (1.0 + 1e-12, 0.5):
             with pytest.raises(ValidationError, match="overdispersion"):
                 NbMarginalInnovation.from_targets(1.0, i_eps, 0.5)
+
+
+class TestDerivativeSeries:
+    @pytest.mark.parametrize("kmax", [0, 3])
+    def test_poisson(self, kmax):
+        """log G(u) = mu (u-1): d/dmu is u - 1, nothing moves with alpha,
+        and every second derivative is 0."""
+        h, hh = PoissonInnovation(2.5).derivative_series(kmax)
+        want = np.zeros((2, kmax + 1))
+        want[1, :2] = [-1.0, 1.0][: kmax + 1]
+        np.testing.assert_array_equal(h, want)
+        np.testing.assert_array_equal(hh, np.zeros((2, 2, kmax + 1)))
+
+    @pytest.mark.parametrize("excess", [1e-6, 1.2e-8])
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    def test_nb_near_poisson_limit_matches_mpmath(self, excess, alpha):
+        """Down to the NB floor (i_eps - 1 of 1.2e-8) the first and second
+        log-PGF derivatives over (alpha, mu_eps, i_eps) stay within 1e-10 of
+        each array's largest entry of 60-digit differentiation at the law's
+        exact (nu, pi, alpha)."""
+        import mpmath as mp
+
+        kmax = 8
+        innovation = NbMarginalInnovation.from_targets(2.0, 1.0 + excess, alpha)
+        h, hh = innovation.derivative_series(kmax)
+        with mp.workdps(60):
+            point = nb_targets_mp(*map(mp.mpf, (innovation.nu, innovation.pi,
+                                                alpha)))
+
+            def diff(orders):
+                return [float(mp.diff(
+                    lambda *v: nb_log_pgf_mp(*nb_law_mp(*v), k), point, orders))
+                    for k in range(kmax + 1)]
+
+            unit = np.eye(3, dtype=int)
+            want_h = np.array([diff(tuple(unit[a])) for a in range(3)])
+            want_hh = np.array([[diff(tuple(unit[a] + unit[b])) for b in range(3)]
+                                for a in range(3)])
+        for got, want in ((h, want_h), (hh, want_hh)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mu_eps, i_eps, alpha", [
+        (1.0, 1e250, 0.5), (1.0, 1e300, 0.9), (1e12, 1e300, 0.999999),
+        (1e12, 1.0 + 2e-8, 0.999), (1e-3, 50.0, 1e-3), (5.0, 1.0 + 2e-8, 1e-90),
+    ])
+    def test_nb_finite_at_extreme_points(self, mu_eps, i_eps, alpha):
+        """Far-out trial points of a fit give finite series, without a
+        floating-point warning."""
+        innovation = NbMarginalInnovation.from_targets(mu_eps, i_eps, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, hh = innovation.derivative_series(40)
+        assert np.all(np.isfinite(h)) and np.all(np.isfinite(hh))
 
 
 class TestNbSampling:
