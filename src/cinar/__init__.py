@@ -12,7 +12,6 @@ from .model import (
     ModelOrder,
     ParamsVerdict,
     SignPattern,
-    lag_set,
     stationary_moments,
     validate_params,
 )
@@ -43,7 +42,6 @@ from .diagnose import (
     DiagnosticsReport,
     PearsonResiduals,
     build_diagnostics,
-    conditional_moments,
     conditional_pmf,
     information_criteria,
     multilateral_conditional_pmf,
@@ -56,7 +54,6 @@ from .simstudy import (
     StudyArm,
     StudyResult,
     parse_arm,
-    replication_seed,
     run_study,
     write_study_csv,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "SignPattern",
     "CountGrid",
     "ParamsVerdict",
-    "lag_set",
     "validate_params",
     "stationary_moments",
     "PoissonInnovation",
@@ -95,7 +91,6 @@ __all__ = [
     "PearsonResiduals",
     "DiagnosticsReport",
     "conditional_pmf",
-    "conditional_moments",
     "tobit_conditional_pmf",
     "multilateral_conditional_pmf",
     "pearson_residuals",
@@ -107,7 +102,6 @@ __all__ = [
     "StudyArm",
     "StudyResult",
     "parse_arm",
-    "replication_seed",
     "run_study",
     "write_study_csv",
 ]

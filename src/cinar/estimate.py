@@ -3,10 +3,10 @@
 Three estimators for the dependence coefficients and innovation
 parameters: Yule--Walker (sample-ACF linear system), conditional least
 squares (closed-form normal equations), and conditional maximum
-likelihood (trust-region Newton on the exact observed information through
-a smooth bijection).  Only the likelihood fit reports standard errors:
-``cml_estimate`` takes them from the observed information at its optimum,
-the last Hessian of its search.
+likelihood (projected trust-region Newton on the exact observed
+information, over a box of the parameters).  Only the likelihood fit
+reports standard errors, from the last Hessian of its search, and only
+at an optimum off the faces of the box.
 """
 
 import warnings
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
-from scipy.special import expit, logit, softmax
 
 from ._kernels import (_check_cells, flat_site_index, lag_site_values,
                        thinning_convolution_table)
@@ -34,28 +32,38 @@ __all__ = [
     "cml_estimate",
 ]
 
-_CBRT_EPS = np.finfo(float).eps ** (1.0 / 3.0)
-# objective outside the model's domain (infinite: a ratio to it cannot overflow)
-_WALL = np.inf
-# CML stops once a Newton step would gain under _GAIN_RTOL (1 + |loglik|),
-# far above the log-likelihood's rounding, or once the score in the
-# optimizer's coordinates falls under _GTOL, which ends the approach to an
-# optimum on a constraint boundary, where the likelihood flattens.  There
-# it behaves like sup - c e^z in the coordinate z of the vanishing
-# distance, so the score is the gap left to the supremum: _GTOL bounds it.
+_EPS = np.finfo(float).eps
+_CBRT_EPS = _EPS ** (1.0 / 3.0)
+# CML stops once a Newton step on the free coordinates would gain under
+# _GAIN_RTOL (1 + |loglik|), or once the projected score, each entry
+# scaled by max(1, |v_i|), falls under _GTOL: near a perfect-fit corner,
+# where the likelihood goes like sup - c / (1 + sum w) or sup - c mu_eps,
+# that scaled score is about the gap left to the supremum.
 _GAIN_RTOL = 1e-12
 _GTOL = 1e-6
+_MAX_ITER = 200
+# The trust region is a ball in coordinates scaled by 1 / sqrt(|H_ii|) (at
+# most 1): near a face where one site needs that lag the curvature grows
+# like 1 / w**2, and that must not hold back the other coordinates.
+_RADIUS0 = 10.0
+# The corner alpha = 0 (every w at 0) is outside the model: the search
+# stands in for it with one w at _W_FLOOR, within |score| _W_FLOOR of the
+# corner's log-likelihood, and counts such a w as on its bound, where its
+# Hessian row, which loses digits like 1 / alpha**2, goes unused.
+_W_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
 class FitDiagnostics:
     """Optimizer bookkeeping; trivial for the closed-form estimators.
 
-    ``n_fev`` counts log-likelihood evaluations; the standard errors add
-    none, as they reuse the Hessian of the last one.  ``n_grad`` counts
-    the evaluations that also computed the score; ``message`` is the
-    optimizer's stop reason, and ``se_error`` says why CML standard errors
-    are missing.
+    ``n_iter`` counts trial points and ``n_fev`` log-likelihood
+    evaluations (the standard errors reuse the last Hessian), ``n_grad``
+    those that also computed the score.  ``grad_norm`` is the largest
+    projected score in the search's coordinates v, each entry scaled by
+    max(1, |v_i|); ``message`` is the stop reason, ``se_error`` says why
+    CML standard errors are missing, and ``at_bounds`` names the
+    parameters held on their lower bound at the end, () in the interior.
     """
 
     n_iter: int
@@ -65,6 +73,7 @@ class FitDiagnostics:
     n_grad: int = 0
     message: Optional[str] = None
     se_error: Optional[str] = None
+    at_bounds: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -239,29 +248,6 @@ def _zero_sites(bad, grid, order):
             f" first at grid cell ({r + order.p1}, {c + order.p2})")
 
 
-def _pack(theta, extra, lower):
-    """Map interior parameters to the unconstrained optimizer space.
-
-    ``extra`` holds the innovation parameters and ``lower`` their open
-    lower bounds; each maps to the log of its distance from its bound.
-    """
-    alpha = float(theta.sum())
-    phi = theta / alpha
-    return np.concatenate([
-        [logit(alpha)],
-        np.log(phi[:-1]) - np.log(phi[-1]),
-        np.log(np.asarray(extra, dtype=float) - lower),
-    ])
-
-
-def _unpack(z, m, lower):
-    """Inverse of _pack: logistic alpha, softmax phi, bound + exp innovation."""
-    alpha = float(expit(z[0]))
-    logits = np.append(z[1:m], 0.0)
-    theta = alpha * softmax(logits)
-    return theta, lower + np.exp(np.clip(z[m:], -700.0, 700.0))
-
-
 class _CmlLikelihood:
     """Conditional log-likelihood of one grid, with its exact score and
     Hessian.
@@ -403,33 +389,6 @@ class _CmlLikelihood:
         return loglik, score, hess
 
 
-def _chain_to_z(z, m, score, hess):
-    """The natural score g and Hessian H in the coordinates z of ``_pack``:
-    J^T g and J^T H J + sum_k g_k d2x_k/dz dz^T.  With theta = alpha s,
-    alpha' = alpha (1 - alpha), ds_k/dz_i = s_k (delta_ki - s_i) and u_i =
-    sum_k g_k ds_k/dz_i, the last term is alpha' (1 - 2 alpha) s.g in (0, 0),
-    alpha' u in (0, i), alpha (diag(u) - s u^T - u s^T) in (i, j), and
-    g e^z for each innovation parameter lower + exp(z)."""
-    n = z.size
-    alpha = float(expit(z[0]))
-    s = softmax(np.append(z[1:m], 0.0))
-    ext = np.exp(np.clip(z[m:], -700.0, 700.0))
-    slope = alpha * (1.0 - alpha)
-    mean = s @ score[:m]
-    u = s * (score[:m] - mean)
-    jac = np.zeros((n, n))
-    jac[:m, 0] = slope * s
-    jac[:m, 1:m] = alpha * (np.diag(s) - np.outer(s, s))[:, :-1]
-    jac[m:, m:] = np.diag(ext)
-    curv = np.zeros((n, n))
-    curv[0, 0] = slope * (1.0 - 2.0 * alpha) * mean
-    curv[0, 1:m] = curv[1:m, 0] = slope * u[:-1]
-    curv[1:m, 1:m] = alpha * (np.diag(u) - np.outer(s, u)
-                              - np.outer(u, s))[:-1, :-1]
-    curv[m:, m:] = np.diag(score[m:] * ext)
-    return jac.T @ score, jac.T @ hess @ jac + curv
-
-
 def _inverse_scale(p_site):
     """An exact power of two s <= 1 that keeps s / p_s finite.
 
@@ -491,20 +450,110 @@ def _table_derivatives(tables, q):
     return d1, d2
 
 
-def _project_interior(theta, extra, lower):
-    """Pull a possibly inadmissible start strictly inside the constraints.
+def _box_start(theta, extra, lo):
+    """The start in the box coordinates v = (w, log mu_eps, rest): theta_k
+    >= 1e-4 summing to at most 0.999, mu_eps >= 1e-4, the rest >= ``lo``."""
+    theta = np.clip(np.nan_to_num(np.asarray(theta, dtype=float)), 1e-4, None)
+    theta *= min(1.0, 0.999 / theta.sum())
+    mu_eps = extra[0] if 1e-4 <= extra[0] < np.inf else 1e-4
+    v = np.concatenate([theta / (1.0 - theta.sum()), [np.log(mu_eps)],
+                        np.asarray(extra[1:], dtype=float)])
+    return np.where(np.isfinite(v) & (v >= lo), v, lo)
 
-    Innovation parameters move at least 1e-4 above a zero bound and 1%
-    above a positive one.
-    """
-    theta = np.clip(np.nan_to_num(np.asarray(theta, dtype=float), nan=0.0),
-                    1e-4, None)
-    total = theta.sum()
-    if total >= 1.0 - 1e-3:
-        theta *= (1.0 - 1e-3) / total
-    floor = np.maximum(1.01 * np.asarray(lower), 1e-4)
-    extra = np.asarray(extra, dtype=float)
-    return theta, np.where(np.isfinite(extra) & (extra >= floor), extra, floor)
+
+def _natural(v, m):
+    """(theta, innovation parameters) at the box point v, and 1 - alpha."""
+    one_minus = 1.0 / (1.0 + v[:m].sum())
+    return np.concatenate([v[:m] * one_minus, [np.exp(min(v[m], 700.0))],
+                           v[m + 1:]]), one_minus
+
+
+def _box_point(likelihood, v, m):
+    """(loglik, score, Hessian, natural vector, natural Hessian) at the box
+    point ``v``, or None where any is not finite: theta = (1 - alpha) w
+    moves by (1 - alpha) (I - theta 1^T) dw, with curvature (1 - alpha)**2
+    (2 g.theta - g_i - g_j), and mu_eps = e^v by mu_eps dv, with g mu_eps."""
+    vec, one_minus = _natural(v, m)
+    loglik, score, hess = likelihood.value_score_hessian(vec)
+    if score is None or not np.all(np.isfinite(hess)):
+        return None
+    theta, g = vec[:m], score[:m]
+    jac = np.eye(vec.size)
+    jac[:m, :m] = one_minus * (np.eye(m) - theta[:, None])
+    jac[m, m] = vec[m]
+    curv = np.zeros_like(hess)
+    curv[:m, :m] = one_minus**2 * (2.0 * (g @ theta) - g[:, None] - g)
+    curv[m, m] = score[m] * vec[m]
+    return loglik, jac.T @ score, jac.T @ hess @ jac + curv, vec, hess
+
+
+def _trust_step(lam, vecs, gq, radius):
+    """(p, on the sphere) maximising g.p - p.B.p / 2 over |p| <= radius, for
+    B = vecs diag(lam) vecs^T, lam ascending, gq = vecs^T g (More &
+    Sorensen 1983): the Newton step if B > 0 and it fits, else p(s) = (B +
+    s I)^-1 g with |p(s)| = radius, by Newton's method on the concave
+    1/|p(s)|, or, in the hard case, onto the sphere along lam_0 < 0."""
+    shift = 0.0 if lam[0] > 0.0 else -lam[0] + _EPS * max(1.0, -lam[0], lam[-1])
+    step = vecs @ (gq / (lam + shift))
+    norm = float(np.linalg.norm(step))
+    if norm <= radius:
+        tau = np.sqrt(radius**2 - norm**2) if lam[0] < 0.0 else 0.0
+        return step + tau * vecs[:, 0], lam[0] < 0.0
+    for _ in range(50):
+        inv = 1.0 / (lam + shift)
+        norm = float(np.sqrt(np.sum((gq * inv) ** 2)))
+        if abs(norm - radius) <= 1e-10 * radius:
+            break
+        shift += (norm - radius) / radius * norm**2 / np.sum(gq**2 * inv**3)
+    return vecs @ (gq / (lam + shift)), True
+
+
+def _box_search(likelihood, v, point, lo, m):
+    """The search of ``cml_estimate`` from ``v``, at ``_box_point``
+    ``point``, over the box v >= ``lo``: (last accepted point, mask held on
+    a bound, largest scaled projected score, trial points, stop reason)."""
+    on_bound = np.where(np.arange(v.size) < m, _W_FLOOR, lo)
+    radius, n_iter, fresh = _RADIUS0, 0, True
+    while True:
+        loglik, grad, hess = point[:3]
+        if fresh:
+            held = (v <= on_bound) & (grad < 0.0)
+            free, fresh = ~held, False
+            grad_norm = float(np.max(np.abs(grad[free])
+                                     * np.maximum(1.0, np.abs(v[free]))))
+            if grad_norm <= _GTOL:
+                message = "projected score below tolerance"
+                break
+            neg = -hess[np.ix_(free, free)]
+            scale = 1.0 / np.sqrt(np.maximum(np.abs(np.diag(neg)), 1.0))
+            lam, vecs = np.linalg.eigh(neg * np.outer(scale, scale))
+            gq = vecs.T @ (grad[free] * scale)
+            if lam[0] > 0.0 and gq @ (gq / lam) < 2 * _GAIN_RTOL * (1 + abs(loglik)):
+                message = "Newton step gain below tolerance"
+                break
+        if n_iter == _MAX_ITER:
+            message = f"iteration limit ({_MAX_ITER} trial points) reached"
+            break
+        n_iter += 1
+        step, on_sphere = _trust_step(lam, vecs, gq, radius)
+        trial = np.where(held, lo, v)
+        trial[free] = np.maximum(v[free] + step * scale, lo[free])
+        if not trial[:m].any():  # the corner alpha = 0: its stand-in
+            trial[np.argmax(grad[:m])] = _W_FLOOR
+        s = trial - v
+        gain = grad @ s + 0.5 * s @ hess @ s
+        new = _box_point(likelihood, trial, m) if gain > 0.0 else None
+        rho = -np.inf if new is None else (new[0] - loglik) / gain
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and on_sphere:
+            radius *= 2.0
+        if rho > 0.15:
+            v, point, fresh = trial, new, True
+        elif radius * scale.max() < _EPS * np.max(np.abs(v), initial=1.0):
+            message = "trust radius below the rounding of the point"
+            break
+    return point, held, grad_norm, n_iter, message
 
 
 def _moment_dispersion(grid, alpha):
@@ -519,38 +568,29 @@ def _moment_dispersion(grid, alpha):
 def _initial_point(grid, order, family, init):
     """CLS start, falling back to YW, falling back to a neutral interior point.
 
-    Returns theta and the innovation parameters of ``family``; a missing
-    dispersion comes from the sample variance.
+    Returns theta and the innovation parameters of ``family``, possibly
+    inadmissible; a missing dispersion comes from the sample variance.
     """
     m = order.n_lags
-    if init is not None:
-        theta = np.asarray(init.theta, dtype=float)
-        if theta.size != m:
-            raise ValidationError(
-                f"init has {theta.size} dependence coefficients, order needs {m}"
-            )
-        mu_eps = init.mu_eps
-        i_eps = init.i_eps
-    else:
-        try:
-            fit = cls_estimate(grid, order)
-        except CinarError:
+    fit = init
+    for estimator in (cls_estimate, yw_estimate):
+        if fit is None:
             try:
-                fit = yw_estimate(grid, order)
+                fit = estimator(grid, order)
             except CinarError:
-                fit = None
-        if fit is not None:
-            theta, mu_eps, i_eps = fit.theta, fit.mu_eps, fit.i_eps
-        else:
-            theta = np.full(m, 0.3 / m)
-            mu_eps = max(float(np.mean(grid.values)) * 0.7, 1e-2)
-            i_eps = 1.5
+                pass
+    if fit is None:
+        theta, i_eps = np.full(m, 0.3 / m), 1.5
+        mu_eps = max(float(np.mean(grid.values)) * 0.7, 1e-2)
+    else:
+        theta, mu_eps, i_eps = np.asarray(fit.theta, dtype=float), fit.mu_eps, fit.i_eps
+    if theta.size != m:
+        raise ValidationError(
+            f"init has {theta.size} dependence coefficients, order needs {m}")
     if i_eps is None and "i_eps" in family.param_names:
         i_eps = _moment_dispersion(grid, float(np.clip(np.sum(theta), 0.0, 0.99)))
     start = {"mu_eps": mu_eps, "i_eps": i_eps}
-    return _project_interior(
-        theta, [start[name] for name in family.param_names], family.lower_bounds
-    )
+    return theta, [start[name] for name in family.param_names]
 
 
 def _parse_fix_zero(fix_zero, order):
@@ -583,116 +623,73 @@ def _parse_fix_zero(fix_zero, order):
 
 
 def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
-    """Maximum conditional likelihood over the open constraint region.
+    """Maximum conditional likelihood over the closed constraint region.
 
-    The constraints (theta_ij >= 0, sum < 1, mu_eps > 0, dispersion > 1
-    for the NB family) are enforced through a smooth bijection to an
-    unconstrained space, where a trust-region Newton method on the exact
-    observed information (scipy's ``trust-exact``) runs from the CLS
-    (fallback YW, fallback neutral) start, or from ``init`` when given.
-    Each trial point costs one likelihood pass, which gives the value,
-    the score and the Hessian together; points where the likelihood is
-    zero or undefined act as an infinite wall, so a trial there is
-    rejected and the trust region shrinks.  The standard errors reuse the
-    Hessian of the last accepted point.  Raises NumericalError, naming a
-    zero-probability site, when the start lies on that wall, and
+    The search runs over the box v = (w, log mu_eps, i_eps) >= (0, -inf,
+    NB floor), w = theta / (1 - alpha), from the CLS (fallback YW,
+    fallback neutral) start or from ``init``.  theta_ij = 0 and the NB
+    floor are faces; alpha -> 1 and mu_eps -> 0, the perfect-fit corners,
+    lie at infinity.  Each iteration holds the coordinates on their bound
+    whose score pushes outward, takes a trust-region Newton step on the
+    exact observed information of the others and projects it onto the box,
+    so a face is reached exactly.  A trial point costs one likelihood pass
+    (value, score and Hessian); one of zero or undefined likelihood is
+    refused.  The search stops at a Newton gain under 1e-12 (1 + |loglik|),
+    a scaled projected score under 1e-6, a trust radius below the rounding
+    of the point, or 200 trial points.  The standard errors reuse the last
+    Hessian; at held coordinates, which ``diagnostics.at_bounds`` and
+    ``se_error`` name, they are withheld, as the usual asymptotics fail on
+    a bound (Self & Liang 1987, JASA 82:605-610).  Raises NumericalError,
+    naming a zero-probability site, when the start lies on that wall, and
     ValidationError when the grid has no more interior sites than free
-    parameters, which the likelihood cannot identify.
-    ``fix_zero`` names lag coefficients pinned to exactly 0 (simplified
-    models), e.g. ``("theta_11",)`` or ``[(1, 1)]``; they are excluded
-    from the free parameters, the information criteria, and carry zero
-    standard error.  Deterministic.
+    parameters.  ``fix_zero`` names lag coefficients pinned to exactly 0,
+    e.g. ``("theta_11",)`` or ``[(1, 1)]``: they leave the free parameters
+    and the information criteria, and carry zero standard error.
+    Deterministic.
     """
     family = innovation_family(family)
-    lower = family.lower_bounds
     m = order.n_lags
     fixed_idx = _parse_fix_zero(fix_zero, order)
     free_idx = np.array([k for k in range(m) if k not in fixed_idx], dtype=int)
     m_free = free_idx.size
     likelihood = _CmlLikelihood(grid.values, order, family, lags=free_idx)
-    n_free = m_free + len(lower)
+    n_free = m_free + len(family.param_names)
     if likelihood.n_sites <= n_free:
         raise ValidationError(
             "CML needs more interior sites than free parameters: the grid has"
             f" {likelihood.n_sites} interior site(s) for {n_free} free parameters")
-
-    last = {}
-
-    def fused(z):
-        """(-loglik, -score, -Hessian) in z, one pass per new point."""
-        if "z" not in last or not np.array_equal(z, last["z"]):
-            vec = np.concatenate(_unpack(z, m_free, lower))
-            loglik, score, hess = likelihood.value_score_hessian(vec)
-            last.update(z=np.array(z), vec=vec, hess=hess)
-            if score is None:
-                last["out"] = _WALL, np.zeros_like(z), np.zeros((z.size, z.size))
-            else:
-                grad_z, hess_z = _chain_to_z(z, m_free, score, hess)
-                last["out"] = -loglik, -grad_z, -hess_z
-        return last["out"]
+    names = tuple(order.theta_names()[k] for k in free_idx) + family.param_names
+    lower = np.concatenate([np.zeros(m_free), family.lower_bounds])
+    lo = np.where(np.arange(lower.size) == m_free, -np.inf, lower)  # log mu_eps
 
     theta0, extra0 = _initial_point(grid, order, family, init)
-    theta0_free, extra0 = _project_interior(theta0[free_idx], extra0, lower)
-    z0 = _pack(theta0_free, extra0, lower)
-    if fused(z0)[0] == _WALL:
-        _, bad = likelihood.evaluate(
-            theta0_free, family.from_params(extra0, theta0_free.sum())
-        )
-        raise NumericalError(
-            "the CML start has no finite conditional likelihood: "
-            + (_zero_sites(bad, grid, order) if bad.size
-               else "it lies outside the model's domain")
-        )
+    v = _box_start(theta0[free_idx], extra0, lo)
+    point = _box_point(likelihood, v, m_free)
+    if point is None:
+        vec = _natural(v, m_free)[0]
+        theta = vec[:m_free]
+        innovation = family.from_params(vec[m_free:], theta.sum())
+        bad = likelihood.evaluate(theta, innovation)[1]
+        raise NumericalError("the CML start has no finite conditional likelihood: "
+                             + (_zero_sites(bad, grid, order) if bad.size
+                                else "it lies outside the model's domain"))
 
-    def small_gain(intermediate_result):
-        """Stop at a newly accepted point where the Newton step gains
-        g^T H^-1 g / 2 < _GAIN_RTOL (1 + |loglik|)."""
-        if np.array_equal(intermediate_result.x, last["z"]):
-            value, grad, hess = last["out"]
-            try:
-                half = np.linalg.solve(np.linalg.cholesky(hess), grad)
-            except np.linalg.LinAlgError:  # not convex here
-                return
-            if half @ half < 2.0 * _GAIN_RTOL * (1.0 + abs(value)):
-                raise StopIteration
-
-    try:
-        res = optimize.minimize(
-            lambda z: fused(z)[:2], z0, method="trust-exact", jac=True,
-            hess=lambda z: fused(z)[2], callback=small_gain,
-            options={"gtol": _GTOL, "maxiter": 200},
-        )
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        # scipy's subproblem solver, far out where its own iterates overflow
-        raise NumericalError(
-            "a trust-region step failed in scipy's trust-exact subproblem"
-            f" near the point {np.array2string(last['vec'], precision=6)}"
-            f" ({type(exc).__name__}: {exc})"
-        ) from exc
-    # the last accepted point; a pass only when the last trial was refused
-    fused(res.x)
-    message = ("Newton step gain below tolerance" if res.status == 99
-               else str(res.message))
-
-    loglik_max = -float(res.fun)
-    grad_norm = float(np.linalg.norm(res.jac, ord=np.inf))
-    converged = grad_norm <= 1e-5 * (1.0 + abs(loglik_max))
-
-    vec_free = last["vec"]
-    theta_free, extra = vec_free[:m_free], vec_free[m_free:]
-    theta = np.zeros(m)
-    theta[free_idx] = theta_free
+    point, held, grad_norm, n_iter, message = _box_search(
+        likelihood, v, point, lo, m_free)
+    loglik_max, _, _, vec_free, hess_nat = point
+    at_bounds = tuple(names[i] for i in np.flatnonzero(held))
+    theta, extra = np.zeros(m), vec_free[m_free:]
+    theta[free_idx] = vec_free[:m_free]
     estimates = np.concatenate([theta, extra])
-    params_hat = CinarParams(
-        order, theta, family.from_params(extra, float(theta.sum()))
-    )
+    params_hat = CinarParams(order, theta, family.from_params(extra, theta.sum()))
 
-    se_error = None
+    std_errors, se_error = np.zeros(estimates.size), None
     try:
-        se_free = _se_from_loglik(last["hess"], vec_free,
-                                  np.concatenate([np.zeros(m_free), lower]))
-        std_errors = np.zeros(estimates.size)
-        std_errors[np.concatenate([free_idx, np.arange(m, estimates.size)])] = se_free
+        if at_bounds:
+            raise NumericalError("estimate on the constraint boundary ({})".format(
+                ", ".join(f"{names[i]} = {lo[i]:.9g}" for i in np.flatnonzero(held))))
+        free_at = np.concatenate([free_idx, np.arange(m, estimates.size)])
+        std_errors[free_at] = _se_from_loglik(hess_nat, vec_free, lower)
     except NumericalError as exc:
         std_errors, se_error = None, str(exc)
     aic, bic = information_criteria(
@@ -704,9 +701,10 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
         estimates=estimates,
         admissible=bool(validate_params(params_hat)),
         diagnostics=FitDiagnostics(
-            n_iter=int(res.nit), converged=converged, grad_norm=grad_norm,
+            n_iter=n_iter, grad_norm=grad_norm,
+            converged=grad_norm <= 1e-5 * (1.0 + abs(loglik_max)),
             n_fev=likelihood.n_fev, n_grad=likelihood.n_grad,
-            message=message, se_error=se_error,
+            message=message, se_error=se_error, at_bounds=at_bounds,
         ),
         std_errors=std_errors,
         loglik=loglik_max,

@@ -2,7 +2,8 @@
 
 A CINAR field is defined by its innovation family, and each family
 declares itself once, here: its ``name`` and ``aliases``, the names of its
-innovation parameters and their open lower bounds, ``from_params`` to
+innovation parameters and their ``lower_bounds`` (open for the mean
+mu_eps, closed for the NB floor ``NB_MIN_DISPERSION``), ``from_params`` to
 build the law at a thinning probability, and ``derivative_series``, the
 first and second derivatives of its log-PGF over (alpha, *param_names),
 which the CML score and Hessian are built from.
@@ -41,6 +42,10 @@ __all__ = [
 TAIL_MASS = 1e-12
 TAIL_TERM = 1e-16
 TAIL_RUN = 10
+
+# Smallest NB dispersion ratio i_eps, a closed bound: from_targets refuses
+# less, where nu ~ 1/(i_eps - 1) grows without limit towards Poisson.
+NB_MIN_DISPERSION = 1.0 + 1e-8
 
 
 class _InverseCdfMixin:
@@ -192,7 +197,7 @@ class NbMarginalInnovation(_InverseCdfMixin):
     name = "nb"
     aliases = ("nb", "nbmarginal", "negbin", "negativebinomial", "n")
     param_names = ("mu_eps", "i_eps")
-    lower_bounds = (0.0, 1.0)
+    lower_bounds = (0.0, NB_MIN_DISPERSION)
 
     def __init__(self, nu, pi, alpha):
         nu, pi, alpha = float(nu), float(pi), float(alpha)
@@ -216,19 +221,19 @@ class NbMarginalInnovation(_InverseCdfMixin):
 
     @classmethod
     def from_targets(cls, mu_eps, i_eps, alpha):
-        """The law with innovation mean mu_eps and dispersion ratio i_eps > 1
-        at thinning probability alpha.  By the stationary-moment identities
-        the field marginal NB(nu, pi) has pi = (1 + alpha) / (alpha + i_eps)
-        and nu = mu_eps (1 + alpha) / ((1 - alpha) (i_eps - 1))."""
+        """The law with innovation mean mu_eps and dispersion ratio i_eps >=
+        NB_MIN_DISPERSION at thinning probability alpha.  The field marginal
+        NB(nu, pi) has pi = (1 + alpha) / (alpha + i_eps) and nu = mu_eps
+        (1 + alpha) / ((1 - alpha) (i_eps - 1)), by the stationary moments."""
         mu_eps, i_eps, alpha = float(mu_eps), float(i_eps), float(alpha)
         if mu_eps <= 0:
             raise ValidationError(f"mu_eps must be > 0, got {mu_eps}")
         if not 0.0 < alpha < 1.0:
             raise ValidationError(f"alpha must be in (0,1), got {alpha}")
-        if i_eps - 1.0 <= 1e-8:
+        if not i_eps >= NB_MIN_DISPERSION:
             raise ValidationError(
                 "NB construction requires overdispersion: dispersion ratio must"
-                f" exceed 1, got {i_eps!r}"
+                f" be at least {NB_MIN_DISPERSION!r}, got {i_eps!r}"
             )
         pi = (1.0 + alpha) / (alpha + i_eps)
         nu = mu_eps * (1.0 + alpha) / ((1.0 - alpha) * (i_eps - 1.0))
@@ -368,13 +373,15 @@ def innovation_from_estimates(estimates, alpha):
     """The innovation law that a fit's estimates describe.
 
     ``estimates`` maps parameter names to values.  The law is that of the
-    family with the most parameters that all appear there above their
-    lower bounds, so a moment fit whose dispersion estimate is 1 or less
-    reads as Poisson.
+    family with the most parameters that all appear there within their
+    lower bounds (mu_eps above 0, the others at or above theirs), so a
+    moment fit whose dispersion estimate is below the NB floor reads as
+    Poisson.
     """
     for family in _FAMILIES:
         values = [estimates.get(name, np.nan) for name in family.param_names]
-        if all(value > bound for value, bound in zip(values, family.lower_bounds)):
+        mu_eps, rest = values[0], zip(values[1:], family.lower_bounds[1:])
+        if mu_eps > 0.0 and all(value >= bound for value, bound in rest):
             return family.from_params(values, alpha)
     raise ValidationError(
         f"no innovation family has parameters in bounds among {estimates}"

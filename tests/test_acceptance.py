@@ -27,7 +27,6 @@ from cinar import (
     acf_closed_form_11,
     cls_estimate,
     cml_estimate,
-    conditional_moments,
     conditional_pmf,
     pearson_residuals,
     pit_histogram,
@@ -38,6 +37,8 @@ from cinar import (
     tobit_conditional_pmf,
     yw_estimate,
 )
+
+from cinar.diagnose import conditional_moments
 
 from _stats_helpers import chisq_gof
 

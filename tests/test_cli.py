@@ -28,7 +28,6 @@ from cinar import (
     ValidationError,
     cml_estimate,
     read_grid,
-    replication_seed,
     run_study,
     sample_acf,
     simulate_cinar,
@@ -38,7 +37,7 @@ from cinar import (
     yw_estimate,
 )
 from cinar.cli import main
-from cinar.simstudy import StudyArm, parse_arm, write_study_csv
+from cinar.simstudy import StudyArm, parse_arm, replication_seed, write_study_csv
 
 
 def _simulate_csv(tmp_path, name="grid.csv", n=(30, 30), seed=42,
@@ -239,16 +238,17 @@ class TestCmdFit:
         lib = cml_estimate(read_grid(path), ModelOrder(1, 1)).diagnostics
         cml = by_method["CML"]
         assert list(cml) == ["n_iter", "converged", "grad_norm", "n_fev",
-                             "n_grad", "message", "se_error"]
+                             "n_grad", "message", "se_error", "at_bounds"]
         assert (cml["n_iter"], cml["converged"], cml["grad_norm"]) == (
             lib.n_iter, lib.converged, lib.grad_norm)
         assert (cml["n_fev"], cml["n_grad"], cml["message"]) == (
             lib.n_fev, lib.n_grad, lib.message)
         assert cml["n_fev"] >= cml["n_grad"] > 0
         assert cml["se_error"] is None
+        assert cml["at_bounds"] == list(lib.at_bounds) == []
         assert by_method["CLS"] == {
             "n_iter": 0, "converged": True, "grad_norm": None, "n_fev": 0,
-            "n_grad": 0, "message": None, "se_error": None}
+            "n_grad": 0, "message": None, "se_error": None, "at_bounds": []}
 
     def test_cml_starts_from_the_cls_fit(self, tmp_path, monkeypatch):
         """yw,cls,cml solves CLS once; its CML block equals a cml-only run's."""
@@ -313,16 +313,19 @@ class TestCmdFit:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "theta_11" in err[0] and "twice" in err[0]
 
-    def test_failed_trust_region_step_exits_3(self, tmp_path, capsys):
-        """A constant grid whose fit runs off to alpha -> 1, where scipy's
-        trust-exact subproblem fails, ends in one line and exit 3."""
-        path = tmp_path / "const.csv"
-        write_grid(CountGrid(np.full((3, 10), 412)), path)
+    def test_start_on_the_wall_exits_3(self, tmp_path, capsys):
+        """A grid whose CML start has a site of zero conditional
+        probability ends in one line naming the grid cell, and exit 3."""
+        values = np.ones((12, 12), dtype=int)
+        values[5, 6] = values[6, 5] = values[5, 5] = 0
+        values[6, 6] = 400
+        path = tmp_path / "wall.csv"
+        write_grid(CountGrid(values), path)
         rc = main(["fit", "--grid", str(path), "--order", "1,1",
                    "--method", "cml", "--out", str(tmp_path / "f.json")])
         assert rc == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "trust-region step failed" in err[0]
+        assert len(err) == 1 and "grid cell (6, 6)" in err[0]
 
     def test_missing_grid_file_exits_2(self, tmp_path, capsys):
         rc = main(["fit", "--grid", str(tmp_path / "none.csv"),
@@ -761,11 +764,13 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 2
 
-    def test_import_leaves_scipy_stats_out(self):
-        """Importing the package and its CLI does not load scipy.stats."""
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+    def test_import_leaves_scipy_stats_out(self, module):
+        """Importing the package and its CLI loads neither scipy.stats nor
+        scipy.optimize."""
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, cinar, cinar.cli;"
-             " print('scipy.stats' in sys.modules)"],
+             f" print({module!r} in sys.modules)"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"

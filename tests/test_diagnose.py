@@ -16,7 +16,6 @@ from cinar import (
     SimConfig,
     ValidationError,
     build_diagnostics,
-    conditional_moments,
     conditional_pmf,
     information_criteria,
     multilateral_conditional_pmf,
@@ -25,7 +24,7 @@ from cinar import (
     simulate_cinar,
     tobit_conditional_pmf,
 )
-from cinar.diagnose import ConditionalPmf, DiagnosticsReport
+from cinar.diagnose import ConditionalPmf, DiagnosticsReport, conditional_moments
 
 from _diag_oracle import pearson_oracle, pit_oracle
 from _stats_helpers import lagged_stack

@@ -13,11 +13,10 @@ from cinar import (
     NbMarginalInnovation,
     SignPattern,
     ValidationError,
-    lag_set,
     stationary_moments,
     validate_params,
 )
-from cinar.model import lag_views
+from cinar.model import lag_set, lag_views
 
 from _stats_helpers import lagged_stack
 
