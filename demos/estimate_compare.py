@@ -3,7 +3,8 @@
 Yule-Walker (moments), conditional least squares (closed form), and
 conditional maximum likelihood (numerical) on the same data, with the
 true values alongside.  CML additionally gives standard errors and
-information criteria.
+information criteria, which choose between the Poisson family and the NB
+family that contains it as its face i_eps = 1.
 """
 
 import numpy as np
@@ -48,3 +49,10 @@ print(f"converged: {cml.diagnostics.converged}"
 simplified = cml_estimate(grid, order, fix_zero=("theta_11",))
 print(f"\nsimplified (theta_11 = 0): BIC {simplified.bic:.1f}"
       f" vs full {cml.bic:.1f}")
+
+# The NB family, fitted to the same Poisson data: its i_eps = 1 face is the
+# Poisson law, so its log-likelihood is at least the Poisson fit's, and AIC
+# charges its extra parameter.
+nb = cml_estimate(grid, order, family="nb")
+print(f"\nNB fit: i_eps {nb.i_eps:.6g}, at_bounds {nb.diagnostics.at_bounds},"
+      f" AIC {nb.aic:.1f} vs Poisson {cml.aic:.1f}")

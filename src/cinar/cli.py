@@ -421,6 +421,17 @@ def cmd_simstudy(args):
 # =============================================================================
 
 
+def _model_flags(parser, required):
+    """The model flags of a command: --order, --theta, --family, --mu-eps
+    and --i-eps."""
+    parser.add_argument("--order", required=required, metavar="P1,P2")
+    parser.add_argument("--theta", required=required, metavar="T01,T10,...")
+    parser.add_argument("--family", default="poisson", metavar="poisson|nb")
+    parser.add_argument("--mu-eps", type=float, required=required, metavar="MU")
+    parser.add_argument("--i-eps", type=float, default=None, metavar="I",
+                        help="NB dispersion ratio, >= 1; at 1 the law is Poisson")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cinar",
@@ -430,11 +441,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate a grid to CSV + metadata")
-    sim.add_argument("--order", required=True, metavar="P1,P2")
-    sim.add_argument("--theta", required=True, metavar="T01,T10,...")
-    sim.add_argument("--family", default="poisson", metavar="poisson|nb")
-    sim.add_argument("--mu-eps", type=float, required=True, metavar="MU")
-    sim.add_argument("--i-eps", type=float, default=None, metavar="I")
+    _model_flags(sim, required=True)
     sim.add_argument("--signs", default=None, metavar="+,+,-",
                      help="censored (Tobit) variant with these lag signs")
     sim.add_argument("--n", required=True, metavar="N1,N2")
@@ -459,11 +466,7 @@ def build_parser():
     acf.add_argument("--grid", default=None, metavar="GRID.csv",
                      help="sample table from a grid (else model flags)")
     acf.add_argument("--header", action="store_true")
-    acf.add_argument("--order", default=None, metavar="P1,P2")
-    acf.add_argument("--theta", default=None, metavar="T01,T10,...")
-    acf.add_argument("--family", default="poisson", metavar="poisson|nb")
-    acf.add_argument("--mu-eps", type=float, default=None, metavar="MU")
-    acf.add_argument("--i-eps", type=float, default=None, metavar="I")
+    _model_flags(acf, required=False)
     acf.add_argument("--window", default="2,2", metavar="K,L")
     acf.add_argument("--out", required=True, metavar="TABLE.csv")
     acf.set_defaults(func=cmd_acf)
@@ -476,22 +479,14 @@ def build_parser():
                      help="fit result file to diagnose (else model flags)")
     dia.add_argument("--method", default="cml", metavar="yw|cls|cml",
                      help="which fit to take from --params")
-    dia.add_argument("--order", default=None, metavar="P1,P2")
-    dia.add_argument("--theta", default=None, metavar="T01,T10,...")
-    dia.add_argument("--family", default="poisson", metavar="poisson|nb")
-    dia.add_argument("--mu-eps", type=float, default=None, metavar="MU")
-    dia.add_argument("--i-eps", type=float, default=None, metavar="I")
+    _model_flags(dia, required=False)
     dia.add_argument("--bins", type=int, default=10, metavar="B")
     dia.add_argument("--out", required=True, metavar="REPORT.json")
     dia.set_defaults(func=cmd_diagnose)
 
     study = sub.add_parser("simstudy",
                            help="replication study across sizes/estimators")
-    study.add_argument("--order", required=True, metavar="P1,P2")
-    study.add_argument("--theta", required=True, metavar="T01,T10,...")
-    study.add_argument("--family", default="poisson", metavar="poisson|nb")
-    study.add_argument("--mu-eps", type=float, required=True, metavar="MU")
-    study.add_argument("--i-eps", type=float, default=None, metavar="I")
+    _model_flags(study, required=True)
     study.add_argument("--sizes", required=True, metavar="N1,N2;N1,N2")
     study.add_argument("--methods", default="cml", metavar="yw,cls,cml,cml-1")
     study.add_argument("--reps", type=int, default=200, metavar="R")

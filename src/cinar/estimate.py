@@ -626,21 +626,22 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
     """Maximum conditional likelihood over the closed constraint region.
 
     The search runs over the box v = (w, log mu_eps, i_eps) >= (0, -inf,
-    NB floor), w = theta / (1 - alpha), from the CLS (fallback YW,
-    fallback neutral) start or from ``init``.  theta_ij = 0 and the NB
-    floor are faces; alpha -> 1 and mu_eps -> 0, the perfect-fit corners,
-    lie at infinity.  Each iteration holds the coordinates on their bound
-    whose score pushes outward, takes a trust-region Newton step on the
-    exact observed information of the others and projects it onto the box,
-    so a face is reached exactly.  A trial point costs one likelihood pass
-    (value, score and Hessian); one of zero or undefined likelihood is
-    refused.  The search stops at a Newton gain under 1e-12 (1 + |loglik|),
-    a scaled projected score under 1e-6, a trust radius below the rounding
-    of the point, or 200 trial points.  The standard errors reuse the last
-    Hessian; at held coordinates, which ``diagnostics.at_bounds`` and
-    ``se_error`` name, they are withheld, as the usual asymptotics fail on
-    a bound (Self & Liang 1987, JASA 82:605-610).  Raises NumericalError,
-    naming a zero-probability site, when the start lies on that wall, and
+    1), w = theta / (1 - alpha), from the CLS (fallback YW, fallback
+    neutral) start or from ``init``.  theta_ij = 0 and i_eps = 1, where the
+    NB law is Poisson, are faces; alpha -> 1 and mu_eps -> 0, the
+    perfect-fit corners, lie at infinity.  Each iteration holds the
+    coordinates on their bound whose score pushes outward, takes a
+    trust-region Newton step on the exact observed information of the
+    others and projects it onto the box, so a face is reached exactly.  A
+    trial point costs one likelihood pass (value, score and Hessian); one
+    of zero or undefined likelihood is refused.  The search stops at a
+    Newton gain under 1e-12 (1 + |loglik|), a scaled projected score under
+    1e-6, a trust radius below the rounding of the point, or 200 trial
+    points.  The standard errors reuse the last Hessian; at held
+    coordinates, which ``diagnostics.at_bounds`` and ``se_error`` name,
+    they are withheld, as the usual asymptotics fail on a bound (Self &
+    Liang 1987, JASA 82:605-610).  Raises NumericalError, naming a
+    zero-probability site, when the start lies on that wall, and
     ValidationError when the grid has no more interior sites than free
     parameters.  ``fix_zero`` names lag coefficients pinned to exactly 0,
     e.g. ``("theta_11",)`` or ``[(1, 1)]``: they leave the free parameters

@@ -3,7 +3,7 @@
 A CINAR field is defined by its innovation family, and each family
 declares itself once, here: its ``name`` and ``aliases``, the names of its
 innovation parameters and their ``lower_bounds`` (open for the mean
-mu_eps, closed for the NB floor ``NB_MIN_DISPERSION``), ``from_params`` to
+mu_eps, closed for the NB dispersion i_eps at 1), ``from_params`` to
 build the law at a thinning probability, and ``derivative_series``, the
 first and second derivatives of its log-PGF over (alpha, *param_names),
 which the CML score and Hessian are built from.
@@ -12,7 +12,8 @@ which the CML score and Hessian are built from.
   marginal of the field is again Poisson.
 * ``NbMarginalInnovation`` -- the innovation law that makes the stationary
   marginal of the field exactly NB(nu, pi) under total thinning probability
-  alpha.  Its PMF follows a three-term recurrence read off its PGF.
+  alpha.  Its PMF follows a three-term recurrence read off its PGF; on its
+  face i_eps = 1 it is Poisson(mu_eps).
 
 ``innovation_family`` looks a family up by name, and
 ``innovation_from_estimates`` finds the law a fit describes.
@@ -43,9 +44,7 @@ TAIL_MASS = 1e-12
 TAIL_TERM = 1e-16
 TAIL_RUN = 10
 
-# Smallest NB dispersion ratio i_eps, a closed bound: from_targets refuses
-# less, where nu ~ 1/(i_eps - 1) grows without limit towards Poisson.
-NB_MIN_DISPERSION = 1.0 + 1e-8
+_K_LAST = 63 * 2**17  # the CDF table doubles from k = 63 up to this k
 
 
 class _InverseCdfMixin:
@@ -58,10 +57,15 @@ class _InverseCdfMixin:
         until the tail is negligible."""
         if self._cdf is not None:
             return self._cdf
+        mean, variance = self.moments()
+        # at most half the mass lies a standard deviation short of the mean
+        if mean - math.sqrt(variance) > _K_LAST:
+            raise ValidationError(f"innovation mean {mean:g} lies beyond the"
+                                  f" largest CDF table, k = {_K_LAST}")
         k_hi = 63
         # rounding moves a table's mass by about mu_eps ulps (A**nu and the
         # NB recurrence, Poisson's log-space terms); allow 16 times that
-        floor = 1.0 - TAIL_MASS - 16.0 * np.finfo(float).eps * self.moments()[0]
+        floor = 1.0 - TAIL_MASS - 16.0 * np.finfo(float).eps * mean
         while True:
             table = self.pmf_table(k_hi)
             if not np.all(np.isfinite(table)):
@@ -72,9 +76,10 @@ class _InverseCdfMixin:
             cdf = np.cumsum(table)
             if cdf[-1] >= floor and np.all(table[-TAIL_RUN:] < TAIL_TERM):
                 break
+            if k_hi == _K_LAST:
+                raise ValidationError("innovation PMF mass does not accumulate"
+                                      f" to 1 by k = {_K_LAST}")
             k_hi *= 2
-            if k_hi > 10_000_000:
-                raise ValidationError("innovation PMF mass does not accumulate to 1")
         object.__setattr__(self, "_cdf", cdf)
         return cdf
 
@@ -146,20 +151,22 @@ class PoissonInnovation(_InverseCdfMixin):
         return out if size is not None else int(out)
 
 
-# Taylor coefficients of P_0(x) = -log(1+x)/x, x P_0'(x) and x**2 P_0''(x),
+# Taylor coefficients of P_0(x) = -log(1+x)/x, P_0'(x) and P_0''(x),
 # highest power first: below x = 0.5 their closed forms cancel, and 64
 # terms reach 1e-16 relative there.
-_P0_TAYLOR = [(c, j * c, j * (j - 1) * c)
-              for j in range(63, -1, -1) for c in [(-1.0) ** (j + 1) / (j + 1)]]
+_P0_TAYLOR = [((-1.0) ** (j + 1) / (j + 1), (-1.0) ** j * (j + 1) / (j + 2),
+               (-1.0) ** (j + 1) * (j + 1) * (j + 2) / (j + 3))
+              for j in range(63, -1, -1)]
 
 
 def _p_series(x, kmax):
-    """Series in u of P(x) = -log(1 + x (1-u)) / x, x P'(x) and x**2 P''(x).
+    """Series in u of P(x) = -log(1 + x (1-u)) / x, P'(x) and P''(x).
 
-    P_0 = -log(1+x)/x, and for k >= 1, P_k = y**k / (k x) with y = x/(1+x),
-    so that x P_k' = P_k ((k-1) z - y) and x**2 P_k'' = P_k ((k-1)(k-2) z**2
-    - 4 (k-1) y z + 2 y**2) with z = 1/(1+x).  Returns the three rows of
-    kmax+1 coefficients.
+    P_0 = -log(1+x)/x, and for k >= 1, P_k = y**(k-1) z / k with y = x/(1+x)
+    and z = 1/(1+x), so that P_k' = z**2 ((k-1) z y**(k-2) - y**(k-1)) / k
+    and P_k'' = z**3 ((k-1)(k-2) z**2 y**(k-3) - 4 (k-1) z y**(k-2) + 2
+    y**(k-1)) / k.  All are finite at x = 0, where P = u - 1.  Returns the
+    three rows of kmax+1 coefficients.
     """
     y, z = x / (1.0 + x), 1.0 / (1.0 + x)
     k = np.arange(1.0, int(kmax) + 1.0)
@@ -171,12 +178,14 @@ def _p_series(x, kmax):
         out[:, 0] = p0, q0, w0
     else:
         ell = math.log1p(x) / x
-        out[:, 0] = -ell, ell - z, 2.0 * (z - ell) + y * z
-    p = y**k / k / x
-    out[0, 1:] = p
-    out[1, 1:] = p * ((k - 1.0) * z - y)
-    out[2, 1:] = p * ((k - 1.0) * (k - 2.0) * z**2 - 4.0 * (k - 1.0) * y * z
-                      + 2.0 * y**2)
+        out[:, 0] = -ell, (ell - z) / x, (z * z - 2.0 * (ell - z) / x) / x
+    # y**(k-1), y**(k-2) and y**(k-3), 1 where their factor k-1 or k-2 is 0
+    powers = np.concatenate([[1.0, 1.0], y ** np.arange(k.size)])
+    y1, y2, y3 = powers[2:], powers[1:-1], powers[:-2]
+    out[0, 1:] = y1 * z / k
+    out[1, 1:] = ((k - 1.0) * z * y2 - y1) * z**2 / k
+    out[2, 1:] = ((k - 1.0) * (k - 2.0) * z**2 * y3 - 4.0 * (k - 1.0) * z * y2
+                  + 2.0 * y1) * z**3 / k
     return out
 
 
@@ -190,14 +199,16 @@ class NbMarginalInnovation(_InverseCdfMixin):
         G(u) = A**nu (1-cu)**nu (1-du)**(-nu),
 
     so P(eps=0) = A**nu and the PMF follows the recurrence of
-    ``pmf_table``.  The parameters a fit reports are the innovation mean
-    mu_eps and dispersion i_eps (see ``from_targets``).
+    ``pmf_table``.  The law is held by the innovation mean ``mu_eps`` and
+    ``r`` = (1-pi)/pi = (i_eps - 1)/(1 + alpha), the coordinates a fit
+    reports and differentiates (see ``from_targets``); at r = 0, where nu
+    = inf and pi = 1, it is Poisson(mu_eps).
     """
 
     name = "nb"
     aliases = ("nb", "nbmarginal", "negbin", "negativebinomial", "n")
     param_names = ("mu_eps", "i_eps")
-    lower_bounds = (0.0, NB_MIN_DISPERSION)
+    lower_bounds = (0.0, 1.0)
 
     def __init__(self, nu, pi, alpha):
         nu, pi, alpha = float(nu), float(pi), float(alpha)
@@ -207,37 +218,39 @@ class NbMarginalInnovation(_InverseCdfMixin):
             raise ValidationError(f"pi must be in (0,1), got {pi}")
         if not 0.0 < alpha < 1.0:
             raise ValidationError(f"alpha must be in (0,1), got {alpha}")
-        self.nu = nu
-        self.pi = pi
-        self.alpha = alpha
-        # log A, A = pi + (1-pi)*alpha in (0,1)
-        self._log_a = float(np.log1p(-(1.0 - pi) * (1.0 - alpha)))
+        self.r, self.alpha = (1.0 - pi) / pi, alpha
+        self.mu_eps = nu * (1.0 - alpha) * self.r
+
+    @property
+    def nu(self):
+        return self.mu_eps / ((1.0 - self.alpha) * self.r) if self.r else math.inf
+
+    @property
+    def pi(self):
+        return 1.0 / (1.0 + self.r)
 
     def __repr__(self):
-        return (
-            f"NbMarginalInnovation(nu={self.nu:g}, pi={self.pi:g}, "
-            f"alpha={self.alpha:g})"
-        )
+        return (f"NbMarginalInnovation(nu={self.nu:g}, pi={self.pi:g}, "
+                f"alpha={self.alpha:g})")
 
     @classmethod
     def from_targets(cls, mu_eps, i_eps, alpha):
-        """The law with innovation mean mu_eps and dispersion ratio i_eps >=
-        NB_MIN_DISPERSION at thinning probability alpha.  The field marginal
-        NB(nu, pi) has pi = (1 + alpha) / (alpha + i_eps) and nu = mu_eps
-        (1 + alpha) / ((1 - alpha) (i_eps - 1)), by the stationary moments."""
+        """The law with innovation mean mu_eps and dispersion ratio i_eps >= 1
+        at thinning probability alpha; i_eps = 1 is Poisson(mu_eps).  The
+        field marginal NB(nu, pi) has pi = (1 + alpha) / (alpha + i_eps) and
+        nu = mu_eps (1 + alpha) / ((1 - alpha) (i_eps - 1)), by the
+        stationary moments."""
         mu_eps, i_eps, alpha = float(mu_eps), float(i_eps), float(alpha)
-        if mu_eps <= 0:
-            raise ValidationError(f"mu_eps must be > 0, got {mu_eps}")
+        if not 0.0 < mu_eps < math.inf:
+            raise ValidationError(f"mu_eps must be finite and > 0, got {mu_eps}")
         if not 0.0 < alpha < 1.0:
             raise ValidationError(f"alpha must be in (0,1), got {alpha}")
-        if not i_eps >= NB_MIN_DISPERSION:
-            raise ValidationError(
-                "NB construction requires overdispersion: dispersion ratio must"
-                f" be at least {NB_MIN_DISPERSION!r}, got {i_eps!r}"
-            )
-        pi = (1.0 + alpha) / (alpha + i_eps)
-        nu = mu_eps * (1.0 + alpha) / ((1.0 - alpha) * (i_eps - 1.0))
-        return cls(nu, pi, alpha)
+        if not 1.0 <= i_eps < math.inf:
+            raise ValidationError("NB construction requires overdispersion: dispersion"
+                                  f" ratio must be finite and >= 1, got {i_eps!r}")
+        law = cls.__new__(cls)
+        law.mu_eps, law.r, law.alpha = mu_eps, (i_eps - 1.0) / (1.0 + alpha), alpha
+        return law
 
     @classmethod
     def from_params(cls, values, alpha):
@@ -245,56 +258,42 @@ class NbMarginalInnovation(_InverseCdfMixin):
         thinning probability alpha."""
         return cls.from_targets(*values, alpha)
 
-    # -- marginal-law helpers -------------------------------------------------
-
-    def marginal_moments(self):
-        """(mean, variance) of the induced NB(nu, pi) field marginal."""
-        mu_x = self.nu * (1.0 - self.pi) / self.pi
-        return mu_x, mu_x / self.pi
-
     def moments(self):
-        """(mean, variance) of the innovation itself.
-
-        Inverts the stationary-moment relations: mu_eps = (1-alpha) mu_X and
-        sigma2_eps = (1-alpha**2) sigma2_X - alpha mu_eps.
-        """
-        mu_x, sigma2_x = self.marginal_moments()
-        mu_eps = (1.0 - self.alpha) * mu_x
-        sigma2_eps = (1.0 - self.alpha**2) * sigma2_x - self.alpha * mu_eps
-        return mu_eps, sigma2_eps
+        """(mean, variance) of the innovation itself, (mu_eps, mu_eps i_eps)."""
+        return self.mu_eps, self.mu_eps * (1.0 + (1.0 + self.alpha) * self.r)
 
     def derivative_series(self, kmax):
         """Series of the first and second derivatives of log G(u) over
         (alpha, mu_eps, i_eps), the parameters of ``from_targets``.
 
-        With r = (i_eps - 1)/(1 + alpha) = (1-pi)/pi and P of ``_p_series``,
+        With P of ``_p_series``,
 
             log G(u) = mu_eps / (1 - alpha) [P(r) - alpha P(alpha r)],
 
-        differentiated through r, whose derivatives enter multiplied by r so
-        that none is squared at a far-out r.
+        differentiated through r = (i_eps - 1)/(1 + alpha), which moves as
+        dr/di_eps = 1/(1 + alpha) and dr/dalpha = -r/(1 + alpha).  Nothing
+        is divided by r, so the series are exact on the face r = 0.
         Returns (h, hh): row a of h holds the first kmax+1 coefficients
         h_a, and hh[a, b] those of the second derivative over a and b, so
         that the PMF moves as ``pmf_table(kmax) * h_a`` and its second
         derivative is ``pmf_table(kmax) * (h_a * h_b + hh_ab)``.
         """
-        alpha = self.alpha
-        r = (1.0 - self.pi) / self.pi
-        m = self.nu * r  # mu_eps / (1 - alpha)
-        e = r * (1.0 + alpha)  # i_eps - 1
+        alpha, r = self.alpha, self.r
+        m = self.mu_eps / (1.0 - alpha)
         s, om = 1.0 / (1.0 + alpha), 1.0 - alpha
         p_r, q_r, w_r = _p_series(r, kmax)
         p_x, q_x, w_x = _p_series(alpha * r, kmax)
-        # log G = m F with F = P(r) - alpha P(alpha r); r moves as dr/di_eps
-        # = s and dr/dalpha = -r s.  a = r dF/dr, b = r**2 d2F/dr2 and, at
-        # fixed r, c = -alpha d2F/dalpha2 = -r d2F/dalpha dr; f_i, f_a, f_aa
-        # and f_ai differentiate F over i_eps and alpha with r moving.
+        # log G = m F with F = P(r) - alpha P(alpha r), whose r-derivatives
+        # are f_r and f_rr; at fixed r, c = 2 P'(alpha r) + alpha r P''(alpha
+        # r) gives d2F/dalpha2 = -r c and d2F/dalpha dr = -alpha c.  f_i,
+        # f_a, f_aa and f_ai differentiate F over i_eps and alpha.
         f = p_r - alpha * p_x
-        a, b, c = q_r - alpha * q_x, w_r - alpha * w_x, 2.0 * q_x + w_x
-        f_i = a / e
-        f_a = -(p_x + q_x) - a * s
-        f_aa = (b + 2.0 * a) * s**2 - c * (om * s / alpha)
-        f_ai = -(c + (a + b) * s) / e
+        f_r, f_rr = q_r - alpha**2 * q_x, w_r - alpha**3 * w_x
+        c = 2.0 * q_x + alpha * r * w_x
+        f_i = s * f_r
+        f_a = -(p_x + alpha * r * q_x) - r * f_i
+        f_aa = r * s * (s * (r * f_rr + 2.0 * f_r) - om * c)
+        f_ai = -s * (alpha * c + s * (f_r + r * f_rr))
         # dm/dmu_eps = 1 / (1 - alpha) and dm/dalpha = m / (1 - alpha)
         g = f / om + f_a
         h = np.stack([m * g, f / om, m * f_i])
@@ -303,10 +302,8 @@ class NbMarginalInnovation(_InverseCdfMixin):
         hh[0, 1] = hh[1, 0] = g / om
         hh[0, 2] = hh[2, 0] = m * (f_i / om + f_ai)
         hh[1, 2] = hh[2, 1] = f_i / om
-        hh[2, 2] = m * (b / e / e)
+        hh[2, 2] = m * s * s * f_rr
         return h, hh
-
-    # -- pmf ------------------------------------------------------------------
 
     def pmf_table(self, kmax):
         """P(eps=k) for k = 0..kmax by the PGF's three-term recurrence.
@@ -322,19 +319,21 @@ class NbMarginalInnovation(_InverseCdfMixin):
 
         whose terms are all positive: the PMF keeps its relative accuracy,
         and its total mass stays 1 to within about 1e-13 even when c is
-        close to d.  Values are scaled by powers of two that keep them near
+        close to d.  In r, d = r/(1+r), c = alpha r/(1 + alpha r), nu (d-c)
+        = mu_eps/((1+r)(1 + alpha r)) and log A**nu = mu_eps/(1+r)
+        log1p(-y)/y with y = (1-alpha) d, -mu_eps at r = 0: Poisson's
+        recurrence.  Values are scaled by powers of two that keep them near
         1, so an A**nu below the float range cannot zero the table.
         """
         if kmax < 0:
             raise ValidationError("kmax must be >= 0")
         kmax = int(kmax)
-        pi, alpha, a = self.pi, self.alpha, math.exp(self._log_a)
-        d = 1.0 - pi
-        c = d * alpha / a
-        # nu (d-c), with d-c = d pi (1-alpha) / A free of cancellation
-        drift = self.nu * d * pi * (1.0 - alpha) / a
+        mu, r, alpha = self.mu_eps, self.r, self.alpha
+        d, c = r / (1.0 + r), alpha * r / (1.0 + alpha * r)
+        drift = mu / (1.0 + r) / (1.0 + alpha * r)
+        y = (1.0 - alpha) * d
         # g[0] = 2**(exponent + frac) with frac in [0, 1)
-        log2_g0 = self.nu * self._log_a / math.log(2.0)
+        log2_g0 = mu / (1.0 + r) * (math.log1p(-y) / y if y else -1.0) / math.log(2.0)
         exponent = math.floor(log2_g0)
         g = w = 2.0 ** (log2_g0 - exponent)
         scaled = np.empty(kmax + 1)
@@ -374,9 +373,9 @@ def innovation_from_estimates(estimates, alpha):
 
     ``estimates`` maps parameter names to values.  The law is that of the
     family with the most parameters that all appear there within their
-    lower bounds (mu_eps above 0, the others at or above theirs), so a
-    moment fit whose dispersion estimate is below the NB floor reads as
-    Poisson.
+    lower bounds (mu_eps above 0, the others at or above theirs): a moment
+    fit's dispersion estimate of 1 gives the NB law on its Poisson face,
+    and one below 1 the Poisson law.
     """
     for family in _FAMILIES:
         values = [estimates.get(name, np.nan) for name in family.param_names]

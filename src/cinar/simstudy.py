@@ -159,6 +159,7 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
         for n1, n2 in sizes
         for rep in range(reps)
     ]
+    threads = min(threads, len(tasks))  # a pool starts all its workers at once
     if threads == 1:
         outcomes = [_one_rep(task) for task in tasks]
     else:

@@ -71,11 +71,15 @@ def nb_pmf_mp(nu, pi, alpha, k):
     )
 
 
-def nb_targets_mp(nu, pi, alpha):
-    """[alpha, mu_eps, i_eps] of the NB-marginal law (nu, pi, alpha), the
-    coordinates of ``NbMarginalInnovation.from_targets``, in mpmath."""
-    r = (1 - pi) / pi
-    return [alpha, nu * (1 - alpha) * r, 1 + (1 + alpha) * r]
+def nb_point_mp(innovation):
+    """[alpha, mu_eps, i_eps] of an ``NbMarginalInnovation``, the
+    coordinates of ``from_targets``, in mpmath and exact from the law's
+    held (mu_eps, r = (i_eps - 1)/(1 + alpha), alpha)."""
+    import mpmath as mp
+
+    alpha, mu_eps, r = (mp.mpf(v) for v in
+                        (innovation.alpha, innovation.mu_eps, innovation.r))
+    return [alpha, mu_eps, 1 + (1 + alpha) * r]
 
 
 def nb_law_mp(alpha, mu_eps, i_eps):

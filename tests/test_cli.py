@@ -480,6 +480,39 @@ class TestCmdDiagnose:
         assert "nonames.json: not a fit result file" in capsys.readouterr().err
 
 
+class TestNbPoissonFace:
+    def test_simulate_accepts_the_face(self, tmp_path):
+        """--i-eps 1 is the NB family's Poisson face; below it exits 2."""
+        argv = ["simulate", "--order", "1,1", "--theta", "0.2,0.2,0.1",
+                "--family", "nb", "--mu-eps", "1.0", "--n", "10,10"]
+        assert main(argv + ["--i-eps", "1", "--out",
+                            str(tmp_path / "face.csv")]) == 0
+        assert main(argv + ["--i-eps", "0.99", "--out",
+                            str(tmp_path / "below.csv")]) == 2
+        assert not (tmp_path / "below.csv").exists()
+
+    def test_face_fit_diagnoses_as_the_poisson_fit(self, tmp_path):
+        """An NB fit of Poisson data that ends on i_eps = 1 (the seed-300
+        grid of the estimator's oracle cases) gives the PIT heights of the
+        Poisson fit within 1e-12."""
+        grid = tmp_path / "grid.csv"
+        assert main(["simulate", "--order", "1,1", "--theta", "0.3,0.4,0.1",
+                     "--mu-eps", "1.0", "--n", "50,50", "--seed", "300",
+                     "--out", str(grid)]) == 0
+        heights = {}
+        for family in ("nb", "poisson"):
+            fit, report = tmp_path / f"{family}.json", tmp_path / f"{family}-r.json"
+            assert main(["fit", "--grid", str(grid), "--order", "1,1",
+                         "--family", family, "--out", str(fit)]) == 0
+            assert main(["diagnose", "--grid", str(grid), "--params", str(fit),
+                         "--out", str(report)]) == 0
+            heights[family] = json.loads(report.read_text())["report"]["pit_bins"]
+        nb_fit = json.loads((tmp_path / "nb.json").read_text())["fits"][0]
+        assert nb_fit["names"][-1] == "i_eps" and nb_fit["estimates"][-1] == 1.0
+        np.testing.assert_allclose(heights["nb"], heights["poisson"], rtol=0,
+                                   atol=1e-12)
+
+
 # =============================================================================
 # malformed input files: refused with exit 2 and one error line
 # =============================================================================
@@ -645,6 +678,39 @@ class TestSimstudy:
             tables.append((tmp_path / f"study-{k}.csv").read_bytes())
         assert tables[0] == tables[1]
         assert serial[2].label == "cml" and serial[2].n_reps == 4
+
+    def test_workers_capped_by_tasks(self, tmp_path, monkeypatch):
+        """threads = 4 for 2 replications asks the pool for 2 workers (a
+        pool that runs in-process stands in for it), and the study CSV is
+        the serial one."""
+        import cinar.simstudy as simstudy
+
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simstudy, "ProcessPoolExecutor", InProcessPool)
+        params = CinarParams(ModelOrder(1, 1), np.array([0.15, 0.15, 0.1]),
+                             PoissonInnovation(1.0))
+        tables = []
+        for threads in (1, 4):
+            results = run_study(params, [(12, 12)], ["yw", "cml"], reps=2,
+                                master_seed=5, threads=threads)
+            write_study_csv(results, tmp_path / f"study-{threads}.csv")
+            tables.append((tmp_path / f"study-{threads}.csv").read_bytes())
+        assert asked == [2]
+        assert tables[0] == tables[1]
 
     def test_same_grid_shared_across_arms(self):
         """All arms of one replication see the same simulated grid."""

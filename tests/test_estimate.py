@@ -27,14 +27,13 @@ from cinar import (
     yw_estimate,
 )
 import cinar.estimate as estimate_module
-from cinar.innovations import NB_MIN_DISPERSION
 from cinar.estimate import (FitDiagnostics, FitResult, _CmlLikelihood,
                             _se_from_loglik, _solve_checked)
 
 from _bfgs_oracle import bfgs_fit
 from _hessian_oracle import (fd_hessian, observed_information_se,
                              score_difference_hessian)
-from _stats_helpers import lagged_stack, nb_law_mp, nb_pmf_mp, nb_targets_mp
+from _stats_helpers import lagged_stack, nb_law_mp, nb_pmf_mp, nb_point_mp
 
 ORDER11 = ModelOrder(1, 1)
 
@@ -237,6 +236,16 @@ class TestCmlLoglik:
         assert cml_loglik(params, grid) == pytest.approx(
             _brute_loglik(params, grid), abs=1e-10
         )
+
+    @pytest.mark.parametrize("theta, mu", [([0.3, 0.4, 0.1], 1.0),
+                                           ([0.05, 0.1, 0.02], 6.0)])
+    def test_nb_face_loglik_is_poisson(self, theta, mu):
+        """At i_eps = 1 the NB likelihood is the Poisson one, within 1e-12
+        relative."""
+        grid = _sim(_poi(theta, mu), 40, seed=5)
+        poisson = cml_loglik(_poi(theta, mu), grid)
+        assert cml_loglik(_nb(theta, mu, 1.0), grid) == pytest.approx(
+            poisson, rel=1e-12)
 
     def test_isolated_counts_reduce_to_innovation_loglik(self):
         """All lag neighbours zero: likelihood is the innovation PMF product.
@@ -540,7 +549,7 @@ class TestCmlScore:
         h, _ = innovation.derivative_series(kmax)
         got = np.array([np.convolve(pmf, row)[: kmax + 1] for row in h])
         with mp.workdps(50):
-            point = nb_targets_mp(mp.mpf(nu), mp.mpf(pi), mp.mpf(alpha))
+            point = nb_point_mp(innovation)
             want = np.array([
                 [float(mp.diff(lambda *v: nb_pmf_mp(*nb_law_mp(*v), k), point,
                                tuple(int(j == i) for j in range(3))))
@@ -568,7 +577,7 @@ class TestCmlScore:
             [: kmax + 1] for r, q in pairs
         ])
         with mp.workdps(50):
-            point = nb_targets_mp(mp.mpf(nu), mp.mpf(pi), mp.mpf(alpha))
+            point = nb_point_mp(innovation)
             want = np.array([
                 [float(mp.diff(
                     lambda *v: nb_pmf_mp(*nb_law_mp(*v), k), point,
@@ -777,7 +786,7 @@ class TestTrustRegionAgainstBfgs:
         """The fits that choosing an order or a family by AIC/BIC runs into:
         Poisson (1,1) data fitted at order (2,2), and fitted as NB, over 10
         consecutive seeds each.  Their optima lie on faces theta_ij = 0 or
-        i_eps at the NB floor, which the search reaches by projection: a
+        i_eps = 1, which the search reaches by projection: a
         median of at most 8 likelihood passes, and no log-likelihood more
         than 1e-6 below the BFGS oracle's."""
         passes = []
@@ -791,14 +800,34 @@ class TestTrustRegionAgainstBfgs:
 
     @pytest.mark.parametrize("index", [8, 11])
     def test_nb_fit_of_poisson_data_ends_on_the_floor(self, index):
-        """NB fits of Poisson data end with i_eps exactly at the NB floor,
-        held there and named as the reason for the missing SEs."""
+        """NB fits of Poisson data end with i_eps exactly 1, the face where
+        the NB law is Poisson, held there and named as the reason for the
+        missing SEs."""
         grid, order, family = _oracle_case(index)
         fit = cml_estimate(grid, order, family=family)
-        assert fit.i_eps == NB_MIN_DISPERSION
+        assert fit.i_eps == 1.0
         assert fit.diagnostics.at_bounds == ("i_eps",)
         assert fit.std_errors is None
-        assert "boundary (i_eps = 1.00000001)" in fit.diagnostics.se_error
+        assert "boundary (i_eps = 1)" in fit.diagnostics.se_error
+
+
+    def test_nb_fits_nest_poisson_fits(self):
+        """Poisson is the NB face i_eps = 1, so on Poisson (1,1) data (seeds
+        700-709 and the oracle seeds 300-303) no NB fit ends more than
+        2e-12 (1 + |loglik|) below the Poisson fit; fits held on the face
+        end at i_eps exactly 1 and say so."""
+        on_face = 0
+        for seed in [*range(700, 710), *range(300, 304)]:
+            grid = _sim(_poi([0.3, 0.4, 0.1], 1.0), 50, seed=seed)
+            nb = cml_estimate(grid, ORDER11, family="nb")
+            poisson = cml_estimate(grid, ORDER11)
+            assert nb.loglik >= poisson.loglik - 2e-12 * (1 + abs(poisson.loglik))
+            if nb.diagnostics.at_bounds:
+                on_face += 1
+                assert nb.diagnostics.at_bounds == ("i_eps",)
+                assert nb.i_eps == 1.0
+                assert "(i_eps = 1)" in nb.diagnostics.se_error
+        assert on_face >= 7
 
 
 class TestFitDiagnostics:

@@ -22,7 +22,7 @@ from cinar import (
     ValidationError,
 )
 
-from _stats_helpers import nb_log_pgf_mp, nb_law_mp, nb_pmf_mp, nb_targets_mp
+from _stats_helpers import nb_log_pgf_mp, nb_law_mp, nb_pmf_mp, nb_point_mp
 
 
 def _thinned_pmf(marginal_pmf, alpha, zmax):
@@ -154,13 +154,14 @@ class TestNbMarginalPmf:
                                    atol=0)
 
     @settings(max_examples=60, deadline=None)
-    @given(mu_eps=st.floats(1e-3, 1e3),
-           i_eps=st.floats(1.0, 50.0, exclude_min=True).filter(
-               lambda i: i - 1.0 > 1e-8),
+    @given(mu_eps=st.floats(1e-3, 1e3), i_eps=st.floats(1.0, 50.0),
            alpha=st.floats(0.0, 0.999, exclude_min=True))
     @example(mu_eps=1e3, i_eps=1.01, alpha=0.5)
+    @example(mu_eps=1e3, i_eps=1.0, alpha=0.5)
+    @example(mu_eps=2.0, i_eps=1.0 + 1e-12, alpha=0.9)
     def test_tables_are_probability_vectors(self, mu_eps, i_eps, alpha):
-        """Finite, nonnegative, and the grown CDF reaches 1 within 1e-9.
+        """Finite, nonnegative, and the grown CDF reaches 1 within 1e-9,
+        down to and on the Poisson face i_eps = 1.
 
         (1e3, 1.01, 0.5) has nu = 3e5 and P(eps=0) = A**nu = exp(-995),
         below the float range.
@@ -226,7 +227,8 @@ class TestNbMoments:
         assert (mu, s2) == pytest.approx((1.0, 2.0), abs=1e-8)
 
     def test_equidispersion_boundary_rejected(self):
-        for i_eps in (1.0 + 1e-12, 0.5):
+        """Below the Poisson face i_eps = 1 there is no NB law."""
+        for i_eps in (1.0 - 1e-12, 0.99, 0.5, float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="overdispersion"):
                 NbMarginalInnovation.from_targets(1.0, i_eps, 0.5)
 
@@ -242,21 +244,20 @@ class TestDerivativeSeries:
         np.testing.assert_array_equal(h, want)
         np.testing.assert_array_equal(hh, np.zeros((2, 2, kmax + 1)))
 
-    @pytest.mark.parametrize("excess", [1e-6, 1.2e-8])
+    @pytest.mark.parametrize("excess", [1e-6, 1.2e-8, 1e-12])
     @pytest.mark.parametrize("alpha", [0.3, 0.8])
     def test_nb_near_poisson_limit_matches_mpmath(self, excess, alpha):
-        """Down to the NB floor (i_eps - 1 of 1.2e-8) the first and second
-        log-PGF derivatives over (alpha, mu_eps, i_eps) stay within 1e-10 of
-        each array's largest entry of 60-digit differentiation at the law's
-        exact (nu, pi, alpha)."""
+        """Near the Poisson face (i_eps - 1 down to 1e-12) the first and
+        second log-PGF derivatives over (alpha, mu_eps, i_eps) stay within
+        1e-10 of each array's largest entry of 60-digit differentiation at
+        the law's exact (mu_eps, r, alpha)."""
         import mpmath as mp
 
         kmax = 8
         innovation = NbMarginalInnovation.from_targets(2.0, 1.0 + excess, alpha)
         h, hh = innovation.derivative_series(kmax)
         with mp.workdps(60):
-            point = nb_targets_mp(*map(mp.mpf, (innovation.nu, innovation.pi,
-                                                alpha)))
+            point = nb_point_mp(innovation)
 
             def diff(orders):
                 return [float(mp.diff(
@@ -273,6 +274,7 @@ class TestDerivativeSeries:
     @pytest.mark.parametrize("mu_eps, i_eps, alpha", [
         (1.0, 1e250, 0.5), (1.0, 1e300, 0.9), (1e12, 1e300, 0.999999),
         (1e12, 1.0 + 2e-8, 0.999), (1e-3, 50.0, 1e-3), (5.0, 1.0 + 2e-8, 1e-90),
+        (5.0, 1.0, 0.5), (1e12, 1.0 + 1e-300, 0.999),
     ])
     def test_nb_finite_at_extreme_points(self, mu_eps, i_eps, alpha):
         """Far-out trial points of a fit give finite series, without a
@@ -282,6 +284,91 @@ class TestDerivativeSeries:
             warnings.simplefilter("error")
             h, hh = innovation.derivative_series(40)
         assert np.all(np.isfinite(h)) and np.all(np.isfinite(hh))
+
+
+class TestNbPoissonFace:
+    """i_eps = 1, the face of the NB family where its law is Poisson."""
+
+    def test_face_is_a_member(self):
+        """The bound is closed at 1, and there nu = inf, pi = 1 and the
+        moments are Poisson's."""
+        assert NbMarginalInnovation.lower_bounds == (0.0, 1.0)
+        inn = NbMarginalInnovation.from_targets(3.0, 1.0, 0.4)
+        assert (inn.nu, inn.pi) == (np.inf, 1.0)
+        assert inn.moments() == (3.0, 3.0)
+
+    @pytest.mark.parametrize("mu", [0.01, 1.0, 50.0])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.95])
+    def test_face_pmf_is_poisson(self, mu, alpha):
+        """Entries above 1e-300, up to k = mu + 12 sqrt(mu) + 60, are within
+        1e-14 relative of the 40-digit Poisson PMF, and within 1e-12 of
+        PoissonInnovation's table, whose log-space terms are themselves up
+        to 2.4e-13 off."""
+        import mpmath as mp
+
+        kmax = int(mu + 12 * np.sqrt(mu)) + 60
+        table = NbMarginalInnovation.from_targets(mu, 1.0, alpha).pmf_table(kmax)
+        with mp.workdps(40):
+            want = np.array([float(mp.exp(-mp.mpf(mu)) * mp.mpf(mu) ** k
+                                   / mp.factorial(k)) for k in range(kmax + 1)])
+        kept = want > 1e-300
+        np.testing.assert_allclose(table[kept], want[kept], rtol=1e-14, atol=0)
+        poisson = PoissonInnovation(mu).pmf_table(kmax)
+        np.testing.assert_allclose(table[kept], poisson[kept], rtol=1e-12, atol=0)
+
+    def test_near_face_pmf_matches_mpmath(self):
+        """At (2, 1 + 1.2e-8, 0.8), where nu = 1.5e9, the table is within
+        1e-14 relative of the 90-digit two-branch sum at the held law."""
+        import mpmath as mp
+
+        inn = NbMarginalInnovation.from_targets(2.0, 1.0 + 1.2e-8, 0.8)
+        table = inn.pmf_table(12)
+        with mp.workdps(90):
+            law = nb_law_mp(*nb_point_mp(inn))
+            want = np.array([float(nb_pmf_mp(*law, k)) for k in range(13)])
+        np.testing.assert_allclose(table, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    def test_face_derivative_series_closed_forms(self, alpha):
+        """At i_eps = 1 the rows (alpha, mu_eps, i_eps) are h = (0, u - 1,
+        mu_eps (1-u)**2 / 2), and hh is 0 but for hh[mu, i] = (1-u)**2 / 2
+        and hh[i, i] = -2/3 mu_eps (1 + a + a**2) / (1 + a)**2 (1-u)**3, to
+        rounding; at i_eps - 1 = 1e-6 the series are within 1e-5 of these."""
+        mu, kmax = 2.5, 6
+        want_h, want_hh = np.zeros((3, kmax + 1)), np.zeros((3, 3, kmax + 1))
+        want_h[1, :2] = -1.0, 1.0
+        want_h[2, :3] = mu * np.array([0.5, -1.0, 0.5])
+        want_hh[1, 2, :3] = want_hh[2, 1, :3] = 0.5, -1.0, 0.5
+        want_hh[2, 2, :4] = (-2.0 / 3.0 * mu * (1 + alpha + alpha**2)
+                             / (1 + alpha) ** 2 * np.array([1, -3, 3, -1]))
+        h, hh = NbMarginalInnovation.from_targets(mu, 1.0, alpha).derivative_series(kmax)
+        for got, want in ((h, want_h), (hh, want_hh)):
+            np.testing.assert_allclose(got, want, rtol=1e-14,
+                                       atol=1e-15 * np.abs(want).max())
+        near = NbMarginalInnovation.from_targets(mu, 1.0 + 1e-6, alpha)
+        for got, want in zip(near.derivative_series(kmax), (want_h, want_hh)):
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+class TestCdfTableLimit:
+    @pytest.mark.parametrize("make", [
+        lambda: NbMarginalInnovation.from_targets(1e7, 2.0, 0.5),
+        lambda: PoissonInnovation(1e9),
+    ], ids=["nb", "poisson"])
+    def test_mean_beyond_the_largest_table_is_refused_at_once(self, make):
+        """A mean past the largest CDF table, k = 63 * 2**17, is refused
+        before any table is built, by a message that names the mean."""
+        inn = make()
+        start = time.perf_counter()
+        with pytest.raises(ValidationError,
+                           match=r"innovation mean 1e\+0[79] lies beyond"):
+            inn.quantile(0.5)
+        assert time.perf_counter() - start < 0.5
+
+    def test_mean_within_the_table_still_answers(self):
+        """mu_eps = 1e6 fits in the table of 63 * 2**14 + 1 entries."""
+        inn = NbMarginalInnovation.from_targets(1e6, 2.0, 0.5)
+        assert abs(inn.quantile(0.5) - 1e6) < 5.0 * np.sqrt(2e6)
 
 
 class TestNbSampling:
