@@ -205,10 +205,14 @@ def cls_estimate(grid, order):
     Estimates are reported verbatim, inadmissible or not.
     """
     x, pasts = lag_views(grid.values, order)
-    # one row per interior site, row-major: the past at each lag, then 1
-    design = np.stack(pasts + [np.ones(x.shape)], axis=-1).reshape(x.size, -1)
-    amat = design.T @ design
-    bvec = design.T @ x.ravel().astype(float)
+    # one row per regressor (the past at each lag, then 1) and a last row
+    # of outcomes, one column per interior site: amat and bvec in one
+    # product, whose entries are integer sums, exact in any order below 2**53
+    block = np.empty((len(pasts) + 2, x.size))
+    for row, view in zip(block, pasts + [1.0, x]):
+        row.reshape(x.shape)[...] = view
+    gram = block @ block.T
+    amat, bvec = gram[:-1, :-1], gram[:-1, -1]
     coef = _solve_checked(amat, bvec, "CLS normal equations singular")
     theta, mu_eps = coef[:-1], float(coef[-1])
     return FitResult(

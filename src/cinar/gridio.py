@@ -5,9 +5,14 @@ row ``s`` (ascending), one column per ``t`` (ascending).  An optional
 single header line can be skipped on read; ``write_grid`` never writes
 one.  Rejections carry the offending file row/column (1-based, counting
 any header line) so a bad cell in a large file can be found directly.
+
+A file whose data lines hold only ASCII digits, commas, spaces, tabs and
+line ends is read by one ``np.loadtxt``; any other file, and any file
+``loadtxt`` refuses, is read by the CSV reader that locates the fault.
 """
 
 import csv
+import io
 
 import numpy as np
 
@@ -17,6 +22,7 @@ from .model import CountGrid
 __all__ = ["read_grid", "write_grid"]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_PLAIN_BYTES = b"0123456789, \t"  # line ends are split off first
 
 
 def read_grid(path, header=False):
@@ -29,17 +35,56 @@ def read_grid(path, header=False):
     ``header=True`` skips the first line; blank lines are skipped.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read grid file: {exc}") from None
-    with handle as fh:
+    counts = _plain_counts(data, header)
+    if counts is None:
+        counts = _located_counts(path, data, header)
+    return CountGrid(counts)
+
+
+def _plain_counts(data, header):
+    """The counts of file bytes ``data`` by one ``np.loadtxt``, or None
+    where the file is not plain: a data line holds a byte other than ASCII
+    digits, commas, spaces and tabs, or a line is longer than the CSV
+    reader's field limit, or the header line holds a quote (a quoted field
+    may span lines) or NUL or is not UTF-8, or ``loadtxt`` refuses the
+    lines.  Lines without a digit are blank records, skipped."""
+    lines = data.splitlines()
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    if header and lines:
+        first = lines.pop(0)
+        if b'"' in first or b"\0" in first:
+            return None
         try:
-            rows = [(r, _parse_row(path, record, r))
-                    for r, record in enumerate(csv.reader(fh))
-                    if not (header and r == 0)
-                    and any(cell.strip() for cell in record)]
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ValidationError(f"{path}: not UTF-8 CSV text ({exc})") from None
+            first.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    if any(line.translate(None, _PLAIN_BYTES) for line in lines):
+        return None
+    kept = [line.decode("ascii") for line in lines if line.strip(b" \t,")]
+    if not kept:
+        return None
+    try:
+        return np.loadtxt(kept, delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _located_counts(path, data, header):
+    """The counts of file bytes ``data``, read record by record by the CSV
+    reader, refusing the first faulty cell or row by its file position."""
+    try:
+        records = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        rows = [(r, _parse_row(path, record, r))
+                for r, record in enumerate(records)
+                if not (header and r == 0)
+                and any(cell.strip() for cell in record)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: not UTF-8 CSV text ({exc})") from None
     if not rows:
         raise ValidationError(f"{path}: empty grid file")
     width = len(rows[0][1])
@@ -49,7 +94,7 @@ def read_grid(path, header=False):
                 f"{path}: ragged rows — row {r + 1} has {len(parsed)} cells,"
                 f" expected {width}"
             )
-    return CountGrid(np.array([parsed for _, parsed in rows], dtype=np.int64))
+    return np.array([parsed for _, parsed in rows], dtype=np.int64)
 
 
 def _parse_row(path, record, r):

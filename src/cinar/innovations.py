@@ -26,7 +26,6 @@ mutable state (idempotent to rebuild, so concurrent use is safe).
 import math
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import NumericalError, ValidationError
 
@@ -46,6 +45,12 @@ TAIL_RUN = 10
 
 _K_LAST = 63 * 2**17  # the CDF table doubles from k = 63 up to this k
 
+# ln 2 split so that n * _LN2_HI is exact for |n| < 2**21 (Cody & Waite 1980)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+# a product of this many mantissas in [0.5, 1) stays a normal float
+_MANTISSA_RUN = 512
+
 
 class _InverseCdfMixin:
     """Shared point PMF, lazily-extended CDF table, sampling, and quantiles."""
@@ -64,7 +69,7 @@ class _InverseCdfMixin:
                                   f" largest CDF table, k = {_K_LAST}")
         k_hi = 63
         # rounding moves a table's mass by about mu_eps ulps (A**nu and the
-        # NB recurrence, Poisson's log-space terms); allow 16 times that
+        # positive-term recurrences); allow 16 times that
         floor = 1.0 - TAIL_MASS - 16.0 * np.finfo(float).eps * mean
         while True:
             table = self.pmf_table(k_hi)
@@ -129,11 +134,38 @@ class PoissonInnovation(_InverseCdfMixin):
         return cls(*values)
 
     def pmf_table(self, kmax):
-        """P(eps=k) for k = 0..kmax, each term taken in log space."""
+        """P(eps=k) for k = 0..kmax by the positive-term recurrence P(k) =
+        P(k-1) mu / k from P(0) = exp(-mu), the NB recurrence at r = 0.
+
+        Each factor is split into a mantissa in [0.5, 1) and a power of two;
+        the mantissas are multiplied up in runs short enough to stay normal
+        floats, each run starting from the last product of the one before,
+        and the powers are summed apart, so an exp(-mu) below the float
+        range cannot zero the table.
+        """
         if kmax < 0:
             raise ValidationError("kmax must be >= 0")
-        k = np.arange(int(kmax) + 1)
-        return np.exp(xlogy(k, self.mu) - gammaln(k + 1) - self.mu)
+        kmax, mu = int(kmax), self.mu
+        if mu >= 2.0**53:
+            # exp(-mu) mu**k / k! underflows at every k a table can hold
+            return np.zeros(kmax + 1)
+        # exp(-mu) = exp(-t) 2**-n with |t| <= ln(2)/2, t exact to rounding
+        n = round(mu / math.log(2.0))
+        t = (mu - n * _LN2_HI) - n * _LN2_LO
+        factors = np.empty(kmax + 1)
+        factors[0] = math.exp(-t)
+        np.divide(mu, np.arange(1.0, kmax + 1), out=factors[1:])
+        mantissas, powers = np.frexp(factors)
+        for lo in range(0, kmax + 1, _MANTISSA_RUN):
+            hi = lo + _MANTISSA_RUN
+            np.cumprod(mantissas[lo:hi], out=mantissas[lo:hi])
+            if hi <= kmax:
+                carry, shift = math.frexp(mantissas[hi - 1])
+                mantissas[hi] *= carry
+                powers[hi] += shift
+        exponents = np.cumsum(powers, dtype=np.int64)
+        exponents -= n
+        return np.ldexp(mantissas, exponents)
 
     def derivative_series(self, kmax):
         """Series of the first and second derivatives of log G(u) = mu (u-1)
@@ -332,8 +364,12 @@ class NbMarginalInnovation(_InverseCdfMixin):
         d, c = r / (1.0 + r), alpha * r / (1.0 + alpha * r)
         drift = mu / (1.0 + r) / (1.0 + alpha * r)
         y = (1.0 - alpha) * d
+        # log A = log1p(-y) = log((1 + alpha r)/(1 + r)); once 1 - y < 0.1
+        # log1p(-y) loses the digits y's rounding leaves, and fails where y
+        # rounds to 1
+        log_a = math.log1p(-y) if y < 0.9 else math.log1p(alpha * r) - math.log1p(r)
         # g[0] = 2**(exponent + frac) with frac in [0, 1)
-        log2_g0 = mu / (1.0 + r) * (math.log1p(-y) / y if y else -1.0) / math.log(2.0)
+        log2_g0 = mu / (1.0 + r) * (log_a / y if y else -1.0) / math.log(2.0)
         exponent = math.floor(log2_g0)
         g = w = 2.0 ** (log2_g0 - exponent)
         scaled = np.empty(kmax + 1)

@@ -21,7 +21,6 @@ criterion stay in the aggregates and are counted in ``n_nonconverged``.
 """
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -163,6 +162,9 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
     if threads == 1:
         outcomes = [_one_rep(task) for task in tasks]
     else:
+        # imported here: it loads multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_one_rep, tasks, chunksize=1))
 

@@ -1,6 +1,7 @@
 """CLI and grid I/O: round trips, determinism, exit codes, file contents."""
 
 import ast
+import concurrent.futures
 import contextlib
 import csv
 import importlib
@@ -36,6 +37,7 @@ from cinar import (
     write_grid,
     yw_estimate,
 )
+from cinar import gridio
 from cinar.cli import main
 from cinar.simstudy import StudyArm, parse_arm, replication_seed, write_study_csv
 
@@ -122,6 +124,89 @@ class TestGridIo:
         path.write_bytes(b"\xff\xfe1,2\n3,4\n")
         with pytest.raises(ValidationError, match="g.csv: not UTF-8"):
             read_grid(path)
+
+
+# cells the plain path must read (True) or leave to the locating path
+_PLAIN_CELLS = st.one_of(st.integers(0, 10**6).map(str),
+                         st.integers(0, 10**6).map("{:07d}".format),
+                         st.just(str(np.iinfo(np.int64).max)),
+                         st.sampled_from([" 5", "6\t", "\t 7 "])).map(
+                             lambda cell: (cell, True))
+_ODD_CELLS = st.sampled_from(["", " ", str(2**63), "1" * 30, "-3", "+4", "1 2",
+                              "4.5", '"5"', "\u0663", "\xe9", "\x00"]).map(
+                                  lambda cell: (cell, False))
+
+
+@st.composite
+def _grid_file(draw):
+    """(bytes of a grid file, header flag, whether it is plain): blank and
+    whitespace-only records, CR, LF and CRLF line ends, tabs, leading
+    zeros, int64 max and beyond, empty cells, trailing commas, ragged
+    rows, quotes, non-ASCII and non-UTF-8 bytes."""
+    plain = True
+    header = draw(st.booleans())
+    lines = []
+    if header:
+        text = draw(st.sampled_from(["c1,c2", "t,x\te", "\xe9,\xfc", '"a,b"',
+                                     '"a\nb",c', "", "a\x00b"]))
+        plain = '"' not in text and "\x00" not in text
+        lines.append(text.encode())
+        if draw(st.integers(0, 9)) == 0:
+            lines[0] += b"\xff"
+            plain = False
+    width, widths = draw(st.integers(1, 4)), set()
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from([b"", b" ", b"\t", b" , ", b",,"])))
+            continue
+        n_cells = width + (draw(st.sampled_from([-1, 1]))
+                           if draw(st.integers(0, 9)) == 0 else 0)
+        cells = [draw(_PLAIN_CELLS if draw(st.integers(0, 19)) else _ODD_CELLS)
+                 for _ in range(max(n_cells, 1))]
+        line = ",".join(cell for cell, _ in cells)
+        if draw(st.integers(0, 9)) == 0:
+            line, cells = line + ",", cells + [("", False)]
+        lines.append(line.encode())
+        if line.strip(" \t,"):  # else a blank record, skipped
+            plain = plain and all(ok for _, ok in cells)
+            widths.add(len(cells))
+    ends = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        data = data[:-len(ends[-1])]
+    return data, header, plain and len(widths) == 1
+
+
+def _outcome(read):
+    """The int64 array ``read()`` returns, or the message it refuses with."""
+    try:
+        return read()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_grid_file())
+def test_plain_and_located_reads_agree(case, tmp_path_factory):
+    """read_grid, which tries one np.loadtxt first, gives the grid or the
+    refusal that the locating CSV reader alone gives; and it takes the
+    loadtxt path whenever the file is plain."""
+    data, header, plain = case
+    path = tmp_path_factory.mktemp("grid") / "g.csv"
+    path.write_bytes(data)
+    fast = gridio._plain_counts(data, header)
+    assert (fast is not None) == plain
+    located = _outcome(lambda: CountGrid(
+        gridio._located_counts(path, data, header)).values)
+    got = _outcome(lambda: read_grid(path, header=header).values)
+    if isinstance(located, str):
+        assert got == located
+    else:
+        assert got.dtype == located.dtype == np.int64
+        np.testing.assert_array_equal(got, located)
+    if fast is not None:
+        assert fast.dtype == np.int64
+        np.testing.assert_array_equal(fast, located)
 
 
 # =============================================================================
@@ -683,8 +768,6 @@ class TestSimstudy:
         """threads = 4 for 2 replications asks the pool for 2 workers (a
         pool that runs in-process stands in for it), and the study CSV is
         the serial one."""
-        import cinar.simstudy as simstudy
-
         asked = []
 
         class InProcessPool:
@@ -700,7 +783,8 @@ class TestSimstudy:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(simstudy, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
         params = CinarParams(ModelOrder(1, 1), np.array([0.15, 0.15, 0.1]),
                              PoissonInnovation(1.0))
         tables = []
@@ -830,16 +914,41 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy",
+                                        "concurrent.futures.process"])
     def test_import_leaves_scipy_stats_out(self, module):
-        """Importing the package and its CLI loads neither scipy.stats nor
-        scipy.optimize."""
+        """Importing the package and its CLI loads no scipy module, and not
+        the process pool, which only a study with threads > 1 uses."""
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, cinar, cinar.cli;"
              f" print({module!r} in sys.modules)"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        """simulate, fit (YW, CLS and CML) and diagnose run in an
+        interpreter where scipy cannot be imported: numpy is the only
+        runtime dependency."""
+        grid, fit, report = (str(tmp_path / name) for name in ("g.csv", "f.json",
+                                                               "d.json"))
+        commands = [
+            ["simulate", "--order", "1,1", "--theta", "0.2,0.2,0.1",
+             "--mu-eps", "1.0", "--n", "20,20", "--seed", "3", "--out", grid],
+            ["fit", "--grid", grid, "--order", "1,1", "--method", "yw,cls,cml",
+             "--out", fit],
+            ["diagnose", "--grid", grid, "--params", fit, "--out", report],
+        ]
+        script = ("import sys; sys.modules['scipy'] = None\n"
+                  "from cinar.cli import main\n"
+                  f"for argv in {commands!r}:\n"
+                  "    assert main(argv) == 0, argv\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        fits = json.loads(Path(fit).read_text())["fits"]
+        assert [entry["method"] for entry in fits] == ["YW", "CLS", "CML"]
+        assert Path(report).exists()
 
     def test_cli_imports_public_names_only(self):
         """Every name cli.py imports from a sibling module is in its __all__."""

@@ -63,12 +63,24 @@ class TestPoisson:
         assert stats.poisson.cdf(q - 1, 2.0) < 1 - 1e-12
 
     @pytest.mark.parametrize("mu", [1e-3, 0.7, 37.5, 1e3])
-    def test_pmf_table_matches_scipy(self, mu):
-        """The log-space table equals scipy.stats.poisson.pmf (rtol 1e-12)."""
+    def test_pmf_table_matches_mpmath(self, mu):
+        """The table equals the 40-digit Poisson PMF to rtol 1e-13, entries
+        below the float range included (exp(-1000) is 0 in floats);
+        scipy.stats.poisson.pmf is itself 2.7e-12 off at mu = 1e3."""
+        import mpmath as mp
+
         kmax = int(mu + 12 * np.sqrt(mu)) + 20
-        want = stats.poisson.pmf(np.arange(kmax + 1), mu)
+        with mp.workdps(40):
+            m = mp.mpf(mu)
+            want = np.array([float(mp.exp(k * mp.log(m) - m - mp.loggamma(k + 1)))
+                             for k in range(kmax + 1)])
         np.testing.assert_allclose(PoissonInnovation(mu).pmf_table(kmax), want,
-                                   rtol=1e-12, atol=0)
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mu", [2.0**53, 1e19, 1e300])
+    def test_pmf_table_of_a_huge_mean_is_zero(self, mu):
+        """Far beyond any count a table can hold, every entry underflows."""
+        np.testing.assert_array_equal(PoissonInnovation(mu).pmf_table(3), 0.0)
 
 
 # =============================================================================
@@ -152,6 +164,22 @@ class TestNbMarginalPmf:
         assert kept.sum() >= 10
         np.testing.assert_allclose(table[ks][kept], want[kept], rtol=1e-11,
                                    atol=0)
+
+    @pytest.mark.parametrize("mu_eps, i_eps, alpha", [
+        (5.0, 1e17, 1e-90), (2.0, 1e6, 1e-3), (1.0, 40.0, 0.02),
+    ])
+    def test_pmf_where_y_nears_one_matches_mpmath(self, mu_eps, i_eps, alpha):
+        """Where y = (1 - alpha) r / (1 + r) nears 1 (at (5, 1e17, 1e-90) it
+        rounds to 1), P(eps=0) = A**nu still comes out: the table is within
+        1e-13 relative of the 60-digit two-branch sum at the held law."""
+        import mpmath as mp
+
+        inn = NbMarginalInnovation.from_targets(mu_eps, i_eps, alpha)
+        table = inn.pmf_table(3)
+        with mp.workdps(60):
+            law = nb_law_mp(*nb_point_mp(inn))
+            want = np.array([float(nb_pmf_mp(*law, k)) for k in range(4)])
+        np.testing.assert_allclose(table, want, rtol=1e-13, atol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(mu_eps=st.floats(1e-3, 1e3), i_eps=st.floats(1.0, 50.0),
@@ -301,9 +329,8 @@ class TestNbPoissonFace:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.95])
     def test_face_pmf_is_poisson(self, mu, alpha):
         """Entries above 1e-300, up to k = mu + 12 sqrt(mu) + 60, are within
-        1e-14 relative of the 40-digit Poisson PMF, and within 1e-12 of
-        PoissonInnovation's table, whose log-space terms are themselves up
-        to 2.4e-13 off."""
+        1e-14 relative of the 40-digit Poisson PMF and of PoissonInnovation's
+        table."""
         import mpmath as mp
 
         kmax = int(mu + 12 * np.sqrt(mu)) + 60
@@ -314,7 +341,7 @@ class TestNbPoissonFace:
         kept = want > 1e-300
         np.testing.assert_allclose(table[kept], want[kept], rtol=1e-14, atol=0)
         poisson = PoissonInnovation(mu).pmf_table(kmax)
-        np.testing.assert_allclose(table[kept], poisson[kept], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(table[kept], poisson[kept], rtol=1e-14, atol=0)
 
     def test_near_face_pmf_matches_mpmath(self):
         """At (2, 1 + 1.2e-8, 0.8), where nu = 1.5e9, the table is within
