@@ -411,6 +411,11 @@ def cmd_simstudy(args):
              "count": res.n_nonconverged}
             for res in results
         ],
+        "failures": [
+            {"n1": res.n1, "n2": res.n2, "estimator": res.label,
+             "reasons": dict(res.failures)}
+            for res in results
+        ],
     }
     _write_json(meta, Path(args.out).with_suffix(".meta.json"))
     return 0

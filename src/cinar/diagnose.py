@@ -215,9 +215,16 @@ def pearson_residuals(params, grid):
 
     Residuals are reported for every site whose full lag neighbourhood is
     observed; the summary holds their mean, variance (divisor n-1), and
-    sample ACF on the |k|,|l| <= 2 window.
+    sample ACF on the |k|,|l| <= 2 window, so the interior must be at least
+    3x3 sites.
     """
     _validated(params)
+    (n1, n2), (p1, p2) = (grid.n1, grid.n2), (params.order.p1, params.order.p2)
+    if n1 - p1 < 3 or n2 - p2 < 3:
+        raise ValidationError(
+            f"Pearson residuals need an interior of at least 3x3 sites for"
+            f" their (2, 2) residual ACF; a {n1}x{n2} grid at order"
+            f" ({p1},{p2}) has {max(n1 - p1, 0)}x{max(n2 - p2, 0)}")
     x, pasts = lag_views(grid.values, params.order)
     mean, var = _mixture_moments(params, pasts)
     if np.any(var <= 0):

@@ -12,8 +12,8 @@ which the CML score and Hessian are built from.
   marginal of the field is again Poisson.
 * ``NbMarginalInnovation`` -- the innovation law that makes the stationary
   marginal of the field exactly NB(nu, pi) under total thinning probability
-  alpha.  Its PMF follows a three-term recurrence read off its PGF; on its
-  face i_eps = 1 it is Poisson(mu_eps).
+  alpha.  Both families take their PMFs from its recurrence, ``_pmf_table``;
+  on its face i_eps = 1 it is Poisson(mu_eps).
 
 ``innovation_family`` looks a family up by name, and
 ``innovation_from_estimates`` finds the law a fit describes.
@@ -48,8 +48,56 @@ _K_LAST = 63 * 2**17  # the CDF table doubles from k = 63 up to this k
 # ln 2 split so that n * _LN2_HI is exact for |n| < 2**21 (Cody & Waite 1980)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
-# a product of this many mantissas in [0.5, 1) stays a normal float
-_MANTISSA_RUN = 512
+
+
+def _pmf_table(mu, r, alpha, kmax):
+    """P(eps=k) for k = 0..kmax of the NB-marginal law (mu_eps = mu, r,
+    alpha), which is Poisson(mu) at r = 0.
+
+    With d = r/(1+r) and c = alpha r/(1 + alpha r), G'/G = nu (d-c) /
+    ((1-cu)(1-du)), so g[k] = P(eps=k) satisfies (Panjer 1981; Sundt 1992)
+
+        (k+1) g[k+1] = ((c+d) k + nu (d-c)) g[k] - c d (k-1) g[k-1].
+
+    It runs as the equivalent pair with w = G/(1-cu),
+
+        (k+1) g[k+1] = d k g[k] + nu (d-c) w[k],   w[k+1] = c w[k] + g[k+1],
+
+    whose terms are all positive: the PMF keeps its relative accuracy, and
+    its total mass stays 1 to within about 1e-13 even when c is close to
+    d.  Here nu (d-c) = mu/((1+r)(1 + alpha r)) and log g[0] = mu/(1+r)
+    log1p(-y)/y with y = (1-alpha) d, -mu at r = 0: Poisson's P(k) =
+    P(k-1) mu / k.  g[0] = exp(t) 2**n with |t| <= ln(2)/2 exact to
+    rounding, and values are carried scaled by powers of two near 1, so a
+    g[0] below the float range cannot zero the table.
+    """
+    if kmax < 0:
+        raise ValidationError("kmax must be >= 0")
+    kmax = int(kmax)
+    d, c = r / (1.0 + r), alpha * r / (1.0 + alpha * r)
+    drift = mu / (1.0 + r) / (1.0 + alpha * r)
+    y = (1.0 - alpha) * d
+    # log A = log1p(-y) = log((1 + alpha r)/(1 + r)); once 1 - y < 0.1
+    # log1p(-y) loses the digits y's rounding leaves, and fails where y
+    # rounds to 1
+    log_a = math.log1p(-y) if y < 0.9 else math.log1p(alpha * r) - math.log1p(r)
+    log_g0 = mu / (1.0 + r) * (log_a / y if y else -1.0)
+    if log_g0 <= -2.0**53:
+        # P(k) underflows at every k a table can hold
+        return np.zeros(kmax + 1)
+    exponent = round(log_g0 / math.log(2.0))
+    g = w = math.exp((log_g0 - exponent * _LN2_HI) - exponent * _LN2_LO)
+    scaled = np.empty(kmax + 1)
+    exponents = np.empty(kmax + 1, dtype=np.int64)
+    for k in range(kmax + 1):
+        scaled[k], exponents[k] = g, exponent
+        g = (d * k * g + drift * w) / (k + 1)
+        w = c * w + g
+        shift = math.frexp(w)[1]
+        if not -500 <= shift <= 500:
+            g, w = math.ldexp(g, -shift), math.ldexp(w, -shift)
+            exponent += shift
+    return np.ldexp(scaled, exponents)
 
 
 class _InverseCdfMixin:
@@ -68,8 +116,8 @@ class _InverseCdfMixin:
             raise ValidationError(f"innovation mean {mean:g} lies beyond the"
                                   f" largest CDF table, k = {_K_LAST}")
         k_hi = 63
-        # rounding moves a table's mass by about mu_eps ulps (A**nu and the
-        # positive-term recurrences); allow 16 times that
+        # the recurrence's rounding moves a table's mass by about mu_eps
+        # ulps; allow 16 times that
         floor = 1.0 - TAIL_MASS - 16.0 * np.finfo(float).eps * mean
         while True:
             table = self.pmf_table(k_hi)
@@ -134,38 +182,8 @@ class PoissonInnovation(_InverseCdfMixin):
         return cls(*values)
 
     def pmf_table(self, kmax):
-        """P(eps=k) for k = 0..kmax by the positive-term recurrence P(k) =
-        P(k-1) mu / k from P(0) = exp(-mu), the NB recurrence at r = 0.
-
-        Each factor is split into a mantissa in [0.5, 1) and a power of two;
-        the mantissas are multiplied up in runs short enough to stay normal
-        floats, each run starting from the last product of the one before,
-        and the powers are summed apart, so an exp(-mu) below the float
-        range cannot zero the table.
-        """
-        if kmax < 0:
-            raise ValidationError("kmax must be >= 0")
-        kmax, mu = int(kmax), self.mu
-        if mu >= 2.0**53:
-            # exp(-mu) mu**k / k! underflows at every k a table can hold
-            return np.zeros(kmax + 1)
-        # exp(-mu) = exp(-t) 2**-n with |t| <= ln(2)/2, t exact to rounding
-        n = round(mu / math.log(2.0))
-        t = (mu - n * _LN2_HI) - n * _LN2_LO
-        factors = np.empty(kmax + 1)
-        factors[0] = math.exp(-t)
-        np.divide(mu, np.arange(1.0, kmax + 1), out=factors[1:])
-        mantissas, powers = np.frexp(factors)
-        for lo in range(0, kmax + 1, _MANTISSA_RUN):
-            hi = lo + _MANTISSA_RUN
-            np.cumprod(mantissas[lo:hi], out=mantissas[lo:hi])
-            if hi <= kmax:
-                carry, shift = math.frexp(mantissas[hi - 1])
-                mantissas[hi] *= carry
-                powers[hi] += shift
-        exponents = np.cumsum(powers, dtype=np.int64)
-        exponents -= n
-        return np.ldexp(mantissas, exponents)
+        """P(eps=k) for k = 0..kmax: ``_pmf_table`` at r = 0."""
+        return _pmf_table(self.mu, 0.0, 0.0, kmax)
 
     def derivative_series(self, kmax):
         """Series of the first and second derivatives of log G(u) = mu (u-1)
@@ -231,7 +249,7 @@ class NbMarginalInnovation(_InverseCdfMixin):
         G(u) = A**nu (1-cu)**nu (1-du)**(-nu),
 
     so P(eps=0) = A**nu and the PMF follows the recurrence of
-    ``pmf_table``.  The law is held by the innovation mean ``mu_eps`` and
+    ``_pmf_table``.  The law is held by the innovation mean ``mu_eps`` and
     ``r`` = (1-pi)/pi = (i_eps - 1)/(1 + alpha), the coordinates a fit
     reports and differentiates (see ``from_targets``); at r = 0, where nu
     = inf and pi = 1, it is Poisson(mu_eps).
@@ -338,51 +356,8 @@ class NbMarginalInnovation(_InverseCdfMixin):
         return h, hh
 
     def pmf_table(self, kmax):
-        """P(eps=k) for k = 0..kmax by the PGF's three-term recurrence.
-
-        G'/G = nu (d-c) / ((1-cu)(1-du)) is rational, so g[k] = P(eps=k)
-        satisfies (Panjer 1981; Sundt 1992)
-
-            (k+1) g[k+1] = ((c+d) k + nu (d-c)) g[k] - c d (k-1) g[k-1]
-
-        from g[0] = A**nu.  It runs as the equivalent pair with w = G/(1-cu),
-
-            (k+1) g[k+1] = d k g[k] + nu (d-c) w[k],   w[k+1] = c w[k] + g[k+1],
-
-        whose terms are all positive: the PMF keeps its relative accuracy,
-        and its total mass stays 1 to within about 1e-13 even when c is
-        close to d.  In r, d = r/(1+r), c = alpha r/(1 + alpha r), nu (d-c)
-        = mu_eps/((1+r)(1 + alpha r)) and log A**nu = mu_eps/(1+r)
-        log1p(-y)/y with y = (1-alpha) d, -mu_eps at r = 0: Poisson's
-        recurrence.  Values are scaled by powers of two that keep them near
-        1, so an A**nu below the float range cannot zero the table.
-        """
-        if kmax < 0:
-            raise ValidationError("kmax must be >= 0")
-        kmax = int(kmax)
-        mu, r, alpha = self.mu_eps, self.r, self.alpha
-        d, c = r / (1.0 + r), alpha * r / (1.0 + alpha * r)
-        drift = mu / (1.0 + r) / (1.0 + alpha * r)
-        y = (1.0 - alpha) * d
-        # log A = log1p(-y) = log((1 + alpha r)/(1 + r)); once 1 - y < 0.1
-        # log1p(-y) loses the digits y's rounding leaves, and fails where y
-        # rounds to 1
-        log_a = math.log1p(-y) if y < 0.9 else math.log1p(alpha * r) - math.log1p(r)
-        # g[0] = 2**(exponent + frac) with frac in [0, 1)
-        log2_g0 = mu / (1.0 + r) * (log_a / y if y else -1.0) / math.log(2.0)
-        exponent = math.floor(log2_g0)
-        g = w = 2.0 ** (log2_g0 - exponent)
-        scaled = np.empty(kmax + 1)
-        exponents = np.empty(kmax + 1, dtype=np.int64)
-        for k in range(kmax + 1):
-            scaled[k], exponents[k] = g, exponent
-            g = (d * k * g + drift * w) / (k + 1)
-            w = c * w + g
-            shift = math.frexp(w)[1]
-            if not -500 <= shift <= 500:
-                g, w = math.ldexp(g, -shift), math.ldexp(w, -shift)
-                exponent += shift
-        return np.ldexp(scaled, exponents)
+        """P(eps=k) for k = 0..kmax by ``_pmf_table``."""
+        return _pmf_table(self.mu_eps, self.r, self.alpha, kmax)
 
 
 # every family, the one with the most parameters first

@@ -15,12 +15,14 @@ An arm tag names the estimator plus optional twists, e.g.::
     "n-cml"    CML with the innovation family forced to negative binomial
 
 Estimator failures inside a replication (degenerate grids, singular
-systems) are counted and excluded from the aggregates rather than
-aborting the study.  CML fits that end without meeting their convergence
-criterion stay in the aggregates and are counted in ``n_nonconverged``.
+systems) are counted by reason and excluded from the aggregates rather
+than aborting the study.  CML fits that end without meeting their
+convergence criterion stay in the aggregates and are counted in
+``n_nonconverged``.
 """
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,6 +71,8 @@ class StudyResult:
 
     ``n_nonconverged`` counts the kept replications whose fit did not meet
     its convergence criterion; they are included in the means and sds.
+    ``failures`` holds the sorted (reason, count) pairs of the failed ones,
+    a reason being the error's class and its message up to the first ':'.
     """
 
     n1: int
@@ -80,6 +84,7 @@ class StudyResult:
     means: np.ndarray
     sds: np.ndarray
     n_nonconverged: int = 0
+    failures: tuple = ()
 
 
 def parse_arm(tag):
@@ -128,8 +133,10 @@ def _one_rep(task):
                 fit = cml_estimate(grid, order, family=family)
             results.append((fit.names, tuple(float(v) for v in fit.estimates),
                             fit.diagnostics.converged))
-        except CinarError:
-            results.append((None, None, True))
+        except CinarError as exc:
+            # a failed fit holds its reason where the estimates would be
+            reason = f"{type(exc).__name__}: {str(exc).split(':')[0]}"
+            results.append((None, reason, True))
     return results
 
 
@@ -187,6 +194,8 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
                 n1=n1, n2=n2, label=arm.label, n_reps=len(kept),
                 n_failed=n_failed, names=names, means=means, sds=sds,
                 n_nonconverged=sum(not converged for _, _, converged in kept),
+                failures=tuple(sorted(Counter(
+                    reason for names, reason, _ in fits if names is None).items())),
             ))
     return results
 

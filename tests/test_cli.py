@@ -564,6 +564,18 @@ class TestCmdDiagnose:
         assert rc == 2
         assert "nonames.json: not a fit result file" in capsys.readouterr().err
 
+    def test_interior_below_3x3_exits_2(self, tmp_path, capsys):
+        """A 2x10 grid at order (1,1) has a 1x9 interior, too small for the
+        residual ACF: one line naming the grid as given, and exit 2."""
+        path = tmp_path / "thin.csv"
+        write_grid(CountGrid(np.arange(1, 21).reshape(2, 10)), path)
+        rc = main(["diagnose", "--grid", str(path), "--order", "1,1",
+                   "--theta", "0.2,0.2,0.1", "--mu-eps", "1.0",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "a 2x10 grid at order (1,1) has 1x9" in err[0]
+
 
 class TestNbPoissonFace:
     def test_simulate_accepts_the_face(self, tmp_path):
@@ -764,6 +776,29 @@ class TestSimstudy:
         assert tables[0] == tables[1]
         assert serial[2].label == "cml" and serial[2].n_reps == 4
 
+    def test_thread_count_does_not_change_study_files(self, tmp_path,
+                                                      monkeypatch):
+        """cinar simstudy writes the same CSV and .meta.json, failure
+        reasons included, for threads = 1 and 2; only the meta's record of
+        the thread count differs."""
+        files = []
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            monkeypatch.chdir(tmp_path / threads)
+            assert main(["simstudy", "--order", "1,1", "--theta",
+                         "1e-9,1e-9,1e-9", "--mu-eps", "0.01", "--sizes",
+                         "4,4", "--methods", "yw,cls", "--reps", "6",
+                         "--seed", "3", "--threads", threads,
+                         "--out", "study.csv"]) == 0
+            meta = json.loads(Path("study.meta.json").read_text())
+            assert meta["config"].pop("threads") == int(threads)
+            files.append((Path("study.csv").read_bytes(), meta))
+        assert files[0] == files[1]
+        assert [cell["reasons"] for cell in files[0][1]["failures"]] == [
+            {"ValidationError: degenerate grid": 5},
+            {"NumericalError: CLS normal equations singular": 6},
+        ]
+
     def test_workers_capped_by_tasks(self, tmp_path, monkeypatch):
         """threads = 4 for 2 replications asks the pool for 2 workers (a
         pool that runs in-process stands in for it), and the study CSV is
@@ -805,7 +840,8 @@ class TestSimstudy:
         np.testing.assert_array_equal(results[0].means, results[1].means)
 
     def test_failures_counted_not_fatal(self):
-        """A degenerate replication is excluded and counted, not raised."""
+        """A degenerate replication is excluded and counted, not raised,
+        and its reason is counted with it."""
         params = CinarParams(ModelOrder(1, 1),
                              np.array([1e-9, 1e-9, 1e-9]),
                              PoissonInnovation(0.01))
@@ -813,6 +849,8 @@ class TestSimstudy:
         res = results[0]
         assert res.n_failed > 0
         assert res.n_reps + res.n_failed == 6
+        assert res.failures == (("ValidationError: degenerate grid",
+                                 res.n_failed),)
 
     def test_nonconverged_fits_counted_not_dropped(self, tmp_path,
                                                    monkeypatch):
@@ -839,6 +877,7 @@ class TestSimstudy:
                              master_seed=5)
         assert (cml.n_reps, cml.n_failed, cml.n_nonconverged) == (3, 0, 3)
         assert cls.n_nonconverged == 0
+        assert cml.failures == cls.failures == ()
         np.testing.assert_allclose(cml.means, [0.1, 0.2, 0.1, 3.0], rtol=1e-12)
         np.testing.assert_allclose(cml.sds, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
@@ -853,6 +892,7 @@ class TestSimstudy:
             {"n1": 12, "n2": 12, "estimator": "cml", "count": 3},
             {"n1": 12, "n2": 12, "estimator": "cls", "count": 0},
         ]
+        assert [cell["reasons"] for cell in meta["failures"]] == [{}, {}]
         rows = list(csv.DictReader(out.open()))
         assert set(rows[0]) == {"n1", "n2", "estimator", "reps_ok",
                                 "reps_failed", "stat", "param", "value"}

@@ -301,6 +301,23 @@ class TestPearsonResiduals:
         res = pearson_residuals(wrong, grid)
         assert res.mean < -0.5
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 10), (10, 2), (3, 3)],
+                             ids=["2x2", "2x10", "10x2", "3x3"])
+    def test_interior_below_3x3_refused_by_shape(self, shape):
+        """The (2, 2) residual ACF needs a 3x3 interior: a smaller one is
+        refused up front, naming the grid's shape and the order, with no
+        numpy warning (tier-1 turns RuntimeWarnings into errors)."""
+        grid = CountGrid(np.arange(1, shape[0] * shape[1] + 1).reshape(shape))
+        n1, n2 = shape
+        with pytest.raises(ValidationError, match=(
+                rf"interior of at least 3x3 sites .* a {n1}x{n2} grid at order"
+                rf" \(1,1\) has {n1 - 1}x{n2 - 1}$")):
+            pearson_residuals(_poi_params(), grid)
+
+    def test_3x3_interior_accepted(self):
+        grid = CountGrid(np.arange(1, 17).reshape(4, 4) % 5)
+        assert pearson_residuals(_poi_params(), grid).values.shape == (3, 3)
+
 
 # =============================================================================
 # PIT histogram

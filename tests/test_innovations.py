@@ -79,8 +79,11 @@ class TestPoisson:
 
     @pytest.mark.parametrize("mu", [2.0**53, 1e19, 1e300])
     def test_pmf_table_of_a_huge_mean_is_zero(self, mu):
-        """Far beyond any count a table can hold, every entry underflows."""
-        np.testing.assert_array_equal(PoissonInnovation(mu).pmf_table(3), 0.0)
+        """Far beyond any count a table can hold, every entry underflows,
+        for the Poisson law and for an NB law of that mean."""
+        for law in (PoissonInnovation(mu),
+                    NbMarginalInnovation.from_targets(mu, 2.0, 0.5)):
+            np.testing.assert_array_equal(law.pmf_table(3), 0.0)
 
 
 # =============================================================================
@@ -325,7 +328,7 @@ class TestNbPoissonFace:
         assert (inn.nu, inn.pi) == (np.inf, 1.0)
         assert inn.moments() == (3.0, 3.0)
 
-    @pytest.mark.parametrize("mu", [0.01, 1.0, 50.0])
+    @pytest.mark.parametrize("mu", [0.01, 1.0, 50.0, 1e3])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.95])
     def test_face_pmf_is_poisson(self, mu, alpha):
         """Entries above 1e-300, up to k = mu + 12 sqrt(mu) + 60, are within
@@ -342,6 +345,15 @@ class TestNbPoissonFace:
         np.testing.assert_allclose(table[kept], want[kept], rtol=1e-14, atol=0)
         poisson = PoissonInnovation(mu).pmf_table(kmax)
         np.testing.assert_allclose(table[kept], poisson[kept], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("mu", [0.01, 1.0, 50.0, 1e3])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.95])
+    def test_face_table_is_the_poisson_table(self, mu, alpha):
+        """On the face the NB table is PoissonInnovation's, bit for bit."""
+        kmax = int(mu + 12 * np.sqrt(mu)) + 60
+        np.testing.assert_array_equal(
+            NbMarginalInnovation.from_targets(mu, 1.0, alpha).pmf_table(kmax),
+            PoissonInnovation(mu).pmf_table(kmax))
 
     def test_near_face_pmf_matches_mpmath(self):
         """At (2, 1 + 1.2e-8, 0.8), where nu = 1.5e9, the table is within
