@@ -14,7 +14,13 @@ and e * (h_a * h_b + hh_ab), with the innovation's score and Hessian
 series (the likelihood's score and Hessian).  Each step is a convex
 combination, so a nonnegative series keeps its relative accuracy.  A fit
 reads a table through flat indices n * (x_max+1) + x computed once per grid.
+
+Reductions that depend on a site only through its tuple (x, past at each
+lag) can run over the distinct tuples instead, weighted by their counts;
+``distinct_sites`` finds them by counting mixed-radix keys.
 """
+
+import math
 
 import numpy as np
 
@@ -70,3 +76,44 @@ def lag_site_values(table, flat, out=None):
     The indices are in range by construction, so no bounds check is paid.
     """
     return np.take(table.ravel(), flat, out=out, mode="clip")
+
+
+def distinct_sites(columns, index=False):
+    """The distinct rows of the site columns and their counts.
+
+    ``columns`` holds same-shape arrays of nonnegative counts, one value per
+    site each.  Each site's tuple is keyed into one intp by mixed radix over
+    the columns' maxima.  When that dense key space is at most 4 times the
+    number of sites (so its counts take at most 4 int64 per site), one
+    ``bincount`` of the keys gives the distinct tuples, in key order, with
+    their counts.  Otherwise the sites themselves are returned with unit
+    counts.
+
+    Returns ``(tuples, counts, site_index)``: one array per column holding
+    the tuples, and a 1-D array of their counts, so that a reduction over
+    sites weights each tuple by its count.  With ``index=True``,
+    ``site_index`` is an intp array shaped like the columns holding each
+    site's position in the raveled tuples, so that per-site values are
+    ``np.take(per_tuple_values, site_index)``; otherwise it is None.
+    """
+    shape = np.shape(columns[0])
+    n_sites = math.prod(shape)
+    radices = [int(column.max()) + 1 for column in columns]
+    if math.prod(radices) > 4 * n_sites:
+        return (list(columns), np.broadcast_to(np.intp(1), (n_sites,)),
+                np.arange(n_sites).reshape(shape) if index else None)
+    key = np.empty(shape, dtype=np.intp)
+    np.copyto(key, columns[0])
+    for column, radix in zip(columns[1:], radices[1:]):
+        key *= radix
+        key += column
+    table = np.bincount(key.ravel())
+    keys = np.flatnonzero(table)
+    counts = table[keys]
+    site_index = None
+    if index:
+        # the key counts are read; the table now maps a key to its tuple.
+        # In place: take reads each site's key before writing its slot.
+        table[keys] = np.arange(keys.size)
+        site_index = np.take(table, key, out=key, mode="clip")
+    return list(np.unravel_index(keys, radices)), counts, site_index

@@ -5,6 +5,14 @@ Pearson residuals, non-randomized mean-PIT histograms, and the re-scaled
 information criteria.  The conditional law of a site given its past is the
 phi-mixture over lags of (binomially thinned past) + innovation; every
 routine here is a different reduction of that mixture.
+
+The PIT depends on a site only through its tuple (x, past at each lag),
+and the Pearson residual's moments only through the pasts.  When the
+dense key space of those tuples is at most 4 times the number of interior
+sites (seeded 1000x1000 (1,1) grids of small counts have 22,531 (Poisson)
+or 89,065 (NB) distinct (x, past) tuples among 998,001 sites), both reduce
+over the distinct tuples, weighted by their counts, and otherwise over
+the sites themselves; see ``_kernels.distinct_sites``.
 """
 
 from dataclasses import dataclass
@@ -12,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import (_check_cells, flat_site_index, lag_site_values,
-                       thinning_convolution_table)
+from ._kernels import (_check_cells, distinct_sites, flat_site_index,
+                       lag_site_values, thinning_convolution_table)
 from .acf import AcfTable, sample_acf
 from .errors import ValidationError
 from .model import _validated, lag_views
@@ -226,10 +234,13 @@ def pearson_residuals(params, grid):
             f" their (2, 2) residual ACF; a {n1}x{n2} grid at order"
             f" ({p1},{p2}) has {max(n1 - p1, 0)}x{max(n2 - p2, 0)}")
     x, pasts = lag_views(grid.values, params.order)
+    pasts, _, index = distinct_sites(pasts, index=True)
     mean, var = _mixture_moments(params, pasts)
     if np.any(var <= 0):
         raise ValidationError("conditional variance must be positive")
-    res = (x - mean) / np.sqrt(var)
+    res = np.take(mean, index)
+    np.subtract(x, res, out=res)
+    res /= np.take(np.sqrt(var), index)
     return PearsonResiduals(
         values=res,
         mean=float(res.mean()),
@@ -242,21 +253,28 @@ def pit_histogram(params, grid, bins=10):
     """Non-randomized mean-PIT histogram heights (density scale).
 
     Per site the conditional PIT is piecewise linear between F(x-1) and
-    F(x); heights are the site-averaged mass of each of ``bins`` equal
-    cells, scaled so a perfectly calibrated fit gives height 1 in every
-    cell.  Deterministic.
+    F(x); heights are the site-averaged mass of each of ``bins`` (an
+    integer >= 2) equal cells, scaled so a perfectly calibrated fit gives
+    height 1 in every cell.  Deterministic.
     """
     _validated(params)
-    bins = int(bins)
-    if bins < 2:
-        raise ValidationError(f"bins must be >= 2, got {bins}")
+    try:
+        whole = int(bins)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if isinstance(bins, (bool, np.bool_)) or whole is None or whole != bins:
+        raise ValidationError(f"bins must be an integer, got {bins!r}")
+    if whole < 2:
+        raise ValidationError(f"bins must be >= 2, got {bins!r}")
+    bins = whole
     x, pasts = lag_views(grid.values, params.order)
+    (x, *pasts), counts, _ = distinct_sites([x, *pasts])
     x_max, n_max = int(x.max()), max(int(p.max()) for p in pasts)
     _check_cells(n_max, max(n_max, x_max))
     cdf = thinning_convolution_table(
         params.alpha, np.cumsum(params.innovation.pmf_table(x_max)), n_max)
     # A zero column in front (F(-1) = 0) puts F(x-1) just before F(x) in
-    # the raveled table; lag by lag, memory stays a few site vectors.
+    # the raveled table; lag by lag, memory stays a few tuple vectors.
     table = np.pad(cdf, ((0, 0), (1, 0)))
     f_lo, f_hi, values = np.zeros(x.size), np.zeros(x.size), np.empty(x.size)
     for p, past in zip(params.phi, pasts):
@@ -275,10 +293,11 @@ def pit_histogram(params, grid, bins=10):
     # mass over: the site is a point at 0, in the first cell.
     weight = f_hi - f_lo
     at_zero = weight < 1e-300
-    np.divide(1.0, weight, out=weight, where=~at_zero)
+    np.divide(counts, weight, out=weight, where=~at_zero)
     weight[at_zero] = 0.0
 
-    # each site adds weight times its overlap with [F(x-1), F(x)] to a cell
+    # each tuple adds its count over its width times its overlap with
+    # [F(x-1), F(x)] to a cell
     edges = np.linspace(0.0, 1.0, bins + 1)
     heights = np.empty(bins)
     overlap, start = np.empty_like(f_hi), np.empty_like(f_lo)
@@ -286,8 +305,8 @@ def pit_histogram(params, grid, bins=10):
         np.minimum(f_hi, edges[b + 1], out=overlap)
         overlap -= np.maximum(f_lo, edges[b], out=start)
         heights[b] = np.maximum(overlap, 0.0, out=overlap) @ weight
-    heights[0] += np.count_nonzero(at_zero)
-    return heights * (bins / f_hi.size)
+    heights[0] += counts[at_zero].sum()
+    return heights * (bins / counts.sum())
 
 
 def information_criteria(loglik_max, n_params, n1, n2, n_ell):

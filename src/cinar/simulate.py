@@ -141,8 +141,14 @@ def _simulate_kernel(config, return_decisions):
     # innovation draw; interior sites add a thinned past to it.
     xf = np.asarray(params.innovation.sample(gen, size=(big1, big2)),
                     dtype=np.int64).reshape(-1)
-    dec = np.searchsorted(cum_phi, gen.random(xf.size), side="left")
-    np.minimum(dec, len(lags) - 1, out=dec)
+    # the lag index of each site is the number of cumulative weights below
+    # its uniform; the last, 1 up to rounding, is left out so the index
+    # stays below len(lags)
+    u = gen.random(xf.size)
+    dec = np.zeros(xf.size, dtype=np.intp)
+    for c in cum_phi[:-1]:
+        dec += u > c
+    del u
 
     # site (s, d - s) of diagonal d is xf[s * step + d]; xf[src] is its
     # selected past

@@ -1,5 +1,6 @@
 """Tests for conditional laws, residuals, PIT, and information criteria."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,9 @@ from cinar import (
     simulate_cinar,
     tobit_conditional_pmf,
 )
+from cinar._kernels import distinct_sites
 from cinar.diagnose import ConditionalPmf, DiagnosticsReport, conditional_moments
+from cinar.model import lag_views
 
 from _diag_oracle import pearson_oracle, pit_oracle
 from _stats_helpers import lagged_stack
@@ -403,6 +406,24 @@ class TestPitHistogram:
         with pytest.raises(ValidationError, match="bins"):
             pit_histogram(params, grid, bins=1)
 
+    @pytest.mark.parametrize("bins", [2.5, True, np.True_, "10", float("nan"),
+                                      float("inf")])
+    def test_rejects_bins_that_are_not_integers(self, bins):
+        """int() would take 2.5 as 2 bins and True as 1; each is refused
+        with the value given."""
+        params = _poi_params()
+        grid = simulate_cinar(SimConfig(params, n1=8, n2=8, burn_in=10, seed=0))
+        with pytest.raises(ValidationError,
+                           match=f"bins must be an integer, got {re.escape(repr(bins))}$"):
+            pit_histogram(params, grid, bins=bins)
+
+    def test_integral_bins_of_any_number_type(self):
+        params = _poi_params()
+        grid = simulate_cinar(SimConfig(params, n1=8, n2=8, burn_in=10, seed=0))
+        want = pit_histogram(params, grid, bins=4)
+        for bins in (4.0, np.int64(4), np.float64(4.0)):
+            np.testing.assert_array_equal(pit_histogram(params, grid, bins=bins), want)
+
 
 def _grid_with_outlier(params, seed):
     """A seeded 200x200 grid with one count of 150, far in the tail.
@@ -429,27 +450,87 @@ def oracle_case(request):
     return params, _grid_with_outlier(params, seed)
 
 
+def _plain_grid(params, seed):
+    return simulate_cinar(SimConfig(params, n1=200, n2=200, burn_in=50, seed=seed))
+
+
+# Grids of small counts: their (x, past) key space is at most 4 keys per site
+_TUPLE_CASES = {
+    "poisson-11": (_poi_params(theta=(0.2, 0.2, 0.3), mu=1.0), _plain_grid, 41),
+    "nb-11": (_nb_params(theta=(0.2, 0.2, 0.2), mu=1.0, i_eps=2.0), _plain_grid, 41),
+    "poisson-21": (CinarParams(ModelOrder(2, 1), np.array([0.05, 0.1, 0.05, 0.05, 0.05]),
+                               PoissonInnovation(0.5)), _plain_grid, 43),
+    "all-zero": (_poi_params(), lambda params, seed: CountGrid(np.zeros((20, 30), int)), 0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_TUPLE_CASES))
+def tuple_case(request):
+    params, make_grid, seed = _TUPLE_CASES[request.param]
+    return params, make_grid(params, seed)
+
+
+def _tuple_counts(params, grid):
+    """Number of interior sites, and of the tuples the PIT (x and pasts) and
+    the Pearson residuals (pasts) reduce over."""
+    x, pasts = lag_views(grid.values, params.order)
+    return (x.size, distinct_sites([x, *pasts])[1].size,
+            distinct_sites(pasts)[1].size)
+
+
+def _check_pit(params, grid):
+    for bins in (10, 7):
+        want, collapsed = pit_oracle(params, grid, bins)
+        np.testing.assert_allclose(pit_histogram(params, grid, bins), want,
+                                   rtol=1e-12)
+    return collapsed
+
+
+def _check_pearson(params, grid):
+    """rtol 1e-12; atol 1e-13 covers residuals that round to about 0."""
+    res = pearson_residuals(params, grid)
+    want = pearson_oracle(params, grid)
+    assert res.values.shape == want.shape
+    np.testing.assert_allclose(res.values, want, rtol=1e-12, atol=1e-13)
+    assert res.mean == pytest.approx(want.mean(), rel=1e-12, abs=1e-13)
+    assert res.variance == pytest.approx(want.var(ddof=1), rel=1e-12)
+
+
 class TestGridDiagnosticsAgainstLaggedStack:
-    """The lag-view diagnostics equal the lagged_stack formulas on 200x200."""
+    """The lag-view diagnostics equal the lagged_stack formulas on 200x200,
+    site by site where one count of 150 spreads the key space (outlier
+    grids), and on distinct tuples where the counts are small."""
+
+    def test_outlier_grids_are_read_site_by_site(self, oracle_case):
+        n_sites, pit_tuples, pearson_tuples = _tuple_counts(*oracle_case)
+        assert pit_tuples == pearson_tuples == n_sites
+
+    def test_small_count_grids_are_read_as_tuples(self, tuple_case):
+        params, grid = tuple_case
+        n_sites, pit_tuples, pearson_tuples = _tuple_counts(params, grid)
+        assert pit_tuples < n_sites / 2 and pearson_tuples < n_sites / 2
+        if not grid.values.any():
+            assert pit_tuples == pearson_tuples == 1
 
     def test_pit_matches_sites_by_bins_formula(self, oracle_case):
         params, grid = oracle_case
         assert np.count_nonzero(grid.values[1:, 1:] == 0) > 50
-        for bins in (10, 7):
-            want, collapsed = pit_oracle(params, grid, bins)
-            assert collapsed >= 1
-            np.testing.assert_allclose(pit_histogram(params, grid, bins), want,
-                                       rtol=1e-12)
+        assert _check_pit(params, grid) >= 1
+
+    def test_pit_on_tuples_matches_sites_by_bins_formula(self, tuple_case):
+        _check_pit(*tuple_case)
 
     def test_pearson_matches_lagged_stack_formula(self, oracle_case):
-        """rtol 1e-12; atol 1e-13 covers residuals that round to about 0."""
-        params, grid = oracle_case
-        res = pearson_residuals(params, grid)
-        want = pearson_oracle(params, grid)
-        assert res.values.shape == want.shape
-        np.testing.assert_allclose(res.values, want, rtol=1e-12, atol=1e-13)
-        assert res.mean == pytest.approx(want.mean(), rel=1e-12, abs=1e-13)
-        assert res.variance == pytest.approx(want.var(ddof=1), rel=1e-12)
+        _check_pearson(*oracle_case)
+
+    def test_pearson_on_tuples_matches_lagged_stack_formula(self, tuple_case):
+        params, grid = tuple_case
+        if grid.values.any():
+            _check_pearson(params, grid)
+        else:
+            # equal residuals have no sample ACF
+            with pytest.raises(ValidationError, match="sample variance is zero"):
+                pearson_residuals(params, grid)
 
     def test_pit_memory_stays_below_one_sites_by_bins_array(self):
         """Peak traced memory on 300x300 is under one float (sites x bins) array."""
@@ -464,6 +545,20 @@ class TestGridDiagnosticsAgainstLaggedStack:
         finally:
             tracemalloc.stop()
         assert peak < 299 * 299 * bins * 8
+
+    def test_pearson_memory_stays_below_four_site_vectors(self):
+        """On 300x300, the per-site index and two gathers (measured 3.2 float
+        vectors; per-site moments took 6.0)."""
+        params = _poi_params()
+        grid = simulate_cinar(SimConfig(params, n1=300, n2=300, burn_in=50, seed=4))
+        pearson_residuals(params, grid)
+        tracemalloc.start()
+        try:
+            pearson_residuals(params, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 299 * 299 * 8, peak / (299 * 299 * 8)
 
 
 # =============================================================================

@@ -208,6 +208,23 @@ class TestSimulateCinar:
         band = 4.0 * np.sqrt(par.phi * (1.0 - par.phi) / dec.size)
         assert np.all(np.abs(freq - par.phi) < band)
 
+    def test_peak_memory_is_four_site_vectors(self):
+        """The innovation field, the decisions and the two index vectors that
+        build the pasts' offsets: 4 int64 per site of the extended grid
+        (measured 4.002); a site-length temporary kept alive through the
+        wavefront, such as the decision uniforms, reads 5."""
+        import tracemalloc
+
+        config = SimConfig(_strong_params(), 300, 300, burn_in=100, seed=4)
+        simulate_cinar(config)  # lazy set-up outside the traced call
+        tracemalloc.start()
+        try:
+            simulate_cinar(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 8 * 400 * 400, peak / (8 * 400 * 400)
+
     def test_marginal_is_poisson(self, strong_grid):
         """theta=(0.2,0.2,0.5), mu_eps=1: marginal passes GOF vs Poisson(10).
 
