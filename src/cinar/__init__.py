@@ -42,9 +42,9 @@ from .diagnose import (
     DiagnosticsReport,
     PearsonResiduals,
     build_diagnostics,
+    conditional_moments,
     conditional_pmf,
     information_criteria,
-    multilateral_conditional_pmf,
     pearson_residuals,
     pit_histogram,
     tobit_conditional_pmf,
@@ -91,8 +91,8 @@ __all__ = [
     "PearsonResiduals",
     "DiagnosticsReport",
     "conditional_pmf",
+    "conditional_moments",
     "tobit_conditional_pmf",
-    "multilateral_conditional_pmf",
     "pearson_residuals",
     "pit_histogram",
     "information_criteria",

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import _MAX_CELLS
 from .errors import NumericalError, ValidationError
-from .model import _validated
+from .model import _validated, _whole
 
 __all__ = [
     "AcfTable",
@@ -41,9 +41,7 @@ class AcfTable:
     values: np.ndarray
 
     def __post_init__(self):
-        window = (int(self.window[0]), int(self.window[1]))
-        if window[0] < 0 or window[1] < 0:
-            raise ValidationError(f"window must be non-negative, got {window}")
+        window = _window(self.window)
         values = np.asarray(self.values, dtype=float).copy()
         if values.shape != (2 * window[0] + 1, 2 * window[1] + 1):
             raise ValidationError(
@@ -92,6 +90,11 @@ class AcfTable:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
+
+
+def _window(window):
+    """(K, L) of a lag window: two integers >= 0."""
+    return _whole(window[0], "window[0]", 0), _whole(window[1], "window[1]", 0)
 
 
 def _mirror_lex_negative(values, K, L):
@@ -145,9 +148,7 @@ def _acvf(centred, k, l):
 
 def sample_acf(grid, window):
     """Sample autocorrelation table over {|k| <= K, |l| <= L}."""
-    K, L = int(window[0]), int(window[1])
-    if K < 0 or L < 0:
-        raise ValidationError(f"window must be non-negative, got {(K, L)}")
+    K, L = _window(window)
     v = _grid_values(grid)
     centred = v - v.mean()
     gamma0 = _acvf(centred, 0, 0)
@@ -183,9 +184,7 @@ def theoretical_acf(params, window):
     near 1) is refused before it is allocated.
     """
     _validated(params)
-    K, L = int(window[0]), int(window[1])
-    if K < 0 or L < 0:
-        raise ValidationError(f"window must be non-negative, got {(K, L)}")
+    K, L = _window(window)
     order, alpha = params.order, params.alpha
     p1, p2 = order.p1, order.p2
 

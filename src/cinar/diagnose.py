@@ -1,6 +1,6 @@
 """Conditional laws and model diagnostics.
 
-One-site conditional PMFs (plain, censored, multilateral), grid-level
+One-site conditional PMFs (plain and censored), grid-level
 Pearson residuals, non-randomized mean-PIT histograms, and the re-scaled
 information criteria.  The conditional law of a site given its past is the
 phi-mixture over lags of (binomially thinned past) + innovation; every
@@ -24,7 +24,7 @@ from ._kernels import (_check_cells, distinct_sites, flat_site_index,
                        lag_site_values, thinning_convolution_table)
 from .acf import AcfTable, sample_acf
 from .errors import ValidationError
-from .model import _validated, lag_views
+from .model import _validated, _whole, lag_views
 
 __all__ = [
     "ConditionalPmf",
@@ -33,7 +33,6 @@ __all__ = [
     "conditional_pmf",
     "conditional_moments",
     "tobit_conditional_pmf",
-    "multilateral_conditional_pmf",
     "pearson_residuals",
     "pit_histogram",
     "information_criteria",
@@ -105,16 +104,6 @@ def _check_past(past, m):
     return past.astype(np.int64)
 
 
-def _mixture_conditional(alpha, phi, innovation, past, site):
-    eps_max = innovation.quantile(1.0 - _TAIL)
-    n_max = int(past.max())
-    x_max = n_max + eps_max
-    _check_cells(n_max, x_max)
-    table = thinning_convolution_table(alpha, innovation.pmf_table(x_max), n_max)
-    probs = phi @ table[past, :]
-    return ConditionalPmf.from_probs(probs, site)
-
-
 def conditional_pmf(params, past, site=None):
     """Conditional PMF of a site given its lagged past values (over S).
 
@@ -123,8 +112,13 @@ def conditional_pmf(params, past, site=None):
     """
     _validated(params)
     past = _check_past(past, params.order.n_lags)
-    return _mixture_conditional(params.alpha, params.phi, params.innovation,
-                                past, site)
+    alpha, innovation = params.alpha, params.innovation
+    eps_max = innovation.quantile(1.0 - _TAIL)
+    n_max = int(past.max())
+    x_max = n_max + eps_max
+    _check_cells(n_max, x_max)
+    table = thinning_convolution_table(alpha, innovation.pmf_table(x_max), n_max)
+    return ConditionalPmf.from_probs(params.phi @ table[past, :], site)
 
 
 def conditional_moments(params, past):
@@ -187,22 +181,6 @@ def tobit_conditional_pmf(params, signs, past, site=None):
     return ConditionalPmf.from_probs(probs, site)
 
 
-def multilateral_conditional_pmf(alpha, phi, innovation, past, site=None):
-    """Conditional PMF for an arbitrary (possibly non-unilateral) lag set.
-
-    Only the selection weights and the conditioning counts enter the
-    mixture, so the lag set itself is implicit: ``phi`` and ``past`` are
-    aligned vectors over S*.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if not 0.0 < float(alpha) < 1.0:
-        raise ValidationError(f"alpha must be in (0,1), got {alpha}")
-    if phi.ndim != 1 or np.any(phi < 0) or abs(float(phi.sum()) - 1.0) > 1e-12:
-        raise ValidationError("phi must be nonnegative and sum to 1")
-    past = _check_past(past, phi.size)
-    return _mixture_conditional(float(alpha), phi, innovation, past, site)
-
-
 # =============================================================================
 # Grid-level diagnostics
 # =============================================================================
@@ -224,7 +202,8 @@ def pearson_residuals(params, grid):
     Residuals are reported for every site whose full lag neighbourhood is
     observed; the summary holds their mean, variance (divisor n-1), and
     sample ACF on the |k|,|l| <= 2 window, so the interior must be at least
-    3x3 sites.
+    3x3 sites, and the residuals must not all be equal (as on an all-zero
+    grid), which leaves their ACF undefined.
     """
     _validated(params)
     (n1, n2), (p1, p2) = (grid.n1, grid.n2), (params.order.p1, params.order.p2)
@@ -241,6 +220,10 @@ def pearson_residuals(params, grid):
     res = np.take(mean, index)
     np.subtract(x, res, out=res)
     res /= np.take(np.sqrt(var), index)
+    if res.min() == res.max():
+        raise ValidationError(
+            f"Pearson residuals are all equal ({res.flat[0]:.6g}) on this"
+            f" {n1}x{n2} grid, so their sample ACF is undefined")
     return PearsonResiduals(
         values=res,
         mean=float(res.mean()),
@@ -258,15 +241,7 @@ def pit_histogram(params, grid, bins=10):
     height 1 in every cell.  Deterministic.
     """
     _validated(params)
-    try:
-        whole = int(bins)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if isinstance(bins, (bool, np.bool_)) or whole is None or whole != bins:
-        raise ValidationError(f"bins must be an integer, got {bins!r}")
-    if whole < 2:
-        raise ValidationError(f"bins must be >= 2, got {bins!r}")
-    bins = whole
+    bins = _whole(bins, "bins", 2)
     x, pasts = lag_views(grid.values, params.order)
     (x, *pasts), counts, _ = distinct_sites([x, *pasts])
     x_max, n_max = int(x.max()), max(int(p.max()) for p in pasts)

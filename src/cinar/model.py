@@ -33,7 +33,6 @@ __all__ = [
     "SignPattern",
     "CountGrid",
     "ParamsVerdict",
-    "lag_set",
     "validate_params",
     "stationary_moments",
 ]
@@ -60,12 +59,9 @@ class ModelOrder:
     p2: int
 
     def __post_init__(self):
-        if int(self.p1) != self.p1 or int(self.p2) != self.p2:
-            raise ValidationError("model order must be integer")
-        if self.p1 < 1 or self.p2 < 1:
-            raise ValidationError("model order requires p1 >= 1 and p2 >= 1")
-        object.__setattr__(self, "p1", int(self.p1))
-        object.__setattr__(self, "p2", int(self.p2))
+        for name in ("p1", "p2"):
+            value = _whole(getattr(self, name), f"model order {name}", 1)
+            object.__setattr__(self, name, value)
 
     @property
     def lags(self):
@@ -97,7 +93,9 @@ class CinarParams:
         Coefficients theta[i,j] >= 0 in lexicographic lag order; their sum
         alpha must lie in (0, 1).
     innovation : innovation distribution
-        Any object exposing pmf / moments / sample (see `cinar.innovations`).
+        Any object exposing pmf / moments / sample (see `cinar.innovations`)
+        with finite, positive mean and variance; an NB law must be built
+        for the same alpha as theta.
     """
 
     order: ModelOrder
@@ -145,10 +143,6 @@ class SignPattern:
             raise ValidationError("signs must be +1 or -1")
         signs.setflags(write=False)
         object.__setattr__(self, "signs", signs)
-
-    @property
-    def all_plus(self):
-        return bool(np.all(self.signs == 1))
 
 
 @dataclass(frozen=True)
@@ -241,6 +235,20 @@ def _validated(params):
     verdict = validate_params(params)
     if not verdict:
         raise ValidationError("invalid parameters: " + "; ".join(verdict.violations))
+
+
+def _whole(value, name, low):
+    """``value`` as an int >= ``low``.  Integral floats and numpy integers
+    are taken; bools and non-integral values are refused."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if isinstance(value, (bool, np.bool_)) or whole is None or whole != value:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if whole < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
+    return whole
 
 
 def stationary_moments(params):

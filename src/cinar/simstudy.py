@@ -30,14 +30,13 @@ import numpy as np
 
 from .errors import CinarError, ValidationError
 from .estimate import cls_estimate, cml_estimate, yw_estimate
-from .model import ModelOrder
+from .model import ModelOrder, _whole
 from .simulate import SimConfig, simulate_cinar
 
 __all__ = [
     "StudyArm",
     "StudyResult",
     "parse_arm",
-    "replication_seed",
     "run_study",
     "write_study_csv",
 ]
@@ -148,10 +147,7 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
     size.  Deterministic for a fixed master seed regardless of
     ``threads``.
     """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+    reps, threads = _whole(reps, "reps", 1), _whole(threads, "threads", 1)
     arms = tuple(arm if isinstance(arm, StudyArm) else parse_arm(arm)
                  for arm in arms)
     if not arms:

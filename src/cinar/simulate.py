@@ -5,7 +5,8 @@ selected by a multinomial decision among the lag set, with an innovation
 draw.  Simulation runs on an extended ``(n1 + burn_in) x (n2 + burn_in)``
 grid whose left/top margins are initialized with i.i.d. innovation draws;
 the returned grid is the bottom-right ``n1 x n2`` block of "most recent"
-counts.
+counts.  Parameters are checked by ``validate_params``, as in every other
+entry point.
 
 Randomness comes from a counter-based Philox generator seeded by
 ``SimConfig.seed``.  The generator is consumed in a fixed order (innovation
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .model import CinarParams, CountGrid, SignPattern
+from .model import CinarParams, CountGrid, SignPattern, _validated, _whole
 
 __all__ = [
     "SimConfig",
@@ -46,6 +47,9 @@ class SimConfig:
         64-bit unsigned seed; same config => bit-identical output.
     signs : SignPattern, optional
         Present only for the censored (Tobit) variant.
+
+    Integral floats and numpy integers are stored as ints; bools and
+    non-integral values are refused.
     """
 
     params: CinarParams
@@ -56,13 +60,9 @@ class SimConfig:
     signs: Optional[SignPattern] = None
 
     def __post_init__(self):
-        if int(self.n1) < 1 or int(self.n2) < 1:
-            raise ValidationError(
-                f"grid dimensions must be >= 1, got ({self.n1}, {self.n2})"
-            )
-        if int(self.burn_in) < 0:
-            raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
-        if not 0 <= int(self.seed) < 2**64:
+        for name, low in (("n1", 1), ("n2", 1), ("burn_in", 0), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, low))
+        if self.seed >= 2**64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
 
 
@@ -98,43 +98,20 @@ def simulate_tobit_cinar(config, return_decisions=False):
     return _simulate_kernel(config, return_decisions)
 
 
-def _check_sim_params(params):
-    """Like validate_params, but a point mass at 0 is still simulable.
-
-    The strict model invariant requires positive innovation moments (needed
-    for stationary moments and estimation); the recursion itself only needs
-    nonnegative ones, and the degenerate case is a useful absorbing-state
-    check.
-    """
-    theta = params.theta
-    if np.any(theta < 0):
-        raise ValidationError("negative coefficient: every theta[i,j] must be >= 0")
-    alpha = float(np.sum(theta))
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(
-            f"coefficient sum alpha must lie in (0,1), got {alpha:.6g}"
-        )
-    mu_eps, sigma2_eps = params.innovation.moments()
-    if not (np.isfinite(mu_eps) and mu_eps >= 0.0):
-        raise ValidationError("innovation mean must be finite and >= 0")
-    if not (np.isfinite(sigma2_eps) and sigma2_eps >= 0.0):
-        raise ValidationError("innovation variance must be finite and >= 0")
-
-
 def _simulate_kernel(config, return_decisions):
     """Shared recursion: censored (Tobit) when ``config.signs`` is set."""
     params, signs = config.params, config.signs
-    _check_sim_params(params)
+    _validated(params)
     order = params.order
     p1, p2 = order.p1, order.p2
-    n1, n2 = int(config.n1), int(config.n2)
-    big1, big2 = n1 + int(config.burn_in), n2 + int(config.burn_in)
+    n1, n2 = config.n1, config.n2
+    big1, big2 = n1 + config.burn_in, n2 + config.burn_in
 
     alpha = params.alpha
     cum_phi = np.cumsum(params.phi)
     lags = np.asarray(order.lags, dtype=np.int64)
 
-    gen = np.random.Generator(np.random.Philox(int(config.seed)))
+    gen = np.random.Generator(np.random.Philox(config.seed))
 
     # Fixed consumption order: innovation field, then decision uniforms,
     # then thinning draws diagonal by diagonal.  Margin sites keep their

@@ -9,8 +9,7 @@ be bit-identical to ``simulate_cinar`` and ``simulate_tobit_cinar``.
 
 import numpy as np
 
-from cinar.model import CountGrid
-from cinar.simulate import _check_sim_params
+from cinar.model import CountGrid, _validated
 
 
 def simulate_oracle(config, return_decisions=False):
@@ -18,7 +17,7 @@ def simulate_oracle(config, return_decisions=False):
     signs = config.signs
     censor = signs is not None
     params = config.params
-    _check_sim_params(params)
+    _validated(params)
     order = params.order
     p1, p2 = order.p1, order.p2
     n1, n2 = int(config.n1), int(config.n2)

@@ -1,6 +1,7 @@
 """Sample and theoretical autocorrelation: oracles, symmetry, closed form."""
 
 import io
+import re
 import time
 
 import numpy as np
@@ -159,6 +160,23 @@ class TestSampleAcf:
         inside = np.abs(vals) <= 3.0 / np.sqrt(500 * 500)
         assert inside.sum() >= 0.95 * (vals.size - 1)
 
+    @pytest.mark.parametrize("window, name, value", [
+        ((1.6, 1.2), "window[0]", 1.6), ((2, 0.5), "window[1]", 0.5),
+        ((True, 1), "window[0]", True)])
+    def test_window_is_checked_not_truncated(self, window, name, value):
+        """int() would take (1.6, 1.2) as a (1, 1) window; refused instead."""
+        grid = CountGrid(np.random.default_rng(5).poisson(2.0, (10, 10)))
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(name)} must be an integer, got {value!r}$")):
+            sample_acf(grid, window)
+
+    def test_integral_window_of_any_number_type(self):
+        grid = CountGrid(np.random.default_rng(5).poisson(2.0, (10, 10)))
+        want = sample_acf(grid, (2, 1))
+        got = sample_acf(grid, (2.0, np.int64(1)))
+        assert got.window == (2, 1)
+        assert np.array_equal(got.values, want.values)
+
     def test_degenerate_grid_raises(self):
         with pytest.raises(ValidationError, match="degenerate"):
             sample_acf(CountGrid(np.full((8, 8), 2)), (1, 1))
@@ -254,6 +272,14 @@ class TestTheoreticalAcf:
     def test_invalid_params_raise(self):
         with pytest.raises(ValidationError):
             theoretical_acf(_poi_params([0.6, 0.6, 0.1]), (2, 2))
+
+    @pytest.mark.parametrize("window, name, value", [
+        ((2.9, 0.5), "window[0]", 2.9), ((2, np.True_), "window[1]", np.True_)])
+    def test_window_is_checked_not_truncated(self, window, name, value):
+        """int() would take (2.9, 0.5) as a (2, 0) window; refused instead."""
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(name)} must be an integer, got {re.escape(repr(value))}$")):
+            theoretical_acf(_poi_params([0.3, 0.4, 0.1]), window)
 
     @pytest.mark.parametrize(
         "order,theta",

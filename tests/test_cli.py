@@ -576,6 +576,19 @@ class TestCmdDiagnose:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "a 2x10 grid at order (1,1) has 1x9" in err[0]
 
+    def test_all_zero_grid_exits_2_naming_the_residuals(self, tmp_path, capsys):
+        """Every residual of an all-zero grid is equal, so the residual ACF
+        is undefined: one line naming the residuals, and exit 2."""
+        path = tmp_path / "zeros.csv"
+        write_grid(CountGrid(np.zeros((20, 30), dtype=int)), path)
+        rc = main(["diagnose", "--grid", str(path), "--order", "1,1",
+                   "--theta", "0.2,0.2,0.1", "--mu-eps", "1.0",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Pearson residuals are all equal")
+        assert "sample ACF is undefined" in err[0]
+
 
 class TestNbPoissonFace:
     def test_simulate_accepts_the_face(self, tmp_path):
@@ -923,6 +936,18 @@ class TestSimstudy:
             "theta_01", "theta_10", "theta_11", "mu_eps"}
         assert all(row["n1"] == "10" and row["estimator"] == "cls"
                    for row in rows)
+
+    @pytest.mark.parametrize("name, value", [
+        ("reps", 2.5), ("reps", True), ("threads", 1.5), ("threads", np.True_)])
+    def test_counts_are_checked_not_truncated(self, name, value):
+        """A non-integral or bool count is refused with a ValidationError
+        naming it, not truncated or left to fail inside the study."""
+        params = CinarParams(ModelOrder(1, 1), np.array([0.15, 0.15, 0.1]),
+                             PoissonInnovation(1.0))
+        counts = {"reps": 1, "threads": 1, name: value}
+        with pytest.raises(ValidationError, match=(
+                f"^{name} must be an integer, got {re.escape(repr(value))}$")):
+            run_study(params, [(10, 10)], ["cls"], **counts)
 
     def test_replication_seed_is_stable(self):
         """Seed derivation is a pure function of (master, rep)."""

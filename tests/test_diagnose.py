@@ -19,7 +19,6 @@ from cinar import (
     build_diagnostics,
     conditional_pmf,
     information_criteria,
-    multilateral_conditional_pmf,
     pearson_residuals,
     pit_histogram,
     simulate_cinar,
@@ -224,49 +223,19 @@ class TestTobitConditionalPmf:
 
 
 # =============================================================================
-# Multilateral mixture
-# =============================================================================
-
-
-class TestMultilateralConditionalPmf:
-    def test_degenerate_matches_unilateral(self):
-        """A one-active-lag multilateral law coincides with the plain conditional."""
-        inn = PoissonInnovation(1.2)
-        params = CinarParams(ModelOrder(1, 1), np.array([0.45, 0.0, 0.0]), inn)
-        for x in (0, 2, 7):
-            a = multilateral_conditional_pmf(0.45, [1.0], inn, [x])
-            b = conditional_pmf(params, [x, 0, 0])
-            hi = min(a.support_max, b.support_max)
-            np.testing.assert_allclose(a.probs[: hi + 1], b.probs[: hi + 1], atol=1e-14)
-
-    def test_matches_direct_convolution(self):
-        """Four-neighbour mixture equals the hand-built convolution mixture."""
-        inn = NbMarginalInnovation.from_targets(1.5, 2.2, 0.5)
-        phi = np.array([0.1, 0.2, 0.3, 0.4])
-        past = np.array([3, 0, 6, 2])
-        got = multilateral_conditional_pmf(0.5, phi, inn, past)
-        want = _convolve_mixture(0.5, phi, past, inn)
-        np.testing.assert_allclose(got.probs, want[: got.support_max + 1], atol=1e-13)
-        assert abs(got.probs.sum() - 1.0) < 1e-10
-        mu_eps, _ = inn.moments()
-        assert got.mean == pytest.approx(mu_eps + 0.5 * float(phi @ past), abs=1e-9)
-
-    def test_rejects_bad_weights(self):
-        inn = PoissonInnovation(1.0)
-        with pytest.raises(ValidationError, match="alpha"):
-            multilateral_conditional_pmf(1.0, [1.0], inn, [2])
-        with pytest.raises(ValidationError, match="sum to 1"):
-            multilateral_conditional_pmf(0.5, [0.6, 0.6], inn, [2, 3])
-        with pytest.raises(ValidationError, match="sum to 1"):
-            multilateral_conditional_pmf(0.5, [1.4, -0.4], inn, [2, 3])
-
-
-# =============================================================================
 # Pearson residuals
 # =============================================================================
 
 
 class TestPearsonResiduals:
+    def test_constant_residual_field_is_refused(self):
+        """An all-zero grid gives every site the same residual, whose sample
+        ACF is undefined: refused naming the residuals, not the grid."""
+        with pytest.raises(ValidationError, match=(
+                r"^Pearson residuals are all equal \(-1\.22474\) on this 20x30"
+                r" grid, so their sample ACF is undefined$")):
+            pearson_residuals(_poi_params(), CountGrid(np.zeros((20, 30), dtype=int)))
+
     def test_per_site_against_conditional_moments(self):
         """Vectorized residuals equal the site-by-site standardization."""
         params = _nb_params(theta=(0.25, 0.15, 0.3), mu=1.0, i_eps=1.7)
@@ -529,7 +498,7 @@ class TestGridDiagnosticsAgainstLaggedStack:
             _check_pearson(params, grid)
         else:
             # equal residuals have no sample ACF
-            with pytest.raises(ValidationError, match="sample variance is zero"):
+            with pytest.raises(ValidationError, match="sample ACF is undefined"):
                 pearson_residuals(params, grid)
 
     def test_pit_memory_stays_below_one_sites_by_bins_array(self):

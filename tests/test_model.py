@@ -58,6 +58,18 @@ class TestModelOrder:
         with pytest.raises(ValidationError):
             ModelOrder(1, -2)
 
+    @pytest.mark.parametrize("p1", [True, 1.5, "2"])
+    def test_non_integer_order_rejected(self, p1):
+        """A bool or a string is refused like 1.5, naming the value."""
+        with pytest.raises(ValidationError,
+                           match=f"^model order p1 must be an integer, got {p1!r}$"):
+            ModelOrder(p1, 1)
+
+    def test_integral_order_stored_as_int(self):
+        order = ModelOrder(2.0, np.int64(1))
+        assert (order.p1, order.p2) == (2, 1)
+        assert type(order.p1) is int and type(order.p2) is int
+
 
 # =============================================================================
 # Validation
@@ -224,7 +236,7 @@ class TestCountGrid:
 class TestSignPattern:
     def test_valid_pattern(self):
         sp = SignPattern(ModelOrder(1, 1), [1, 1, -1])
-        assert not sp.all_plus
+        assert sp.signs.tolist() == [1, 1, -1]
 
     def test_rejects_other_values(self):
         with pytest.raises(ValidationError):

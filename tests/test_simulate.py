@@ -1,5 +1,7 @@
 """Simulator behaviour: determinism, margins, marginal laws, censoring."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,8 +29,8 @@ from _stats_helpers import chisq_gof
 
 
 class _Tabulated:
-    """Innovations with a finite PMF on {0, ..., K}; at [1.0], a point mass
-    at 0, which the simulator accepts and the estimators do not."""
+    """Innovations with a finite PMF on {0, ..., K}, a duck-typed law that
+    the simulator samples by inverse CDF."""
 
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=float)
@@ -157,6 +159,26 @@ class TestSimulateCinar:
         b = simulate_cinar(SimConfig(par, 40, 40, burn_in=20, seed=2))
         assert not np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n1", 10.7), ("n2", 9.2), ("burn_in", 3.9), ("seed", 1.5),
+        ("n1", True), ("n2", np.True_), ("seed", "1")])
+    def test_integer_fields_are_checked_not_truncated(self, field, value):
+        """int() would simulate a 10x9 grid from (10.7, 9.2) and a 1-row grid
+        from True; each is refused, naming the field and the value."""
+        fields = {"n1": 10, "n2": 9, "burn_in": 3, "seed": 1, field: value}
+        with pytest.raises(ValidationError, match=(
+                f"^{field} must be an integer, got {re.escape(repr(value))}$")):
+            SimConfig(_weak_params(), **fields)
+
+    def test_integral_fields_of_any_number_type(self):
+        """Integral floats and numpy integers are stored as ints and give the
+        same grid."""
+        want = simulate_cinar(SimConfig(_weak_params(), 10, 9, burn_in=3, seed=1))
+        cfg = SimConfig(_weak_params(), 10.0, np.int64(9), burn_in=np.float64(3.0),
+                        seed=np.uint64(1))
+        assert [type(v) for v in (cfg.n1, cfg.n2, cfg.burn_in, cfg.seed)] == [int] * 4
+        assert np.array_equal(simulate_cinar(cfg).values, want.values)
+
     def test_burn_in_zero_allowed(self):
         g = simulate_cinar(SimConfig(_weak_params(), 25, 30, burn_in=0, seed=5))
         assert g.values.shape == (25, 30)
@@ -174,14 +196,6 @@ class TestSimulateCinar:
         quads = [v[:250, :250], v[:250, 250:], v[250:, :250], v[250:, 250:]]
         for q in quads:
             assert abs(q.mean() - v.mean()) < 3.0 * se
-
-    def test_degenerate_innovation_absorbs_at_zero(self):
-        """Point-mass-at-0 innovations leave the whole grid at zero."""
-        par = CinarParams(
-            ModelOrder(1, 1), np.array([0.3, 0.3, 0.3]), _Tabulated([1.0])
-        )
-        g = simulate_cinar(SimConfig(par, 30, 30, burn_in=20, seed=4))
-        assert np.all(g.values == 0)
 
     def test_rejects_sign_pattern(self):
         signs = SignPattern(ModelOrder(1, 1), np.array([1, 1, 1]))
@@ -282,15 +296,6 @@ class TestSimulateTobit:
         with pytest.raises(ValidationError, match="order"):
             simulate_tobit_cinar(cfg)
 
-    def test_pure_negative_lag_with_degenerate_innovation(self):
-        """Negative sign on the only active lag + point mass at 0 stays at 0."""
-        par = CinarParams(
-            ModelOrder(1, 1), np.array([0.0, 0.0, 0.5]), _Tabulated([1.0])
-        )
-        signs = SignPattern(par.order, np.array([1, 1, -1]))
-        g = simulate_tobit_cinar(SimConfig(par, 25, 25, burn_in=15, seed=8, signs=signs))
-        assert np.all(g.values == 0)
-
     def test_mixed_signs_censor_and_stay_nonnegative(self):
         """A dominant negative lag triggers censoring yet output stays a count grid."""
         par = CinarParams(
@@ -318,14 +323,14 @@ def _oracle_params(p1, p2, family):
     innovation = {
         "poisson": PoissonInnovation(1.3),
         "nb": NbMarginalInnovation.from_targets(1.3, 2.5, 0.85),
-        "degenerate": _Tabulated([1.0]),
+        "tabulated": _Tabulated([0.5, 0.3, 0.2]),
     }[family]
     return CinarParams(order, theta, innovation)
 
 
 @pytest.mark.parametrize("burn_in", [0, 100])
 @pytest.mark.parametrize("censored", [False, True], ids=["plain", "tobit"])
-@pytest.mark.parametrize("family", ["poisson", "nb", "degenerate"])
+@pytest.mark.parametrize("family", ["poisson", "nb", "tabulated"])
 @pytest.mark.parametrize("p1, p2", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_matches_per_diagonal_oracle(p1, p2, family, censored, burn_in):
     """Grids and decisions are bit-identical to the fancy-indexing loop,
