@@ -10,7 +10,6 @@ canonical lex-positive half is computed once and mirrored.
 """
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +85,10 @@ class AcfTable:
             if own:
                 handle.close()
 
-    def to_csv_string(self):
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
-
-def _window(window):
-    """(K, L) of a lag window: two integers >= 0."""
-    return _whole(window[0], "window[0]", 0), _whole(window[1], "window[1]", 0)
+def _window(window, low=0):
+    """(K, L) of a lag window: two integers >= ``low``."""
+    return _whole(window[0], "window[0]", low), _whole(window[1], "window[1]", low)
 
 
 def _mirror_lex_negative(values, K, L):
@@ -132,7 +126,7 @@ def sample_acvf(grid, k, l):
 
 def _acvf(centred, k, l):
     """``sample_acvf`` of the grid whose centred values are ``centred``."""
-    k, l = int(k), int(l)
+    k, l = _whole(k, "lag k", -np.inf), _whole(l, "lag l", -np.inf)
     n1, n2 = centred.shape
     if abs(k) >= n1 or abs(l) >= n2:
         raise ValidationError(
@@ -267,9 +261,7 @@ def acf_closed_form_11(params):
         )
 
     def build(window):
-        K, L = int(window[0]), int(window[1])
-        if K < 1 or L < 1:
-            raise ValidationError(f"window must be positive, got {(K, L)}")
+        K, L = _window(window, 1)
         values = np.empty((2 * K + 1, 2 * L + 1))
         kk = np.arange(0, K + 1)
         ll = np.arange(0, L + 1)

@@ -90,10 +90,6 @@ class ConditionalPmf:
         var = float(probs @ x**2) - mean**2
         return cls(probs.size - 1, probs, mean, var, site)
 
-    def cdf(self):
-        """Cumulative distribution over 0..support_max."""
-        return np.cumsum(self.probs)
-
 
 def _check_past(past, m):
     past = np.asarray(past)
@@ -238,7 +234,8 @@ def pit_histogram(params, grid, bins=10):
     Per site the conditional PIT is piecewise linear between F(x-1) and
     F(x); heights are the site-averaged mass of each of ``bins`` (an
     integer >= 2) equal cells, scaled so a perfectly calibrated fit gives
-    height 1 in every cell.  Deterministic.
+    height 1 in every cell.  Deterministic.  The cell sums are ``einsum``
+    dots: a threaded BLAS dot stalls waking its threads on a busy core.
     """
     _validated(params)
     bins = _whole(bins, "bins", 2)
@@ -279,7 +276,7 @@ def pit_histogram(params, grid, bins=10):
     for b in range(bins):
         np.minimum(f_hi, edges[b + 1], out=overlap)
         overlap -= np.maximum(f_lo, edges[b], out=start)
-        heights[b] = np.maximum(overlap, 0.0, out=overlap) @ weight
+        heights[b] = np.einsum("i,i->", np.maximum(overlap, 0, out=overlap), weight)
     heights[0] += counts[at_zero].sum()
     return heights * (bins / counts.sum())
 
@@ -291,12 +288,9 @@ def information_criteria(loglik_max, n_params, n1, n2, n_ell):
     re-scaled to the full n1*n2 grid before the usual penalties: AIC =
     -2*scaled + 2k, BIC = -2*scaled + log(n1*n2)*k.
     """
-    n_ell = int(n_ell)
-    if n_ell <= 0:
-        raise ValidationError(f"n_ell must be positive, got {n_ell}")
-    n_sites = int(n1) * int(n2)
+    n_ell, k = _whole(n_ell, "n_ell", 1), _whole(n_params, "n_params", 0)
+    n_sites = _whole(n1, "n1", 1) * _whole(n2, "n2", 1)
     scaled = (n_sites / n_ell) * float(loglik_max)
-    k = int(n_params)
     aic = -2.0 * scaled + 2.0 * k
     bic = -2.0 * scaled + np.log(n_sites) * k
     return float(aic), float(bic)

@@ -266,7 +266,8 @@ class _CmlLikelihood:
     series (see ``_innovation_series`` and ``_table_derivatives``).
 
     ``family`` (an innovation family class, see ``innovations``) is needed
-    only by ``value_score_hessian``.  Counts evaluations in ``n_fev``, of
+    only by ``value_score_hessian``; with it, a pass above 2**27 float64
+    cells (1 GiB) is refused up front.  Counts evaluations in ``n_fev``, of
     which ``n_grad`` also carried the score and the Hessian.
     """
 
@@ -279,6 +280,13 @@ class _CmlLikelihood:
         self.n_max = max(int(past.max()) for past in pasts)
         self.x_max = int(x.max())
         _check_cells(self.n_max, max(self.n_max, self.x_max))
+        cells = (self.n_max + 1) * (self.x_max + 1) * _pass_tables(
+            len(pasts), 1 + len(family.param_names)) if family else 0
+        if cells > 2**27:
+            raise ValidationError(
+                f"count {max(self.n_max, self.x_max)} is too large for a {family.name}"
+                f" CML fit: a likelihood pass would take {cells / 2**27:.1f} GiB,"
+                " above 1 GiB")
         self._flat = flat_site_index(x, pasts, self.x_max)
         self._site_values = np.empty(self._flat.shape)
         self.n_fev = self.n_grad = 0
@@ -391,6 +399,13 @@ class _CmlLikelihood:
         hess[m:, :m] -= cross.T
         hess[m:, m:] -= d_psi @ d_psi.T
         return loglik, score, hess
+
+
+def _pass_tables(m, q):
+    """Tracemalloc peak of a pass over m lags and q - 1 innovation parameters,
+    in tables: its series stack, lag weights, d2, d1's and C's steps, two
+    temporaries."""
+    return (1 + q + q * (q + 1) // 2) + m + q * q + q + 1 + 2
 
 
 def _inverse_scale(p_site):

@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .model import _whole
 
 __all__ = [
     "PoissonInnovation",
@@ -71,9 +72,7 @@ def _pmf_table(mu, r, alpha, kmax):
     rounding, and values are carried scaled by powers of two near 1, so a
     g[0] below the float range cannot zero the table.
     """
-    if kmax < 0:
-        raise ValidationError("kmax must be >= 0")
-    kmax = int(kmax)
+    kmax = _whole(kmax, "kmax", 0)
     d, c = r / (1.0 + r), alpha * r / (1.0 + alpha * r)
     drift = mu / (1.0 + r) / (1.0 + alpha * r)
     y = (1.0 - alpha) * d
@@ -101,7 +100,7 @@ def _pmf_table(mu, r, alpha, kmax):
 
 
 class _InverseCdfMixin:
-    """Shared point PMF, lazily-extended CDF table, sampling, and quantiles."""
+    """Shared lazily-extended CDF table, sampling and quantiles over ``pmf_table``."""
 
     _cdf = None  # grown on demand; None until first use
 
@@ -135,13 +134,6 @@ class _InverseCdfMixin:
             k_hi *= 2
         object.__setattr__(self, "_cdf", cdf)
         return cdf
-
-    def pmf(self, k):
-        """P(eps = k), elementwise over ``k``; 0 at negative k."""
-        k = np.asarray(k)
-        table = self.pmf_table(max(int(k.max()), 0))
-        out = np.where(k >= 0, table[np.clip(k, 0, None)], 0.0)
-        return out if k.ndim else float(out)
 
     def quantile(self, q):
         """Smallest k with P(eps <= k) >= q."""
@@ -189,9 +181,9 @@ class PoissonInnovation(_InverseCdfMixin):
         """Series of the first and second derivatives of log G(u) = mu (u-1)
         over (alpha, mu): the law does not move with alpha, and log G is
         linear in mu.  Returns (h, hh) as ``NbMarginalInnovation`` does."""
-        h = np.zeros((2, int(kmax) + 1))
-        h[1, :2] = [-1.0, 1.0][: int(kmax) + 1]
-        return h, np.zeros((2, 2, int(kmax) + 1))
+        h = np.zeros((2, _whole(kmax, "kmax", 0) + 1))
+        h[1, :2] = [-1.0, 1.0][: h.shape[1]]
+        return h, np.zeros((2,) + h.shape)
 
     def moments(self):
         return self.mu, self.mu
@@ -236,6 +228,22 @@ def _p_series(x, kmax):
     out[1, 1:] = ((k - 1.0) * z * y2 - y1) * z**2 / k
     out[2, 1:] = ((k - 1.0) * (k - 2.0) * z**2 * y3 - 4.0 * (k - 1.0) * z * y2
                   + 2.0 * y1) * z**3 / k
+    return out
+
+
+def _q_divided_difference(alpha, r, kmax):
+    """Series in u of Q[a, r] = P(r) + a P[a, r], the divided difference of
+    Q(x) = x P(x) between a = alpha r and r.  With y = x/(1+x) and z =
+    1/(1+x), Q_0 = -log(1+x) gives -z_a log1p(t)/t, t = (r-a) z_a, and Q_k
+    = y**k/k gives z_a z_r y_r**(k-1) sum_{j<k} rho**j / k, rho = y_a/y_r
+    = alpha (1+r) z_a: no difference of nearby values is taken."""
+    z_a, z_r = 1.0 / (1.0 + alpha * r), 1.0 / (1.0 + r)
+    t = (1.0 - alpha) * r * z_a
+    n = np.arange(float(kmax))
+    out = np.empty(kmax + 1)
+    out[0] = -z_a * (math.log1p(t) / t if t else 1.0)
+    out[1:] = (z_a * z_r * (r * z_r) ** n
+               * np.cumsum((alpha * (1.0 + r) * z_a) ** n) / (n + 1.0))
     return out
 
 
@@ -328,16 +336,18 @@ class NbMarginalInnovation(_InverseCdfMixin):
         that the PMF moves as ``pmf_table(kmax) * h_a`` and its second
         derivative is ``pmf_table(kmax) * (h_a * h_b + hh_ab)``.
         """
+        kmax = _whole(kmax, "kmax", 0)
         alpha, r = self.alpha, self.r
         m = self.mu_eps / (1.0 - alpha)
         s, om = 1.0 / (1.0 + alpha), 1.0 - alpha
-        p_r, q_r, w_r = _p_series(r, kmax)
+        _, q_r, w_r = _p_series(r, kmax)
         p_x, q_x, w_x = _p_series(alpha * r, kmax)
         # log G = m F with F = P(r) - alpha P(alpha r), whose r-derivatives
         # are f_r and f_rr; at fixed r, c = 2 P'(alpha r) + alpha r P''(alpha
         # r) gives d2F/dalpha2 = -r c and d2F/dalpha dr = -alpha c.  f_i,
-        # f_a, f_aa and f_ai differentiate F over i_eps and alpha.
-        f = p_r - alpha * p_x
+        # f_a, f_aa and f_ai differentiate F over i_eps and alpha.  F =
+        # (1 - alpha) (P(r) + alpha r P[alpha r, r]) cancels by 1 - alpha.
+        f_om = _q_divided_difference(alpha, r, kmax)
         f_r, f_rr = q_r - alpha**2 * q_x, w_r - alpha**3 * w_x
         c = 2.0 * q_x + alpha * r * w_x
         f_i = s * f_r
@@ -345,9 +355,9 @@ class NbMarginalInnovation(_InverseCdfMixin):
         f_aa = r * s * (s * (r * f_rr + 2.0 * f_r) - om * c)
         f_ai = -s * (alpha * c + s * (f_r + r * f_rr))
         # dm/dmu_eps = 1 / (1 - alpha) and dm/dalpha = m / (1 - alpha)
-        g = f / om + f_a
-        h = np.stack([m * g, f / om, m * f_i])
-        hh = np.zeros((3, 3, int(kmax) + 1))
+        g = f_om + f_a
+        h = np.stack([m * g, f_om, m * f_i])
+        hh = np.zeros((3, 3, kmax + 1))
         hh[0, 0] = m * (2.0 * g / om + f_aa)
         hh[0, 1] = hh[1, 0] = g / om
         hh[0, 2] = hh[2, 0] = m * (f_i / om + f_ai)

@@ -38,17 +38,8 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# lag-set machinery
+# model order and its lag set
 # ---------------------------------------------------------------------------
-
-
-def lag_set(p1, p2):
-    """Lexicographically ordered lag set for order (p1, p2).
-
-    Returns a list of (i, j) tuples with 0 <= i <= p1, 0 <= j <= p2 and
-    (0, 0) excluded; length (p1+1)*(p2+1) - 1.
-    """
-    return [(i, j) for i in range(p1 + 1) for j in range(p2 + 1) if (i, j) != (0, 0)]
 
 
 @dataclass(frozen=True)
@@ -65,8 +56,10 @@ class ModelOrder:
 
     @property
     def lags(self):
-        """The lag set S as a tuple of (i, j) pairs, lexicographic order."""
-        return tuple(lag_set(self.p1, self.p2))
+        """The lag set S: the (i, j) pairs with 0 <= i <= p1, 0 <= j <= p2
+        and (0, 0) excluded, i ascending then j ascending."""
+        return tuple((i, j) for i in range(self.p1 + 1)
+                     for j in range(self.p2 + 1) if (i, j) != (0, 0))
 
     @property
     def n_lags(self):

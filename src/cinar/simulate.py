@@ -11,7 +11,9 @@ entry point.
 Randomness comes from a counter-based Philox generator seeded by
 ``SimConfig.seed``.  The generator is consumed in a fixed order (innovation
 field, decision field, then binomial thinnings along successive
-anti-diagonals), so identical configs produce bit-identical grids.  Each
+anti-diagonals), so identical configs produce bit-identical grids.  The
+lag decisions live only until each site's selected past (and, censored,
+its sign) is indexed; the simulators return the grid alone.  Each
 anti-diagonal is a strided slice of the raveled grid, drawn by ascending
 row as in the fancy-indexing loop of ``tests/_sim_oracle.py``, whose
 grids these equal bit for bit.
@@ -66,26 +68,21 @@ class SimConfig:
             raise ValidationError("seed must be a 64-bit unsigned integer")
 
 
-def simulate_cinar(config, return_decisions=False):
-    """Simulate a CINAR(p1, p2) count grid.
-
-    Returns a CountGrid; with ``return_decisions=True`` also returns the
-    per-site selected-lag indices (into ``order.lags``) for the returned
-    block, which lets callers audit the exactly-one-selection mechanism.
-    """
+def simulate_cinar(config):
+    """Simulate a CINAR(p1, p2) count grid; returns a CountGrid."""
     if config.signs is not None:
         raise ValidationError(
             "sign pattern supplied; use simulate_tobit_cinar for the censored model"
         )
-    return _simulate_kernel(config, return_decisions)
+    return _simulate_kernel(config)
 
 
-def simulate_tobit_cinar(config, return_decisions=False):
+def simulate_tobit_cinar(config):
     """Simulate a censored (Tobit) CINAR(p1, p2) count grid.
 
-    Each site computes Y = s(i,j) * (thinned selected past) + innovation and
-    stores X = max(0, Y).  With all signs +1 this coincides with
-    simulate_cinar draw-for-draw (same seed => bit-identical grid).
+    Each site computes Y = s(i,j) * (thinned selected past) + innovation
+    and stores X = max(0, Y); returns a CountGrid.  With all signs +1 this
+    coincides with simulate_cinar draw-for-draw (same seed, same grid).
     """
     if config.signs is None:
         raise ValidationError(
@@ -95,10 +92,10 @@ def simulate_tobit_cinar(config, return_decisions=False):
         raise ValidationError(
             "sign pattern order does not match the model order"
         )
-    return _simulate_kernel(config, return_decisions)
+    return _simulate_kernel(config)
 
 
-def _simulate_kernel(config, return_decisions):
+def _simulate_kernel(config):
     """Shared recursion: censored (Tobit) when ``config.signs`` is set."""
     params, signs = config.params, config.signs
     _validated(params)
@@ -133,6 +130,7 @@ def _simulate_kernel(config, return_decisions):
     src = np.arange(xf.size) - (lags[:, 0] * big2 + lags[:, 1])[dec]
     if signs is not None:
         sgn = signs.signs[dec]
+    del dec
 
     # interior sites (s >= p1, t >= p2) by ascending anti-diagonal s + t = d;
     # every referenced past lies on a strictly smaller diagonal
@@ -148,7 +146,4 @@ def _simulate_kernel(config, return_decisions):
         else:
             xf[sl] += thin
 
-    grid = CountGrid(xf.reshape(big1, big2)[big1 - n1:, big2 - n2:])
-    if return_decisions:
-        return grid, dec.reshape(big1, big2)[big1 - n1:, big2 - n2:].copy()
-    return grid
+    return CountGrid(xf.reshape(big1, big2)[big1 - n1:, big2 - n2:])

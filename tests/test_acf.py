@@ -125,6 +125,20 @@ class TestSampleAcvf:
         with pytest.raises(ValidationError):
             sample_acvf(g, 0, -5)
 
+    @pytest.mark.parametrize("k, l, name, value", [
+        (1.5, 0.9, "lag k", 1.5), (1, -0.5, "lag l", -0.5),
+        (True, 0, "lag k", True)])
+    def test_lag_is_checked_not_truncated(self, k, l, name, value):
+        """int() would take (1.5, 0.9) as the lag (1, 0); refused instead."""
+        g = CountGrid(np.random.default_rng(3).poisson(4.0, (8, 8)))
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(name)} must be an integer, got {value!r}$")):
+            sample_acvf(g, k, l)
+
+    def test_integral_lag_of_any_number_type(self):
+        g = CountGrid(np.random.default_rng(3).poisson(4.0, (8, 8)))
+        assert sample_acvf(g, 2.0, np.int64(-1)) == sample_acvf(g, 2, -1)
+
 
 # =============================================================================
 # Sample autocorrelation table
@@ -193,7 +207,9 @@ class TestSampleAcf:
         """Rows run l descending, columns k ascending, full precision."""
         rng = np.random.default_rng(6)
         tab = sample_acf(CountGrid(rng.poisson(2.0, (25, 20))), (2, 2))
-        lines = tab.to_csv_string().strip().splitlines()
+        buf = io.StringIO()
+        tab.to_csv(buf)
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0].split(",") == [r"l\k", "-2", "-1", "0", "1", "2"]
         assert [row.split(",")[0] for row in lines[1:]] == ["2", "1", "0", "-1", "-2"]
         mid = lines[3].split(",")
@@ -372,6 +388,15 @@ class TestClosedForm11:
         par = _poi_params([0.1] * 5, ModelOrder(2, 1))
         with pytest.raises(ValidationError, match="order"):
             acf_closed_form_11(par)
+
+    def test_build_window_is_checked_not_truncated(self):
+        """int() would build (2.9, 1.5) as a (2, 1) window; refused instead,
+        and an integral window of any number type is taken."""
+        _, _, build = acf_closed_form_11(_poi_params([0.3, 0.4, 0.1]))
+        with pytest.raises(ValidationError,
+                           match=r"^window\[0\] must be an integer, got 2\.9$"):
+            build((2.9, 1.5))
+        assert np.array_equal(build((2.0, np.int64(1))).values, build((2, 1)).values)
 
     @pytest.mark.slow
     def test_agrees_with_fixed_point_on_random_draws(self):

@@ -149,7 +149,7 @@ class TestConditionalPmfType:
         pmf = ConditionalPmf.from_probs(np.array([0.25, 0.5, 0.25]))
         with pytest.raises(ValueError):
             pmf.probs[0] = 1.0
-        np.testing.assert_allclose(pmf.cdf(), [0.25, 0.75, 1.0])
+        np.testing.assert_allclose(np.cumsum(pmf.probs), [0.25, 0.75, 1.0])
         assert pmf.mean == pytest.approx(1.0)
         assert pmf.variance == pytest.approx(0.5)
 
@@ -303,7 +303,7 @@ def _pit_oracle(params, grid, bins):
     heights = np.zeros(bins)
     for s in range(x.size):
         pmf = conditional_pmf(params, lagged[s])
-        cdf = pmf.cdf()
+        cdf = np.cumsum(pmf.probs)
         f_hi = float(cdf[x[s]]) if x[s] <= pmf.support_max else 1.0
         f_lo = float(cdf[x[s] - 1]) if 1 <= x[s] <= pmf.support_max else (
             0.0 if x[s] == 0 else 1.0
@@ -557,6 +557,20 @@ class TestInformationCriteria:
     def test_rejects_empty_site_count(self):
         with pytest.raises(ValidationError, match="n_ell"):
             information_criteria(-10.0, 2, 5, 5, 0)
+
+    @pytest.mark.parametrize("counts, name, value", [
+        ((2.5, 10, 10, 81), "n_params", 2.5), ((2, 10.5, 10, 81), "n1", 10.5),
+        ((2, 10, True, 81), "n2", True), ((2, 10, 10, 81.7), "n_ell", 81.7)])
+    def test_counts_are_checked_not_truncated(self, counts, name, value):
+        """int() would take (2.5, 10, 10, 81.7) as (2, 10, 10, 81); refused
+        instead."""
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(name)} must be an integer, got {value!r}$")):
+            information_criteria(-100.0, *counts)
+
+    def test_integral_counts_of_any_number_type(self):
+        assert (information_criteria(-100.0, 2.0, np.int64(10), 10.0, np.int32(81))
+                == information_criteria(-100.0, 2, 10, 10, 81))
 
 
 class TestBuildDiagnostics:

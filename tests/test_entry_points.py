@@ -1,6 +1,7 @@
 """Every entry point: one parameter check with one message, one public surface."""
 
 import importlib
+import inspect
 import pkgutil
 
 import numpy as np
@@ -82,3 +83,105 @@ def test_package_exports_the_library_modules_names():
     assert len(cinar.__all__) == len(set(cinar.__all__))
     assert set(cinar.__all__) == names
     assert all(hasattr(cinar, name) for name in names)
+
+
+# every callable of ``cinar.__all__`` (the exception types aside) by its
+# parameters, annotations dropped
+_SIGNATURES = {
+    "ModelOrder": "(p1, p2)",
+    "CinarParams": "(order, theta, innovation)",
+    "SignPattern": "(order, signs)",
+    "CountGrid": "(values)",
+    "ParamsVerdict": "(ok, violations=<factory>)",
+    "validate_params": "(params)",
+    "stationary_moments": "(params)",
+    "PoissonInnovation": "(mu)",
+    "NbMarginalInnovation": "(nu, pi, alpha)",
+    "innovation_family": "(name)",
+    "innovation_from_estimates": "(estimates, alpha)",
+    "SimConfig": "(params, n1, n2, burn_in=100, seed=0, signs=None)",
+    "simulate_cinar": "(config)",
+    "simulate_tobit_cinar": "(config)",
+    "AcfTable": "(window, values)",
+    "sample_acvf": "(grid, k, l)",
+    "sample_acf": "(grid, window)",
+    "theoretical_acf": "(params, window)",
+    "acf_closed_form_11": "(params)",
+    "FitResult": ("(method, names, estimates, admissible, diagnostics,"
+                  " std_errors=None, loglik=None, aic=None, bic=None)"),
+    "FitDiagnostics": ("(n_iter, converged, grad_norm=None, n_fev=0, n_grad=0,"
+                       " message=None, se_error=None, at_bounds=())"),
+    "yw_estimate": "(grid, order)",
+    "cls_estimate": "(grid, order)",
+    "cml_loglik": "(params, grid)",
+    "cml_estimate": "(grid, order, family='poisson', init=None, fix_zero=())",
+    "ConditionalPmf": "(support_max, probs, mean, variance, site=None)",
+    "PearsonResiduals": "(values, mean, variance, acf)",
+    "DiagnosticsReport": ("(residual_mean, residual_variance, residual_acf,"
+                          " pit_bins, aic, bic)"),
+    "conditional_pmf": "(params, past, site=None)",
+    "conditional_moments": "(params, past)",
+    "tobit_conditional_pmf": "(params, signs, past, site=None)",
+    "pearson_residuals": "(params, grid)",
+    "pit_histogram": "(params, grid, bins=10)",
+    "information_criteria": "(loglik_max, n_params, n1, n2, n_ell)",
+    "build_diagnostics": "(params, grid, loglik_max=None, n_params=None, bins=10)",
+    "read_grid": "(path, header=False)",
+    "write_grid": "(grid, path)",
+    "StudyArm": "(label, method, order=None, family=None)",
+    "StudyResult": ("(n1, n2, label, n_reps, n_failed, names, means, sds,"
+                    " n_nonconverged=0, failures=())"),
+    "parse_arm": "(tag)",
+    "run_study": ("(params, sizes, arms, reps, master_seed=0, burn_in=100,"
+                  " threads=1)"),
+    "write_study_csv": "(results, path_or_buf)",
+}
+
+# the public methods and properties the exported classes define (none
+# inherited from outside the package); classes with none are left out
+_METHODS = {
+    "ModelOrder": ("lags", "n_lags", "theta_names"),
+    "CinarParams": ("alpha", "phi"),
+    "CountGrid": ("n1", "n2"),
+    "PoissonInnovation": ("derivative_series", "from_params", "moments",
+                          "pmf_table", "quantile", "sample"),
+    "NbMarginalInnovation": ("derivative_series", "from_params", "from_targets",
+                             "moments", "nu", "pi", "pmf_table", "quantile",
+                             "sample"),
+    "AcfTable": ("to_csv", "value"),
+    "FitResult": ("alpha", "i_eps", "mu_eps", "n_theta", "theta"),
+    "ConditionalPmf": ("from_probs",),
+}
+
+
+def public_methods(cls):
+    """Names of the public functions, class and static methods and
+    properties that ``cls`` and its cinar bases define."""
+    return tuple(sorted({
+        name for klass in cls.__mro__ if klass.__module__.startswith("cinar")
+        for name, value in vars(klass).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or isinstance(
+            value, (classmethod, staticmethod, property)))}))
+
+
+def test_public_signatures_are_the_snapshot():
+    """Each exported callable takes exactly the snapshot's parameters: an
+    option added or dropped shows here."""
+    got = {}
+    for name in cinar.__all__:
+        obj = getattr(cinar, name)
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        sig = inspect.signature(obj)
+        got[name] = str(sig.replace(
+            parameters=[p.replace(annotation=p.empty) for p in sig.parameters.values()],
+            return_annotation=sig.empty))
+    assert got == _SIGNATURES
+
+
+def test_public_methods_are_the_snapshot():
+    """The exported classes' public methods and properties are the
+    snapshot's: a method added or dropped shows here."""
+    got = {name: public_methods(getattr(cinar, name)) for name in cinar.__all__
+           if isinstance(getattr(cinar, name), type)}
+    assert {name: names for name, names in got.items() if names} == _METHODS

@@ -28,7 +28,7 @@ from cinar import (
 )
 import cinar.estimate as estimate_module
 from cinar.estimate import (FitDiagnostics, FitResult, _CmlLikelihood,
-                            _se_from_loglik, _solve_checked)
+                            _pass_tables, _se_from_loglik, _solve_checked)
 
 from _bfgs_oracle import bfgs_fit
 from _hessian_oracle import (fd_hessian, observed_information_se,
@@ -970,6 +970,55 @@ def _edge_fit_case(draw):
     cap = draw(st.integers(0, 500))
     grid = CountGrid(np.minimum(simulate_cinar(config).values, cap))
     return grid, order, draw(st.sampled_from(["poisson", "nb"]))
+
+
+class TestPassMemoryBudget:
+    """One score-and-Hessian pass holds about 18-33 thinning tables; a fit
+    whose pass would exceed 2**27 cells (1 GiB) is refused up front."""
+
+    def test_refused_before_any_table_is_built(self):
+        """One count of 3,000 (a 9 M-cell table) would take 1.9 GiB in an
+        NB pass; the constructor refuses, naming the count and the size."""
+        values = np.random.default_rng(0).poisson(3.0, (12, 12))
+        values[6, 6] = 3000
+        with pytest.raises(ValidationError, match=(
+                r"^count 3000 is too large for a nb CML fit: a likelihood pass"
+                r" would take 1\.9 GiB, above 1 GiB$")):
+            _CmlLikelihood(values, ModelOrder(1, 1), innovation_family("nb"))
+
+    def test_counts_up_to_1000_are_admitted(self):
+        """A 12x12 grid of counts up to 1,000 (a 7.6 MiB table, 0.2 GiB
+        passes) still fits; the one-table log-likelihood takes no budget."""
+        values = np.random.default_rng(1).integers(0, 1001, (12, 12))
+        values[6, 6] = 1000
+        for family in ("poisson", "nb"):
+            _CmlLikelihood(values, ModelOrder(1, 1), innovation_family(family))
+        values[6, 6] = 3000
+        assert _CmlLikelihood(values, ModelOrder(1, 1)).n_max == 3000
+
+    @pytest.mark.parametrize("p1, p2", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("family", ["poisson", "nb"])
+    def test_pass_peak_is_the_estimate(self, p1, p2, family):
+        """tracemalloc's peak over one pass is ``_pass_tables`` tables, to
+        within 2% (the per-site arrays of a 12x12 grid are small)."""
+        import tracemalloc
+
+        order, fam = ModelOrder(p1, p2), innovation_family(family)
+        values = np.random.default_rng(2).integers(0, 200, (12, 12))
+        values[6, 6] = 200
+        likelihood = _CmlLikelihood(values, order, fam)
+        vec = np.concatenate([np.full(order.n_lags, 0.5 / order.n_lags), [50.0],
+                              [2.0] * (len(fam.param_names) - 1)])
+        likelihood.value_score_hessian(vec)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            assert likelihood.value_score_hessian(vec)[1] is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = _pass_tables(order.n_lags, 1 + len(fam.param_names))
+        ratio = peak / (8 * 201 * 201 * tables)
+        assert 0.98 < ratio <= 1.02, ratio
 
 
 class TestStandardErrorEdges:

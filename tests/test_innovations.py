@@ -41,7 +41,7 @@ def _thinned_pmf(marginal_pmf, alpha, zmax):
 
 class TestPoisson:
     def test_pmf_at_zero(self):
-        assert PoissonInnovation(1.0).pmf(0) == pytest.approx(np.exp(-1), rel=1e-12)
+        assert PoissonInnovation(1.0).pmf_table(0)[0] == pytest.approx(np.exp(-1), rel=1e-12)
 
     def test_moments(self):
         assert PoissonInnovation(1.0).moments() == (1.0, 1.0)
@@ -96,7 +96,7 @@ class TestNbMarginalPmf:
         """P(eps=0) = (1 - (1-pi)(1-alpha))**nu."""
         inn = NbMarginalInnovation(nu=1.7, pi=0.4, alpha=0.35)
         expected = (1 - (1 - 0.4) * (1 - 0.35)) ** 1.7
-        assert inn.pmf(0) == pytest.approx(expected, rel=1e-13)
+        assert inn.pmf_table(0)[0] == pytest.approx(expected, rel=1e-13)
 
     def test_normalization(self):
         """nu=1, pi=0.5, alpha=0.5: mass over k <= 200 sums to 1 within 1e-10."""
@@ -129,24 +129,21 @@ class TestNbMarginalPmf:
         target = stats.nbinom.pmf(np.arange(kmax + 1), nu, pi)
         assert np.max(np.abs(recon - target)) < 1e-9
 
-    def test_table_matches_scalar_path(self):
-        """Point evaluations agree with the table."""
+    def test_shorter_tables_are_prefixes(self):
+        """The table up to k is the first k+1 entries of a longer one."""
         inn = NbMarginalInnovation(nu=3.3, pi=0.45, alpha=0.7)
         table = inn.pmf_table(60)
-        scalars = np.array([inn.pmf(k) for k in range(61)])
-        assert np.max(np.abs(table - scalars)) < 1e-14
+        lasts = np.array([inn.pmf_table(k)[k] for k in range(61)])
+        assert np.max(np.abs(table - lasts)) < 1e-14
 
     def test_log_space_robust_large_nu_large_k(self):
         """nu=1e3 and k up to 1e4 stay finite and nonnegative."""
         inn = NbMarginalInnovation(nu=1000.0, pi=0.6, alpha=0.4)
         # a tail that underflows to zero is fine; overflow/invalid is not
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            values = inn.pmf(np.array([0, 1, 10, 100, 1000, 10_000]))
+            values = inn.pmf_table(10_000)[[0, 1, 10, 100, 1000, 10_000]]
         assert np.all(np.isfinite(values))
         assert np.all(values >= 0.0)
-
-    def test_negative_k_is_zero(self):
-        assert NbMarginalInnovation(1.0, 0.5, 0.5).pmf(-3) == 0.0
 
     @pytest.mark.parametrize("mu_eps, i_eps, alpha", [
         (0.1, 50.0, 0.3), (0.3, 1.05, 0.05), (1.5, 2.2, 0.5),
@@ -301,6 +298,53 @@ class TestDerivativeSeries:
                                 for a in range(3)])
         for got, want in ((h, want_h), (hh, want_hh)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mu_eps, i_eps, alpha", [(20.0, 30.0, 0.95),
+                                                      (5.0, 3.0, 0.99)])
+    def test_nb_alpha_row_at_large_alpha_matches_mpmath(self, mu_eps, i_eps, alpha):
+        """At alpha near 1, where P(r) - alpha P(alpha r) cancels by 1 -
+        alpha, h is within 2e-13 and hh within 5e-11 of each array's largest
+        entry of 60-digit differentiation (measured 5.8e-14 and 5.0e-14 for
+        h, 6.7e-13 and 1.3e-11 for hh; the difference quotient gave 1.4e-12
+        and 2.6e-12, 1.6e-11 and 7.0e-10)."""
+        import mpmath as mp
+
+        kmax = 8
+        innovation = NbMarginalInnovation.from_targets(mu_eps, i_eps, alpha)
+        h, hh = innovation.derivative_series(kmax)
+        with mp.workdps(60):
+            point = nb_point_mp(innovation)
+
+            def diff(orders):
+                return [float(mp.diff(
+                    lambda *v: nb_log_pgf_mp(*nb_law_mp(*v), k), point, orders))
+                    for k in range(kmax + 1)]
+
+            unit = np.eye(3, dtype=int)
+            want_h = np.array([diff(tuple(unit[a])) for a in range(3)])
+            want_hh = np.array([[diff(tuple(unit[a] + unit[b])) for b in range(3)]
+                                for a in range(3)])
+        assert np.abs(h - want_h).max() <= 2e-13 * np.abs(want_h).max()
+        assert np.abs(hh - want_hh).max() <= 5e-11 * np.abs(want_hh).max()
+
+    @pytest.mark.parametrize("law", [
+        PoissonInnovation(1.0), NbMarginalInnovation.from_targets(1.0, 2.0, 0.5)],
+        ids=["poisson", "nb"])
+    @pytest.mark.parametrize("series", ["pmf_table", "derivative_series"])
+    def test_kmax_is_checked_not_truncated(self, law, series):
+        """int() would take kmax 2.7 as 2 (a 3-term table); refused instead,
+        and an integral kmax of any number type is taken."""
+        make = getattr(law, series)
+        with pytest.raises(ValidationError, match=r"^kmax must be an integer, got 2\.7$"):
+            make(2.7)
+        with pytest.raises(ValidationError, match=r"^kmax must be an integer, got True$"):
+            make(True)
+        with pytest.raises(ValidationError, match=r"^kmax must be >= 0, got -1$"):
+            make(-1)
+        want = make(3)
+        np.testing.assert_equal(make(3.0), want)
+        np.testing.assert_equal(make(np.int64(3)), want)
+        assert np.shape(want[0] if isinstance(want, tuple) else want)[-1] == 4
 
     @pytest.mark.parametrize("mu_eps, i_eps, alpha", [
         (1.0, 1e250, 0.5), (1.0, 1e300, 0.9), (1e12, 1e300, 0.999999),

@@ -16,7 +16,7 @@ from cinar import (
     stationary_moments,
     validate_params,
 )
-from cinar.model import lag_set, lag_views
+from cinar.model import lag_views
 
 from _stats_helpers import lagged_stack
 
@@ -36,18 +36,19 @@ def _poi_params(theta, mu=1.0, order=None):
 class TestModelOrder:
     def test_lag_set_order_11(self):
         """Order (1,1) lag set is exactly [(0,1),(1,0),(1,1)] in that order."""
-        assert lag_set(1, 1) == [(0, 1), (1, 0), (1, 1)]
+        assert ModelOrder(1, 1).lags == ((0, 1), (1, 0), (1, 1))
 
     def test_lag_set_order_22(self):
         """Order (2,2) enumerates i ascending then j ascending, (0,0) dropped."""
-        expected = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
-        assert lag_set(2, 2) == expected
+        expected = ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))
+        assert ModelOrder(2, 2).lags == expected
 
     def test_lag_set_cardinality(self):
         """|S| = (p1+1)(p2+1) - 1 for a sweep of orders."""
         for p1 in range(1, 5):
             for p2 in range(1, 5):
-                assert len(lag_set(p1, p2)) == (p1 + 1) * (p2 + 1) - 1
+                lags = ModelOrder(p1, p2).lags
+                assert len(lags) == ModelOrder(p1, p2).n_lags == (p1 + 1) * (p2 + 1) - 1
 
     def test_theta_names(self):
         assert ModelOrder(1, 1).theta_names() == ("theta_01", "theta_10", "theta_11")
