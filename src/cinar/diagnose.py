@@ -16,7 +16,6 @@ the sites themselves; see ``_kernels.distinct_sites``.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -56,7 +55,6 @@ class ConditionalPmf:
     probs: np.ndarray
     mean: float
     variance: float
-    site: Optional[tuple] = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float).copy()
@@ -83,12 +81,12 @@ class ConditionalPmf:
         object.__setattr__(self, "probs", probs)
 
     @classmethod
-    def from_probs(cls, probs, site=None):
+    def from_probs(cls, probs):
         probs = np.asarray(probs, dtype=float)
         x = np.arange(probs.size, dtype=float)
         mean = float(probs @ x)
         var = float(probs @ x**2) - mean**2
-        return cls(probs.size - 1, probs, mean, var, site)
+        return cls(probs.size - 1, probs, mean, var)
 
 
 def _check_past(past, m):
@@ -100,7 +98,7 @@ def _check_past(past, m):
     return past.astype(np.int64)
 
 
-def conditional_pmf(params, past, site=None):
+def conditional_pmf(params, past):
     """Conditional PMF of a site given its lagged past values (over S).
 
     The mixture sum_ij phi_ij * (Binomial(X_past, alpha) + eps) law; the
@@ -114,7 +112,7 @@ def conditional_pmf(params, past, site=None):
     x_max = n_max + eps_max
     _check_cells(n_max, x_max)
     table = thinning_convolution_table(alpha, innovation.pmf_table(x_max), n_max)
-    return ConditionalPmf.from_probs(params.phi @ table[past, :], site)
+    return ConditionalPmf.from_probs(params.phi @ table[past, :])
 
 
 def conditional_moments(params, past):
@@ -138,7 +136,7 @@ def _mixture_moments(params, pasts):
     return mean, var
 
 
-def tobit_conditional_pmf(params, signs, past, site=None):
+def tobit_conditional_pmf(params, signs, past):
     """Conditional PMF of a censored-model site given its lagged past.
 
     Builds the signed-sum law of Y = s(i,j)*(thinned past) + eps on its
@@ -174,7 +172,7 @@ def tobit_conditional_pmf(params, signs, past, site=None):
     probs = np.zeros(max(upper, 0) + 1)
     probs[0] = acc[: 1 - lower].sum()  # all y <= 0 fold into x = 0
     probs[1:] = acc[1 - lower:]
-    return ConditionalPmf.from_probs(probs, site)
+    return ConditionalPmf.from_probs(probs)
 
 
 # =============================================================================
@@ -242,7 +240,7 @@ def pit_histogram(params, grid, bins=10):
     x, pasts = lag_views(grid.values, params.order)
     (x, *pasts), counts, _ = distinct_sites([x, *pasts])
     x_max, n_max = int(x.max()), max(int(p.max()) for p in pasts)
-    _check_cells(n_max, max(n_max, x_max))
+    _check_cells(n_max, x_max)
     cdf = thinning_convolution_table(
         params.alpha, np.cumsum(params.innovation.pmf_table(x_max)), n_max)
     # A zero column in front (F(-1) = 0) puts F(x-1) just before F(x) in

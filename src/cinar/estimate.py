@@ -9,6 +9,7 @@ reports standard errors, from the last Hessian of its search, and only
 at an optimum off the faces of the box.
 """
 
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -21,7 +22,7 @@ from .diagnose import information_criteria
 from .acf import sample_acf, sample_acvf
 from .errors import CinarError, NumericalError, ValidationError
 from .innovations import innovation_family
-from .model import CinarParams, _validated, lag_views, validate_params
+from .model import CinarParams, _validated, _whole, lag_views, validate_params
 
 __all__ = [
     "FitDiagnostics",
@@ -263,12 +264,14 @@ class _CmlLikelihood:
     the Hessian need only tables thinned in the same build: thinning
     shifts and differences C along (n, x), dC[n, x]/dalpha = n (C[n-1,
     x-1] - C[n-1, x]), and the innovation parameters move its row-0
-    series (see ``_innovation_series`` and ``_table_derivatives``).
+    series (see ``_innovation_series``).  Each table is held once: the
+    second-order terms are contracted where they are formed.
 
     ``family`` (an innovation family class, see ``innovations``) is needed
     only by ``value_score_hessian``; with it, a pass above 2**27 float64
-    cells (1 GiB) is refused up front.  Counts evaluations in ``n_fev``, of
-    which ``n_grad`` also carried the score and the Hessian.
+    cells (1 GiB), ``_pass_tables`` tables of (n_max+1) x (x_max+1), is
+    refused up front.  Counts evaluations in ``n_fev``, of which
+    ``n_grad`` also carried the score and the Hessian.
     """
 
     def __init__(self, values, order, family=None, lags=None):
@@ -279,7 +282,7 @@ class _CmlLikelihood:
         self.n_sites = x.size
         self.n_max = max(int(past.max()) for past in pasts)
         self.x_max = int(x.max())
-        _check_cells(self.n_max, max(self.n_max, self.x_max))
+        _check_cells(self.n_max, self.x_max)
         cells = (self.n_max + 1) * (self.x_max + 1) * _pass_tables(
             len(pasts), 1 + len(family.param_names)) if family else 0
         if cells > 2**27:
@@ -319,10 +322,11 @@ class _CmlLikelihood:
         One table build and one pass over the sites; (-inf, None, None)
         outside the model's domain or where a site has zero probability.
         With a = (alpha, innovation parameters) and p_s = sum_j phi_j
-        C[l_sj, x_s], the first-order tables dC/da and second-order tables
-        d2C/da da' are contracted with the per-lag weights W_j[n, x], the
-        sum of 1/p_s over the sites with l_sj = n and x_s = x.  The score is
-        the first-order contraction; the Hessian is
+        C[l_sj, x_s], the first-order tables dC/da are contracted with the
+        per-lag weights W_j[n, x], the sum of 1/p_s over the sites with l_sj
+        = n and x_s = x, and the second-order tables d2C/da da' with w =
+        sum_j phi_j W_j.  The score is the first-order contraction; the
+        Hessian is
         H = sum_s grad2 p_s / p_s - sum_s grad p_s grad p_s^T / p_s**2,
         whose second term is the Gram of the per-site score, gathered from
         C and dC/da and divided by p_s in place.
@@ -348,11 +352,14 @@ class _CmlLikelihood:
         loglik = float(np.sum(np.log(p_site)))
         scale = _inverse_scale(p_site)
         inv_p = scale / p_site
-        table = tables[0]
-        lag_weights = np.stack([np.bincount(rows, inv_p, minlength=table.size)
-                                for rows in self._flat])
+        q = 1 + extra.size
+        table, d1, pairs = tables[0], tables[1:q + 1], tables[q + 1:]
+        # thinning commutes with convolution: dC/dalpha = alpha table + step of C
+        d1[0] += _thinning_step(table)
+        lag_weights = np.empty((m, table.size))
+        for j, rows in enumerate(self._flat):
+            lag_weights[j] = np.bincount(rows, inv_p, minlength=table.size)
         del inv_p
-        d1, d2 = _table_derivatives(tables, 1 + extra.size)
 
         # Score and first Hessian term, over s / p_s.  g[j] and G[a, j] sum
         # C and dC/da at lag j, so d/dphi_j = g[j], d/da = G phi and
@@ -363,9 +370,25 @@ class _CmlLikelihood:
         # d2p/dtheta_k dpsi = (dC/dpsi_k - phi.dC/dpsi) / alpha
         #   + phi.d2C/dalpha dpsi.
         g = lag_weights @ table.ravel()
-        big_g = d1.reshape(d1.shape[0], -1) @ lag_weights.T
+        big_g = d1.reshape(q, -1) @ lag_weights.T
         d_a = big_g @ phi
-        second = d2.reshape(d2.shape[0], d2.shape[1], -1) @ (phi @ lag_weights)
+        w = phi @ lag_weights
+        del lag_weights
+        # second[a, b] = <d2C/da db, w>: the pair table (a, b) and, as alpha
+        # also thins, the step of each first-order table in row and column 0,
+        # read through the adjoint u of the step, <step T, w> = <T, u>.  At
+        # (0, 0) that counts <step C, u> = <C, step* u> twice, not once.
+        pair_w = iter(pairs.reshape(len(pairs), -1) @ w)
+        u = _thinning_step(w.reshape(table.shape), adjoint=True)
+        del w
+        d1_u = d1.reshape(q, -1) @ u.ravel()
+        second = np.empty((q, q))
+        for a in range(q):
+            for b in range(a, q):
+                second[a, b] = second[b, a] = next(pair_w)
+        second[0] += d1_u
+        second[:, 0] += d1_u
+        second[0, 0] -= table.ravel() @ _thinning_step(u, adjoint=True).ravel()
         g_phi, big_g_phi = g - phi @ g, big_g - d_a[:, None]
         score = np.concatenate([d_a[0] + g_phi / alpha, d_a[1:]]) / scale
         hess = np.empty((vec.size, vec.size))
@@ -403,9 +426,9 @@ class _CmlLikelihood:
 
 def _pass_tables(m, q):
     """Tracemalloc peak of a pass over m lags and q - 1 innovation parameters,
-    in tables: its series stack, lag weights, d2, d1's and C's steps, two
-    temporaries."""
-    return (1 + q + q * (q + 1) // 2) + m + q * q + q + 1 + 2
+    in tables: its series stack (C, q first- and q (q+1) / 2 second-order
+    tables), the m lag weights, and one more, a ``bincount`` or w."""
+    return (1 + q + q * (q + 1) // 2) + m + 1
 
 
 def _inverse_scale(p_site):
@@ -418,13 +441,15 @@ def _inverse_scale(p_site):
     return float(np.ldexp(1.0, exponent + 500)) if exponent < -500 else 1.0
 
 
-def _thinning_step(table):
-    """d table / d alpha through thinning, over the last two axes (n, x):
-    n (T[n-1, x-1] - T[n-1, x])."""
+def _thinning_step(table, adjoint=False):
+    """d table / d alpha through thinning, over (n, x): n (T[n-1, x-1] -
+    T[n-1, x]); or its adjoint, (n+1) (T[n+1, x+1] - T[n+1, x]), so that
+    <step T, w> = <T, adjoint step w>."""
+    into, src = (slice(-1), slice(1, None)) if adjoint else (slice(1, None), slice(-1))
     out = np.zeros_like(table)
-    out[..., 1:, :] = -table[..., :-1, :]
-    out[..., 1:, 1:] += table[..., :-1, :-1]
-    out *= np.arange(table.shape[-2])[:, None]
+    np.negative(table[src], out=out[into])
+    out[into, into] += table[src, src]
+    out *= np.arange(adjoint, table.shape[0] + adjoint)[:, None]
     return out
 
 
@@ -443,30 +468,6 @@ def _innovation_series(innovation, x_max):
     inner = list(h) + [np.convolve(h[a], h[b])[:width] + hh[a, b]
                        for a in range(q) for b in range(a, q)]
     return np.vstack([e] + [np.convolve(e, s)[:width] for s in inner])
-
-
-def _table_derivatives(tables, q):
-    """First and second derivatives of C over (alpha, innovation parameters).
-
-    ``tables`` holds the thinning of the ``_innovation_series`` stack: C,
-    then the innovation's q first- and q (q+1) / 2 second-derivative
-    tables.  Thinning moves C by ``_thinning_step``, which commutes with
-    the innovation's convolutions.  Returns d1 of shape (q, n, x) and d2
-    of (q, q, n, x); d1 reuses the memory of ``tables``.
-    """
-    table, d1 = tables[0], tables[1:q + 1]
-    pairs = [(a, b) for a in range(q) for b in range(a, q)]
-    step_by_h = _thinning_step(d1)
-    step = _thinning_step(table)
-    d1[0] += step
-    d2 = np.empty((q, q) + table.shape)
-    for (a, b), c in zip(pairs, tables[q + 1:]):
-        d2[a, b] = d2[b, a] = c
-    # alpha (a = 0) also thins: once in d2C/dalpha da', twice in d2C/dalpha2
-    d2[0] += step_by_h
-    d2[1:, 0] += step_by_h[1:]
-    d2[0, 0] += step_by_h[0] + _thinning_step(step)
-    return d1, d2
 
 
 def _box_start(theta, extra, lo):
@@ -618,14 +619,13 @@ def _parse_fix_zero(fix_zero, order):
     fixed = []
     for item in fix_zero:
         if isinstance(item, str):
-            digits = [c for c in item if c.isdigit()]
-            if len(digits) != 2:
+            digits = re.fullmatch(r"theta_?(\d)(\d)", item)
+            if digits is None:
                 raise ValidationError(
-                    f"cannot parse fixed coefficient {item!r}; use e.g. 'theta_01'"
-                )
-            lag = (int(digits[0]), int(digits[1]))
+                    f"cannot parse fixed coefficient {item!r}; use e.g. 'theta_01'")
+            lag = (int(digits[1]), int(digits[2]))
         else:
-            lag = (int(item[0]), int(item[1]))
+            lag = tuple(_whole(i, "fixed coefficient lag", 0) for i in item)
         if lag not in lags:
             raise ValidationError(
                 f"fixed coefficient {item!r} is not a lag of order "

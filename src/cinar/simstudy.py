@@ -152,7 +152,8 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
                  for arm in arms)
     if not arms:
         raise ValidationError("at least one study arm is required")
-    sizes = [(int(n1), int(n2)) for n1, n2 in sizes]
+    master_seed = _whole(master_seed, "master seed", 0)
+    sizes = [(_whole(n1, "n1", 1), _whole(n2, "n2", 1)) for n1, n2 in sizes]
     if not sizes:
         raise ValidationError("at least one grid size is required")
 

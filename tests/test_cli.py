@@ -386,6 +386,18 @@ class TestCmdFit:
                    "--fix", "theta11=0.5", "--out", str(tmp_path / "f.json")])
         assert rc == 2
 
+    def test_fix_of_a_loose_name_exits_2(self, tmp_path, capsys):
+        """'a1b1' holds two digits but names no coefficient: refused, not
+        read as theta_11."""
+        path = _simulate_csv(tmp_path, seed=3, theta="0.3,0.3,0.1")
+        out = tmp_path / "f.json"
+        rc = main(["fit", "--grid", str(path), "--order", "1,1",
+                   "--method", "cml", "--fix", "a1b1=0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "cannot parse fixed coefficient 'a1b1'" in err[0]
+        assert not out.exists()
+
     def test_coefficient_fixed_twice_exits_2(self, tmp_path, capsys):
         """Two spellings of one lag are refused, not counted twice among
         the pinned coefficients."""
@@ -950,6 +962,34 @@ class TestSimstudy:
         with pytest.raises(ValidationError, match=(
                 f"^{name} must be an integer, got {re.escape(repr(value))}$")):
             run_study(params, [(10, 10)], ["cls"], **counts)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"master_seed": -1}, "master seed must be >= 0, got -1"),
+        ({"master_seed": 1.5}, "master seed must be an integer, got 1.5"),
+        ({"master_seed": True}, "master seed must be an integer, got True"),
+        ({"sizes": [(20.7, 20)]}, "n1 must be an integer, got 20.7"),
+        ({"sizes": [(True, 20)]}, "n1 must be an integer, got True"),
+        ({"sizes": [(20, 0)]}, "n2 must be >= 1, got 0"),
+    ])
+    def test_seed_and_sizes_are_checked(self, kwargs, message):
+        """The master seed and each grid size go through the same integer
+        check as the counts: refused with a ValidationError naming them,
+        not truncated or left to numpy."""
+        params = CinarParams(ModelOrder(1, 1), np.array([0.15, 0.15, 0.1]),
+                             PoissonInnovation(1.0))
+        kwargs = {"sizes": [(10, 10)], **kwargs}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_study(params, arms=["cls"], reps=1, **kwargs)
+
+    def test_negative_seed_exits_2_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        rc = main(["simstudy", "--order", "1,1", "--theta", "0.2,0.2,0.1",
+                   "--mu-eps", "1.0", "--sizes", "12,12", "--methods", "cls",
+                   "--reps", "1", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: master seed must be >= 0, got -1"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_replication_seed_is_stable(self):
         """Seed derivation is a pure function of (master, rep)."""

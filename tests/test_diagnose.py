@@ -112,10 +112,6 @@ class TestConditionalPmf:
             assert mean == pytest.approx(1.0 + 0.4 * x, abs=1e-12)
             assert var == pytest.approx(1.0 + 0.4 * 0.6 * x, abs=1e-12)
 
-    def test_site_is_carried(self):
-        pmf = conditional_pmf(_poi_params(), np.array([1, 1, 1]), site=(4, 7))
-        assert pmf.site == (4, 7)
-
     def test_rejects_bad_past(self):
         params = _poi_params()
         with pytest.raises(ValidationError, match="one value per lag"):

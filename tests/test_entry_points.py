@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,23 @@ def test_package_exports_the_library_modules_names():
     assert all(hasattr(cinar, name) for name in names)
 
 
+def test_readme_lists_each_modules_api():
+    """README's per-module list of the public API is each module's
+    ``__all__``, in order, and names every library module."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("The public API, `cinar.__all__`", 1)[1]
+    block = block.split("\n\n", 2)[1]
+    listed = {}
+    for item in ("\n" + block).split("\n- ")[1:]:
+        module, *names = re.findall(r"`(\w+)`", item)
+        listed[module] = names
+    modules = [m.name for m in pkgutil.iter_modules(cinar.__path__)
+               if not m.name.startswith("_") and m.name != "cli"]
+    assert sorted(listed) == sorted(modules)
+    for module, names in listed.items():
+        assert names == importlib.import_module(f"cinar.{module}").__all__, module
+
+
 # every callable of ``cinar.__all__`` (the exception types aside) by its
 # parameters, annotations dropped
 _SIGNATURES = {
@@ -115,13 +134,13 @@ _SIGNATURES = {
     "cls_estimate": "(grid, order)",
     "cml_loglik": "(params, grid)",
     "cml_estimate": "(grid, order, family='poisson', init=None, fix_zero=())",
-    "ConditionalPmf": "(support_max, probs, mean, variance, site=None)",
+    "ConditionalPmf": "(support_max, probs, mean, variance)",
     "PearsonResiduals": "(values, mean, variance, acf)",
     "DiagnosticsReport": ("(residual_mean, residual_variance, residual_acf,"
                           " pit_bins, aic, bic)"),
-    "conditional_pmf": "(params, past, site=None)",
+    "conditional_pmf": "(params, past)",
     "conditional_moments": "(params, past)",
-    "tobit_conditional_pmf": "(params, signs, past, site=None)",
+    "tobit_conditional_pmf": "(params, signs, past)",
     "pearson_residuals": "(params, grid)",
     "pit_histogram": "(params, grid, bins=10)",
     "information_criteria": "(loglik_max, n_params, n1, n2, n_ell)",

@@ -22,6 +22,7 @@ from cinar import (
     cml_estimate,
     cml_loglik,
     innovation_family,
+    pit_histogram,
     sample_acf,
     simulate_cinar,
     yw_estimate,
@@ -317,6 +318,21 @@ class TestCmlEstimate:
         grid = _sim(_poi([0.3, 0.3, 0.1], 1.0), 12, seed=3)
         with pytest.raises(ValidationError, match="theta_11 is fixed twice"):
             cml_estimate(grid, ORDER11, fix_zero=("theta11", (1, 1)))
+
+    @pytest.mark.parametrize("item, message", [
+        ("a1b1", "cannot parse fixed coefficient 'a1b1'"),
+        ("theta-11", "cannot parse fixed coefficient"),
+        ("theta_111", "cannot parse fixed coefficient"),
+        ((1.7, 1), r"fixed coefficient lag must be an integer, got 1\.7"),
+        ((True, 1), "fixed coefficient lag must be an integer, got True"),
+    ])
+    def test_loose_fixed_coefficient_refused(self, item, message):
+        """Only 'theta_ij' and 'thetaij' name a lag, and a pair of whole
+        numbers: other strings with two digits, and pairs that int() would
+        truncate, are refused rather than read as (1, 1)."""
+        grid = _sim(_poi([0.3, 0.3, 0.1], 1.0), 12, seed=3)
+        with pytest.raises(ValidationError, match=message):
+            cml_estimate(grid, ORDER11, fix_zero=[item])
 
     def test_deterministic(self):
         grid = _sim(_poi([0.3, 0.4, 0.1], 1.0), 25, seed=101)
@@ -973,21 +989,43 @@ def _edge_fit_case(draw):
 
 
 class TestPassMemoryBudget:
-    """One score-and-Hessian pass holds about 18-33 thinning tables; a fit
+    """One score-and-Hessian pass holds about 10-19 thinning tables; a fit
     whose pass would exceed 2**27 cells (1 GiB) is refused up front."""
 
     def test_refused_before_any_table_is_built(self):
-        """One count of 3,000 (a 9 M-cell table) would take 1.9 GiB in an
+        """One count of 3,500 (a 12 M-cell table) would take 1.3 GiB in an
         NB pass; the constructor refuses, naming the count and the size."""
         values = np.random.default_rng(0).poisson(3.0, (12, 12))
-        values[6, 6] = 3000
+        values[6, 6] = 3500
         with pytest.raises(ValidationError, match=(
-                r"^count 3000 is too large for a nb CML fit: a likelihood pass"
-                r" would take 1\.9 GiB, above 1 GiB$")):
+                r"^count 3500 is too large for a nb CML fit: a likelihood pass"
+                r" would take 1\.3 GiB, above 1 GiB$")):
             _CmlLikelihood(values, ModelOrder(1, 1), innovation_family("nb"))
 
+    def test_count_of_2500_is_admitted_for_nb(self):
+        """One count of 2,500 takes 0.65 GiB in an NB (1,1) pass that holds
+        each table once: admitted (no pass is run here)."""
+        values = np.random.default_rng(0).poisson(3.0, (12, 12))
+        values[6, 6] = 2500
+        likelihood = _CmlLikelihood(values, ModelOrder(1, 1),
+                                    innovation_family("nb"))
+        assert likelihood.n_max == likelihood.x_max == 2500
+
+    def test_large_count_that_is_only_a_past_is_admitted(self):
+        """A count of 5,000 in the first row is never an outcome: the table
+        has 5,001 rows of the outcomes' width, about 50k cells, so the
+        log-likelihood, the PIT and the fit all take it."""
+        values = np.random.default_rng(3).poisson(3.0, (10, 10))
+        values[0, 4] = 5000
+        grid = CountGrid(values)
+        params = _poi([0.2, 0.2, 0.2], 2.0)
+        assert np.isfinite(cml_loglik(params, grid))
+        assert np.mean(pit_histogram(params, grid)) == pytest.approx(1.0)
+        fit = cml_estimate(grid, ORDER11)
+        assert np.isfinite(fit.loglik) and fit.diagnostics.converged
+
     def test_counts_up_to_1000_are_admitted(self):
-        """A 12x12 grid of counts up to 1,000 (a 7.6 MiB table, 0.2 GiB
+        """A 12x12 grid of counts up to 1,000 (a 7.6 MiB table, 0.1 GiB
         passes) still fits; the one-table log-likelihood takes no budget."""
         values = np.random.default_rng(1).integers(0, 1001, (12, 12))
         values[6, 6] = 1000
