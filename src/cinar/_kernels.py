@@ -12,12 +12,10 @@ Row-0 series: the innovation PMF e, giving C[n, x] = P(Binomial(n, alpha)
 the unit row, giving Binomial(n, alpha) itself (censored PMF); and e * h_a
 and e * (h_a * h_b + hh_ab), with the innovation's score and Hessian
 series (the likelihood's score and Hessian).  Each step is a convex
-combination, so a nonnegative series keeps its relative accuracy.  A fit
-reads a table through flat indices n * (x_max+1) + x computed once per grid.
+combination, so a nonnegative series keeps its relative accuracy.
 
-Reductions that depend on a site only through its tuple (x, past at each
-lag) can run over the distinct tuples instead, weighted by their counts;
-``distinct_sites`` finds them by counting mixed-radix keys.
+The likelihood, the PIT and the Pearson residuals read a grid through one
+``SiteTuples``: its distinct (x, past) tuples and their counts, or its sites.
 """
 
 import math
@@ -25,6 +23,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
+from .model import lag_views
 
 # the most cells (128 MiB of float64) a table may take; larger ones are
 # refused before their series are allocated
@@ -55,65 +54,73 @@ def thinning_convolution_table(alpha, series, n_max):
     return table
 
 
-def flat_site_index(x_idx, pasts, x_max):
-    """Indices into a raveled table of row width x_max+1, one row per lag.
-
-    ``x_idx`` holds each site's outcome index and ``pasts`` one same-shape
-    array of past counts per lag; returns the (len(pasts), x_idx.size)
-    block past * (x_max+1) + x_idx, each row in row-major site order.
-    """
-    flat = np.empty((len(pasts), x_idx.size), dtype=np.intp)
-    for row, past in zip(flat, pasts):
-        row = row.reshape(x_idx.shape)
-        np.multiply(past, int(x_max) + 1, out=row)
-        row += x_idx
-    return flat
-
-
 def lag_site_values(table, flat, out=None):
-    """Per-lag table values table.flat[flat[j, s]] for a flat_site_index block.
-
-    The indices are in range by construction, so no bounds check is paid.
-    """
+    """Per-lag values table.flat[flat[j, s]] of a ``SiteTuples.flat`` block,
+    in range by construction, so no bounds check is paid."""
     return np.take(table.ravel(), flat, out=out, mode="clip")
 
 
-def distinct_sites(columns, index=False):
-    """The distinct rows of the site columns and their counts.
+class SiteTuples:
+    """The interior sites of one grid, as (x, past at each lag) tuples.
 
-    ``columns`` holds same-shape arrays of nonnegative counts, one value per
-    site each.  Each site's tuple is keyed into one intp by mixed radix over
-    the columns' maxima.  When that dense key space is at most 4 times the
-    number of sites (so its counts take at most 4 int64 per site), one
-    ``bincount`` of the keys gives the distinct tuples, in key order, with
-    their counts.  Otherwise the sites themselves are returned with unit
-    counts.
-
-    Returns ``(tuples, counts, site_index)``: one array per column holding
-    the tuples, and a 1-D array of their counts, so that a reduction over
-    sites weights each tuple by its count.  With ``index=True``,
-    ``site_index`` is an intp array shaped like the columns holding each
-    site's position in the raveled tuples, so that per-site values are
-    ``np.take(per_tuple_values, site_index)``; otherwise it is None.
+    Built once per (grid ``values``, ``order``, ``lags``), ``lags`` indexing
+    the order's lag set (default all).  Each site's tuple is keyed into one
+    intp by mixed radix over the columns' maxima.  When that key space is
+    at most 4 times the number of interior sites (its counts take at most 4
+    int64 per site), one ``bincount`` gives the distinct tuples, in key
+    order, with their ``counts``; otherwise the tuples are the sites, as
+    views of the grid, with unit counts.  ``x`` and ``pasts`` hold the
+    ``size`` tuples, ``n_sites`` counts the interior sites, and the table
+    of ``n_max`` (largest past) and ``x_max`` passes ``_check_cells``.
     """
-    shape = np.shape(columns[0])
-    n_sites = math.prod(shape)
-    radices = [int(column.max()) + 1 for column in columns]
-    if math.prod(radices) > 4 * n_sites:
-        return (list(columns), np.broadcast_to(np.intp(1), (n_sites,)),
-                np.arange(n_sites).reshape(shape) if index else None)
-    key = np.empty(shape, dtype=np.intp)
-    np.copyto(key, columns[0])
-    for column, radix in zip(columns[1:], radices[1:]):
-        key *= radix
-        key += column
-    table = np.bincount(key.ravel())
-    keys = np.flatnonzero(table)
-    counts = table[keys]
-    site_index = None
-    if index:
-        # the key counts are read; the table now maps a key to its tuple.
-        # In place: take reads each site's key before writing its slot.
-        table[keys] = np.arange(keys.size)
-        site_index = np.take(table, key, out=key, mode="clip")
-    return list(np.unravel_index(keys, radices)), counts, site_index
+
+    def __init__(self, values, order, lags=None):
+        x, pasts = lag_views(values, order)
+        if lags is not None:
+            pasts = [pasts[k] for k in lags]
+        self.shape, self.n_sites = x.shape, x.size
+        self._columns = [x, *pasts]
+        self._radices = [int(column.max()) + 1 for column in self._columns]
+        self.x_max, self.n_max = self._radices[0] - 1, max(self._radices[1:]) - 1
+        _check_cells(self.n_max, self.x_max)
+        self._keys, self.x, self.pasts = None, x, pasts
+        self.counts = np.broadcast_to(np.intp(1), (self.n_sites,))
+        if math.prod(self._radices) <= 4 * self.n_sites:
+            table = np.bincount(self._site_keys().ravel())
+            # a bool mask: nonzero is about 3x faster on it than on int64
+            self._keys = np.flatnonzero(table != 0)
+            self.counts = table[self._keys]
+            self.x, *self.pasts = np.unravel_index(self._keys, self._radices)
+        self.size = self.counts.size
+
+    def _site_keys(self):
+        key = np.empty(self.shape, dtype=np.intp)
+        np.copyto(key, self._columns[0])
+        for column, radix in zip(self._columns[1:], self._radices[1:]):
+            key *= radix
+            key += column
+        return key
+
+    def flat(self, width, lags=None):
+        """Indices past * width + x into a raveled table of row ``width``, one
+        row per lag (``lags`` indexes ``pasts``, default all) and one column
+        per tuple."""
+        pasts = self.pasts if lags is None else [self.pasts[j] for j in lags]
+        flat = np.empty((len(pasts), self.size), dtype=np.intp)
+        for row, past in zip(flat, pasts):
+            row = row.reshape(np.shape(self.x))
+            np.add(np.multiply(past, width, out=row), self.x, out=row)
+        return flat
+
+    def per_site(self, values):
+        """The per-tuple ``values`` at each interior site, shaped like the
+        interior: the only place the sites' tuple positions are found."""
+        if self._keys is None:
+            return np.reshape(values, self.shape)
+        key = self._site_keys()
+        lookup = np.empty(math.prod(self._radices), dtype=np.intp)
+        lookup[self._keys] = np.arange(self.size)
+        # in place: take reads each site's key before writing its slot
+        position = np.take(lookup, key, out=key, mode="clip")
+        del lookup
+        return np.take(values, position)

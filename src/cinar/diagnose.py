@@ -6,24 +6,19 @@ information criteria.  The conditional law of a site given its past is the
 phi-mixture over lags of (binomially thinned past) + innovation; every
 routine here is a different reduction of that mixture.
 
-The PIT depends on a site only through its tuple (x, past at each lag),
-and the Pearson residual's moments only through the pasts.  When the
-dense key space of those tuples is at most 4 times the number of interior
-sites (seeded 1000x1000 (1,1) grids of small counts have 22,531 (Poisson)
-or 89,065 (NB) distinct (x, past) tuples among 998,001 sites), both reduce
-over the distinct tuples, weighted by their counts, and otherwise over
-the sites themselves; see ``_kernels.distinct_sites``.
+The PIT and the Pearson residuals depend on a site only through its tuple
+(x, past at each lag), so both reduce over ``_kernels.SiteTuples``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (_check_cells, distinct_sites, flat_site_index,
-                       lag_site_values, thinning_convolution_table)
+from ._kernels import (SiteTuples, _check_cells, lag_site_values,
+                       thinning_convolution_table)
 from .acf import AcfTable, sample_acf
 from .errors import ValidationError
-from .model import _validated, _whole, lag_views
+from .model import _validated, _whole
 
 __all__ = [
     "ConditionalPmf",
@@ -206,14 +201,14 @@ def pearson_residuals(params, grid):
             f"Pearson residuals need an interior of at least 3x3 sites for"
             f" their (2, 2) residual ACF; a {n1}x{n2} grid at order"
             f" ({p1},{p2}) has {max(n1 - p1, 0)}x{max(n2 - p2, 0)}")
-    x, pasts = lag_views(grid.values, params.order)
-    pasts, _, index = distinct_sites(pasts, index=True)
-    mean, var = _mixture_moments(params, pasts)
+    sites = SiteTuples(grid.values, params.order)
+    mean, var = _mixture_moments(params, sites.pasts)
     if np.any(var <= 0):
         raise ValidationError("conditional variance must be positive")
-    res = np.take(mean, index)
-    np.subtract(x, res, out=res)
-    res /= np.take(np.sqrt(var), index)
+    res = np.subtract(sites.x, mean, out=mean)
+    res /= np.sqrt(var, out=var)
+    del mean, var
+    res = sites.per_site(res)
     if res.min() == res.max():
         raise ValidationError(
             f"Pearson residuals are all equal ({res.flat[0]:.6g}) on this"
@@ -237,18 +232,15 @@ def pit_histogram(params, grid, bins=10):
     """
     _validated(params)
     bins = _whole(bins, "bins", 2)
-    x, pasts = lag_views(grid.values, params.order)
-    (x, *pasts), counts, _ = distinct_sites([x, *pasts])
-    x_max, n_max = int(x.max()), max(int(p.max()) for p in pasts)
-    _check_cells(n_max, x_max)
-    cdf = thinning_convolution_table(
-        params.alpha, np.cumsum(params.innovation.pmf_table(x_max)), n_max)
-    # A zero column in front (F(-1) = 0) puts F(x-1) just before F(x) in
-    # the raveled table; lag by lag, memory stays a few tuple vectors.
-    table = np.pad(cdf, ((0, 0), (1, 0)))
-    f_lo, f_hi, values = np.zeros(x.size), np.zeros(x.size), np.empty(x.size)
-    for p, past in zip(params.phi, pasts):
-        (flat,) = flat_site_index(x, [past], x_max + 1)
+    sites = SiteTuples(grid.values, params.order)
+    counts, x_max, size = sites.counts, sites.x_max, sites.size
+    # Thinning (F(-1) = 0, F) keeps its zero column, so F(x-1) sits just before
+    # F(x) in the raveled table; lag by lag, memory stays a few tuple vectors.
+    table = thinning_convolution_table(params.alpha, np.concatenate(
+        ([0.0], np.cumsum(params.innovation.pmf_table(x_max)))), sites.n_max)
+    f_lo, f_hi, values = np.zeros(size), np.zeros(size), np.empty(size)
+    for j, p in enumerate(params.phi):
+        (flat,) = sites.flat(x_max + 2, [j])
         f_lo += p * lag_site_values(table, flat, out=values)
         flat += 1
         f_hi += p * lag_site_values(table, flat, out=values)

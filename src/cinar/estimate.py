@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import (_check_cells, flat_site_index, lag_site_values,
-                       thinning_convolution_table)
+from ._kernels import SiteTuples, lag_site_values, thinning_convolution_table
 from .diagnose import information_criteria
 from .acf import sample_acf, sample_acvf
 from .errors import CinarError, NumericalError, ValidationError
@@ -240,31 +239,33 @@ def cml_loglik(params, grid):
     """
     _validated(params)
     likelihood = _CmlLikelihood(grid.values, params.order)
-    value, bad = likelihood.evaluate(params.theta, params.innovation)
-    if bad.size:
-        warnings.warn(_zero_sites(bad, grid, params.order), stacklevel=2)
+    value, zero = likelihood.evaluate(params.theta, params.innovation)
+    if zero.any():
+        warnings.warn(_zero_sites(zero, likelihood.sites, params.order), stacklevel=2)
     return value
 
 
-def _zero_sites(bad, grid, order):
-    """Name the zero-probability interior sites by count and first grid cell."""
-    r, c = divmod(int(bad[0]), grid.n2 - order.p2)
-    return (f"{bad.size} interior site(s) have zero conditional probability;"
-            f" first at grid cell ({r + order.p1}, {c + order.p2})")
+def _zero_sites(zero, sites, order):
+    """Name the sites of the zero-probability tuples by count and first cell."""
+    r, c = np.argwhere(sites.per_site(zero))[0]
+    return (f"{sites.counts[zero].sum()} interior site(s) have zero conditional"
+            f" probability; first at grid cell ({r + order.p1}, {c + order.p2})")
 
 
 class _CmlLikelihood:
     """Conditional log-likelihood of one grid, with its exact score and
     Hessian.
 
-    Built once per grid: each interior site's outcome and past counts at
-    the chosen ``lags`` (indices into the order's lag set, default all)
-    become flat indices into the thinning-convolution table C, so an
-    evaluation builds C once and reads it with one gather.  The score and
-    the Hessian need only tables thinned in the same build: thinning
+    Built once per grid: ``_kernels.SiteTuples`` reads the interior sites at
+    the chosen ``lags`` (indices into the order's lag set, default all) as
+    distinct (x, past) tuples with counts, or as themselves, with flat
+    indices into the thinning-convolution table C, so an evaluation builds
+    C once and reads it with one gather.  Sums over sites weight each tuple
+    by its count, and the Gram term's rows by its square root.  The score
+    and the Hessian need only tables thinned in the same build: thinning
     shifts and differences C along (n, x), dC[n, x]/dalpha = n (C[n-1,
-    x-1] - C[n-1, x]), and the innovation parameters move its row-0
-    series (see ``_innovation_series``).  Each table is held once: the
+    x-1] - C[n-1, x]), and the innovation parameters move its row-0 series
+    (see ``_innovation_series``).  Each table is held once: the
     second-order terms are contracted where they are formed.
 
     ``family`` (an innovation family class, see ``innovations``) is needed
@@ -275,27 +276,23 @@ class _CmlLikelihood:
     """
 
     def __init__(self, values, order, family=None, lags=None):
-        x, pasts = lag_views(values, order)
-        if lags is not None:
-            pasts = [pasts[k] for k in lags]
+        self.sites = SiteTuples(values, order, lags)
         self.family = family
-        self.n_sites = x.size
-        self.n_max = max(int(past.max()) for past in pasts)
-        self.x_max = int(x.max())
-        _check_cells(self.n_max, self.x_max)
+        self.n_sites = self.sites.n_sites
+        self.n_max, self.x_max = self.sites.n_max, self.sites.x_max
         cells = (self.n_max + 1) * (self.x_max + 1) * _pass_tables(
-            len(pasts), 1 + len(family.param_names)) if family else 0
+            len(self.sites.pasts), 1 + len(family.param_names)) if family else 0
         if cells > 2**27:
             raise ValidationError(
                 f"count {max(self.n_max, self.x_max)} is too large for a {family.name}"
                 f" CML fit: a likelihood pass would take {cells / 2**27:.1f} GiB,"
                 " above 1 GiB")
-        self._flat = flat_site_index(x, pasts, self.x_max)
+        self._flat = self.sites.flat(self.x_max + 1)
         self._site_values = np.empty(self._flat.shape)
         self.n_fev = self.n_grad = 0
 
     def _site_probabilities(self, alpha, phi, series):
-        """(tables, per-lag site values C[l_sj, x_s], site probabilities p).
+        """(tables, per-lag tuple values C[l_sj, x_s], tuple probabilities p).
 
         One likelihood evaluation: one build of the tables of the stacked
         ``series``, the first of which is C, and one gather.
@@ -306,15 +303,15 @@ class _CmlLikelihood:
         return tables, values, phi @ values
 
     def evaluate(self, theta, innovation):
-        """(loglik, zero-probability site indices); the log-likelihood is
-        -inf when there are any."""
+        """(loglik, mask of the tuples of zero probability); the
+        log-likelihood is -inf when there are any."""
         alpha = float(theta.sum())
         _, _, p_site = self._site_probabilities(
             alpha, theta / alpha, innovation.pmf_table(self.x_max)[None])
-        bad = np.flatnonzero(p_site <= 0.0)
-        if bad.size:
-            return -np.inf, bad
-        return float(np.sum(np.log(p_site))), bad
+        zero = p_site <= 0.0
+        if zero.any():
+            return -np.inf, zero
+        return float(np.sum(self.sites.counts * np.log(p_site))), zero
 
     def value_score_hessian(self, vec):
         """(loglik, score, Hessian) at (theta, innovation parameters).
@@ -349,9 +346,10 @@ class _CmlLikelihood:
         if not np.all(p_site > 0.0):
             return -np.inf, None, None
         self.n_grad += 1
-        loglik = float(np.sum(np.log(p_site)))
+        counts = self.sites.counts
+        loglik = float(np.sum(counts * np.log(p_site)))
         scale = _inverse_scale(p_site)
-        inv_p = scale / p_site
+        inv_p = counts * (scale / p_site)
         q = 1 + extra.size
         table, d1, pairs = tables[0], tables[1:q + 1], tables[q + 1:]
         # thinning commutes with convolution: dC/dalpha = alpha table + step of C
@@ -401,7 +399,9 @@ class _CmlLikelihood:
 
         # Second term: the Gram of the per-site score, from phi_j dC/da
         # gathered lag by lag.  Its entries are ratios to p_s, finite where
-        # 1/p_s is not, so they take no scale: s**2 can underflow.
+        # 1/p_s is not, so they take no scale: s**2 can underflow.  Dividing
+        # by p_s / sqrt(c) scales the row of a tuple of count c by sqrt(c);
+        # it reuses the gather buffer, as a new array a pass re-faults pages.
         site_d1 = np.empty((d1.shape[0], p_site.size))
         gathered = np.empty(p_site.size)
         for a, d_table in enumerate(d1):
@@ -409,12 +409,12 @@ class _CmlLikelihood:
             for j in range(1, m):
                 site_d1[a] += lag_site_values(phi[j] * d_table, self._flat[j],
                                               out=gathered)
-        del gathered
-        np.divide(site_d1, p_site, out=site_d1)
+        p_root = np.divide(p_site, np.sqrt(counts, out=gathered), out=gathered)
+        np.divide(site_d1, p_root, out=site_d1)
         # alpha d log p_s / d theta_j = C[l_sj, x_s] / p_s - 1 + alpha dC/dalpha / p_s
         values -= p_site
-        values /= p_site
-        values += alpha * site_d1[0]
+        values /= p_root
+        values += np.multiply(alpha, site_d1[0], out=p_root)
         d_psi = site_d1[1:]
         hess[:m, :m] -= values @ values.T / alpha**2
         cross = values @ d_psi.T / alpha
@@ -689,9 +689,9 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
         vec = _natural(v, m_free)[0]
         theta = vec[:m_free]
         innovation = family.from_params(vec[m_free:], theta.sum())
-        bad = likelihood.evaluate(theta, innovation)[1]
+        zero = likelihood.evaluate(theta, innovation)[1]
         raise NumericalError("the CML start has no finite conditional likelihood: "
-                             + (_zero_sites(bad, grid, order) if bad.size
+                             + (_zero_sites(zero, likelihood.sites, order) if zero.any()
                                 else "it lies outside the model's domain"))
 
     point, held, grad_norm, n_iter, message = _box_search(

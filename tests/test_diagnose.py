@@ -24,9 +24,8 @@ from cinar import (
     simulate_cinar,
     tobit_conditional_pmf,
 )
-from cinar._kernels import distinct_sites
+from cinar._kernels import SiteTuples
 from cinar.diagnose import ConditionalPmf, DiagnosticsReport, conditional_moments
-from cinar.model import lag_views
 
 from _diag_oracle import pearson_oracle, pit_oracle
 from _stats_helpers import lagged_stack
@@ -436,11 +435,10 @@ def tuple_case(request):
 
 
 def _tuple_counts(params, grid):
-    """Number of interior sites, and of the tuples the PIT (x and pasts) and
-    the Pearson residuals (pasts) reduce over."""
-    x, pasts = lag_views(grid.values, params.order)
-    return (x.size, distinct_sites([x, *pasts])[1].size,
-            distinct_sites(pasts)[1].size)
+    """Number of interior sites, and of the (x, past) tuples the PIT and
+    the Pearson residuals reduce over."""
+    sites = SiteTuples(grid.values, params.order)
+    return sites.n_sites, sites.size
 
 
 def _check_pit(params, grid):
@@ -467,15 +465,15 @@ class TestGridDiagnosticsAgainstLaggedStack:
     grids), and on distinct tuples where the counts are small."""
 
     def test_outlier_grids_are_read_site_by_site(self, oracle_case):
-        n_sites, pit_tuples, pearson_tuples = _tuple_counts(*oracle_case)
-        assert pit_tuples == pearson_tuples == n_sites
+        n_sites, tuples = _tuple_counts(*oracle_case)
+        assert tuples == n_sites
 
     def test_small_count_grids_are_read_as_tuples(self, tuple_case):
         params, grid = tuple_case
-        n_sites, pit_tuples, pearson_tuples = _tuple_counts(params, grid)
-        assert pit_tuples < n_sites / 2 and pearson_tuples < n_sites / 2
+        n_sites, tuples = _tuple_counts(params, grid)
+        assert tuples < n_sites / 2
         if not grid.values.any():
-            assert pit_tuples == pearson_tuples == 1
+            assert tuples == 1
 
     def test_pit_matches_sites_by_bins_formula(self, oracle_case):
         params, grid = oracle_case
@@ -511,9 +509,27 @@ class TestGridDiagnosticsAgainstLaggedStack:
             tracemalloc.stop()
         assert peak < 299 * 299 * bins * 8
 
+    def test_pit_holds_one_cdf_table(self):
+        """One count of 1,000 on a 12x12 Poisson grid: the PIT thins the
+        zero-prefixed running sum, so it peaks at one (1001, 1002) table,
+        not a thinned table and its zero-padded copy (2.00 tables)."""
+        params = _poi_params()
+        values = np.random.default_rng(0).poisson(1.5, (12, 12))
+        values[6, 6] = 1000
+        grid = CountGrid(values)
+        pit_histogram(params, grid)  # the innovation's CDF cache is built
+        tracemalloc.start()
+        try:
+            pit_histogram(params, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 1001 * 1001 * 8, peak / (1001 * 1001 * 8)
+
     def test_pearson_memory_stays_below_four_site_vectors(self):
-        """On 300x300, the per-site index and two gathers (measured 3.2 float
-        vectors; per-site moments took 6.0)."""
+        """On 300x300, the (x, past) keys, their lookup table (1.5 sites) and
+        one gather (measured 3.7 float vectors; per-site moments took
+        6.0)."""
         params = _poi_params()
         grid = simulate_cinar(SimConfig(params, n1=300, n2=300, burn_in=50, seed=4))
         pearson_residuals(params, grid)

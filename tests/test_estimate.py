@@ -21,6 +21,7 @@ from cinar import (
     cls_estimate,
     cml_estimate,
     cml_loglik,
+    information_criteria,
     innovation_family,
     pit_histogram,
     sample_acf,
@@ -32,6 +33,7 @@ from cinar.estimate import (FitDiagnostics, FitResult, _CmlLikelihood,
                             _pass_tables, _se_from_loglik, _solve_checked)
 
 from _bfgs_oracle import bfgs_fit
+from _cml_oracle import per_site_pass
 from _hessian_oracle import (fd_hessian, observed_information_se,
                              score_difference_hessian)
 from _stats_helpers import lagged_stack, nb_law_mp, nb_pmf_mp, nb_point_mp
@@ -298,6 +300,30 @@ class TestCmlLoglik:
                           r" first at grid cell \(2, 3\)"):
             value = cml_loglik(params, CountGrid(values))
         assert value == -np.inf
+
+    @pytest.mark.parametrize("cells, report", [
+        ([(30, 30)], "1 interior site(s) have zero conditional probability;"
+                     " first at grid cell (30, 30)"),
+        ([(45, 5), (30, 30), (10, 40)], "3 interior site(s) have zero"
+                                        " conditional probability; first at"
+                                        " grid cell (10, 40)"),
+    ])
+    def test_zero_probability_report_counts_sites_of_tuples(self, cells, report):
+        """A 60x60 grid of 0/1 counts is read as tuples (its key space is
+        0.02 of its sites): a 2 with an all-zero past, whose probability
+        underflows under mu_eps = 1e-200, is reported by site count and by
+        its first grid cell in row-major order, not by tuple."""
+        values = np.random.default_rng(8).integers(0, 2, (60, 60))
+        for r, c in cells:
+            values[r - 1:r + 1, c - 1:c + 1] = 0
+            values[r, c] = 2
+        likelihood = _CmlLikelihood(values, ORDER11)
+        assert likelihood.sites.size < likelihood.n_sites / 40
+        params = _poi([0.2, 0.2, 0.3], 1e-200)
+        with pytest.warns(UserWarning) as record:
+            value = cml_loglik(params, CountGrid(values))
+        assert value == -np.inf
+        assert [str(w.message) for w in record] == [report]
 
     def test_rejects_invalid_params(self):
         grid = _sim(_poi([0.2, 0.2, 0.2], 1.0), 8, seed=1, burn=20)
@@ -743,6 +769,19 @@ class TestCmlScore:
         with pytest.raises(NumericalError, match=r"grid cell \(6, 6\)"):
             cml_estimate(CountGrid(values), ORDER11)
 
+    def test_start_on_the_wall_names_the_site_of_a_tuple(self):
+        """A 400 in the last cell of a 60x60 0/1 grid is no site's past, so
+        the grid is read as tuples; the refusal still counts and names the
+        site by its grid cell."""
+        values = np.random.default_rng(8).integers(0, 2, (60, 60))
+        values[58:, 58:] = 0
+        values[59, 59] = 400
+        assert _CmlLikelihood(values, ORDER11).sites.size < 3481 / 4
+        with pytest.raises(NumericalError, match=(
+                r"1 interior site\(s\) have zero conditional probability;"
+                r" first at grid cell \(59, 59\)$")):
+            cml_estimate(CountGrid(values), ORDER11)
+
 
 def _oracle_case(index):
     """(grid, order, family) of the 20 seeded 50x50 fits: Poisson and NB
@@ -844,6 +883,74 @@ class TestTrustRegionAgainstBfgs:
                 assert nb.i_eps == 1.0
                 assert "(i_eps = 1)" in nb.diagnostics.se_error
         assert on_face >= 7
+
+
+def _tuple_case(case):
+    """(grid, order, family name, free lag indices, parameter vector) on
+    grids of counts capped at 4, which the likelihood reads as (x, past)
+    tuples."""
+    o21 = ModelOrder(2, 1)
+    theta21 = np.array([0.05, 0.1, 0.05, 0.05, 0.05])
+    grid, order, free = {
+        "poisson-11": lambda: (_sim(_poi([0.2, 0.2, 0.2], 0.8), 60, seed=5),
+                               ORDER11, [0, 1, 2]),
+        "nb-11": lambda: (_sim(_nb([0.2, 0.2, 0.2], 0.5, 2.0), 80, seed=5),
+                          ORDER11, [0, 1, 2]),
+        "poisson-21": lambda: (_sim(CinarParams(o21, theta21, PoissonInnovation(0.5)),
+                                    80, seed=5), o21, [0, 1, 2, 3, 4]),
+        "nb-21": lambda: (_sim(CinarParams(o21, theta21, NbMarginalInnovation
+                                           .from_targets(0.5, 2.0, 0.3)),
+                               80, seed=5), o21, [0, 1, 2, 3, 4]),
+        "poisson-21-fixed": lambda: (_sim(CinarParams(o21, theta21, PoissonInnovation(0.5)),
+                                          80, seed=6), o21, [0, 1, 3, 4]),
+    }[case]()
+    grid = CountGrid(np.minimum(grid.values, 4))
+    family = case.split("-")[0]
+    extra = [0.7] + [1.8] * (family == "nb")
+    return grid, order, family, free, np.concatenate([theta21[free] * 2.0, extra])
+
+
+class TestTuplePass:
+    """The pass over distinct (x, past) tuples, weighted by their counts,
+    against the same pass read site by site (``_cml_oracle``)."""
+
+    @pytest.mark.parametrize("case", ["poisson-11", "nb-11", "poisson-21", "nb-21",
+                                      "poisson-21-fixed"])
+    def test_pass_matches_per_site_reference(self, case):
+        """Log-likelihood within 1e-12 relative; score and Hessian within
+        1e-9 of their largest entry."""
+        grid, order, family, free, vec = _tuple_case(case)
+        fam = innovation_family(family)
+        likelihood = _CmlLikelihood(grid.values, order, fam, lags=free)
+        assert likelihood.n_sites == (grid.n1 - order.p1) * (grid.n2 - order.p2)
+        assert likelihood.sites.size < likelihood.n_sites / 2
+        value, score, hess = likelihood.value_score_hessian(vec)
+        want_value, want_score, want_hess = per_site_pass(
+            grid.values, order, fam, vec, lags=free)
+        assert value == pytest.approx(want_value, rel=1e-12)
+        assert np.max(np.abs(score - want_score)) <= 1e-9 * np.max(np.abs(want_score))
+        assert np.max(np.abs(hess - want_hess)) <= 1e-9 * np.max(np.abs(want_hess))
+
+    def test_fit_counts_interior_sites(self):
+        """The information criteria re-scale over the interior sites, not the
+        tuples, and the fit ends at the per-site pass's maximum."""
+        grid, order, _, free, _ = _tuple_case("poisson-21-fixed")
+        fit = cml_estimate(grid, order, fix_zero=("theta_11",))
+        n_ell = (grid.n1 - order.p1) * (grid.n2 - order.p2)
+        assert (fit.aic, fit.bic) == information_criteria(
+            fit.loglik, 5, grid.n1, grid.n2, n_ell)
+        vec = np.append(fit.estimates[free], fit.mu_eps)
+        value, score, _ = per_site_pass(grid.values, order, PoissonInnovation, vec,
+                                        lags=free)
+        assert fit.loglik == pytest.approx(value, rel=1e-12)
+        assert fit.diagnostics.converged and np.max(np.abs(score)) < 1e-4
+
+    def test_refusal_counts_interior_sites(self):
+        """A 3x3 all-zero grid is one tuple but four interior sites: refused
+        for its four free parameters, naming the sites."""
+        with pytest.raises(ValidationError, match=(
+                r"the grid has 4 interior site\(s\) for 4 free parameters")):
+            cml_estimate(CountGrid(np.zeros((3, 3), dtype=int)), ORDER11)
 
 
 class TestFitDiagnostics:
