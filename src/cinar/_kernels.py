@@ -14,8 +14,8 @@ and e * (h_a * h_b + hh_ab), with the innovation's score and Hessian
 series (the likelihood's score and Hessian).  Each step is a convex
 combination, so a nonnegative series keeps its relative accuracy.
 
-The likelihood, the PIT and the Pearson residuals read a grid through one
-``SiteTuples``: its distinct (x, past) tuples and their counts, or its sites.
+The likelihood and the PIT gather their tables through one ``SiteTuples``:
+a grid's distinct (x, past) tuples and their counts, or its sites.
 """
 
 import math
@@ -30,11 +30,11 @@ from .model import lag_views
 _MAX_CELLS = 2**24
 
 
-def _check_cells(n_max, width):
-    """Refuse an (n_max+1) x (width+1) table larger than _MAX_CELLS."""
-    if (n_max + 1) * (width + 1) > _MAX_CELLS:
+def _check_cells(n_max, x_max, extra_columns=0):
+    """Refuse an (n_max+1) x (x_max+1+extra_columns) table over _MAX_CELLS."""
+    if (n_max + 1) * (x_max + 1 + extra_columns) > _MAX_CELLS:
         raise ValidationError(
-            f"count {max(n_max, width)} is too large: its probability table"
+            f"count {max(n_max, x_max)} is too large: its probability table"
             f" would exceed {_MAX_CELLS} cells")
 
 
@@ -70,19 +70,18 @@ class SiteTuples:
     int64 per site), one ``bincount`` gives the distinct tuples, in key
     order, with their ``counts``; otherwise the tuples are the sites, as
     views of the grid, with unit counts.  ``x`` and ``pasts`` hold the
-    ``size`` tuples, ``n_sites`` counts the interior sites, and the table
-    of ``n_max`` (largest past) and ``x_max`` passes ``_check_cells``.
+    ``size`` tuples, ``n_sites`` counts the interior sites, and ``n_max``
+    (largest past) and ``x_max`` size the tables gathered through ``flat``.
     """
 
     def __init__(self, values, order, lags=None):
         x, pasts = lag_views(values, order)
         if lags is not None:
             pasts = [pasts[k] for k in lags]
-        self.shape, self.n_sites = x.shape, x.size
+        self.shape, self.n_sites, self._corner = x.shape, x.size, (order.p1, order.p2)
         self._columns = [x, *pasts]
         self._radices = [int(column.max()) + 1 for column in self._columns]
         self.x_max, self.n_max = self._radices[0] - 1, max(self._radices[1:]) - 1
-        _check_cells(self.n_max, self.x_max)
         self._keys, self.x, self.pasts = None, x, pasts
         self.counts = np.broadcast_to(np.intp(1), (self.n_sites,))
         if math.prod(self._radices) <= 4 * self.n_sites:
@@ -112,15 +111,8 @@ class SiteTuples:
             np.add(np.multiply(past, width, out=row), self.x, out=row)
         return flat
 
-    def per_site(self, values):
-        """The per-tuple ``values`` at each interior site, shaped like the
-        interior: the only place the sites' tuple positions are found."""
-        if self._keys is None:
-            return np.reshape(values, self.shape)
-        key = self._site_keys()
-        lookup = np.empty(math.prod(self._radices), dtype=np.intp)
-        lookup[self._keys] = np.arange(self.size)
-        # in place: take reads each site's key before writing its slot
-        position = np.take(lookup, key, out=key, mode="clip")
-        del lookup
-        return np.take(values, position)
+    def cells(self, mask):
+        """Grid cells (row, column) of the sites whose tuples ``mask`` selects."""
+        if self._keys is not None:  # a bool table over the selected keys
+            mask = np.isin(self._site_keys(), self._keys[mask], kind="table")
+        return np.argwhere(np.reshape(mask, self.shape)) + self._corner

@@ -6,8 +6,9 @@ information criteria.  The conditional law of a site given its past is the
 phi-mixture over lags of (binomially thinned past) + innovation; every
 routine here is a different reduction of that mixture.
 
-The PIT and the Pearson residuals depend on a site only through its tuple
-(x, past at each lag), so both reduce over ``_kernels.SiteTuples``.
+The PIT depends on a site only through its tuple (x, past at each lag), so
+it gathers its CDF table over ``_kernels.SiteTuples``; the Pearson
+residuals take the mixture's closed-form moments site by site, in place.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from ._kernels import (SiteTuples, _check_cells, lag_site_values,
                        thinning_convolution_table)
 from .acf import AcfTable, sample_acf
 from .errors import ValidationError
-from .model import _validated, _whole
+from .model import _validated, _whole, lag_views
 
 __all__ = [
     "ConditionalPmf",
@@ -114,21 +115,26 @@ def conditional_moments(params, past):
     """Closed-form conditional mean and variance given the lagged past."""
     _validated(params)
     past = _check_past(past, params.order.n_lags)
-    mean, variance = _mixture_moments(params, past)
-    return float(mean), float(variance)
+    return tuple(float(moment) for moment in _mixture_moments(params, past))
 
 
 def _mixture_moments(params, pasts):
-    """Conditional mean and variance given the past at each lag: ``pasts``
-    holds one count or one array of counts per lag of S."""
+    """Conditional mean and variance given the past at each lag of S (one
+    count or array of counts per lag), written over the lag sums w1, w2."""
     alpha = params.alpha
     mu_eps, sigma2_eps = params.innovation.moments()
-    w1 = sum(p * past for p, past in zip(params.phi, pasts))
-    w2 = sum(p * np.square(past, dtype=float)
-             for p, past in zip(params.phi, pasts))
-    mean = mu_eps + alpha * w1
-    var = sigma2_eps + alpha * (1.0 - alpha) * w1 + alpha**2 * (w2 - w1**2)
-    return mean, var
+    shape = np.shape(pasts[0])
+    w1, w2, scratch = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    for p, past in zip(params.phi, pasts):
+        w1 += np.multiply(p, past, out=scratch)
+        w2 += np.multiply(p, np.square(past, out=scratch, dtype=float), out=scratch)
+    # var = sigma2_eps + alpha (1 - alpha) w1 + alpha**2 (w2 - w1**2), in this order
+    w2 -= np.square(w1, out=scratch)
+    w2 *= alpha**2
+    np.multiply(alpha * (1.0 - alpha), w1, out=scratch)
+    w2 += np.add(sigma2_eps, scratch, out=scratch)
+    mean = np.add(mu_eps, np.multiply(alpha, w1, out=w1), out=w1)
+    return mean, w2
 
 
 def tobit_conditional_pmf(params, signs, past):
@@ -192,7 +198,7 @@ def pearson_residuals(params, grid):
     observed; the summary holds their mean, variance (divisor n-1), and
     sample ACF on the |k|,|l| <= 2 window, so the interior must be at least
     3x3 sites, and the residuals must not all be equal (as on an all-zero
-    grid), which leaves their ACF undefined.
+    grid), which leaves their ACF undefined.  It builds no table.
     """
     _validated(params)
     (n1, n2), (p1, p2) = (grid.n1, grid.n2), (params.order.p1, params.order.p2)
@@ -201,14 +207,13 @@ def pearson_residuals(params, grid):
             f"Pearson residuals need an interior of at least 3x3 sites for"
             f" their (2, 2) residual ACF; a {n1}x{n2} grid at order"
             f" ({p1},{p2}) has {max(n1 - p1, 0)}x{max(n2 - p2, 0)}")
-    sites = SiteTuples(grid.values, params.order)
-    mean, var = _mixture_moments(params, sites.pasts)
+    x, pasts = lag_views(grid.values, params.order)
+    mean, var = _mixture_moments(params, pasts)
     if np.any(var <= 0):
         raise ValidationError("conditional variance must be positive")
-    res = np.subtract(sites.x, mean, out=mean)
+    res = np.subtract(x, mean, out=mean)
     res /= np.sqrt(var, out=var)
     del mean, var
-    res = sites.per_site(res)
     if res.min() == res.max():
         raise ValidationError(
             f"Pearson residuals are all equal ({res.flat[0]:.6g}) on this"
@@ -234,6 +239,7 @@ def pit_histogram(params, grid, bins=10):
     bins = _whole(bins, "bins", 2)
     sites = SiteTuples(grid.values, params.order)
     counts, x_max, size = sites.counts, sites.x_max, sites.size
+    _check_cells(sites.n_max, x_max, extra_columns=1)  # the zero column below
     # Thinning (F(-1) = 0, F) keeps its zero column, so F(x-1) sits just before
     # F(x) in the raveled table; lag by lag, memory stays a few tuple vectors.
     table = thinning_convolution_table(params.alpha, np.concatenate(
@@ -312,11 +318,8 @@ def build_diagnostics(params, grid, loglik_max=None, n_params=None, bins=10):
     res = pearson_residuals(params, grid)
     pit = pit_histogram(params, grid, bins=bins)
     if loglik_max is not None and n_params is not None:
-        order = params.order
-        n_ell = (grid.n1 - order.p1) * (grid.n2 - order.p2)
-        aic, bic = information_criteria(
-            loglik_max, n_params, grid.n1, grid.n2, n_ell
-        )
+        aic, bic = information_criteria(loglik_max, n_params, grid.n1, grid.n2,
+                                        res.values.size)
     else:
         aic, bic = float("nan"), float("nan")
     return DiagnosticsReport(

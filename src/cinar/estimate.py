@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import SiteTuples, lag_site_values, thinning_convolution_table
+from ._kernels import (SiteTuples, _check_cells, lag_site_values,
+                       thinning_convolution_table)
 from .diagnose import information_criteria
 from .acf import sample_acf, sample_acvf
 from .errors import CinarError, NumericalError, ValidationError
@@ -241,15 +242,15 @@ def cml_loglik(params, grid):
     likelihood = _CmlLikelihood(grid.values, params.order)
     value, zero = likelihood.evaluate(params.theta, params.innovation)
     if zero.any():
-        warnings.warn(_zero_sites(zero, likelihood.sites, params.order), stacklevel=2)
+        warnings.warn(_zero_sites(zero, likelihood.sites), stacklevel=2)
     return value
 
 
-def _zero_sites(zero, sites, order):
+def _zero_sites(zero, sites):
     """Name the sites of the zero-probability tuples by count and first cell."""
-    r, c = np.argwhere(sites.per_site(zero))[0]
+    r, c = sites.cells(zero)[0]
     return (f"{sites.counts[zero].sum()} interior site(s) have zero conditional"
-            f" probability; first at grid cell ({r + order.p1}, {c + order.p2})")
+            f" probability; first at grid cell ({r}, {c})")
 
 
 class _CmlLikelihood:
@@ -268,11 +269,11 @@ class _CmlLikelihood:
     (see ``_innovation_series``).  Each table is held once: the
     second-order terms are contracted where they are formed.
 
-    ``family`` (an innovation family class, see ``innovations``) is needed
-    only by ``value_score_hessian``; with it, a pass above 2**27 float64
-    cells (1 GiB), ``_pass_tables`` tables of (n_max+1) x (x_max+1), is
-    refused up front.  Counts evaluations in ``n_fev``, of which
-    ``n_grad`` also carried the score and the Hessian.
+    C, of (n_max+1) x (x_max+1) cells, passes ``_check_cells``; with an
+    innovation ``family`` (a class, see ``innovations``; needed only by
+    ``value_score_hessian``), a pass of ``_pass_tables`` such tables above
+    2**27 float64 cells (1 GiB) is refused too.  Counts evaluations in
+    ``n_fev``, of which ``n_grad`` also carried the score and the Hessian.
     """
 
     def __init__(self, values, order, family=None, lags=None):
@@ -280,6 +281,7 @@ class _CmlLikelihood:
         self.family = family
         self.n_sites = self.sites.n_sites
         self.n_max, self.x_max = self.sites.n_max, self.sites.x_max
+        _check_cells(self.n_max, self.x_max)
         cells = (self.n_max + 1) * (self.x_max + 1) * _pass_tables(
             len(self.sites.pasts), 1 + len(family.param_names)) if family else 0
         if cells > 2**27:
@@ -691,7 +693,7 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
         innovation = family.from_params(vec[m_free:], theta.sum())
         zero = likelihood.evaluate(theta, innovation)[1]
         raise NumericalError("the CML start has no finite conditional likelihood: "
-                             + (_zero_sites(zero, likelihood.sites, order) if zero.any()
+                             + (_zero_sites(zero, likelihood.sites) if zero.any()
                                 else "it lies outside the model's domain"))
 
     point, held, grad_norm, n_iter, message = _box_search(

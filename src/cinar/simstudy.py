@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CinarError, ValidationError
 from .estimate import cls_estimate, cml_estimate, yw_estimate
-from .model import ModelOrder, _whole
+from .model import ModelOrder, _validated, _whole
 from .simulate import SimConfig, simulate_cinar
 
 __all__ = [
@@ -145,8 +145,10 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
     ``sizes`` is a sequence of (n1, n2) pairs; ``arms`` a sequence of
     StudyArm (or tags accepted by parse_arm); ``reps`` replications per
     size.  Deterministic for a fixed master seed regardless of
-    ``threads``.
+    ``threads``.  Every input is checked before any replication starts.
     """
+    _validated(params)
+    burn_in = _whole(burn_in, "burn_in", 0)
     reps, threads = _whole(reps, "reps", 1), _whole(threads, "threads", 1)
     arms = tuple(arm if isinstance(arm, StudyArm) else parse_arm(arm)
                  for arm in arms)

@@ -981,6 +981,24 @@ class TestSimstudy:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             run_study(params, arms=["cls"], reps=1, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"burn_in": -1}, "burn_in must be >= 0, got -1"),
+        ({"theta": [0.5, 0.5, 0.1]}, "invalid parameters: sum of theta must be"
+                                     " < 1, got 1.1"),
+    ])
+    def test_inputs_are_checked_before_a_pool_starts(self, monkeypatch, kwargs,
+                                                     message):
+        """A negative burn-in or an invalid parameter point is refused before
+        any replication runs: no process pool is built for it."""
+        def no_pool(*args, **kw):
+            pytest.fail("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        theta = np.array(kwargs.pop("theta", [0.15, 0.15, 0.1]))
+        params = CinarParams(ModelOrder(1, 1), theta, PoissonInnovation(1.0))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_study(params, [(10, 10)], ["cls"], reps=2, threads=2, **kwargs)
+
     def test_negative_seed_exits_2_writing_nothing(self, tmp_path, capsys):
         out = tmp_path / "study.csv"
         rc = main(["simstudy", "--order", "1,1", "--theta", "0.2,0.2,0.1",

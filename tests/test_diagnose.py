@@ -26,6 +26,7 @@ from cinar import (
 )
 from cinar._kernels import SiteTuples
 from cinar.diagnose import ConditionalPmf, DiagnosticsReport, conditional_moments
+from cinar.estimate import _CmlLikelihood
 
 from _diag_oracle import pearson_oracle, pit_oracle
 from _stats_helpers import lagged_stack
@@ -526,11 +527,13 @@ class TestGridDiagnosticsAgainstLaggedStack:
             tracemalloc.stop()
         assert peak <= 1.05 * 1001 * 1001 * 8, peak / (1001 * 1001 * 8)
 
-    def test_pearson_memory_stays_below_four_site_vectors(self):
-        """On 300x300, the (x, past) keys, their lookup table (1.5 sites) and
-        one gather (measured 3.7 float vectors; per-site moments took
-        6.0)."""
-        params = _poi_params()
+    @pytest.mark.parametrize("params", [_poi_params(), _nb_params()],
+                             ids=["poisson", "nb"])
+    def test_pearson_memory_stays_below_three_and_a_half_site_vectors(self, params):
+        """On 300x300, the moments take three float site vectors, w1, w2 and
+        a scratch, with the mean and the variance written over w1 and w2
+        (measured 3.09 on both grids; keying the (x, past) tuples took 3.74
+        on the Poisson grid, and summing per-site temporaries 6.0)."""
         grid = simulate_cinar(SimConfig(params, n1=300, n2=300, burn_in=50, seed=4))
         pearson_residuals(params, grid)
         tracemalloc.start()
@@ -539,7 +542,41 @@ class TestGridDiagnosticsAgainstLaggedStack:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 299 * 299 * 8, peak / (299 * 299 * 8)
+        assert peak < 3.5 * 299 * 299 * 8, peak / (299 * 299 * 8)
+
+    def test_each_table_is_sized_where_it_is_built(self):
+        """A count of 4095 puts n_max = x_max = 4095: the PIT's zero-prefixed
+        CDF table would be 4096 x 4097 cells, one column past the cap, and is
+        refused naming the count before it is allocated.  The likelihood's
+        4096 x 4096 table C is at the cap and is admitted, and the Pearson
+        residuals build no table."""
+        values = np.ones((5, 5), dtype=np.int64)
+        values[2, 2] = 4095
+        grid, params = CountGrid(values), _poi_params()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=(
+                    r"^count 4095 is too large: its probability table would"
+                    r" exceed 16777216 cells$")):
+                pit_histogram(params, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert _CmlLikelihood(values, params.order).x_max == 4095
+        assert np.isfinite(pearson_residuals(params, grid).values).all()
+
+    def test_pearson_residuals_of_a_count_too_large_for_any_table(self):
+        """A count of 1e12, refused by every table (its thinning table would
+        take 1e24 cells), still has closed-form conditional moments."""
+        values = np.ones((5, 5), dtype=np.int64)
+        values[2, 2] = 10**12
+        params = CinarParams(ModelOrder(1, 1), np.array([0.2, 0.2, 0.1]),
+                             PoissonInnovation(1.0))
+        res = pearson_residuals(params, CountGrid(values))
+        assert res.values.shape == (4, 4)
+        assert np.isfinite(res.values).all()
+        assert res.values[1, 1] == res.values.max() > 1e11
 
 
 # =============================================================================
