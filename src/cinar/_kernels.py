@@ -2,17 +2,16 @@
 
 The conditional law of a site given its past is a phi-mixture over lags of
 (thinned past) + innovation, so every table here thins a series s by the
-Pascal rule: row 0 is s, and
-
-    C[n, x] = (1 - alpha) C[n-1, x] + alpha C[n-1, x-1],
-
-so row n is s convolved with Binomial(n, alpha), truncated at its width.
-Row-0 series: the innovation PMF e, giving C[n, x] = P(Binomial(n, alpha)
-+ eps = x) (likelihood, conditional PMFs); its running sum, the CDF (PIT);
-the unit row, giving Binomial(n, alpha) itself (censored PMF); and e * h_a
-and e * (h_a * h_b + hh_ab), with the innovation's score and Hessian
-series (the likelihood's score and Hessian).  Each step is a convex
-combination, so a nonnegative series keeps its relative accuracy.
+Pascal rule, C[n, x] = (1 - alpha) C[n-1, x] + alpha C[n-1, x-1] from row
+0 = s: row n is s convolved with Binomial(n, alpha), truncated at its
+width.  Row-0 series: the innovation PMF e, giving C[n, x] = P(Binomial(n,
+alpha) + eps = x) (conditional PMFs); its running sum, the CDF (PIT); and
+the unit row, giving Binomial(n, alpha) itself (censored PMF).  Each step
+is a convex combination, so a nonnegative series keeps its relative
+accuracy.  The likelihood reads no probability, which could underflow:
+it takes L = log C by the rule in log form, and a table thinned from e *
+h_a or e * (h_a * h_b + hh_ab) as its ratio R to C, thinned by R[n, x] = A
+R[n-1, x] + (1 - A) R[n-1, x-1], A = (1 - alpha) C[n-1, x] / C[n, x].
 
 The likelihood and the PIT gather their tables through one ``SiteTuples``:
 a grid's distinct (x, past) tuples and their counts, or its sites.
@@ -30,34 +29,57 @@ from .model import lag_views
 _MAX_CELLS = 2**24
 
 
-def _check_cells(n_max, x_max, extra_columns=0):
-    """Refuse an (n_max+1) x (x_max+1+extra_columns) table over _MAX_CELLS."""
+def _check_cells(n_max, x_max, extra_columns=0, support=False):
+    """Refuse an (n_max+1) x (x_max+1+extra_columns) table over _MAX_CELLS,
+    naming its largest count, or the past n_max and the ``support``'s end."""
     if (n_max + 1) * (x_max + 1 + extra_columns) > _MAX_CELLS:
+        end = f" up to the support's end {x_max}" if support else ""
         raise ValidationError(
-            f"count {max(n_max, x_max)} is too large: its probability table"
-            f" would exceed {_MAX_CELLS} cells")
+            f"count {n_max if support else max(n_max, x_max)} is too large: its"
+            f" probability table{end} would exceed {_MAX_CELLS} cells")
 
 
-def thinning_convolution_table(alpha, series, n_max):
+def thinning_convolution_table(alpha, series, n_max, weights=None):
     """Tables C of shape series.shape[:-1] + (n_max+1, width), one per
     series of the stack ``series``: row 0 is the series, row n its
-    Binomial(n, alpha) thinning (see module docstring).  Callers size the
-    table with ``_check_cells`` first.
+    Binomial(n, alpha) thinning (see module docstring); with ``weights``,
+    tables A and 1 - A (less its column 0), the ratio form's thinning.
+    Callers size the table with ``_check_cells`` first.
     """
     series = np.asarray(series, dtype=float)
-    table = np.empty(series.shape[:-1] + (int(n_max) + 1, series.shape[-1]))
+    rows = int(n_max) + 1
+    table = np.empty(series.shape[:-1] + (rows, series.shape[-1]))
     table[..., 0, :] = series
-    for n in range(1, int(n_max) + 1):
-        prev, row = table[..., n - 1, :], table[..., n, :]
-        np.multiply(prev, 1.0 - alpha, out=row)
-        row[..., 1:] += alpha * prev[..., :-1]
+    keep, move = weights or ((1.0 - alpha,) * rows, (alpha,) * rows)
+    by_row = np.moveaxis(table, -2, 0)
+    buffer = np.empty(by_row.shape[1:-1] + (by_row.shape[-1] - 1,))
+    views = zip(by_row[:-1], by_row[1:], by_row[:-1, ..., :-1], by_row[1:, ..., 1:])
+    for (prev, row, shift, into), a, b in zip(views, keep[1:], move[1:]):
+        np.multiply(prev, a, out=row)
+        into += np.multiply(shift, b, out=buffer)
+    return table
+
+
+def log_thinning_table(alpha, log_series, n_max):
+    """L = log C of the table with row 0 exp(``log_series``), to row n_max, by
+    the Pascal rule in log form: L[n, x] = logaddexp(log(1 - alpha) + L[n-1,
+    x], log(alpha) + L[n-1, x-1]), run as M[n, x] = logaddexp(M[n-1, x],
+    M[n-1, x-1]) on M = L - n log(1 - alpha) - x log(alpha / (1 - alpha))."""
+    keep, tilt = math.log1p(-alpha), math.log(alpha) - math.log1p(-alpha)
+    columns = tilt * np.arange(len(log_series))
+    table = np.empty((int(n_max) + 1, len(log_series)))
+    np.subtract(log_series, columns, out=table[0])
+    table[:, 0] = table[0, 0]
+    for stay, move, row in zip(table[:-1, 1:], table[:-1, :-1], table[1:, 1:]):
+        np.logaddexp(stay, move, out=row)
+    table += keep * np.arange(int(n_max) + 1)[:, None] + columns
     return table
 
 
 def lag_site_values(table, flat, out=None):
     """Per-lag values table.flat[flat[j, s]] of a ``SiteTuples.flat`` block,
     in range by construction, so no bounds check is paid."""
-    return np.take(table.ravel(), flat, out=out, mode="clip")
+    return table.take(flat, out=out, mode="clip")
 
 
 class SiteTuples:
@@ -78,27 +100,21 @@ class SiteTuples:
         x, pasts = lag_views(values, order)
         if lags is not None:
             pasts = [pasts[k] for k in lags]
-        self.shape, self.n_sites, self._corner = x.shape, x.size, (order.p1, order.p2)
-        self._columns = [x, *pasts]
-        self._radices = [int(column.max()) + 1 for column in self._columns]
-        self.x_max, self.n_max = self._radices[0] - 1, max(self._radices[1:]) - 1
-        self._keys, self.x, self.pasts = None, x, pasts
+        self.n_sites, self.x, self.pasts = x.size, x, pasts
+        radices = [int(column.max()) + 1 for column in (x, *pasts)]
+        self.x_max, self.n_max = radices[0] - 1, max(radices[1:]) - 1
         self.counts = np.broadcast_to(np.intp(1), (self.n_sites,))
-        if math.prod(self._radices) <= 4 * self.n_sites:
-            table = np.bincount(self._site_keys().ravel())
+        if math.prod(radices) <= 4 * self.n_sites:
+            key = x.astype(np.intp)
+            for column, radix in zip(pasts, radices[1:]):
+                key *= radix
+                key += column
+            table = np.bincount(key.ravel())
             # a bool mask: nonzero is about 3x faster on it than on int64
-            self._keys = np.flatnonzero(table != 0)
-            self.counts = table[self._keys]
-            self.x, *self.pasts = np.unravel_index(self._keys, self._radices)
+            keys = np.flatnonzero(table != 0)
+            self.counts = table[keys]
+            self.x, *self.pasts = np.unravel_index(keys, radices)
         self.size = self.counts.size
-
-    def _site_keys(self):
-        key = np.empty(self.shape, dtype=np.intp)
-        np.copyto(key, self._columns[0])
-        for column, radix in zip(self._columns[1:], self._radices[1:]):
-            key *= radix
-            key += column
-        return key
 
     def flat(self, width, lags=None):
         """Indices past * width + x into a raveled table of row ``width``, one
@@ -110,9 +126,3 @@ class SiteTuples:
             row = row.reshape(np.shape(self.x))
             np.add(np.multiply(past, width, out=row), self.x, out=row)
         return flat
-
-    def cells(self, mask):
-        """Grid cells (row, column) of the sites whose tuples ``mask`` selects."""
-        if self._keys is not None:  # a bool table over the selected keys
-            mask = np.isin(self._site_keys(), self._keys[mask], kind="table")
-        return np.argwhere(np.reshape(mask, self.shape)) + self._corner

@@ -106,7 +106,7 @@ def conditional_pmf(params, past):
     eps_max = innovation.quantile(1.0 - _TAIL)
     n_max = int(past.max())
     x_max = n_max + eps_max
-    _check_cells(n_max, x_max)
+    _check_cells(n_max, x_max, support=True)
     table = thinning_convolution_table(alpha, innovation.pmf_table(x_max), n_max)
     return ConditionalPmf.from_probs(params.phi @ table[past, :])
 

@@ -10,14 +10,13 @@ at an optimum off the faces of the box.
 """
 
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._kernels import (SiteTuples, _check_cells, lag_site_values,
-                       thinning_convolution_table)
+                       log_thinning_table, thinning_convolution_table)
 from .diagnose import information_criteria
 from .acf import sample_acf, sample_acvf
 from .errors import CinarError, NumericalError, ValidationError
@@ -59,11 +58,11 @@ class FitDiagnostics:
     """Optimizer bookkeeping; trivial for the closed-form estimators.
 
     ``n_iter`` counts trial points and ``n_fev`` log-likelihood
-    evaluations (the standard errors reuse the last Hessian), ``n_grad``
-    those that also computed the score.  ``grad_norm`` is the largest
-    projected score in the search's coordinates v, each entry scaled by
-    max(1, |v_i|); ``message`` is the stop reason, ``se_error`` says why
-    CML standard errors are missing, and ``at_bounds`` names the
+    evaluations (the standard errors reuse the last Hessian); each also
+    computes the score, so ``n_grad`` equals ``n_fev``.  ``grad_norm`` is
+    the largest projected score in the search's coordinates v, each entry
+    scaled by max(1, |v_i|); ``message`` is the stop reason, ``se_error``
+    says why CML standard errors are missing, and ``at_bounds`` names the
     parameters held on their lower bound at the end, () in the interior.
     """
 
@@ -233,47 +232,33 @@ def cls_estimate(grid, order):
 def cml_loglik(params, grid):
     """Conditional log-likelihood of the grid's interior sites.
 
-    Each term is the log of the mixture-of-convolutions conditional PMF.
-    Returns -inf (with a site report) when some observed count has zero
-    conditional probability, which for the Poisson and NB laws means that
-    its probability underflowed.
+    Each term is the log of the mixture-of-convolutions conditional PMF,
+    read in log form from the first stage of a likelihood pass, so it is
+    finite however far below the float range a site's probability lies.
     """
     _validated(params)
     likelihood = _CmlLikelihood(grid.values, params.order)
-    value, zero = likelihood.evaluate(params.theta, params.innovation)
-    if zero.any():
-        warnings.warn(_zero_sites(zero, likelihood.sites), stacklevel=2)
-    return value
-
-
-def _zero_sites(zero, sites):
-    """Name the sites of the zero-probability tuples by count and first cell."""
-    r, c = sites.cells(zero)[0]
-    return (f"{sites.counts[zero].sum()} interior site(s) have zero conditional"
-            f" probability; first at grid cell ({r}, {c})")
+    with np.errstate(over="ignore"):
+        return likelihood.log_probabilities(params.alpha, params.phi,
+                                            params.innovation)[0]
 
 
 class _CmlLikelihood:
     """Conditional log-likelihood of one grid, with its exact score and
-    Hessian.
+    Hessian, in log and ratio form: the one likelihood path.
 
-    Built once per grid: ``_kernels.SiteTuples`` reads the interior sites at
-    the chosen ``lags`` (indices into the order's lag set, default all) as
-    distinct (x, past) tuples with counts, or as themselves, with flat
-    indices into the thinning-convolution table C, so an evaluation builds
-    C once and reads it with one gather.  Sums over sites weight each tuple
-    by its count, and the Gram term's rows by its square root.  The score
-    and the Hessian need only tables thinned in the same build: thinning
-    shifts and differences C along (n, x), dC[n, x]/dalpha = n (C[n-1,
-    x-1] - C[n-1, x]), and the innovation parameters move its row-0 series
-    (see ``_innovation_series``).  Each table is held once: the
-    second-order terms are contracted where they are formed.
-
-    C, of (n_max+1) x (x_max+1) cells, passes ``_check_cells``; with an
-    innovation ``family`` (a class, see ``innovations``; needed only by
-    ``value_score_hessian``), a pass of ``_pass_tables`` such tables above
-    2**27 float64 cells (1 GiB) is refused too.  Counts evaluations in
-    ``n_fev``, of which ``n_grad`` also carried the score and the Hessian.
+    ``_kernels.SiteTuples`` reads the interior sites at the chosen ``lags``
+    (indices into the order's lag set, default all) as (x, past) tuples with
+    counts, or as themselves, once per grid, with flat indices into L = log
+    C, C[n, x] = P(Binomial(n, alpha) + eps = x).  Per tuple, log p_s is a
+    log-sum-exp over the lags, and the score and the Hessian contract the
+    lag weights w_sj = phi_j exp(L[l_sj, x_s] - log p_s), in [0, 1], with
+    the ratios to C of C's derivatives (``_derivative_ratios``): no
+    probability is formed, so every finite likelihood is evaluated.  Sums
+    weight each tuple by its count; each table is held once.  L passes
+    ``_check_cells``; with an innovation ``family`` (a class, needed only by
+    ``value_score_hessian``), a pass of ``_pass_tables`` tables above 2**27
+    float64 cells (1 GiB) is refused too.  Counts passes in ``n_fev``.
     """
 
     def __init__(self, values, order, family=None, lags=None):
@@ -291,44 +276,35 @@ class _CmlLikelihood:
                 " above 1 GiB")
         self._flat = self.sites.flat(self.x_max + 1)
         self._site_values = np.empty(self._flat.shape)
-        self.n_fev = self.n_grad = 0
+        self.n_fev = 0
 
-    def _site_probabilities(self, alpha, phi, series):
-        """(tables, per-lag tuple values C[l_sj, x_s], tuple probabilities p).
-
-        One likelihood evaluation: one build of the tables of the stacked
-        ``series``, the first of which is C, and one gather.
-        """
+    def log_probabilities(self, alpha, phi, innovation):
+        """(loglik, L), a pass's first stage; it leaves c_s exp(L[l_sj, x_s] -
+        log p_s) in the site-value buffer, past the floats only if phi_j = 0."""
         self.n_fev += 1
-        tables = thinning_convolution_table(alpha, series, self.n_max)
-        values = lag_site_values(tables[0], self._flat, out=self._site_values)
-        return tables, values, phi @ values
-
-    def evaluate(self, theta, innovation):
-        """(loglik, mask of the tuples of zero probability); the
-        log-likelihood is -inf when there are any."""
-        alpha = float(theta.sum())
-        _, _, p_site = self._site_probabilities(
-            alpha, theta / alpha, innovation.pmf_table(self.x_max)[None])
-        zero = p_site <= 0.0
-        if zero.any():
-            return -np.inf, zero
-        return float(np.sum(self.sites.counts * np.log(p_site))), zero
+        table = log_thinning_table(alpha, innovation._log_pmf_table(self.x_max),
+                                   self.n_max)
+        values = lag_site_values(table, self._flat, out=self._site_values)
+        # log p_s = top_s + log sum_j phi_j exp(L_sj - top_s), top_s the
+        # largest L_sj at a lag of positive weight
+        top = (values.max(axis=0) if phi.all() else
+               np.max(values, axis=0, where=(phi > 0.0)[:, None], initial=-np.inf))
+        values -= top
+        np.exp(values, out=values)
+        scaled = phi @ values
+        top += np.log(scaled)
+        values *= np.divide(self.sites.counts, scaled, out=scaled)
+        return float(np.einsum("s,s->", top, self.sites.counts)), table
 
     def value_score_hessian(self, vec):
         """(loglik, score, Hessian) at (theta, innovation parameters).
 
-        One table build and one pass over the sites; (-inf, None, None)
-        outside the model's domain or where a site has zero probability.
-        With a = (alpha, innovation parameters) and p_s = sum_j phi_j
-        C[l_sj, x_s], the first-order tables dC/da are contracted with the
-        per-lag weights W_j[n, x], the sum of 1/p_s over the sites with l_sj
-        = n and x_s = x, and the second-order tables d2C/da da' with w =
-        sum_j phi_j W_j.  The score is the first-order contraction; the
-        Hessian is
-        H = sum_s grad2 p_s / p_s - sum_s grad p_s grad p_s^T / p_s**2,
-        whose second term is the Gram of the per-site score, gathered from
-        C and dC/da and divided by p_s in place.
+        One pass; (-inf, None, None) outside the model's domain.  The
+        first-order ratios are contracted with the per-lag weights W_j[n,
+        x], the sum of c_s exp(L_sj - log p_s) over the tuples with l_sj = n
+        and x_s = x, and the second-order ones with w = sum_j phi_j W_j; the
+        Hessian is H = sum_s grad2 p_s / p_s - sum_s grad p_s grad p_s^T /
+        p_s**2, whose second term is the Gram of the per-tuple score.
         """
         m = self._flat.shape[0]
         theta, extra = vec[:m], vec[m:]
@@ -343,141 +319,148 @@ class _CmlLikelihood:
         except CinarError:
             return -np.inf, None, None
         phi = theta / alpha
-        tables, values, p_site = self._site_probabilities(
-            alpha, phi, _innovation_series(innovation, self.x_max))
-        if not np.all(p_site > 0.0):
-            return -np.inf, None, None
-        self.n_grad += 1
-        counts = self.sites.counts
-        loglik = float(np.sum(counts * np.log(p_site)))
-        scale = _inverse_scale(p_site)
-        inv_p = counts * (scale / p_site)
-        q = 1 + extra.size
-        table, d1, pairs = tables[0], tables[1:q + 1], tables[q + 1:]
-        # thinning commutes with convolution: dC/dalpha = alpha table + step of C
-        d1[0] += _thinning_step(table)
-        lag_weights = np.empty((m, table.size))
-        for j, rows in enumerate(self._flat):
-            lag_weights[j] = np.bincount(rows, inv_p, minlength=table.size)
-        del inv_p
+        # a ratio or weight beyond the floats makes the Hessian non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            loglik, table = self.log_probabilities(alpha, phi, innovation)
+            values, counts = self._site_values, self.sites.counts
+            ratios = _derivative_ratios(table, alpha, innovation)
+            q = 1 + extra.size
+            d1, pairs = ratios[:q], ratios[q:]
+            lag_weights = np.empty((m, table.size))
+            for j, rows in enumerate(self._flat):
+                lag_weights[j] = np.bincount(rows, values[j], minlength=table.size)
 
-        # Score and first Hessian term, over s / p_s.  g[j] and G[a, j] sum
-        # C and dC/da at lag j, so d/dphi_j = g[j], d/da = G phi and
-        # d/dtheta_k = d/dalpha + (g[k] - phi.g) / alpha.  With A = dC/dalpha
-        # at a site's lags,
-        # d2p/dtheta_k dtheta_l = (A_k + A_l - 2 phi.A) / alpha
-        #   - (C_k + C_l - 2 p) / alpha**2 + phi.d2C/dalpha2, and
-        # d2p/dtheta_k dpsi = (dC/dpsi_k - phi.dC/dpsi) / alpha
-        #   + phi.d2C/dalpha dpsi.
-        g = lag_weights @ table.ravel()
-        big_g = d1.reshape(q, -1) @ lag_weights.T
-        d_a = big_g @ phi
-        w = phi @ lag_weights
-        del lag_weights
-        # second[a, b] = <d2C/da db, w>: the pair table (a, b) and, as alpha
-        # also thins, the step of each first-order table in row and column 0,
-        # read through the adjoint u of the step, <step T, w> = <T, u>.  At
-        # (0, 0) that counts <step C, u> = <C, step* u> twice, not once.
-        pair_w = iter(pairs.reshape(len(pairs), -1) @ w)
-        u = _thinning_step(w.reshape(table.shape), adjoint=True)
-        del w
-        d1_u = d1.reshape(q, -1) @ u.ravel()
-        second = np.empty((q, q))
-        for a in range(q):
-            for b in range(a, q):
-                second[a, b] = second[b, a] = next(pair_w)
-        second[0] += d1_u
-        second[:, 0] += d1_u
-        second[0, 0] -= table.ravel() @ _thinning_step(u, adjoint=True).ravel()
-        g_phi, big_g_phi = g - phi @ g, big_g - d_a[:, None]
-        score = np.concatenate([d_a[0] + g_phi / alpha, d_a[1:]]) / scale
-        hess = np.empty((vec.size, vec.size))
-        hess[:m, :m] = (second[0, 0] + (big_g_phi[0][:, None] + big_g_phi[0])
-                        / alpha - (g_phi[:, None] + g_phi) / alpha**2)
-        hess[:m, m:] = big_g_phi[1:].T / alpha + second[0, 1:]
-        hess[m:, :m] = hess[:m, m:].T
-        hess[m:, m:] = second[1:, 1:]
-        hess /= scale
+            # Score and first Hessian term.  g[j] and G[a, j] sum the ratios
+            # 1 and dC/da / C over the weights c_s C_sj / p_s at lag j, so
+            # d/dphi_j = g[j], d/da = G phi and d/dtheta_k = d/dalpha + (g[k]
+            # - phi.g) / alpha.  With D = dC/dalpha at a site's lags,
+            # d2p/dtheta_k dtheta_l = (D_k + D_l - 2 phi.D) / alpha
+            #   - (C_k + C_l - 2 p) / alpha**2 + phi.d2C/dalpha2, and
+            # d2p/dtheta_k dpsi = (dC/dpsi_k - phi.dC/dpsi) / alpha
+            #   + phi.d2C/dalpha dpsi, each over p_s.
+            g = lag_weights.sum(axis=1)
+            big_g = d1.reshape(q, -1) @ lag_weights.T
+            d_a = big_g @ phi
+            w = phi @ lag_weights
+            del lag_weights
+            # second[a, b] = <d2C/da db / C, w>: the pair ratio (a, b) and, as
+            # alpha also thins, the step of each first-order ratio in row and
+            # column 0, read through the adjoint u of the step, <step R, w> =
+            # <R, u>.  At (0, 0) that counts <step 1, u> twice, not once.
+            pair_w = iter(pairs.reshape(len(pairs), -1) @ w)
+            second = np.empty((q, q))
+            for a in range(q):
+                for b in range(a, q):
+                    second[a, b] = second[b, a] = next(pair_w)
+            u = _step_adjoint(w.reshape(table.shape), table, alpha)
+            del w
+            d1_u = d1.reshape(q, -1) @ u.ravel()
+            second[0] += d1_u
+            second[:, 0] += d1_u
+            second[0, 0] -= _step_adjoint(u, table, alpha).sum()
+            g_phi, big_g_phi = g - phi @ g, big_g - d_a[:, None]
+            score = np.concatenate([d_a[0] + g_phi / alpha, d_a[1:]])
+            hess = np.empty((vec.size, vec.size))
+            hess[:m, :m] = (second[0, 0] + (big_g_phi[0][:, None] + big_g_phi[0])
+                            / alpha - (g_phi[:, None] + g_phi) / alpha**2)
+            hess[:m, m:] = big_g_phi[1:].T / alpha + second[0, 1:]
+            hess[m:, :m] = hess[:m, m:].T
+            hess[m:, m:] = second[1:, 1:]
 
-        # Second term: the Gram of the per-site score, from phi_j dC/da
-        # gathered lag by lag.  Its entries are ratios to p_s, finite where
-        # 1/p_s is not, so they take no scale: s**2 can underflow.  Dividing
-        # by p_s / sqrt(c) scales the row of a tuple of count c by sqrt(c);
-        # it reuses the gather buffer, as a new array a pass re-faults pages.
-        site_d1 = np.empty((d1.shape[0], p_site.size))
-        gathered = np.empty(p_site.size)
-        for a, d_table in enumerate(d1):
-            lag_site_values(phi[0] * d_table, self._flat[0], out=site_d1[a])
-            for j in range(1, m):
-                site_d1[a] += lag_site_values(phi[j] * d_table, self._flat[j],
-                                              out=gathered)
-        p_root = np.divide(p_site, np.sqrt(counts, out=gathered), out=gathered)
-        np.divide(site_d1, p_root, out=site_d1)
-        # alpha d log p_s / d theta_j = C[l_sj, x_s] / p_s - 1 + alpha dC/dalpha / p_s
-        values -= p_site
-        values /= p_root
-        values += np.multiply(alpha, site_d1[0], out=p_root)
-        d_psi = site_d1[1:]
-        hess[:m, :m] -= values @ values.T / alpha**2
-        cross = values @ d_psi.T / alpha
-        hess[:m, m:] -= cross
-        hess[m:, :m] -= cross.T
-        hess[m:, m:] -= d_psi @ d_psi.T
+            # Second term: the Gram of the per-tuple score, from phi_j dC/da
+            # / C gathered lag by lag and weighted by c_s C_sj / p_s, then
+            # divided by sqrt(c_s) so that a tuple's row counts c_s times.
+            site_d1 = np.empty((q, values.shape[1]))
+            gathered = np.empty(values.shape[1])
+            for a, d_table in enumerate(d1):
+                lag_site_values(phi[0] * d_table, self._flat[0], out=site_d1[a])
+                site_d1[a] *= values[0]
+                for j in range(1, m):
+                    lag_site_values(phi[j] * d_table, self._flat[j], out=gathered)
+                    site_d1[a] += np.multiply(gathered, values[j], out=gathered)
+            # alpha d log p_s / d theta_j = C_sj / p_s - 1 + alpha d log p_s / d alpha
+            root = 1.0
+            if self.sites.size < self.n_sites:  # counts above 1
+                root = np.sqrt(counts, out=gathered)
+                site_d1 /= root
+                values /= root
+            site_d1[0] *= alpha
+            site_d1[0] -= root
+            values += site_d1[0]
+            d_psi = site_d1[1:]
+            hess[:m, :m] -= values @ values.T / alpha**2
+            cross = values @ d_psi.T / alpha
+            hess[:m, m:] -= cross
+            hess[m:, :m] -= cross.T
+            hess[m:, m:] -= d_psi @ d_psi.T
         return loglik, score, hess
 
 
 def _pass_tables(m, q):
     """Tracemalloc peak of a pass over m lags and q - 1 innovation parameters,
-    in tables: its series stack (C, q first- and q (q+1) / 2 second-order
-    tables), the m lag weights, and one more, a ``bincount`` or w."""
+    in tables: L (then A), q + q (q+1) / 2 ratio tables, the m lag weights,
+    and one more, a ``bincount`` or w."""
     return (1 + q + q * (q + 1) // 2) + m + 1
 
 
-def _inverse_scale(p_site):
-    """An exact power of two s <= 1 that keeps s / p_s finite.
+def _step_adjoint(w, weights, alpha):
+    """The adjoint u, <step R, w> = <R, u>, of the alpha step of a ratio
+    table, step R = n (R[n-1, x-1] (1 - A) / alpha - R[n-1, x] A / (1 -
+    alpha)), the ratio to C of d(R C)/dalpha by thinning, with the
+    ``weights`` A; it overwrites ``w``."""
+    u = np.zeros_like(w)
+    w[1:] *= np.arange(1, w.shape[0])[:, None]
+    np.multiply(w[1:], weights[1:], out=u[:-1])
+    w[1:] -= u[:-1]
+    u[:-1] /= alpha - 1.0
+    u[:-1, :-1] += w[1:, 1:] / alpha
+    return u
 
-    Sums linear in 1/p overflow for sites of tiny probability; they are
-    taken over s / p_s and divided by s at the end.
+
+def _derivative_ratios(table, alpha, innovation):
+    """The ratio tables of a pass, from L = ``table``, which it overwrites
+    with the weights A = (1 - alpha) C[n-1, x] / C[n, x].
+
+    The innovation PMF e moves as de/da = e * h_a and d2e/da da' = e * (h_a
+    * h_a' + hh_aa'), (h, hh) its ``derivative_series``; thinning commutes
+    with convolution, so the tables are sum_k s[k] C[n, x-k] / C[n, x], by
+    Horner's rule in exp(L[n, x-1] - L[n, x]) over every row where the
+    series end by k = 2 (Poisson: fewer calls than thinning), else over row
+    0, thinned by A and 1 - A.  Returns dC/da / C, a = (alpha, *param_names),
+    the first with alpha's step n ((1 - A) / alpha - A / (1 - alpha)), then
+    d2C/da db / C less that step, for a <= b.
     """
-    exponent = int(np.frexp(p_site.min())[1])
-    return float(np.ldexp(1.0, exponent + 500)) if exponent < -500 else 1.0
-
-
-def _thinning_step(table, adjoint=False):
-    """d table / d alpha through thinning, over (n, x): n (T[n-1, x-1] -
-    T[n-1, x]); or its adjoint, (n+1) (T[n+1, x+1] - T[n+1, x]), so that
-    <step T, w> = <T, adjoint step w>."""
-    into, src = (slice(-1), slice(1, None)) if adjoint else (slice(1, None), slice(-1))
-    out = np.zeros_like(table)
-    np.negative(table[src], out=out[into])
-    out[into, into] += table[src, src]
-    out *= np.arange(adjoint, table.shape[0] + adjoint)[:, None]
-    return out
-
-
-def _innovation_series(innovation, x_max):
-    """Row-0 series of the likelihood table and its derivative tables.
-
-    The innovation PMF e moves as de/da = e * h_a and d2e/da da' = e *
-    (h_a * h_a' + hh_aa'), where (h, hh) are the innovation's
-    ``derivative_series``: the first and second derivatives of its log-PGF
-    over (alpha, *param_names), all truncated at x_max.  Returns the stack
-    of e, each e * h_a, and e * (h_a * h_b + hh_ab) for each pair a <= b.
-    """
-    e = innovation.pmf_table(x_max)
-    h, hh = innovation.derivative_series(x_max)
+    h, hh = innovation.derivative_series(table.shape[1] - 1)
     q, width = h.shape
-    inner = list(h) + [np.convolve(h[a], h[b])[:width] + hh[a, b]
-                       for a in range(q) for b in range(a, q)]
-    return np.vstack([e] + [np.convolve(e, s)[:width] for s in inner])
+    series = np.vstack([h] + [np.convolve(h[a], h[b])[:width] + hh[a, b]
+                              for a in range(q) for b in range(a, q)])
+    last = np.flatnonzero(series.any(axis=0)).max(initial=0)
+    rows = table.shape[0] if last <= 2 else 1
+    ratios = np.zeros((len(series), rows, width))
+    back = np.exp(table[:rows, :-1] - table[:rows, 1:])
+    for k in range(last, -1, -1):
+        ratios[..., k + 1:] *= back[:, :width - k - 1]
+        ratios[..., k:] += series[:, None, k:k + 1]
+    move = np.zeros_like(table)
+    move[1:, 1:] = np.exp(table[:-1, :-1] - table[1:, 1:] + np.log(alpha))
+    table[1:] = np.exp(table[:-1] - table[1:] + np.log1p(-alpha))
+    table[:, 0] = 1.0
+    if rows == 1:
+        ratios = thinning_convolution_table(alpha, ratios[:, 0], len(table) - 1,
+                                            (table, move[:, 1:]))
+    move /= alpha
+    move -= table / (1.0 - alpha)
+    ratios[0] += move * np.arange(len(table))[:, None]
+    return ratios
 
 
 def _box_start(theta, extra, lo):
     """The start in the box coordinates v = (w, log mu_eps, rest): theta_k
-    >= 1e-4 summing to at most 0.999, mu_eps >= 1e-4, the rest >= ``lo``."""
+    >= 1e-4 summing to at most 0.999, mu_eps in [1e-4, 1e12], the rest >=
+    ``lo``: a point of the model's domain, where every pass is finite."""
     theta = np.clip(np.nan_to_num(np.asarray(theta, dtype=float)), 1e-4, None)
     theta *= min(1.0, 0.999 / theta.sum())
-    mu_eps = extra[0] if 1e-4 <= extra[0] < np.inf else 1e-4
+    mu_eps = min(extra[0], 1e12) if 1e-4 <= extra[0] < np.inf else 1e-4
     v = np.concatenate([theta / (1.0 - theta.sum()), [np.log(mu_eps)],
                         np.asarray(extra[1:], dtype=float)])
     return np.where(np.isfinite(v) & (v >= lo), v, lo)
@@ -654,20 +637,18 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
     coordinates on their bound whose score pushes outward, takes a
     trust-region Newton step on the exact observed information of the
     others and projects it onto the box, so a face is reached exactly.  A
-    trial point costs one likelihood pass (value, score and Hessian); one
-    of zero or undefined likelihood is refused.  The search stops at a
-    Newton gain under 1e-12 (1 + |loglik|), a scaled projected score under
-    1e-6, a trust radius below the rounding of the point, or 200 trial
-    points.  The standard errors reuse the last Hessian; at held
-    coordinates, which ``diagnostics.at_bounds`` and ``se_error`` name,
-    they are withheld, as the usual asymptotics fail on a bound (Self &
-    Liang 1987, JASA 82:605-610).  Raises NumericalError, naming a
-    zero-probability site, when the start lies on that wall, and
-    ValidationError when the grid has no more interior sites than free
-    parameters.  ``fix_zero`` names lag coefficients pinned to exactly 0,
-    e.g. ``("theta_11",)`` or ``[(1, 1)]``: they leave the free parameters
-    and the information criteria, and carry zero standard error.
-    Deterministic.
+    trial point costs one likelihood pass, finite wherever the model is;
+    one outside its domain, or whose Hessian overflows, is refused.  The
+    search stops at a Newton gain under 1e-12 (1 + |loglik|), a scaled
+    projected score under 1e-6, a trust radius below the rounding of the
+    point, or 200 trial points.  The standard errors reuse the last
+    Hessian; at held coordinates, named by ``diagnostics.at_bounds`` and
+    ``se_error``, they are withheld, as the usual asymptotics fail on a
+    bound (Self & Liang 1987, JASA 82:605-610).  Raises ValidationError
+    when the grid has no more interior sites than free parameters.
+    ``fix_zero`` names lag coefficients pinned to exactly 0, e.g.
+    ``("theta_11",)`` or ``[(1, 1)]``: they leave the free parameters and
+    the information criteria, and carry zero standard error.
     """
     family = innovation_family(family)
     m = order.n_lags
@@ -686,18 +667,8 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
 
     theta0, extra0 = _initial_point(grid, order, family, init)
     v = _box_start(theta0[free_idx], extra0, lo)
-    point = _box_point(likelihood, v, m_free)
-    if point is None:
-        vec = _natural(v, m_free)[0]
-        theta = vec[:m_free]
-        innovation = family.from_params(vec[m_free:], theta.sum())
-        zero = likelihood.evaluate(theta, innovation)[1]
-        raise NumericalError("the CML start has no finite conditional likelihood: "
-                             + (_zero_sites(zero, likelihood.sites) if zero.any()
-                                else "it lies outside the model's domain"))
-
     point, held, grad_norm, n_iter, message = _box_search(
-        likelihood, v, point, lo, m_free)
+        likelihood, v, _box_point(likelihood, v, m_free), lo, m_free)
     loglik_max, _, _, vec_free, hess_nat = point
     at_bounds = tuple(names[i] for i in np.flatnonzero(held))
     theta, extra = np.zeros(m), vec_free[m_free:]
@@ -725,7 +696,7 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
         diagnostics=FitDiagnostics(
             n_iter=n_iter, grad_norm=grad_norm,
             converged=grad_norm <= 1e-5 * (1.0 + abs(loglik_max)),
-            n_fev=likelihood.n_fev, n_grad=likelihood.n_grad,
+            n_fev=likelihood.n_fev, n_grad=likelihood.n_fev,
             message=message, se_error=se_error, at_bounds=at_bounds,
         ),
         std_errors=std_errors,

@@ -51,9 +51,9 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
 
-def _pmf_table(mu, r, alpha, kmax):
+def _pmf_table(mu, r, alpha, kmax, log=False):
     """P(eps=k) for k = 0..kmax of the NB-marginal law (mu_eps = mu, r,
-    alpha), which is Poisson(mu) at r = 0.
+    alpha), which is Poisson(mu) at r = 0, or with ``log`` log P(eps=k).
 
     With d = r/(1+r) and c = alpha r/(1 + alpha r), G'/G = nu (d-c) /
     ((1-cu)(1-du)), so g[k] = P(eps=k) satisfies (Panjer 1981; Sundt 1992)
@@ -70,7 +70,8 @@ def _pmf_table(mu, r, alpha, kmax):
     log1p(-y)/y with y = (1-alpha) d, -mu at r = 0: Poisson's P(k) =
     P(k-1) mu / k.  g[0] = exp(t) 2**n with |t| <= ln(2)/2 exact to
     rounding, and values are carried scaled by powers of two near 1, so a
-    g[0] below the float range cannot zero the table.
+    g[0] below the float range cannot zero the table; the log table runs
+    from g[0] = 1 and adds log g[0] back.
     """
     kmax = _whole(kmax, "kmax", 0)
     d, c = r / (1.0 + r), alpha * r / (1.0 + alpha * r)
@@ -81,11 +82,10 @@ def _pmf_table(mu, r, alpha, kmax):
     # rounds to 1
     log_a = math.log1p(-y) if y < 0.9 else math.log1p(alpha * r) - math.log1p(r)
     log_g0 = mu / (1.0 + r) * (log_a / y if y else -1.0)
-    if log_g0 <= -2.0**53:
-        # P(k) underflows at every k a table can hold
-        return np.zeros(kmax + 1)
-    exponent = round(log_g0 / math.log(2.0))
-    g = w = math.exp((log_g0 - exponent * _LN2_HI) - exponent * _LN2_LO)
+    if log_g0 <= -2.0**53 and not log:
+        return np.zeros(kmax + 1)  # P(k) underflows at every k a table can hold
+    exponent = 0 if log else round(log_g0 / math.log(2.0))
+    g = w = 1.0 if log else math.exp((log_g0 - exponent * _LN2_HI) - exponent * _LN2_LO)
     scaled = np.empty(kmax + 1)
     exponents = np.empty(kmax + 1, dtype=np.int64)
     for k in range(kmax + 1):
@@ -96,6 +96,8 @@ def _pmf_table(mu, r, alpha, kmax):
         if not -500 <= shift <= 500:
             g, w = math.ldexp(g, -shift), math.ldexp(w, -shift)
             exponent += shift
+    if log:
+        return np.log(scaled) + exponents * math.log(2.0) + log_g0
     return np.ldexp(scaled, exponents)
 
 
@@ -177,6 +179,9 @@ class PoissonInnovation(_InverseCdfMixin):
         """P(eps=k) for k = 0..kmax: ``_pmf_table`` at r = 0."""
         return _pmf_table(self.mu, 0.0, 0.0, kmax)
 
+    def _log_pmf_table(self, kmax):
+        return _pmf_table(self.mu, 0.0, 0.0, kmax, log=True)
+
     def derivative_series(self, kmax):
         """Series of the first and second derivatives of log G(u) = mu (u-1)
         over (alpha, mu): the law does not move with alpha, and log G is
@@ -193,57 +198,72 @@ class PoissonInnovation(_InverseCdfMixin):
         return out if size is not None else int(out)
 
 
-# Taylor coefficients of P_0(x) = -log(1+x)/x, P_0'(x) and P_0''(x),
-# highest power first: below x = 0.5 their closed forms cancel, and 64
-# terms reach 1e-16 relative there.
-_P0_TAYLOR = [((-1.0) ** (j + 1) / (j + 1), (-1.0) ** j * (j + 1) / (j + 2),
-               (-1.0) ** (j + 1) * (j + 1) * (j + 2) / (j + 3))
-              for j in range(63, -1, -1)]
+# Taylor coefficients, power j in column j, of P_0'(x), P_0''(x) (P_0(x) =
+# -log(1+x)/x), (t - log1p(t))/t**2 and (log1p(t)/t - 1/(1+t))/t: below 0.5
+# their closed forms cancel, and 64 terms reach 1e-16 relative there.
+_J = np.arange(64.0)
+_TAYLOR = (-1.0) ** _J * np.array([(_J + 1) / (_J + 2), -(_J + 1) * (_J + 2) / (_J + 3),
+                                    1 / (_J + 2), (_J + 1) / (_J + 2)])
 
 
 def _p_series(x, kmax):
-    """Series in u of P(x) = -log(1 + x (1-u)) / x, P'(x) and P''(x).
+    """Series in u of P'(x) and P''(x), P(x) = -log(1 + x (1-u)) / x.
 
     P_0 = -log(1+x)/x, and for k >= 1, P_k = y**(k-1) z / k with y = x/(1+x)
     and z = 1/(1+x), so that P_k' = z**2 ((k-1) z y**(k-2) - y**(k-1)) / k
     and P_k'' = z**3 ((k-1)(k-2) z**2 y**(k-3) - 4 (k-1) z y**(k-2) + 2
-    y**(k-1)) / k.  All are finite at x = 0, where P = u - 1.  Returns the
-    three rows of kmax+1 coefficients.
+    y**(k-1)) / k, all finite at x = 0.  Returns two rows of kmax+1
+    coefficients.
     """
     y, z = x / (1.0 + x), 1.0 / (1.0 + x)
     k = np.arange(1.0, int(kmax) + 1.0)
-    out = np.empty((3, k.size + 1))
+    out = np.empty((2, k.size + 1))
     if x < 0.5:
-        p0 = q0 = w0 = 0.0
-        for c_p, c_q, c_w in _P0_TAYLOR:  # Horner's rule
-            p0, q0, w0 = p0 * x + c_p, q0 * x + c_q, w0 * x + c_w
-        out[:, 0] = p0, q0, w0
+        out[:, 0] = _TAYLOR[:2] @ x**_J
     else:
         ell = math.log1p(x) / x
-        out[:, 0] = -ell, (ell - z) / x, (z * z - 2.0 * (ell - z) / x) / x
+        out[:, 0] = (ell - z) / x, (z * z - 2.0 * (ell - z) / x) / x
     # y**(k-1), y**(k-2) and y**(k-3), 1 where their factor k-1 or k-2 is 0
     powers = np.concatenate([[1.0, 1.0], y ** np.arange(k.size)])
     y1, y2, y3 = powers[2:], powers[1:-1], powers[:-2]
-    out[0, 1:] = y1 * z / k
-    out[1, 1:] = ((k - 1.0) * z * y2 - y1) * z**2 / k
-    out[2, 1:] = ((k - 1.0) * (k - 2.0) * z**2 * y3 - 4.0 * (k - 1.0) * z * y2
+    out[0, 1:] = ((k - 1.0) * z * y2 - y1) * z**2 / k
+    out[1, 1:] = ((k - 1.0) * (k - 2.0) * z**2 * y3 - 4.0 * (k - 1.0) * z * y2
                   + 2.0 * y1) * z**3 / k
     return out
 
 
-def _q_divided_difference(alpha, r, kmax):
-    """Series in u of Q[a, r] = P(r) + a P[a, r], the divided difference of
-    Q(x) = x P(x) between a = alpha r and r.  With y = x/(1+x) and z =
-    1/(1+x), Q_0 = -log(1+x) gives -z_a log1p(t)/t, t = (r-a) z_a, and Q_k
-    = y**k/k gives z_a z_r y_r**(k-1) sum_{j<k} rho**j / k, rho = y_a/y_r
-    = alpha (1+r) z_a: no difference of nearby values is taken."""
+def _q_divided_differences(alpha, r, kmax):
+    """Series in u of Q[a, r] = P(r) + a P[a, r], Q[a, a, r] and Q[a, r, r],
+    the divided differences of Q(x) = x P(x) at a = alpha r and r.  With y =
+    x/(1+x), z = 1/(1+x) and rho = y_a/y_r = alpha (1+r) z_a, Q_k = y**k/k
+    gives, for k >= 2, Q[a, r] = z_a z_r y_r**(k-1) S_{k-1} / k, Q[a, a, r]
+    = z_a**2 z_r (z_r y_r**(k-2) T_{k-2} / k - y_a**(k-1)) and Q[a, r, r] =
+    z_a z_r**2 y_r**(k-2) (z_r U_{k-2} - y_r S_{k-1}) / k, over the positive
+    sums S_n, T_n and U_n of rho**j, (j+1) rho**j and S_j, j <= n; Q_0 =
+    -log(1+x) gives -z_a log1p(t)/t, z_a**2 (t - log1p(t))/t**2 and z_a**2
+    (log1p(t)/t - 1/(1+t))/t, t = (r-a) z_a.  No difference of nearby values
+    is taken."""
     z_a, z_r = 1.0 / (1.0 + alpha * r), 1.0 / (1.0 + r)
-    t = (1.0 - alpha) * r * z_a
+    y, t = r * z_r, (1.0 - alpha) * r * z_a
     n = np.arange(float(kmax))
-    out = np.empty(kmax + 1)
-    out[0] = -z_a * (math.log1p(t) / t if t else 1.0)
-    out[1:] = (z_a * z_r * (r * z_r) ** n
-               * np.cumsum((alpha * (1.0 + r) * z_a) ** n) / (n + 1.0))
+    powers = (alpha * (1.0 + r) * z_a) ** n
+    sums = np.cumsum(powers)
+    out = np.empty((3, kmax + 1))
+    out[0, 0] = -z_a * (math.log1p(t) / t if t else 1.0)
+    out[0, 1:] = z_a * z_r * y ** n * sums / (n + 1.0)
+    if t < 0.5:
+        first, second = _TAYLOR[2:] @ t**_J
+    else:
+        ell = math.log1p(t) / t
+        first, second = (1.0 - ell) / t, (ell - 1.0 / (1.0 + t)) / t
+    out[1:, 0] = z_a**2 * first, z_a**2 * second
+    if kmax:
+        out[1:, 1] = -z_a**2 * z_r, -z_a * z_r**2
+    k, scale = n[1:] + 1.0, y ** n[:-1]
+    out[1, 2:] = z_a**2 * z_r * (z_r * scale * np.cumsum(n[1:] * powers[:-1]) / k
+                                 - scale * y * powers[1:])
+    out[2, 2:] = (z_a * z_r**2 * scale
+                  * (z_r * np.cumsum(sums[:-1]) - y * sums[1:]) / k)
     return out
 
 
@@ -324,50 +344,49 @@ class NbMarginalInnovation(_InverseCdfMixin):
         """Series of the first and second derivatives of log G(u) over
         (alpha, mu_eps, i_eps), the parameters of ``from_targets``.
 
-        With P of ``_p_series``,
-
-            log G(u) = mu_eps / (1 - alpha) [P(r) - alpha P(alpha r)],
-
-        differentiated through r = (i_eps - 1)/(1 + alpha), which moves as
-        dr/di_eps = 1/(1 + alpha) and dr/dalpha = -r/(1 + alpha).  Nothing
-        is divided by r, so the series are exact on the face r = 0.
-        Returns (h, hh): row a of h holds the first kmax+1 coefficients
-        h_a, and hh[a, b] those of the second derivative over a and b, so
-        that the PMF moves as ``pmf_table(kmax) * h_a`` and its second
-        derivative is ``pmf_table(kmax) * (h_a * h_b + hh_ab)``.
+        With P of ``_p_series``, log G(u) = mu_eps / (1 - alpha) [P(r) -
+        alpha P(alpha r)], differentiated through r = (i_eps - 1)/(1 +
+        alpha), so dr/di_eps = 1/(1 + alpha) and dr/dalpha = -r/(1 + alpha);
+        nothing is divided by r, so the series are exact at r = 0.  Returns
+        (h, hh): row a of h holds the first kmax+1 coefficients h_a, and
+        hh[a, b] those of the second derivative over a and b, so that the
+        PMF moves as ``pmf_table(kmax) * h_a`` and its second derivative is
+        ``pmf_table(kmax) * (h_a * h_b + hh_ab)``.
         """
         kmax = _whole(kmax, "kmax", 0)
         alpha, r = self.alpha, self.r
         m = self.mu_eps / (1.0 - alpha)
         s, om = 1.0 / (1.0 + alpha), 1.0 - alpha
-        _, q_r, w_r = _p_series(r, kmax)
-        p_x, q_x, w_x = _p_series(alpha * r, kmax)
+        q_r, w_r = _p_series(r, kmax)
+        q_x, w_x = _p_series(alpha * r, kmax)
         # log G = m F with F = P(r) - alpha P(alpha r), whose r-derivatives
         # are f_r and f_rr; at fixed r, c = 2 P'(alpha r) + alpha r P''(alpha
-        # r) gives d2F/dalpha2 = -r c and d2F/dalpha dr = -alpha c.  f_i,
-        # f_a, f_aa and f_ai differentiate F over i_eps and alpha.  F =
-        # (1 - alpha) (P(r) + alpha r P[alpha r, r]) cancels by 1 - alpha.
-        f_om = _q_divided_difference(alpha, r, kmax)
+        # r) gives d2F/dalpha2 = -r c and d2F/dalpha dr = -alpha c; f_aa and
+        # f_ai differentiate F twice.  F = (1 - alpha) f_om, f_om = Q[alpha r,
+        # r], cancels by 1 - alpha, and so do its first derivatives: log G =
+        # mu_eps f_om, differentiated by Q's second divided differences.
+        f_om, q_aar, q_arr = _q_divided_differences(alpha, r, kmax)
         f_r, f_rr = q_r - alpha**2 * q_x, w_r - alpha**3 * w_x
         c = 2.0 * q_x + alpha * r * w_x
-        f_i = s * f_r
-        f_a = -(p_x + alpha * r * q_x) - r * f_i
         f_aa = r * s * (s * (r * f_rr + 2.0 * f_r) - om * c)
         f_ai = -s * (alpha * c + s * (f_r + r * f_rr))
         # dm/dmu_eps = 1 / (1 - alpha) and dm/dalpha = m / (1 - alpha)
-        g = f_om + f_a
-        h = np.stack([m * g, f_om, m * f_i])
+        f_om_a, f_om_i = r * s * (q_aar - q_arr), s * (alpha * q_aar + q_arr)
+        h = np.stack([self.mu_eps * f_om_a, f_om, self.mu_eps * f_om_i])
         hh = np.zeros((3, 3, kmax + 1))
-        hh[0, 0] = m * (2.0 * g / om + f_aa)
-        hh[0, 1] = hh[1, 0] = g / om
-        hh[0, 2] = hh[2, 0] = m * (f_i / om + f_ai)
-        hh[1, 2] = hh[2, 1] = f_i / om
+        hh[0, 0] = m * (2.0 * f_om_a + f_aa)
+        hh[0, 1] = hh[1, 0] = f_om_a
+        hh[0, 2] = hh[2, 0] = m * (f_om_i + f_ai)
+        hh[1, 2] = hh[2, 1] = f_om_i
         hh[2, 2] = m * s * s * f_rr
         return h, hh
 
     def pmf_table(self, kmax):
         """P(eps=k) for k = 0..kmax by ``_pmf_table``."""
         return _pmf_table(self.mu_eps, self.r, self.alpha, kmax)
+
+    def _log_pmf_table(self, kmax):
+        return _pmf_table(self.mu_eps, self.r, self.alpha, kmax, log=True)
 
 
 # every family, the one with the most parameters first

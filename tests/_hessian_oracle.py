@@ -66,10 +66,6 @@ def observed_information_se(grid, order, family, vec, loglik_fn=None):
     if loglik_fn is not None:
         hess = fd_hessian(loglik_fn, vec)
     else:
-        likelihood = _CmlLikelihood(grid.values, order, family)
-        _, _, hess = likelihood.value_score_hessian(vec)
-        if hess is None:
-            raise NumericalError("some interior site has zero conditional"
-                                 " probability: no observed information")
+        _, _, hess = _CmlLikelihood(grid.values, order, family).value_score_hessian(vec)
     lower = np.concatenate([np.zeros(order.n_lags), family.lower_bounds])
     return _se_from_loglik(hess, vec, lower)

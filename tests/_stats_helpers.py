@@ -99,3 +99,108 @@ def nb_log_pgf_mp(nu, pi, alpha, k):
     if k == 0:
         return nu * mp.log(a)
     return nu * (d**k - (d * alpha / a) ** k) / k
+
+
+def poisson_loglik_mp(params, values):
+    """Conditional log-likelihood of the interior sites of ``values`` under
+    ``params``, whose innovations are Poisson, summed site by site in
+    60-digit mpmath: each site's probability is sum_j phi_j sum_z C(n_j, z)
+    alpha**z (1-alpha)**(n_j-z) P(eps = x-z), with alpha and phi the floats
+    the likelihood reads."""
+    import mpmath as mp
+
+    x, lagged = lagged_stack(values, params.order)
+    sites = {}
+    for key in zip(x.tolist(), map(tuple, lagged.tolist())):
+        sites[key] = sites.get(key, 0) + 1
+    with mp.workdps(60):
+        alpha, mu = mp.mpf(params.alpha), mp.mpf(params.innovation.mu)
+        phi = [mp.mpf(p) for p in params.phi]
+        cells = {}
+
+        def cell(n, count):  # P(Binomial(n, alpha) + eps = count)
+            if (n, count) not in cells:
+                cells[n, count] = mp.fsum(
+                    mp.binomial(n, z) * alpha**z * (1 - alpha) ** (n - z)
+                    * mp.exp(-mu) * mu ** (count - z) / mp.factorial(count - z)
+                    for z in range(min(n, count) + 1))
+            return cells[n, count]
+
+        return float(mp.fsum(
+            times * mp.log(mp.fsum(f * cell(n, count) for f, n in zip(phi, pasts)))
+            for (count, pasts), times in sites.items()))
+
+
+def _pmf_mp(vec, kmax):
+    """P(eps = k), k = 0..kmax, at (alpha, mu_eps) for Poisson or (alpha,
+    mu_eps, i_eps) for the NB-marginal law, in mpmath: the latter by its
+    three-term recurrence (k+1) g[k+1] = ((c+d) k + nu (d-c)) g[k] - c d
+    (k-1) g[k-1] from g[0] = A**nu."""
+    import mpmath as mp
+
+    if len(vec) == 2:
+        out = [mp.exp(-vec[1])]
+        for k in range(kmax):
+            out.append(out[-1] * vec[1] / (k + 1))
+        return out
+    alpha = vec[0]
+    nu, pi, _ = nb_law_mp(*vec)
+    d = 1 - pi
+    a = 1 - d * (1 - alpha)
+    c = d * alpha / a
+    g = [a**nu, nu * (d - c) * a**nu]
+    for k in range(1, kmax):
+        g.append((((c + d) * k + nu * (d - c)) * g[k] - c * d * (k - 1) * g[k - 1])
+                 / (k + 1))
+    return g[: kmax + 1]
+
+
+def thinning_cells_mp(vec, cells, kmax):
+    """log C and the ratio tables of a likelihood pass at ``cells``, pairs
+    (n, x), for the innovation law at ``vec`` = (alpha, innovation
+    parameters), in mpmath at the caller's working precision.
+
+    C[n, x] = sum_z Bin(z; n, alpha) e[x-z].  Rows: log C; dC/da / C for
+    each a of ``vec``, alpha moving the binomial too; then, for each pair a
+    <= b, sum_z Bin(z; n, alpha) d2e[x-z]/da db / C.  The derivatives of e
+    are central differences of step 1e-15, whose error is about 1e-30.
+    """
+    import mpmath as mp
+
+    q, h = len(vec), mp.mpf("1e-15")
+    vec = [mp.mpf(v) for v in vec]
+    unit = np.eye(q, dtype=int)
+
+    def pmf(*steps):
+        return _pmf_mp([v + h * sum(step[i] for step in steps)
+                        for i, v in enumerate(vec)], kmax)
+
+    base = pmf()
+    plus, minus = [pmf(u) for u in unit], [pmf(-u) for u in unit]
+    first = [[(p - m) / (2 * h) for p, m in zip(plus[a], minus[a])] for a in range(q)]
+    second = []
+    for a in range(q):
+        for b in range(a, q):
+            if a == b:
+                second.append([(p - 2 * e + m) / h**2
+                               for p, e, m in zip(plus[a], base, minus[a])])
+            else:
+                corners = [pmf(sa * unit[a], sb * unit[b])
+                           for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+                second.append([(pp - pm - mp_ + mm) / (4 * h**2)
+                               for pp, pm, mp_, mm in zip(*corners)])
+    alpha, out = vec[0], []
+    for n, x in cells:
+        zs = range(min(n, x) + 1)
+        weights = [mp.binomial(n, z) * alpha**z * (1 - alpha) ** (n - z) for z in zs]
+
+        def thin(series):
+            return mp.fsum(w * series[x - z] for z, w in zip(zs, weights))
+
+        c = thin(base)
+        step = mp.fsum(w * (z / alpha - (n - z) / (1 - alpha)) * base[x - z]
+                       for z, w in zip(zs, weights))
+        rows = [mp.log(c), (thin(first[0]) + step) / c]
+        rows += [thin(series) / c for series in first[1:] + second]
+        out.append([float(row) for row in rows])
+    return np.array(out).T

@@ -411,8 +411,9 @@ class TestCmdFit:
         assert "theta_11" in err[0] and "twice" in err[0]
 
     def test_start_on_the_wall_exits_3(self, tmp_path, capsys):
-        """A grid whose CML start has a site of zero conditional
-        probability ends in one line naming the grid cell, and exit 3."""
+        """A grid with a 400 of all-zero past, whose conditional probability
+        at the CML start is below the float range, fits: exit 0, nothing on
+        stderr, and a converged fit with a finite log-likelihood."""
         values = np.ones((12, 12), dtype=int)
         values[5, 6] = values[6, 5] = values[5, 5] = 0
         values[6, 6] = 400
@@ -420,9 +421,10 @@ class TestCmdFit:
         write_grid(CountGrid(values), path)
         rc = main(["fit", "--grid", str(path), "--order", "1,1",
                    "--method", "cml", "--out", str(tmp_path / "f.json")])
-        assert rc == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "grid cell (6, 6)" in err[0]
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        (cml,) = json.loads((tmp_path / "f.json").read_text())["fits"]
+        assert cml["diagnostics"]["converged"] and np.isfinite(cml["loglik"])
 
     def test_missing_grid_file_exits_2(self, tmp_path, capsys):
         rc = main(["fit", "--grid", str(tmp_path / "none.csv"),

@@ -121,6 +121,17 @@ class TestConditionalPmf:
         with pytest.raises(ValidationError, match="nonnegative integers"):
             conditional_pmf(params, np.array([1.0, 2.5, 0.0]))
 
+    def test_refusal_names_the_past_count_and_the_support(self):
+        """A past of 4090 needs a table of 4091 rows and columns up to the
+        truncated support's end, 4105: refused naming both, the count
+        given and the end."""
+        params = CinarParams(ModelOrder(1, 1), np.array([0.2, 0.2, 0.1]),
+                             PoissonInnovation(1.0))
+        with pytest.raises(ValidationError, match=(
+                r"^count 4090 is too large: its probability table up to the"
+                r" support's end 4105 would exceed 16777216 cells$")):
+            conditional_pmf(params, [4090, 1, 1])
+
 
 class TestConditionalPmfType:
     def test_validates_mass(self):

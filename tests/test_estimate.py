@@ -36,7 +36,8 @@ from _bfgs_oracle import bfgs_fit
 from _cml_oracle import per_site_pass
 from _hessian_oracle import (fd_hessian, observed_information_se,
                              score_difference_hessian)
-from _stats_helpers import lagged_stack, nb_law_mp, nb_pmf_mp, nb_point_mp
+from _stats_helpers import (lagged_stack, nb_law_mp, nb_pmf_mp, nb_point_mp,
+                            poisson_loglik_mp, thinning_cells_mp)
 
 ORDER11 = ModelOrder(1, 1)
 
@@ -292,27 +293,25 @@ class TestCmlLoglik:
 
     def test_zero_probability_sentinel_with_site_report(self):
         """A count of 2000 with an all-zero past has a Poisson(1) probability
-        that underflows to 0: -inf plus a warning naming the grid cell."""
+        of e**-1 / 2000!, far below the float range: the log-form pass
+        gives the finite per-site sum of 60-digit arithmetic, within 1e-12
+        relative, and no warning."""
         values = np.zeros((5, 5), dtype=int)
         values[2, 3] = 2000
         params = _poi([0.2, 0.2, 0.3], 1.0)
-        with pytest.warns(UserWarning, match=r"zero conditional probability;"
-                          r" first at grid cell \(2, 3\)"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             value = cml_loglik(params, CountGrid(values))
-        assert value == -np.inf
+        assert value == pytest.approx(poisson_loglik_mp(params, values), rel=1e-12)
+        assert value < -1e4
 
-    @pytest.mark.parametrize("cells, report", [
-        ([(30, 30)], "1 interior site(s) have zero conditional probability;"
-                     " first at grid cell (30, 30)"),
-        ([(45, 5), (30, 30), (10, 40)], "3 interior site(s) have zero"
-                                        " conditional probability; first at"
-                                        " grid cell (10, 40)"),
-    ])
-    def test_zero_probability_report_counts_sites_of_tuples(self, cells, report):
+    @pytest.mark.parametrize("cells", [[(30, 30)], [(45, 5), (30, 30), (10, 40)]])
+    def test_zero_probability_report_counts_sites_of_tuples(self, cells):
         """A 60x60 grid of 0/1 counts is read as tuples (its key space is
-        0.02 of its sites): a 2 with an all-zero past, whose probability
-        underflows under mu_eps = 1e-200, is reported by site count and by
-        its first grid cell in row-major order, not by tuple."""
+        0.02 of its sites), with 2s of all-zero past, whose probabilities
+        (about 1e-400) underflow under mu_eps = 1e-200: the log-likelihood
+        over the tuples, weighted by their counts, is the per-site sum of
+        60-digit arithmetic within 1e-12 relative."""
         values = np.random.default_rng(8).integers(0, 2, (60, 60))
         for r, c in cells:
             values[r - 1:r + 1, c - 1:c + 1] = 0
@@ -320,10 +319,10 @@ class TestCmlLoglik:
         likelihood = _CmlLikelihood(values, ORDER11)
         assert likelihood.sites.size < likelihood.n_sites / 40
         params = _poi([0.2, 0.2, 0.3], 1e-200)
-        with pytest.warns(UserWarning) as record:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             value = cml_loglik(params, CountGrid(values))
-        assert value == -np.inf
-        assert [str(w.message) for w in record] == [report]
+        assert value == pytest.approx(poisson_loglik_mp(params, values), rel=1e-12)
 
     def test_rejects_invalid_params(self):
         grid = _sim(_poi([0.2, 0.2, 0.2], 1.0), 8, seed=1, burn=20)
@@ -671,7 +670,7 @@ class TestCmlScore:
 
     @pytest.mark.parametrize("family", ["poisson", "nb"])
     def test_fit_uses_few_likelihood_evaluations(self, family, monkeypatch):
-        """A 50x50 fit, standard errors included, builds <= 50 tables.
+        """A 50x50 fit, standard errors included, builds <= 50 log tables.
 
         Finite-difference gradients would need several hundred.
         """
@@ -679,14 +678,13 @@ class TestCmlScore:
                  else _nb([0.2, 0.2, 0.5], 1.0, 2.0))
         grid = _sim(truth, 50, seed=202)
         builds = []
-        build = estimate_module.thinning_convolution_table
+        build = estimate_module.log_thinning_table
 
         def counting(*args, **kwargs):
             builds.append(1)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(estimate_module, "thinning_convolution_table",
-                            counting)
+        monkeypatch.setattr(estimate_module, "log_thinning_table", counting)
         fit = cml_estimate(grid, ORDER11, family=family)
         assert fit.diagnostics.converged and fit.std_errors is not None
         assert len(builds) <= 50
@@ -695,13 +693,13 @@ class TestCmlScore:
 
     @pytest.mark.parametrize("family", ["poisson", "nb"])
     def test_newton_fit_builds_at_most_twelve_tables(self, family, monkeypatch):
-        """A 50x50 fit takes one table build per likelihood pass, at most 12
+        """A 50x50 fit builds one log table per likelihood pass, at most 12
         in all; the standard errors reuse the last Hessian and build none."""
         truth = (_poi([0.3, 0.4, 0.1], 1.0) if family == "poisson"
                  else _nb([0.2, 0.2, 0.5], 1.0, 2.0))
         grid = _sim(truth, 50, seed=202)
         builds, se_builds = [], []
-        build = estimate_module.thinning_convolution_table
+        build = estimate_module.log_thinning_table
         se_from_loglik = estimate_module._se_from_loglik
 
         def counting(*args, **kwargs):
@@ -715,8 +713,7 @@ class TestCmlScore:
             finally:
                 se_builds.append(len(builds) - before)
 
-        monkeypatch.setattr(estimate_module, "thinning_convolution_table",
-                            counting)
+        monkeypatch.setattr(estimate_module, "log_thinning_table", counting)
         monkeypatch.setattr(estimate_module, "_se_from_loglik", watched_se)
         fit = cml_estimate(grid, ORDER11, family=family)
         assert fit.diagnostics.converged and fit.std_errors is not None
@@ -725,12 +722,13 @@ class TestCmlScore:
         assert se_builds == [0]
 
     def test_line_search_across_the_wall_ends_without_warnings(self, monkeypatch):
-        """Trial points of zero likelihood are refused, not differentiated.
+        """Every trial point of the model is evaluated, however small a
+        site's probability.
 
-        A count of 200 with an all-zero past has a probability that
-        underflows to 0 once mu_eps drops below about 1.8; starting at
-        mu_eps = 100 with weak dependence, a trust-region step on the way
-        down steps past that wall.
+        A count of 200 with an all-zero past has a probability below the
+        float range once mu_eps drops below about 1.8; started at mu_eps =
+        100 with weak dependence, the search steps down across that range.
+        No trial point is refused, none warns, and the fit converges.
         """
         values = np.array(_sim(_poi([0.3, 0.4, 0.1], 3.0), 30, seed=3).values)
         values[10, 9] = values[9, 10] = values[9, 9] = 0
@@ -740,47 +738,50 @@ class TestCmlScore:
                          names=("theta_01", "theta_10", "theta_11", "mu_eps"),
                          estimates=np.array([0.1, 0.1, 0.1, 100.0]),
                          admissible=True, diagnostics=FitDiagnostics(0, True))
-        walls = []
+        trials = []
         value_score_hessian = _CmlLikelihood.value_score_hessian
 
         def watched(self, vec):
             loglik, score, hess = value_score_hessian(self, vec)
-            if score is None:
-                walls.append(vec)
+            trials.append((vec[3], score is not None and np.all(np.isfinite(hess))))
             return loglik, score, hess
 
         monkeypatch.setattr(_CmlLikelihood, "value_score_hessian", watched)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            try:
-                fit = cml_estimate(grid, ORDER11, init=init)
-            except NumericalError as exc:
-                assert "grid cell" in str(exc)
-            else:
-                assert fit.diagnostics.converged
-                assert np.isfinite(fit.loglik)
-        assert walls, "no trial point reached the wall"
+            fit = cml_estimate(grid, ORDER11, init=init)
+        assert fit.diagnostics.converged and np.isfinite(fit.loglik)
+        assert all(finite for _, finite in trials)
+        assert min(mu for mu, _ in trials) < 1.8
 
     def test_every_start_on_the_wall_names_the_site(self):
-        """Zero likelihood at the start: a NumericalError locating the site."""
+        """A 400 with an all-zero past: its probability at the CLS start is
+        below the float range, yet the start is evaluated and the fit
+        converges, at the log-likelihood ``cml_loglik`` gives at its
+        estimate."""
         values = np.ones((12, 12), dtype=int)
         values[5, 6] = values[6, 5] = values[5, 5] = 0
         values[6, 6] = 400
-        with pytest.raises(NumericalError, match=r"grid cell \(6, 6\)"):
-            cml_estimate(CountGrid(values), ORDER11)
+        fit = cml_estimate(CountGrid(values), ORDER11)
+        assert fit.diagnostics.converged
+        params = CinarParams(ORDER11, fit.theta, PoissonInnovation(fit.mu_eps))
+        assert fit.loglik == pytest.approx(cml_loglik(params, CountGrid(values)),
+                                           rel=1e-12)
 
     def test_start_on_the_wall_names_the_site_of_a_tuple(self):
         """A 400 in the last cell of a 60x60 0/1 grid is no site's past, so
-        the grid is read as tuples; the refusal still counts and names the
-        site by its grid cell."""
+        the grid is read as tuples; the site's probability at the start is
+        below the float range, and the fit converges at the per-site
+        log-likelihood of 60-digit arithmetic, within 1e-12 relative."""
         values = np.random.default_rng(8).integers(0, 2, (60, 60))
         values[58:, 58:] = 0
         values[59, 59] = 400
         assert _CmlLikelihood(values, ORDER11).sites.size < 3481 / 4
-        with pytest.raises(NumericalError, match=(
-                r"1 interior site\(s\) have zero conditional probability;"
-                r" first at grid cell \(59, 59\)$")):
-            cml_estimate(CountGrid(values), ORDER11)
+        fit = cml_estimate(CountGrid(values), ORDER11)
+        assert fit.diagnostics.converged
+        params = CinarParams(ORDER11, fit.theta, PoissonInnovation(fit.mu_eps))
+        assert fit.loglik == pytest.approx(poisson_loglik_mp(params, values),
+                                           rel=1e-12)
 
 
 def _oracle_case(index):
@@ -817,21 +818,28 @@ class TestTrustRegionAgainstBfgs:
     @pytest.mark.parametrize("seed", range(6))
     def test_boundary_stop_survives_table_rounding(self, seed, monkeypatch):
         """The NB fit of Poisson data that ends at i_eps -> 1 (case 8) gets
-        within 1e-6 of the BFGS supremum when every table entry is moved
-        by one ulp in a seeded random direction: where the boundary
-        search stops does not hang on the tables' last bits."""
+        within 1e-6 of the BFGS supremum when every entry of the log table,
+        the weights and the ratio tables is moved by one ulp in a seeded
+        random direction: where the boundary search stops does not hang on
+        the tables' last bits."""
         grid, order, family = _oracle_case(8)
         _, loglik, _ = bfgs_fit(grid, order, family)
         rng = np.random.default_rng(seed)
-        build = estimate_module.thinning_convolution_table
+        build, ratios = estimate_module.log_thinning_table, estimate_module._derivative_ratios
 
-        def perturbed(*args, **kwargs):
-            tables = build(*args, **kwargs)
+        def perturb(tables):
             towards = np.where(rng.random(tables.shape) < 0.5, -np.inf, np.inf)
-            return np.where(tables == 0.0, 0.0, np.nextafter(tables, towards))
+            np.copyto(tables, np.nextafter(tables, towards), where=tables != 0.0)
+            return tables
 
-        monkeypatch.setattr(estimate_module, "thinning_convolution_table",
-                            perturbed)
+        def perturbed_ratios(table, *args):
+            out = perturb(ratios(table, *args))
+            perturb(table)  # the weights A
+            return out
+
+        monkeypatch.setattr(estimate_module, "log_thinning_table",
+                            lambda *args: perturb(build(*args)))
+        monkeypatch.setattr(estimate_module, "_derivative_ratios", perturbed_ratios)
         fit = cml_estimate(grid, order, family=family)
         assert fit.i_eps < 1.0 + 1e-3
         assert fit.loglik >= loglik - 1e-6
@@ -918,7 +926,7 @@ class TestTuplePass:
                                       "poisson-21-fixed"])
     def test_pass_matches_per_site_reference(self, case):
         """Log-likelihood within 1e-12 relative; score and Hessian within
-        1e-9 of their largest entry."""
+        1e-10 of their largest entry."""
         grid, order, family, free, vec = _tuple_case(case)
         fam = innovation_family(family)
         likelihood = _CmlLikelihood(grid.values, order, fam, lags=free)
@@ -928,8 +936,8 @@ class TestTuplePass:
         want_value, want_score, want_hess = per_site_pass(
             grid.values, order, fam, vec, lags=free)
         assert value == pytest.approx(want_value, rel=1e-12)
-        assert np.max(np.abs(score - want_score)) <= 1e-9 * np.max(np.abs(want_score))
-        assert np.max(np.abs(hess - want_hess)) <= 1e-9 * np.max(np.abs(want_hess))
+        assert np.max(np.abs(score - want_score)) <= 1e-10 * np.max(np.abs(want_score))
+        assert np.max(np.abs(hess - want_hess)) <= 1e-10 * np.max(np.abs(want_hess))
 
     def test_fit_counts_interior_sites(self):
         """The information criteria re-scale over the interior sites, not the
@@ -951,6 +959,85 @@ class TestTuplePass:
         with pytest.raises(ValidationError, match=(
                 r"the grid has 4 interior site\(s\) for 4 free parameters")):
             cml_estimate(CountGrid(np.zeros((3, 3), dtype=int)), ORDER11)
+
+
+def _reference_point(index):
+    """(grid, order, family, vec) of ``_oracle_case(index)``, or of the
+    300x300 Poisson (2,2) grid of the fit-300 benchmark (index "fit-300"),
+    at the data's parameters: the fits' scores are far from zero there."""
+    if index == "fit-300":
+        params = CinarParams(ModelOrder(2, 2), np.full(8, 0.1), PoissonInnovation(5.0))
+        seed = int(np.random.SeedSequence([0, 2]).generate_state(1)[0])
+        return (simulate_cinar(SimConfig(params, 300, 300, seed=seed)),
+                params.order, "poisson", np.append(params.theta, 5.0))
+    grid, order, family = _oracle_case(index)
+    theta = {0: [0.3, 0.4, 0.1], 1: [0.2, 0.2, 0.5], 2: [0.3, 0.4, 0.1],
+             3: [0.2, 0.2, 0.5], 4: [0.1] * 8}[index // 4]
+    extra = [1.0, 2.0] if family == "nb" else [1.0]
+    return grid, order, family, np.array(theta + extra)
+
+
+class TestLogFormPass:
+    """The pass in log and ratio form against independent references."""
+
+    @pytest.mark.parametrize("index", [*range(20), "fit-300"])
+    def test_pass_matches_probability_space_reference(self, index):
+        """On the 20 oracle grids and fit-300's, where no probability
+        underflows, the pass equals ``_cml_oracle``'s probability-space
+        pass, site by site: log-likelihood within 1e-10 relative, score and
+        Hessian within 1e-10 of their largest entry."""
+        grid, order, family, vec = _reference_point(index)
+        fam = innovation_family(family)
+        value, score, hess = _CmlLikelihood(grid.values, order, fam).value_score_hessian(vec)
+        want_value, want_score, want_hess = per_site_pass(grid.values, order, fam, vec)
+        assert value == pytest.approx(want_value, rel=1e-10)
+        assert np.max(np.abs(score - want_score)) <= 1e-10 * np.max(np.abs(want_score))
+        assert np.max(np.abs(hess - want_hess)) <= 1e-10 * np.max(np.abs(want_hess))
+
+    @pytest.mark.parametrize("family, vec", [("poisson", (0.6, 2.0)),
+                                             ("nb", (0.6, 2.0, 3.0))])
+    def test_tables_match_mpmath_at_a_count_of_1000(self, family, vec):
+        """L = log C and every ratio table of a pass, on a table of 1001 x
+        1001 cells, against 60-digit arithmetic at cells across it, where C
+        lies far below the float range (log C down to -5221 and -917): L
+        within 1e-13 relative and each ratio entry within 1e-10 relative
+        (measured 1.3e-15 and 6.8e-12)."""
+        import mpmath as mp
+
+        cells = [(0, 0), (0, 1000), (1000, 0), (1000, 1000), (3, 997), (500, 200),
+                 (700, 900), (999, 1)]
+        law = innovation_family(family).from_params(vec[1:], vec[0])
+        table = estimate_module.log_thinning_table(vec[0], law._log_pmf_table(1000), 1000)
+        at = tuple(np.array(cells).T)
+        got = np.concatenate([table[at][None],
+                              estimate_module._derivative_ratios(table, vec[0], law)[
+                                  (slice(None),) + at]])
+        with mp.workdps(60):
+            want = thinning_cells_mp(vec, cells, 1000)
+        assert want[0].min() < -900
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("count", [200, 300, 500])
+    def test_outlier_grid_fits_as_poisson(self, count):
+        """The seeded 50x50 Poisson (1,1) grid with one cell set to 200, 300
+        or 500: whose probability is far below the float range at every
+        trial point: the Poisson fit converges, with finite standard errors
+        or a stated reason, at the per-site log-likelihood of 60-digit
+        arithmetic."""
+        params = _poi([0.3, 0.3, 0.1], 1.0)
+        values = np.array(simulate_cinar(SimConfig(params, 50, 50, seed=11)).values)
+        values[25, 25] = count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = cml_estimate(CountGrid(values), ORDER11)
+        assert fit.diagnostics.converged and fit.diagnostics.n_fev <= 20
+        if fit.std_errors is None:
+            assert fit.diagnostics.se_error
+        else:
+            assert np.all(np.isfinite(fit.std_errors))
+        fitted = CinarParams(ORDER11, fit.theta, PoissonInnovation(fit.mu_eps))
+        assert fit.loglik == pytest.approx(poisson_loglik_mp(fitted, values), rel=1e-12)
 
 
 class TestFitDiagnostics:

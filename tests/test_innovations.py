@@ -303,10 +303,12 @@ class TestDerivativeSeries:
                                                       (5.0, 3.0, 0.99)])
     def test_nb_alpha_row_at_large_alpha_matches_mpmath(self, mu_eps, i_eps, alpha):
         """At alpha near 1, where P(r) - alpha P(alpha r) cancels by 1 -
-        alpha, h is within 2e-13 and hh within 5e-11 of each array's largest
-        entry of 60-digit differentiation (measured 5.8e-14 and 5.0e-14 for
-        h, 6.7e-13 and 1.3e-11 for hh; the difference quotient gave 1.4e-12
-        and 2.6e-12, 1.6e-11 and 7.0e-10)."""
+        alpha, h is within 2e-15 and hh within 1e-13 of each array's largest
+        entry of 60-digit differentiation: the first derivatives of
+        Q[alpha r, r] are taken from second divided differences (measured
+        1.2e-15 and 1.8e-16 for h, 3.1e-14 and 5.8e-14 for hh; with the
+        quotients by 1 - alpha they were 5.8e-14 and 5.0e-14, 6.7e-13 and
+        1.3e-11)."""
         import mpmath as mp
 
         kmax = 8
@@ -324,8 +326,8 @@ class TestDerivativeSeries:
             want_h = np.array([diff(tuple(unit[a])) for a in range(3)])
             want_hh = np.array([[diff(tuple(unit[a] + unit[b])) for b in range(3)]
                                 for a in range(3)])
-        assert np.abs(h - want_h).max() <= 2e-13 * np.abs(want_h).max()
-        assert np.abs(hh - want_hh).max() <= 5e-11 * np.abs(want_hh).max()
+        assert np.abs(h - want_h).max() <= 2e-15 * np.abs(want_h).max()
+        assert np.abs(hh - want_hh).max() <= 1e-13 * np.abs(want_hh).max()
 
     @pytest.mark.parametrize("law", [
         PoissonInnovation(1.0), NbMarginalInnovation.from_targets(1.0, 2.0, 0.5)],
