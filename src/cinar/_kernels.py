@@ -60,19 +60,24 @@ def thinning_convolution_table(alpha, series, n_max, weights=None):
     return table
 
 
-def log_thinning_table(alpha, log_series, n_max):
-    """L = log C of the table with row 0 exp(``log_series``), to row n_max, by
-    the Pascal rule in log form: L[n, x] = logaddexp(log(1 - alpha) + L[n-1,
+def log_thinning_table(alphas, log_series, n_max):
+    """The stack of tables L = log C, one per thinning probability in
+    ``alphas``, with row 0 exp(``log_series[r]``), to row n_max, by the
+    Pascal rule in log form: L[n, x] = logaddexp(log(1 - alpha) + L[n-1,
     x], log(alpha) + L[n-1, x-1]), run as M[n, x] = logaddexp(M[n-1, x],
-    M[n-1, x-1]) on M = L - n log(1 - alpha) - x log(alpha / (1 - alpha))."""
-    keep, tilt = math.log1p(-alpha), math.log(alpha) - math.log1p(-alpha)
-    columns = tilt * np.arange(len(log_series))
-    table = np.empty((int(n_max) + 1, len(log_series)))
-    np.subtract(log_series, columns, out=table[0])
-    table[:, 0] = table[0, 0]
-    for stay, move, row in zip(table[:-1, 1:], table[:-1, :-1], table[1:, 1:]):
+    M[n-1, x-1]) on M = L - n log(1 - alpha) - x log(alpha / (1 - alpha)).
+    Each table is computed as alone."""
+    keep = np.array([math.log1p(-alpha) for alpha in alphas])
+    columns = ((np.array([math.log(alpha) for alpha in alphas]) - keep)[:, None]
+               * np.arange(log_series.shape[-1]))
+    table = np.empty((len(keep), int(n_max) + 1, log_series.shape[-1]))
+    np.subtract(log_series, columns, out=table[:, 0])
+    table[:, :, 0] = table[:, :1, 0]
+    by_row = table.swapaxes(0, 1)
+    for stay, move, row in zip(by_row[:-1, :, 1:], by_row[:-1, :, :-1],
+                               by_row[1:, :, 1:]):
         np.logaddexp(stay, move, out=row)
-    table += keep * np.arange(int(n_max) + 1)[:, None] + columns
+    table += keep[:, None, None] * np.arange(int(n_max) + 1)[:, None] + columns[:, None]
     return table
 
 

@@ -237,15 +237,20 @@ def cml_loglik(params, grid):
     finite however far below the float range a site's probability lies.
     """
     _validated(params)
-    likelihood = _CmlLikelihood(grid.values, params.order)
+    stack = _Stack([_CmlLikelihood(grid.values, params.order)])
     with np.errstate(over="ignore"):
-        return likelihood.log_probabilities(params.alpha, params.phi,
-                                            params.innovation)[0]
+        return stack.log_probabilities([params.alpha], [params.phi],
+                                       [params.innovation])[0][0]
+
+
+# the most float64 cells (1 GiB) a likelihood pass may hold
+_PASS_CELLS = 2**27
 
 
 class _CmlLikelihood:
     """Conditional log-likelihood of one grid, with its exact score and
-    Hessian, in log and ratio form: the one likelihood path.
+    Hessian, in log and ratio form: the one likelihood path, which a
+    ``_Stack`` of one grid or several runs.
 
     ``_kernels.SiteTuples`` reads the interior sites at the chosen ``lags``
     (indices into the order's lag set, default all) as (x, past) tuples with
@@ -257,8 +262,9 @@ class _CmlLikelihood:
     probability is formed, so every finite likelihood is evaluated.  Sums
     weight each tuple by its count; each table is held once.  L passes
     ``_check_cells``; with an innovation ``family`` (a class, needed only by
-    ``value_score_hessian``), a pass of ``_pass_tables`` tables above 2**27
-    float64 cells (1 GiB) is refused too.  Counts passes in ``n_fev``.
+    ``value_score_hessian``), a pass of ``_pass_tables`` tables above
+    ``_PASS_CELLS`` float64 cells (1 GiB) is refused too.  Counts passes in
+    ``n_fev``.
     """
 
     def __init__(self, values, order, family=None, lags=None):
@@ -267,133 +273,239 @@ class _CmlLikelihood:
         self.n_sites = self.sites.n_sites
         self.n_max, self.x_max = self.sites.n_max, self.sites.x_max
         _check_cells(self.n_max, self.x_max)
-        cells = (self.n_max + 1) * (self.x_max + 1) * _pass_tables(
-            len(self.sites.pasts), 1 + len(family.param_names)) if family else 0
-        if cells > 2**27:
+        self.tables = _pass_tables(len(self.sites.pasts),
+                                   1 + len(family.param_names)) if family else 0
+        cells = (self.n_max + 1) * (self.x_max + 1) * self.tables
+        if cells > _PASS_CELLS:
             raise ValidationError(
                 f"count {max(self.n_max, self.x_max)} is too large for a {family.name}"
                 f" CML fit: a likelihood pass would take {cells / 2**27:.1f} GiB,"
                 " above 1 GiB")
-        self._flat = self.sites.flat(self.x_max + 1)
-        self._site_values = np.empty(self._flat.shape)
+        self.flat = self.sites.flat(self.x_max + 1)
         self.n_fev = 0
 
-    def log_probabilities(self, alpha, phi, innovation):
-        """(loglik, L), a pass's first stage; it leaves c_s exp(L[l_sj, x_s] -
-        log p_s) in the site-value buffer, past the floats only if phi_j = 0."""
-        self.n_fev += 1
-        table = log_thinning_table(alpha, innovation._log_pmf_table(self.x_max),
-                                   self.n_max)
-        values = lag_site_values(table, self._flat, out=self._site_values)
+    def value_score_hessian(self, vec):
+        """(loglik, score, Hessian) at (theta, innovation parameters) ``vec``:
+        a pass of this grid alone, (-inf, None, None) outside the model's
+        domain."""
+        law = _law_at(self.family, vec, self.flat.shape[0])
+        if law is None:
+            return -np.inf, None, None
+        return _Stack([self]).value_score_hessian([vec], [law])[0]
+
+
+def _law_at(family, vec, m):
+    """(alpha, innovation law) at (theta, innovation parameters) ``vec``, or
+    None outside the model's domain: far out in the optimizer's coordinates
+    alpha rounds to 1 or towards 0, where the Hessian's 1/alpha**2
+    overflows; the first innovation parameter is the mean mu_eps, and a
+    larger one builds huge tables."""
+    alpha = float(vec[:m].sum())
+    if not (1e-100 < alpha < 1.0 and vec[m] <= 1e12):
+        return None
+    try:
+        return alpha, family.from_params(vec[m:], alpha)
+    except CinarError:
+        return None
+
+
+class _Stack:
+    """Likelihood passes over the ``_CmlLikelihood`` grids ``members``, of
+    one lag set and family, or over those ``arrange`` keeps, each grid at
+    its own parameter point.
+
+    Their tables lie on a leading axis, padded to the members' largest
+    n_max and x_max; the kept grids' tuples lie end to end, each grid's in
+    ``slices``, with gather indices (``flat``) offset into its own table
+    and bincount indices (``own``) into its unpadded table among the
+    others', in buffers sized once for all members.  The table builds,
+    gathers, log-sum-exp and ``bincount`` run once over the stack.  Every
+    reduction runs on one grid's slice, or on a contiguous copy of its
+    table block, with the shapes of its pass alone, so each grid's results
+    are bit-identical to that pass: a stack of one is it.
+    """
+
+    def __init__(self, members):
+        self.members = members
+        self.n_max = max(member.n_max for member in members)
+        self.width = max(member.x_max for member in members) + 1
+        m, tuples = len(members[0].flat), sum(member.sites.size for member in members)
+        # per tuple, a row per lag (the site values) and, in a pass, one per
+        # innovation parameter and one for alpha (the site scores)
+        family = members[0].family
+        self._rows = m + 1 + (len(family.param_names) if family else 0)
+        self._buffer = np.empty(self._rows * tuples)
+        self._indices = np.empty(2 * m * tuples, dtype=np.intp) if len(members) > 1 else None
+        self.arrange(range(len(members)))
+
+    def arrange(self, keep):
+        """Run the next passes over the members at the indices ``keep``."""
+        self.live = [self.members[r] for r in keep]
+        ends = np.cumsum([member.sites.size for member in self.live]).tolist()
+        self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        ends = np.cumsum([(member.n_max + 1) * (member.x_max + 1)
+                          for member in self.live]).tolist()
+        self.blocks = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        counts = [member.sites.counts for member in self.live]
+        self.counts = counts[0] if len(counts) == 1 else np.concatenate(counts)
+        # a tuple's score row is divided by sqrt(c_s), 1 where no count is above 1
+        self.root = (np.sqrt(self.counts) if any(
+            member.sites.size < member.n_sites for member in self.live) else 1.0)
+        m, tuples = len(self.members[0].flat), self.slices[-1].stop
+        self._site_rows = self._buffer[:self._rows * tuples].reshape(self._rows, tuples)
+        self._site_values = self._site_rows[:m]
+        if self._indices is None:
+            self.flat = self.own = self.members[0].flat
+            return
+        self.flat, self.own = self._indices[:2 * m * tuples].reshape(2, m, tuples)
+        cells = (self.n_max + 1) * self.width
+        for k, (member, at, block) in enumerate(zip(self.live, self.slices, self.blocks)):
+            np.add(member.sites.flat(self.width), k * cells, out=self.flat[:, at])
+            np.add(member.flat, block.start, out=self.own[:, at])
+
+    def log_probabilities(self, alphas, phis, innovations):
+        """([loglik per grid], stacked L), a pass's first stage; it leaves c_s
+        exp(L[l_sj, x_s] - log p_s) in the site-value buffer, past the floats
+        only if phi_j = 0."""
+        series = np.full((len(self.live), self.width), -np.inf)
+        for row, member, innovation in zip(series, self.live, innovations):
+            member.n_fev += 1
+            row[:member.x_max + 1] = innovation._log_pmf_table(member.x_max)
+        table = log_thinning_table(alphas, series, self.n_max)
+        values = lag_site_values(table, self.flat, out=self._site_values)
         # log p_s = top_s + log sum_j phi_j exp(L_sj - top_s), top_s the
         # largest L_sj at a lag of positive weight
-        top = (values.max(axis=0) if phi.all() else
-               np.max(values, axis=0, where=(phi > 0.0)[:, None], initial=-np.inf))
+        if all(phi.all() for phi in phis):
+            top = values.max(axis=0)
+        else:
+            top = np.empty(values.shape[1])
+            for phi, at in zip(phis, self.slices):
+                np.max(values[:, at], axis=0, out=top[at],
+                       where=(phi > 0.0)[:, None], initial=-np.inf)
         values -= top
         np.exp(values, out=values)
-        scaled = phi @ values
+        scaled = np.empty(values.shape[1])
+        for phi, at in zip(phis, self.slices):
+            np.matmul(phi, values[:, at], out=scaled[at])
         top += np.log(scaled)
-        values *= np.divide(self.sites.counts, scaled, out=scaled)
-        return float(np.einsum("s,s->", top, self.sites.counts)), table
+        logliks = [float(np.einsum("s,s->", top[at], member.sites.counts))
+                   for member, at in zip(self.live, self.slices)]
+        values *= np.divide(self.counts, scaled, out=scaled)
+        return logliks, table
 
-    def value_score_hessian(self, vec):
-        """(loglik, score, Hessian) at (theta, innovation parameters).
+    def value_score_hessian(self, vecs, laws):
+        """[(loglik, score, Hessian)], one per grid, at its (theta, innovation
+        parameters) ``vecs[r]``, whose ``_law_at`` is ``laws[r]``.
 
-        One pass; (-inf, None, None) outside the model's domain.  The
-        first-order ratios are contracted with the per-lag weights W_j[n,
+        The first-order ratios are contracted with the per-lag weights W_j[n,
         x], the sum of c_s exp(L_sj - log p_s) over the tuples with l_sj = n
         and x_s = x, and the second-order ones with w = sum_j phi_j W_j; the
         Hessian is H = sum_s grad2 p_s / p_s - sum_s grad p_s grad p_s^T /
         p_s**2, whose second term is the Gram of the per-tuple score.
         """
-        m = self._flat.shape[0]
-        theta, extra = vec[:m], vec[m:]
-        alpha = float(theta.sum())
-        # far out in the optimizer's coordinates alpha rounds to 1 or towards
-        # 0, where the Hessian's 1/alpha**2 overflows; the first innovation
-        # parameter is the mean mu_eps, and a larger one builds huge tables
-        if not (1e-100 < alpha < 1.0 and extra[0] <= 1e12):
-            return -np.inf, None, None
-        try:
-            innovation = self.family.from_params(extra, alpha)
-        except CinarError:
-            return -np.inf, None, None
-        phi = theta / alpha
+        m = self.flat.shape[0]
+        alphas, innovations = zip(*laws)
+        phis = [vec[:m] / alpha for vec, alpha in zip(vecs, alphas)]
         # a ratio or weight beyond the floats makes the Hessian non-finite
         with np.errstate(over="ignore", invalid="ignore"):
-            loglik, table = self.log_probabilities(alpha, phi, innovation)
-            values, counts = self._site_values, self.sites.counts
-            ratios = _derivative_ratios(table, alpha, innovation)
-            q = 1 + extra.size
-            d1, pairs = ratios[:q], ratios[q:]
-            lag_weights = np.empty((m, table.size))
-            for j, rows in enumerate(self._flat):
-                lag_weights[j] = np.bincount(rows, values[j], minlength=table.size)
+            logliks, table = self.log_probabilities(alphas, phis, innovations)
+            values = self._site_values
+            ratios = _derivative_ratios(table, alphas, innovations,
+                                        [member.x_max + 1 for member in self.live])
+            q = vecs[0].size - m + 1
+            lag_weights = np.empty((m, self.blocks[-1].stop))
+            for j, rows in enumerate(self.own):
+                lag_weights[j] = np.bincount(rows, values[j],
+                                             minlength=lag_weights.shape[1])
+            # per grid, from its lag weights W: g[j] and G[a, j] sum the
+            # ratios 1 and dC/da / C over them, and w = phi @ W
+            sums = []
+            for r, (phi, block) in enumerate(zip(phis, self.blocks)):
+                weights = np.ascontiguousarray(lag_weights[:, block])
+                d1 = self._own(ratios[:, :q], r).reshape(q, -1)
+                sums.append((weights.sum(axis=1), d1 @ weights.T, phi @ weights))
+            del lag_weights, weights, d1
+            out = [_table_terms(self._own(ratios, r), self._own(table, r), *sums[r],
+                                alphas[r], phis[r]) for r in range(len(sums))]
+            del sums
 
-            # Score and first Hessian term.  g[j] and G[a, j] sum the ratios
-            # 1 and dC/da / C over the weights c_s C_sj / p_s at lag j, so
-            # d/dphi_j = g[j], d/da = G phi and d/dtheta_k = d/dalpha + (g[k]
-            # - phi.g) / alpha.  With D = dC/dalpha at a site's lags,
-            # d2p/dtheta_k dtheta_l = (D_k + D_l - 2 phi.D) / alpha
-            #   - (C_k + C_l - 2 p) / alpha**2 + phi.d2C/dalpha2, and
-            # d2p/dtheta_k dpsi = (dC/dpsi_k - phi.dC/dpsi) / alpha
-            #   + phi.d2C/dalpha dpsi, each over p_s.
-            g = lag_weights.sum(axis=1)
-            big_g = d1.reshape(q, -1) @ lag_weights.T
-            d_a = big_g @ phi
-            w = phi @ lag_weights
-            del lag_weights
-            # second[a, b] = <d2C/da db / C, w>: the pair ratio (a, b) and, as
-            # alpha also thins, the step of each first-order ratio in row and
-            # column 0, read through the adjoint u of the step, <step R, w> =
-            # <R, u>.  At (0, 0) that counts <step 1, u> twice, not once.
-            pair_w = iter(pairs.reshape(len(pairs), -1) @ w)
-            second = np.empty((q, q))
-            for a in range(q):
-                for b in range(a, q):
-                    second[a, b] = second[b, a] = next(pair_w)
-            u = _step_adjoint(w.reshape(table.shape), table, alpha)
-            del w
-            d1_u = d1.reshape(q, -1) @ u.ravel()
-            second[0] += d1_u
-            second[:, 0] += d1_u
-            second[0, 0] -= _step_adjoint(u, table, alpha).sum()
-            g_phi, big_g_phi = g - phi @ g, big_g - d_a[:, None]
-            score = np.concatenate([d_a[0] + g_phi / alpha, d_a[1:]])
-            hess = np.empty((vec.size, vec.size))
-            hess[:m, :m] = (second[0, 0] + (big_g_phi[0][:, None] + big_g_phi[0])
-                            / alpha - (g_phi[:, None] + g_phi) / alpha**2)
-            hess[:m, m:] = big_g_phi[1:].T / alpha + second[0, 1:]
-            hess[m:, :m] = hess[:m, m:].T
-            hess[m:, m:] = second[1:, 1:]
-
-            # Second term: the Gram of the per-tuple score, from phi_j dC/da
-            # / C gathered lag by lag and weighted by c_s C_sj / p_s, then
-            # divided by sqrt(c_s) so that a tuple's row counts c_s times.
-            site_d1 = np.empty((q, values.shape[1]))
+            # Second term: the Gram of the per-tuple score.  Rows m.. of the
+            # site buffer take phi_j dC/da / C gathered lag by lag and weighted
+            # by c_s C_sj / p_s, a = 0 (alpha) last; every row is divided by
+            # sqrt(c_s) so that a tuple's row counts c_s times.
+            site = self._site_rows
+            phi_tables = np.array(phis)[:, :, None, None]
             gathered = np.empty(values.shape[1])
-            for a, d_table in enumerate(d1):
-                lag_site_values(phi[0] * d_table, self._flat[0], out=site_d1[a])
-                site_d1[a] *= values[0]
+            for a in range(q):
+                row = site[-1] if a == 0 else site[m + a - 1]
+                d_table = ratios[:, a]
+                lag_site_values(phi_tables[:, 0] * d_table, self.flat[0], out=row)
+                row *= values[0]
                 for j in range(1, m):
-                    lag_site_values(phi[j] * d_table, self._flat[j], out=gathered)
-                    site_d1[a] += np.multiply(gathered, values[j], out=gathered)
+                    lag_site_values(phi_tables[:, j] * d_table, self.flat[j],
+                                    out=gathered)
+                    row += np.multiply(gathered, values[j], out=gathered)
+            if isinstance(self.root, np.ndarray):
+                site /= self.root
             # alpha d log p_s / d theta_j = C_sj / p_s - 1 + alpha d log p_s / d alpha
-            root = 1.0
-            if self.sites.size < self.n_sites:  # counts above 1
-                root = np.sqrt(counts, out=gathered)
-                site_d1 /= root
-                values /= root
-            site_d1[0] *= alpha
-            site_d1[0] -= root
-            values += site_d1[0]
-            d_psi = site_d1[1:]
-            hess[:m, :m] -= values @ values.T / alpha**2
-            cross = values @ d_psi.T / alpha
-            hess[:m, m:] -= cross
-            hess[m:, :m] -= cross.T
-            hess[m:, m:] -= d_psi @ d_psi.T
-        return loglik, score, hess
+            for alpha, at in zip(alphas, self.slices):
+                site[-1, at] *= alpha
+            site[-1] -= self.root
+            values += site[-1]
+            for (score, hess), alpha, at in zip(out, alphas, self.slices):
+                lag_rows, d_psi = values[:, at], site[m:-1, at]
+                hess[:m, :m] -= lag_rows @ lag_rows.T / alpha**2
+                cross = lag_rows @ d_psi.T / alpha
+                hess[:m, m:] -= cross
+                hess[m:, :m] -= cross.T
+                hess[m:, m:] -= d_psi @ d_psi.T
+        return [(loglik, score, hess) for loglik, (score, hess) in zip(logliks, out)]
+
+    def _own(self, tables, r):
+        """Grid r's block of the stacked ``tables``, contiguous in its own
+        table shape (a view when nothing is padded)."""
+        member = self.live[r]
+        return np.ascontiguousarray(tables[r, ..., :member.n_max + 1, :member.x_max + 1])
+
+
+def _table_terms(ratios, weights, g, big_g, w, alpha, phi):
+    """(score, first Hessian term) of one grid, from its ``ratios`` (the
+    first-order ones, then the pairs) and its weights A, each contiguous in
+    the grid's own table shape, and the sums g, G and w of its lag weights.
+
+    d/dphi_j = g[j], d/da = G phi and d/dtheta_k = d/dalpha + (g[k] -
+    phi.g) / alpha.  With D = dC/dalpha at a site's lags, d2p/dtheta_k
+    dtheta_l = (D_k + D_l - 2 phi.D) / alpha - (C_k + C_l - 2 p) / alpha**2
+    + phi.d2C/dalpha2, and d2p/dtheta_k dpsi = (dC/dpsi_k - phi.dC/dpsi) /
+    alpha + phi.d2C/dalpha dpsi, each over p_s.
+    """
+    (q, m), pairs = big_g.shape, ratios[len(big_g):]
+    d1 = ratios[:q]
+    d_a = big_g @ phi
+    # second[a, b] = <d2C/da db / C, w>: the pair ratio (a, b) and, as
+    # alpha also thins, the step of each first-order ratio in row and
+    # column 0, read through the adjoint u of the step, <step R, w> =
+    # <R, u>.  At (0, 0) that counts <step 1, u> twice, not once.
+    pair_w = iter(pairs.reshape(len(pairs), -1) @ w)
+    second = np.empty((q, q))
+    for a in range(q):
+        for b in range(a, q):
+            second[a, b] = second[b, a] = next(pair_w)
+    w = w.reshape(weights.shape)
+    u = _step_adjoint(w, weights, alpha)
+    d1_u = d1.reshape(q, -1) @ u.ravel()
+    second[0] += d1_u
+    second[:, 0] += d1_u
+    second[0, 0] -= _step_adjoint(u, weights, alpha, out=w).sum()
+    g_phi, big_g_phi = g - phi @ g, big_g - d_a[:, None]
+    score = np.concatenate([d_a[0] + g_phi / alpha, d_a[1:]])
+    hess = np.empty((m + q - 1, m + q - 1))
+    hess[:m, :m] = (second[0, 0] + (big_g_phi[0][:, None] + big_g_phi[0])
+                    / alpha - (g_phi[:, None] + g_phi) / alpha**2)
+    hess[:m, m:] = big_g_phi[1:].T / alpha + second[0, 1:]
+    hess[m:, :m] = hess[:m, m:].T
+    hess[m:, m:] = second[1:, 1:]
+    return score, hess
 
 
 def _pass_tables(m, q):
@@ -403,12 +515,13 @@ def _pass_tables(m, q):
     return (1 + q + q * (q + 1) // 2) + m + 1
 
 
-def _step_adjoint(w, weights, alpha):
+def _step_adjoint(w, weights, alpha, out=None):
     """The adjoint u, <step R, w> = <R, u>, of the alpha step of a ratio
     table, step R = n (R[n-1, x-1] (1 - A) / alpha - R[n-1, x] A / (1 -
     alpha)), the ratio to C of d(R C)/dalpha by thinning, with the
-    ``weights`` A; it overwrites ``w``."""
-    u = np.zeros_like(w)
+    ``weights`` A, written to ``out`` if given; it overwrites ``w``."""
+    u = np.empty_like(w) if out is None else out
+    u[-1] = 0.0
     w[1:] *= np.arange(1, w.shape[0])[:, None]
     np.multiply(w[1:], weights[1:], out=u[:-1])
     w[1:] -= u[:-1]
@@ -417,40 +530,75 @@ def _step_adjoint(w, weights, alpha):
     return u
 
 
-def _derivative_ratios(table, alpha, innovation):
-    """The ratio tables of a pass, from L = ``table``, which it overwrites
-    with the weights A = (1 - alpha) C[n-1, x] / C[n, x].
+def _derivative_ratios(table, alphas, innovations, widths):
+    """The ratio tables of a pass, from the stacked L = ``table`` (grid, n,
+    x), which it overwrites with the weights A = (1 - alpha) C[n-1, x] /
+    C[n, x]; grid r has thinning probability ``alphas[r]``, innovation law
+    ``innovations[r]`` and ``widths[r]`` columns of its own, the rest
+    padding.
 
     The innovation PMF e moves as de/da = e * h_a and d2e/da da' = e * (h_a
     * h_a' + hh_aa'), (h, hh) its ``derivative_series``; thinning commutes
     with convolution, so the tables are sum_k s[k] C[n, x-k] / C[n, x], by
     Horner's rule in exp(L[n, x-1] - L[n, x]) over every row where the
     series end by k = 2 (Poisson: fewer calls than thinning), else over row
-    0, thinned by A and 1 - A.  Returns dC/da / C, a = (alpha, *param_names),
-    the first with alpha's step n ((1 - A) / alpha - A / (1 - alpha)), then
-    d2C/da db / C less that step, for a <= b.
+    0, thinned by A and 1 - A.  A grid's series, where they end and so its
+    rule are taken at its own width, as in its pass alone.  Returns, per
+    grid, dC/da / C, a = (alpha, *param_names), the first with alpha's step
+    n ((1 - A) / alpha - A / (1 - alpha)), then d2C/da db / C less that
+    step, for a <= b.
     """
-    h, hh = innovation.derivative_series(table.shape[1] - 1)
-    q, width = h.shape
-    series = np.vstack([h] + [np.convolve(h[a], h[b])[:width] + hh[a, b]
-                              for a in range(q) for b in range(a, q)])
-    last = np.flatnonzero(series.any(axis=0)).max(initial=0)
-    rows = table.shape[0] if last <= 2 else 1
-    ratios = np.zeros((len(series), rows, width))
-    back = np.exp(table[:rows, :-1] - table[:rows, 1:])
-    for k in range(last, -1, -1):
-        ratios[..., k + 1:] *= back[:, :width - k - 1]
-        ratios[..., k:] += series[:, None, k:k + 1]
+    stack, rows, width = table.shape
+    series, last = None, []
+    for r, (innovation, own) in enumerate(zip(innovations, widths)):
+        h, hh = innovation.derivative_series(own - 1)
+        q = h.shape[0]
+        own_series = np.vstack([h] + [np.convolve(h[a], h[b])[:own] + hh[a, b]
+                                      for a in range(q) for b in range(a, q)])
+        if series is None:
+            series = np.zeros((stack, len(own_series), width))
+        series[r, :, :own] = own_series
+        last.append(np.flatnonzero(own_series.any(axis=0)).max(initial=0))
+    horner = []
+    for over_rows in (True, False):
+        # Horner's rule over every row for the grids whose series end by k = 2
+        grids = [r for r, end in enumerate(last) if (end <= 2) == over_rows]
+        if not grids:
+            continue
+        at = slice(None) if len(grids) == stack else np.array(grids)
+        ends = [last[r] for r in grids]
+        n_rows = rows if over_rows else 1
+        back = np.exp(table[at, :n_rows, :-1] - table[at, :n_rows, 1:])
+        part = np.zeros((len(grids), series.shape[1], n_rows, width))
+        for k in range(max(ends), -1, -1):
+            step = back[:, None, :, :width - k - 1]
+            if k > min(ends):  # a grid whose series end before k takes no step
+                np.multiply(part[..., k + 1:], step, out=part[..., k + 1:],
+                            where=(np.array(ends) >= k)[:, None, None, None])
+            else:
+                part[..., k + 1:] *= step
+            part[..., k:] += series[at, :, None, k:k + 1]
+        horner.append((at, part, not over_rows))
+    alpha = np.array(alphas)[:, None, None]
     move = np.zeros_like(table)
-    move[1:, 1:] = np.exp(table[:-1, :-1] - table[1:, 1:] + np.log(alpha))
-    table[1:] = np.exp(table[:-1] - table[1:] + np.log1p(-alpha))
-    table[:, 0] = 1.0
-    if rows == 1:
-        ratios = thinning_convolution_table(alpha, ratios[:, 0], len(table) - 1,
-                                            (table, move[:, 1:]))
+    move[:, 1:, 1:] = np.exp(table[:, :-1, :-1] - table[:, 1:, 1:] + np.log(alpha))
+    table[:, 1:] = np.exp(table[:, :-1] - table[:, 1:] + np.log1p(-alpha))
+    table[:, :, 0] = 1.0
+    # one rule for every grid fills the ratios in place; two fill one each
+    ratios = None if len(horner) == 1 else np.empty((stack, series.shape[1], rows, width))
+    for at, part, thin in horner:
+        if thin:
+            part = thinning_convolution_table(
+                None, part[:, :, 0], rows - 1,
+                (table[at].swapaxes(0, 1)[:, :, None],
+                 move[at, :, 1:].swapaxes(0, 1)[:, :, None]))
+        if ratios is None:
+            ratios = part
+        else:
+            ratios[at] = part
     move /= alpha
     move -= table / (1.0 - alpha)
-    ratios[0] += move * np.arange(len(table))[:, None]
+    ratios[:, 0] += move * np.arange(rows)[:, None]
     return ratios
 
 
@@ -473,13 +621,13 @@ def _natural(v, m):
                            v[m + 1:]]), one_minus
 
 
-def _box_point(likelihood, v, m):
+def _box_point(result, vec, one_minus, m):
     """(loglik, score, Hessian, natural vector, natural Hessian) at the box
-    point ``v``, or None where any is not finite: theta = (1 - alpha) w
+    point whose ``_natural`` is (``vec``, ``one_minus``), from the pass
+    ``result`` there, or None where any is not finite: theta = (1 - alpha) w
     moves by (1 - alpha) (I - theta 1^T) dw, with curvature (1 - alpha)**2
     (2 g.theta - g_i - g_j), and mu_eps = e^v by mu_eps dv, with g mu_eps."""
-    vec, one_minus = _natural(v, m)
-    loglik, score, hess = likelihood.value_score_hessian(vec)
+    loglik, score, hess = result
     if score is None or not np.all(np.isfinite(hess)):
         return None
     theta, g = vec[:m], score[:m]
@@ -513,10 +661,13 @@ def _trust_step(lam, vecs, gq, radius):
     return vecs @ (gq / (lam + shift)), True
 
 
-def _box_search(likelihood, v, point, lo, m):
-    """The search of ``cml_estimate`` from ``v``, at ``_box_point``
-    ``point``, over the box v >= ``lo``: (last accepted point, mask held on
-    a bound, largest scaled projected score, trial points, stop reason)."""
+def _box_search(v, lo, m):
+    """The search of ``cml_estimate`` from ``v`` over the box v >= ``lo``, as
+    a generator: it yields each point it needs evaluated, ``v`` first, is
+    sent back its ``_box_point`` (None where that is not finite), and
+    returns (last accepted point, mask held on a bound, largest scaled
+    projected score, trial points, stop reason)."""
+    point = yield v
     on_bound = np.where(np.arange(v.size) < m, _W_FLOOR, lo)
     radius, n_iter, fresh = _RADIUS0, 0, True
     while True:
@@ -547,7 +698,7 @@ def _box_search(likelihood, v, point, lo, m):
             trial[np.argmax(grad[:m])] = _W_FLOOR
         s = trial - v
         gain = grad @ s + 0.5 * s @ hess @ s
-        new = _box_point(likelihood, trial, m) if gain > 0.0 else None
+        new = (yield trial) if gain > 0.0 else None
         rho = -np.inf if new is None else (new[0] - loglik) / gain
         if rho < 0.25:
             radius *= 0.25
@@ -559,6 +710,33 @@ def _box_search(likelihood, v, point, lo, m):
             message = "trust radius below the rounding of the point"
             break
     return point, held, grad_norm, n_iter, message
+
+
+def _lockstep(likelihoods, starts, lo, m):
+    """``_box_search`` over each likelihood from its start, in lockstep: a
+    round evaluates every search's pending point in one ``_Stack`` pass of
+    the grids whose point lies in the model's domain, and sends each its
+    ``_box_point``.  Returns the searches' results, in order."""
+    searches = [_box_search(v, lo, m) for v in starts]
+    pending = {r: next(search) for r, search in enumerate(searches)}
+    results, live, stack = [None] * len(searches), list(pending), _Stack(likelihoods)
+    while pending:
+        natural = {r: _natural(v, m) for r, v in pending.items()}
+        laws = {r: _law_at(likelihoods[r].family, natural[r][0], m) for r in pending}
+        now = [r for r in pending if laws[r] is not None]
+        if now and now != live:
+            live = now
+            stack.arrange(now)
+        passes = dict(zip(now, stack.value_score_hessian(
+            [natural[r][0] for r in now], [laws[r] for r in now]))) if now else {}
+        for r in list(pending):
+            point = _box_point(passes.get(r, (-np.inf, None, None)), *natural[r], m)
+            try:
+                pending[r] = searches[r].send(point)
+            except StopIteration as stop:
+                results[r] = stop.value
+                del pending[r]
+    return results
 
 
 def _moment_dispersion(grid, alpha):
@@ -650,25 +828,74 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
     ``("theta_11",)`` or ``[(1, 1)]``: they leave the free parameters and
     the information criteria, and carry zero standard error.
     """
+    fit, = _cml_fits([grid], order, family, [init], fix_zero)
+    if isinstance(fit, CinarError):
+        raise fit
+    return fit
+
+
+def _cml_fits(grids, order, family="poisson", inits=None, fix_zero=()):
+    """``cml_estimate`` of each of ``grids`` (from ``inits[r]``, default
+    None), per grid its FitResult or the CinarError that refused it.
+
+    The searches run in ``_lockstep``, in runs of consecutive grids cut
+    where a pass would hold more than ``_PASS_CELLS`` float64 cells: its
+    tables, ``_pass_tables`` padded tables per grid and one more set for
+    the grid whose block is copied out, and its per-tuple arrays, 3 m + q
+    + 5 per tuple for m lags and q - 1 innovation parameters.  A grid's
+    fit does not depend on the others: it is bit-identical to that of the
+    grid alone.
+    """
     family = innovation_family(family)
     m = order.n_lags
     fixed_idx = _parse_fix_zero(fix_zero, order)
     free_idx = np.array([k for k in range(m) if k not in fixed_idx], dtype=int)
     m_free = free_idx.size
-    likelihood = _CmlLikelihood(grid.values, order, family, lags=free_idx)
     n_free = m_free + len(family.param_names)
-    if likelihood.n_sites <= n_free:
-        raise ValidationError(
-            "CML needs more interior sites than free parameters: the grid has"
-            f" {likelihood.n_sites} interior site(s) for {n_free} free parameters")
     names = tuple(order.theta_names()[k] for k in free_idx) + family.param_names
     lower = np.concatenate([np.zeros(m_free), family.lower_bounds])
     lo = np.where(np.arange(lower.size) == m_free, -np.inf, lower)  # log mu_eps
 
-    theta0, extra0 = _initial_point(grid, order, family, init)
-    v = _box_start(theta0[free_idx], extra0, lo)
-    point, held, grad_norm, n_iter, message = _box_search(
-        likelihood, v, _box_point(likelihood, v, m_free), lo, m_free)
+    fits, runs, n_max, x_max, tuples = [None] * len(grids), [[]], 0, 0, 0
+    for r, (grid, init) in enumerate(zip(grids, inits or [None] * len(grids))):
+        try:
+            likelihood = _CmlLikelihood(grid.values, order, family, lags=free_idx)
+            if likelihood.n_sites <= n_free:
+                raise ValidationError(
+                    "CML needs more interior sites than free parameters: the grid"
+                    f" has {likelihood.n_sites} interior site(s) for {n_free} free"
+                    " parameters")
+            theta0, extra0 = _initial_point(grid, order, family, init)
+        except CinarError as exc:
+            fits[r] = exc
+            continue
+        n_max, x_max = max(n_max, likelihood.n_max), max(x_max, likelihood.x_max)
+        tuples += likelihood.sites.size
+        cells = ((n_max + 1) * (x_max + 1) * likelihood.tables * (len(runs[-1]) + 2)
+                 + (3 * m_free + len(family.param_names) + 6) * tuples)
+        if runs[-1] and cells > _PASS_CELLS:
+            runs.append([])
+            n_max, x_max = likelihood.n_max, likelihood.x_max
+            tuples = likelihood.sites.size
+        runs[-1].append((r, likelihood, _box_start(theta0[free_idx], extra0, lo)))
+
+    for run in filter(None, runs):
+        outcomes = _lockstep([likelihood for _, likelihood, _ in run],
+                             [v for _, _, v in run], lo, m_free)
+        for (r, likelihood, _), outcome in zip(run, outcomes):
+            try:
+                fits[r] = _cml_result(grids[r], order, family, likelihood, outcome,
+                                      free_idx, names, lower, lo)
+            except CinarError as exc:
+                fits[r] = exc
+    return fits
+
+
+def _cml_result(grid, order, family, likelihood, outcome, free_idx, names,
+                lower, lo):
+    """The FitResult of a finished ``_box_search``, whose result is ``outcome``."""
+    point, held, grad_norm, n_iter, message = outcome
+    m, m_free = order.n_lags, free_idx.size
     loglik_max, _, _, vec_free, hess_nat = point
     at_bounds = tuple(names[i] for i in np.flatnonzero(held))
     theta, extra = np.zeros(m), vec_free[m_free:]

@@ -7,6 +7,12 @@ keys, which makes the seed stream independent of scheduling: results are
 identical for any ``threads`` setting, and replication ``r`` sees the
 same seed whether run alone or inside a sweep.
 
+Replications run in contiguous runs, one per worker.  Within a run, each
+grid's CLS fit at an order serves the ``cls`` arm and starts the CML arms
+at that order, and a CML arm fits the run's grids in lockstep: their
+searches advance together, one stacked likelihood pass per round, and
+each fit is bit-identical to ``cml_estimate`` on its grid.
+
 An arm tag names the estimator plus optional twists, e.g.::
 
     "cml"      conditional maximum likelihood at the data-generating order
@@ -29,9 +35,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import CinarError, ValidationError
-from .estimate import cls_estimate, cml_estimate, yw_estimate
+from .estimate import FitResult, _cml_fits, cls_estimate, yw_estimate
 from .model import ModelOrder, _validated, _whole
 from .simulate import SimConfig, simulate_cinar
+
+# the most grid cells (128 MiB of int64) a run of replications holds at once
+_RUN_CELLS = 2**24
 
 __all__ = [
     "StudyArm",
@@ -109,34 +118,56 @@ def replication_seed(master_seed, rep):
     return int(sequence.generate_state(1, dtype=np.uint64)[0])
 
 
-def _one_rep(task):
-    """Simulate one grid and fit every arm to it; top-level for process pools."""
-    params, n1, n2, burn_in, arms, seed = task
-    grid = simulate_cinar(SimConfig(params, n1=n1, n2=n2, burn_in=burn_in,
-                                    seed=seed))
-    results = []
+def _attempt(estimator, grid, order):
+    """The estimator's fit of ``grid``, or the CinarError that refused it."""
+    try:
+        return estimator(grid, order)
+    except CinarError as exc:
+        return exc
+
+
+def _run_chunk(task):
+    """Simulate a run of replications and fit every arm to each grid;
+    top-level for process pools.
+
+    Each grid's CLS fit at an order serves the ``cls`` arm and starts every
+    CML arm at that order (its YW fit when CLS fails, as in ``cml_estimate``).
+    A CML arm fits the run's grids in lockstep (``estimate._cml_fits``),
+    each bit-identical to its fit alone.  Returns, per replication, one
+    (names, estimates, converged) per arm, a failed fit holding its reason
+    where the estimates would be.
+    """
+    params, n1, n2, burn_in, arms, seeds = task
+    grids = [simulate_cinar(SimConfig(params, n1=n1, n2=n2, burn_in=burn_in,
+                                      seed=seed)) for seed in seeds]
+    cls_fits = {}
+    columns = []
     for arm in arms:
         order = arm.order if arm.order is not None else params.order
-        try:
-            if arm.method == "yw":
-                fit = yw_estimate(grid, order)
-            elif arm.method == "cls":
-                fit = cls_estimate(grid, order)
-            else:
-                family = arm.family or getattr(params.innovation, "name", None)
-                if family is None:
-                    raise ValidationError(
-                        f"arm {arm.label!r} needs an explicit innovation family"
-                        " for this data-generating process"
-                    )
-                fit = cml_estimate(grid, order, family=family)
-            results.append((fit.names, tuple(float(v) for v in fit.estimates),
-                            fit.diagnostics.converged))
-        except CinarError as exc:
+        if order not in cls_fits and arm.method != "yw":
+            cls_fits[order] = [_attempt(cls_estimate, grid, order) for grid in grids]
+        family = arm.family or getattr(params.innovation, "name", None)
+        if arm.method == "yw":
+            fits = [_attempt(yw_estimate, grid, order) for grid in grids]
+        elif arm.method == "cls":
+            fits = cls_fits[order]
+        elif family is None:
+            fits = [ValidationError(
+                f"arm {arm.label!r} needs an explicit innovation family"
+                " for this data-generating process")] * len(grids)
+        else:
+            # cml_estimate's start: the CLS fit, else the YW fit, else its own
+            starts = [fit if isinstance(fit, FitResult) else _attempt(yw_estimate, grid, order)
+                      for fit, grid in zip(cls_fits[order], grids)]
+            fits = _cml_fits(grids, order, family, [
+                start if isinstance(start, FitResult) else None for start in starts])
+        columns.append([
+            (fit.names, tuple(float(v) for v in fit.estimates), fit.diagnostics.converged)
+            if isinstance(fit, FitResult)
             # a failed fit holds its reason where the estimates would be
-            reason = f"{type(exc).__name__}: {str(exc).split(':')[0]}"
-            results.append((None, reason, True))
-    return results
+            else (None, f"{type(fit).__name__}: {str(fit).split(':')[0]}", True)
+            for fit in fits])
+    return [list(rep) for rep in zip(*columns)]
 
 
 def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
@@ -144,8 +175,13 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
 
     ``sizes`` is a sequence of (n1, n2) pairs; ``arms`` a sequence of
     StudyArm (or tags accepted by parse_arm); ``reps`` replications per
-    size.  Deterministic for a fixed master seed regardless of
-    ``threads``.  Every input is checked before any replication starts.
+    size.  Each size's replications are split into min(threads, reps)
+    contiguous runs, more where a run would hold over ``_RUN_CELLS`` grid
+    cells; a run's CML arms fit its grids in lockstep, and with ``threads``
+    > 1 a process pool of at most ``threads`` workers takes one run each.
+    Deterministic for a fixed master seed regardless of ``threads``: every
+    fit is the one of its grid alone.  Every input is checked before any
+    replication starts.
     """
     _validated(params)
     burn_in = _whole(burn_in, "burn_in", 0)
@@ -159,20 +195,25 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
     if not sizes:
         raise ValidationError("at least one grid size is required")
 
-    tasks = [
-        (params, n1, n2, burn_in, arms, replication_seed(master_seed, rep))
-        for n1, n2 in sizes
-        for rep in range(reps)
-    ]
+    seeds = [replication_seed(master_seed, rep) for rep in range(reps)]
+    tasks = []
+    for n1, n2 in sizes:
+        # min(threads, reps) contiguous runs, cut to at most _RUN_CELLS grid
+        # cells, which a run simulates before it fits them
+        runs = max(min(threads, reps), -(-reps * n1 * n2 // _RUN_CELLS))
+        bounds = [reps * k // runs for k in range(runs + 1)]
+        tasks += [(params, n1, n2, burn_in, arms, seeds[a:b])
+                  for a, b in zip(bounds, bounds[1:]) if a < b]
     threads = min(threads, len(tasks))  # a pool starts all its workers at once
     if threads == 1:
-        outcomes = [_one_rep(task) for task in tasks]
+        chunks = [_run_chunk(task) for task in tasks]
     else:
         # imported here: it loads multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_one_rep, tasks, chunksize=1))
+            chunks = list(pool.map(_run_chunk, tasks, chunksize=1))
+    outcomes = [rep for chunk in chunks for rep in chunk]
 
     results = []
     for s, (n1, n2) in enumerate(sizes):

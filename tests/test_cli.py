@@ -860,6 +860,31 @@ class TestSimstudy:
         assert asked == [2]
         assert tables[0] == tables[1]
 
+    @pytest.mark.parametrize("arm, family", [("cml", "poisson"), ("n-cml", "nb")])
+    def test_cml_arm_passes_serve_every_replication(self, monkeypatch, arm,
+                                                    family):
+        """A CML arm of 4 replications builds as many log tables as its
+        slowest replication's n_fev, not their sum: each likelihood pass
+        serves every replication still searching."""
+        import cinar.estimate as estimate_module
+
+        params = CinarParams(ModelOrder(1, 1), np.array([0.15, 0.15, 0.1]),
+                             PoissonInnovation(1.0))
+        n_fev = [cml_estimate(simulate_cinar(SimConfig(
+            params, 20, 20, burn_in=100, seed=replication_seed(5, rep))),
+            ModelOrder(1, 1), family=family).diagnostics.n_fev for rep in range(4)]
+        builds = []
+        build = estimate_module.log_thinning_table
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(estimate_module, "log_thinning_table", counting)
+        result, = run_study(params, [(20, 20)], [arm], reps=4, master_seed=5)
+        assert result.n_reps == 4
+        assert len(builds) == max(n_fev) < sum(n_fev)
+
     def test_same_grid_shared_across_arms(self):
         """All arms of one replication see the same simulated grid."""
         params = CinarParams(ModelOrder(1, 1), np.array([0.15, 0.15, 0.1]),
@@ -889,17 +914,20 @@ class TestSimstudy:
 
         calls = []
 
-        def stuck(grid, order, family="poisson", **kwargs):
-            calls.append(1)
-            return FitResult(
-                method="CML",
-                names=("theta_01", "theta_10", "theta_11", "mu_eps"),
-                estimates=np.array([0.1, 0.2, 0.1, 1.0 + len(calls)]),
-                admissible=True,
-                diagnostics=FitDiagnostics(n_iter=500, converged=False),
-            )
+        def stuck(grids, order, family="poisson", inits=None):
+            fits = []
+            for _ in grids:
+                calls.append(1)
+                fits.append(FitResult(
+                    method="CML",
+                    names=("theta_01", "theta_10", "theta_11", "mu_eps"),
+                    estimates=np.array([0.1, 0.2, 0.1, 1.0 + len(calls)]),
+                    admissible=True,
+                    diagnostics=FitDiagnostics(n_iter=500, converged=False),
+                ))
+            return fits
 
-        monkeypatch.setattr(simstudy, "cml_estimate", stuck)
+        monkeypatch.setattr(simstudy, "_cml_fits", stuck)
         params = CinarParams(ModelOrder(1, 1), np.array([0.15, 0.15, 0.1]),
                              PoissonInnovation(1.0))
         cml, cls = run_study(params, [(12, 12)], ["cml", "cls"], reps=3,

@@ -568,7 +568,9 @@ class TestCmlScore:
         v = np.array([0.22, 0.18, 0.45, np.log(1.1), 2.3])
 
         def in_box(u):
-            return estimate_module._box_point(likelihood, u, 3)[:3]
+            vec, one_minus = estimate_module._natural(u, 3)
+            return estimate_module._box_point(likelihood.value_score_hessian(vec),
+                                              vec, one_minus, 3)[:3]
 
         _, grad, hess = in_box(v)
         want = _central_diff(lambda u: in_box(u)[0], v)
@@ -739,14 +741,15 @@ class TestCmlScore:
                          estimates=np.array([0.1, 0.1, 0.1, 100.0]),
                          admissible=True, diagnostics=FitDiagnostics(0, True))
         trials = []
-        value_score_hessian = _CmlLikelihood.value_score_hessian
+        value_score_hessian = estimate_module._Stack.value_score_hessian
 
-        def watched(self, vec):
-            loglik, score, hess = value_score_hessian(self, vec)
-            trials.append((vec[3], score is not None and np.all(np.isfinite(hess))))
-            return loglik, score, hess
+        def watched(self, vecs, laws):
+            out = value_score_hessian(self, vecs, laws)
+            trials.extend((vec[3], np.all(np.isfinite(hess)))
+                          for vec, (_, _, hess) in zip(vecs, out))
+            return out
 
-        monkeypatch.setattr(_CmlLikelihood, "value_score_hessian", watched)
+        monkeypatch.setattr(estimate_module._Stack, "value_score_hessian", watched)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = cml_estimate(grid, ORDER11, init=init)
@@ -1007,10 +1010,12 @@ class TestLogFormPass:
         cells = [(0, 0), (0, 1000), (1000, 0), (1000, 1000), (3, 997), (500, 200),
                  (700, 900), (999, 1)]
         law = innovation_family(family).from_params(vec[1:], vec[0])
-        table = estimate_module.log_thinning_table(vec[0], law._log_pmf_table(1000), 1000)
+        table = estimate_module.log_thinning_table(
+            [vec[0]], law._log_pmf_table(1000)[None], 1000)
         at = tuple(np.array(cells).T)
-        got = np.concatenate([table[at][None],
-                              estimate_module._derivative_ratios(table, vec[0], law)[
+        got = np.concatenate([table[0][at][None],
+                              estimate_module._derivative_ratios(
+                                  table, [vec[0]], [law], [1001])[0][
                                   (slice(None),) + at]])
         with mp.workdps(60):
             want = thinning_cells_mp(vec, cells, 1000)
@@ -1180,6 +1185,76 @@ def _edge_fit_case(draw):
     cap = draw(st.integers(0, 500))
     grid = CountGrid(np.minimum(simulate_cinar(config).values, cap))
     return grid, order, draw(st.sampled_from(["poisson", "nb"]))
+
+
+def _assert_same_fit(got, want):
+    """Two CML fits agree bit for bit, diagnostics included."""
+    assert got.names == want.names and got.admissible == want.admissible
+    assert got.estimates.tobytes() == want.estimates.tobytes()
+    assert (got.std_errors is None) == (want.std_errors is None)
+    if want.std_errors is not None:
+        assert got.std_errors.tobytes() == want.std_errors.tobytes()
+    assert np.array([got.loglik, got.aic, got.bic]).tobytes() == np.array(
+        [want.loglik, want.aic, want.bic]).tobytes()
+    assert got.diagnostics == want.diagnostics
+
+
+class TestLockstepFits:
+    """``_cml_fits`` runs the searches of several grids in lockstep, one
+    stacked pass per round; each fit is the grid's ``cml_estimate``."""
+
+    # (n, mu_eps, seed): grids of different n_max and x_max
+    GRIDS = [(20, 0.5, 1), (25, 1.0, 2), (30, 2.0, 3), (18, 3.0, 4), (22, 1.5, 5)]
+
+    @staticmethod
+    def _grids(family, order, count):
+        out = []
+        for n, mu, seed in TestLockstepFits.GRIDS[:count]:
+            theta = np.full(order.n_lags, 0.5 / order.n_lags)
+            law = (PoissonInnovation(mu) if family == "poisson" else
+                   NbMarginalInnovation.from_targets(mu, 2.0, theta.sum()))
+            out.append(_sim(CinarParams(order, theta, law), n, seed))
+        return out
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("family, order", [
+        ("poisson", ORDER11), ("poisson", ModelOrder(2, 2)), ("nb", ORDER11)])
+    def test_batch_fits_are_the_fits_alone(self, family, order, count):
+        grids = self._grids(family, order, count)
+        shapes = {(_CmlLikelihood(g.values, order).n_max,
+                   _CmlLikelihood(g.values, order).x_max) for g in grids}
+        assert len(shapes) == count
+        fits = estimate_module._cml_fits(grids, order, family)
+        for grid, fit in zip(grids, fits):
+            _assert_same_fit(fit, cml_estimate(grid, order, family=family))
+
+    @pytest.mark.parametrize("family", ["poisson", "nb"])
+    def test_grids_of_both_ratio_rules_in_one_batch(self, family):
+        """An NB grid whose counts end at 2 takes Horner's rule over every
+        row, the others thin row 0: in one batch each keeps its own rule."""
+        sparse = CountGrid(np.random.default_rng(3).integers(0, 3, (12, 12)))
+        grids = self._grids(family, ORDER11, 2)
+        grids.insert(1, sparse)
+        fits = estimate_module._cml_fits(grids, ORDER11, family)
+        for grid, fit in zip(grids, fits):
+            _assert_same_fit(fit, cml_estimate(grid, ORDER11, family=family))
+
+    def test_refused_and_long_fits_in_one_batch(self):
+        """A 2x2 grid is refused with cml_estimate's reason, and a 6x6 grid
+        of 5s takes 41 passes, the others dropping out of the rounds one by
+        one; every other fit is still its fit alone."""
+        grids = self._grids("poisson", ORDER11, 3)
+        grids[1:1] = [CountGrid(np.array([[1, 2], [0, 3]])), CountGrid(np.full((6, 6), 5))]
+        fits = estimate_module._cml_fits(grids, ORDER11)
+        with pytest.raises(ValidationError) as refused:
+            cml_estimate(grids[1], ORDER11)
+        assert isinstance(fits[1], ValidationError)
+        assert str(fits[1]) == str(refused.value)
+        assert str(fits[1]).startswith("CML needs more interior sites")
+        assert fits[2].diagnostics.n_fev == 41
+        assert max(fits[k].diagnostics.n_fev for k in (0, 3, 4)) < 41
+        for k in (0, 2, 3, 4):
+            _assert_same_fit(fits[k], cml_estimate(grids[k], ORDER11))
 
 
 class TestPassMemoryBudget:
