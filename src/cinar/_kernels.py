@@ -121,12 +121,12 @@ class SiteTuples:
             self.x, *self.pasts = np.unravel_index(keys, radices)
         self.size = self.counts.size
 
-    def flat(self, width, lags=None):
+    def flat(self, width, lags=None, out=None):
         """Indices past * width + x into a raveled table of row ``width``, one
         row per lag (``lags`` indexes ``pasts``, default all) and one column
-        per tuple."""
+        per tuple, written to ``out`` if given."""
         pasts = self.pasts if lags is None else [self.pasts[j] for j in lags]
-        flat = np.empty((len(pasts), self.size), dtype=np.intp)
+        flat = np.empty((len(pasts), self.size), dtype=np.intp) if out is None else out
         for row, past in zip(flat, pasts):
             row = row.reshape(np.shape(self.x))
             np.add(np.multiply(past, width, out=row), self.x, out=row)

@@ -245,6 +245,9 @@ def cml_loglik(params, grid):
 
 # the most float64 cells (1 GiB) a likelihood pass may hold
 _PASS_CELLS = 2**27
+# the most cells of 8 bytes (32 MiB) a lockstep batch of several grids
+# holds with the grids given; a wider stack of small grids saves no more time
+_STACK_CELLS = 2**22
 
 
 class _CmlLikelihood:
@@ -254,11 +257,11 @@ class _CmlLikelihood:
 
     ``_kernels.SiteTuples`` reads the interior sites at the chosen ``lags``
     (indices into the order's lag set, default all) as (x, past) tuples with
-    counts, or as themselves, once per grid, with flat indices into L = log
-    C, C[n, x] = P(Binomial(n, alpha) + eps = x).  Per tuple, log p_s is a
-    log-sum-exp over the lags, and the score and the Hessian contract the
-    lag weights w_sj = phi_j exp(L[l_sj, x_s] - log p_s), in [0, 1], with
-    the ratios to C of C's derivatives (``_derivative_ratios``): no
+    counts, or as themselves, once per grid; a pass gathers at them from L
+    = log C, C[n, x] = P(Binomial(n, alpha) + eps = x).  Per tuple, log p_s
+    is a log-sum-exp over the lags, and the score and the Hessian contract
+    the lag weights w_sj = phi_j exp(L[l_sj, x_s] - log p_s), in [0, 1],
+    with the ratios to C of C's derivatives (``_derivative_ratios``): no
     probability is formed, so every finite likelihood is evaluated.  Sums
     weight each tuple by its count; each table is held once.  L passes
     ``_check_cells``; with an innovation ``family`` (a class, needed only by
@@ -281,14 +284,13 @@ class _CmlLikelihood:
                 f"count {max(self.n_max, self.x_max)} is too large for a {family.name}"
                 f" CML fit: a likelihood pass would take {cells / 2**27:.1f} GiB,"
                 " above 1 GiB")
-        self.flat = self.sites.flat(self.x_max + 1)
         self.n_fev = 0
 
     def value_score_hessian(self, vec):
         """(loglik, score, Hessian) at (theta, innovation parameters) ``vec``:
         a pass of this grid alone, (-inf, None, None) outside the model's
         domain."""
-        law = _law_at(self.family, vec, self.flat.shape[0])
+        law = _law_at(self.family, vec, len(self.sites.pasts))
         if law is None:
             return -np.inf, None, None
         return _Stack([self]).value_score_hessian([vec], [law])[0]
@@ -314,54 +316,47 @@ class _Stack:
     one lag set and family, or over those ``arrange`` keeps, each grid at
     its own parameter point.
 
-    Their tables lie on a leading axis, padded to the members' largest
-    n_max and x_max; the kept grids' tuples lie end to end, each grid's in
-    ``slices``, with gather indices (``flat``) offset into its own table
-    and bincount indices (``own``) into its unpadded table among the
-    others', in buffers sized once for all members.  The table builds,
-    gathers, log-sum-exp and ``bincount`` run once over the stack.  Every
-    reduction runs on one grid's slice, or on a contiguous copy of its
-    table block, with the shapes of its pass alone, so each grid's results
-    are bit-identical to that pass: a stack of one is it.
+    The kept grids' tables lie on a leading axis, padded to their largest
+    n_max and x_max, and their tuples end to end, each grid's in
+    ``slices``, with gather indices (``flat``) offset into its own table,
+    in buffers sized once for all members.  The table builds, gathers,
+    log-sum-exp and ``bincount`` run once over the stack.  Every reduction
+    runs on one grid's slice, or on a contiguous copy of its table block,
+    with the shapes of its pass alone, so each grid's results are
+    bit-identical to that pass: a stack of one is it.
     """
 
     def __init__(self, members):
         self.members = members
-        self.n_max = max(member.n_max for member in members)
-        self.width = max(member.x_max for member in members) + 1
-        m, tuples = len(members[0].flat), sum(member.sites.size for member in members)
+        m, tuples = len(members[0].sites.pasts), sum(member.sites.size for member in members)
         # per tuple, a row per lag (the site values) and, in a pass, one per
         # innovation parameter and one for alpha (the site scores)
         family = members[0].family
         self._rows = m + 1 + (len(family.param_names) if family else 0)
         self._buffer = np.empty(self._rows * tuples)
-        self._indices = np.empty(2 * m * tuples, dtype=np.intp) if len(members) > 1 else None
+        self._indices = np.empty(m * tuples, dtype=np.intp)
         self.arrange(range(len(members)))
 
     def arrange(self, keep):
         """Run the next passes over the members at the indices ``keep``."""
         self.live = [self.members[r] for r in keep]
+        self.n_max = max(member.n_max for member in self.live)
+        self.width = max(member.x_max for member in self.live) + 1
         ends = np.cumsum([member.sites.size for member in self.live]).tolist()
         self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
-        ends = np.cumsum([(member.n_max + 1) * (member.x_max + 1)
-                          for member in self.live]).tolist()
-        self.blocks = [slice(a, b) for a, b in zip([0] + ends, ends)]
-        counts = [member.sites.counts for member in self.live]
-        self.counts = counts[0] if len(counts) == 1 else np.concatenate(counts)
         # a tuple's score row is divided by sqrt(c_s), 1 where no count is above 1
-        self.root = (np.sqrt(self.counts) if any(
-            member.sites.size < member.n_sites for member in self.live) else 1.0)
-        m, tuples = len(self.members[0].flat), self.slices[-1].stop
+        self.root = (np.sqrt(np.concatenate([member.sites.counts for member in self.live]))
+                     if any(member.sites.size < member.n_sites for member in self.live)
+                     else 1.0)
+        m, tuples = len(self.members[0].sites.pasts), ends[-1]
         self._site_rows = self._buffer[:self._rows * tuples].reshape(self._rows, tuples)
         self._site_values = self._site_rows[:m]
-        if self._indices is None:
-            self.flat = self.own = self.members[0].flat
-            return
-        self.flat, self.own = self._indices[:2 * m * tuples].reshape(2, m, tuples)
+        self.flat = self._indices[:m * tuples].reshape(m, tuples)
         cells = (self.n_max + 1) * self.width
-        for k, (member, at, block) in enumerate(zip(self.live, self.slices, self.blocks)):
-            np.add(member.sites.flat(self.width), k * cells, out=self.flat[:, at])
-            np.add(member.flat, block.start, out=self.own[:, at])
+        for k, (member, at) in enumerate(zip(self.live, self.slices)):
+            member.sites.flat(self.width, out=self.flat[:, at])
+            if k:
+                self.flat[:, at] += k * cells
 
     def log_probabilities(self, alphas, phis, innovations):
         """([loglik per grid], stacked L), a pass's first stage; it leaves c_s
@@ -388,9 +383,11 @@ class _Stack:
         for phi, at in zip(phis, self.slices):
             np.matmul(phi, values[:, at], out=scaled[at])
         top += np.log(scaled)
-        logliks = [float(np.einsum("s,s->", top[at], member.sites.counts))
-                   for member, at in zip(self.live, self.slices)]
-        values *= np.divide(self.counts, scaled, out=scaled)
+        logliks = []
+        for member, at in zip(self.live, self.slices):
+            logliks.append(float(np.einsum("s,s->", top[at], member.sites.counts)))
+            np.divide(member.sites.counts, scaled[at], out=scaled[at])
+        values *= scaled
         return logliks, table
 
     def value_score_hessian(self, vecs, laws):
@@ -413,15 +410,15 @@ class _Stack:
             ratios = _derivative_ratios(table, alphas, innovations,
                                         [member.x_max + 1 for member in self.live])
             q = vecs[0].size - m + 1
-            lag_weights = np.empty((m, self.blocks[-1].stop))
-            for j, rows in enumerate(self.own):
-                lag_weights[j] = np.bincount(rows, values[j],
-                                             minlength=lag_weights.shape[1])
+            lag_weights = np.empty((m, table.size))
+            for j, rows in enumerate(self.flat):
+                lag_weights[j] = np.bincount(rows, values[j], minlength=table.size)
+            lag_weights = lag_weights.reshape(m, *table.shape).swapaxes(0, 1)
             # per grid, from its lag weights W: g[j] and G[a, j] sum the
             # ratios 1 and dC/da / C over them, and w = phi @ W
             sums = []
-            for r, (phi, block) in enumerate(zip(phis, self.blocks)):
-                weights = np.ascontiguousarray(lag_weights[:, block])
+            for r, phi in enumerate(phis):
+                weights = self._own(lag_weights, r).reshape(m, -1)
                 d1 = self._own(ratios[:, :q], r).reshape(q, -1)
                 sums.append((weights.sum(axis=1), d1 @ weights.T, phi @ weights))
             del lag_weights, weights, d1
@@ -566,25 +563,26 @@ def _derivative_ratios(table, alphas, innovations, widths):
         if not grids:
             continue
         at = slice(None) if len(grids) == stack else np.array(grids)
-        ends = [last[r] for r in grids]
-        n_rows = rows if over_rows else 1
-        back = np.exp(table[at, :n_rows, :-1] - table[at, :n_rows, 1:])
+        ends = np.array([last[r] for r in grids])
+        low, n_rows = ends.min(), rows if over_rows else 1
+        back = np.exp(table[at, :n_rows, :-1] - table[at, :n_rows, 1:])[:, None]
+        terms = series[at][:, :, None]
         part = np.zeros((len(grids), series.shape[1], n_rows, width))
-        for k in range(max(ends), -1, -1):
-            step = back[:, None, :, :width - k - 1]
-            if k > min(ends):  # a grid whose series end before k takes no step
-                np.multiply(part[..., k + 1:], step, out=part[..., k + 1:],
-                            where=(np.array(ends) >= k)[:, None, None, None])
+        for k in range(ends.max(), -1, -1):
+            if k > low:  # a grid whose series end before k takes no step
+                np.multiply(part[..., k + 1:], back[..., :width - k - 1],
+                            out=part[..., k + 1:], where=(ends >= k)[:, None, None, None])
             else:
-                part[..., k + 1:] *= step
-            part[..., k:] += series[at, :, None, k:k + 1]
+                part[..., k + 1:] *= back[..., :width - k - 1]
+            part[..., k:] += terms[..., k:k + 1]
         horner.append((at, part, not over_rows))
     alpha = np.array(alphas)[:, None, None]
     move = np.zeros_like(table)
     move[:, 1:, 1:] = np.exp(table[:, :-1, :-1] - table[:, 1:, 1:] + np.log(alpha))
     table[:, 1:] = np.exp(table[:, :-1] - table[:, 1:] + np.log1p(-alpha))
     table[:, :, 0] = 1.0
-    # one rule for every grid fills the ratios in place; two fill one each
+    # grids of one rule take its tables as the ratios, and the pass holds
+    # them once (``_pass_tables``); grids of both rules copy theirs in
     ratios = None if len(horner) == 1 else np.empty((stack, series.shape[1], rows, width))
     for at, part, thin in horner:
         if thin:
@@ -838,13 +836,16 @@ def _cml_fits(grids, order, family="poisson", inits=None, fix_zero=()):
     """``cml_estimate`` of each of ``grids`` (from ``inits[r]``, default
     None), per grid its FitResult or the CinarError that refused it.
 
-    The searches run in ``_lockstep``, in runs of consecutive grids cut
-    where a pass would hold more than ``_PASS_CELLS`` float64 cells: its
-    tables, ``_pass_tables`` padded tables per grid and one more set for
-    the grid whose block is copied out, and its per-tuple arrays, 3 m + q
-    + 5 per tuple for m lags and q - 1 innovation parameters.  A grid's
-    fit does not depend on the others: it is bit-identical to that of the
-    grid alone.
+    The searches run in ``_lockstep``, in batches of consecutive grids
+    whose likelihoods are built just before their searches and released
+    after.  A batch of several grids is cut where it would hold more than
+    ``_STACK_CELLS`` cells, counting the grids given, which stay held
+    throughout: its tables, ``_pass_tables`` padded tables per grid and
+    one more set for the grid whose block is copied out, and its per-tuple
+    arrays, 3 m + q + 6 per tuple for m lags and q - 1 innovation
+    parameters (site rows, gather indices, the tuples and four
+    temporaries).  A grid's fit does not depend on the others: it is
+    bit-identical to that of the grid alone.
     """
     family = innovation_family(family)
     m = order.n_lags
@@ -855,8 +856,20 @@ def _cml_fits(grids, order, family="poisson", inits=None, fix_zero=()):
     names = tuple(order.theta_names()[k] for k in free_idx) + family.param_names
     lower = np.concatenate([np.zeros(m_free), family.lower_bounds])
     lo = np.where(np.arange(lower.size) == m_free, -np.inf, lower)  # log mu_eps
+    fits = [None] * len(grids)
 
-    fits, runs, n_max, x_max, tuples = [None] * len(grids), [[]], 0, 0, 0
+    def fit(batch):
+        outcomes = _lockstep([likelihood for _, likelihood, _ in batch],
+                             [v for _, _, v in batch], lo, m_free)
+        for (r, likelihood, _), outcome in zip(batch, outcomes):
+            try:
+                fits[r] = _cml_result(grids[r], order, family, likelihood, outcome,
+                                      free_idx, names, lower, lo)
+            except CinarError as exc:
+                fits[r] = exc
+
+    budget = _STACK_CELLS - sum(grid.values.size for grid in grids)
+    batch, n_max, x_max, tuples = [], 0, 0, 0
     for r, (grid, init) in enumerate(zip(grids, inits or [None] * len(grids))):
         try:
             likelihood = _CmlLikelihood(grid.values, order, family, lags=free_idx)
@@ -871,23 +884,15 @@ def _cml_fits(grids, order, family="poisson", inits=None, fix_zero=()):
             continue
         n_max, x_max = max(n_max, likelihood.n_max), max(x_max, likelihood.x_max)
         tuples += likelihood.sites.size
-        cells = ((n_max + 1) * (x_max + 1) * likelihood.tables * (len(runs[-1]) + 2)
-                 + (3 * m_free + len(family.param_names) + 6) * tuples)
-        if runs[-1] and cells > _PASS_CELLS:
-            runs.append([])
-            n_max, x_max = likelihood.n_max, likelihood.x_max
+        cells = ((n_max + 1) * (x_max + 1) * likelihood.tables * (len(batch) + 2)
+                 + (3 * m_free + len(family.param_names) + 7) * tuples)
+        if batch and cells > budget:
+            fit(batch)
+            batch, n_max, x_max = [], likelihood.n_max, likelihood.x_max
             tuples = likelihood.sites.size
-        runs[-1].append((r, likelihood, _box_start(theta0[free_idx], extra0, lo)))
-
-    for run in filter(None, runs):
-        outcomes = _lockstep([likelihood for _, likelihood, _ in run],
-                             [v for _, _, v in run], lo, m_free)
-        for (r, likelihood, _), outcome in zip(run, outcomes):
-            try:
-                fits[r] = _cml_result(grids[r], order, family, likelihood, outcome,
-                                      free_idx, names, lower, lo)
-            except CinarError as exc:
-                fits[r] = exc
+        batch.append((r, likelihood, _box_start(theta0[free_idx], extra0, lo)))
+    if batch:
+        fit(batch)
     return fits
 
 

@@ -35,12 +35,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import CinarError, ValidationError
-from .estimate import FitResult, _cml_fits, cls_estimate, yw_estimate
+from .estimate import _STACK_CELLS, FitResult, _cml_fits, cls_estimate, yw_estimate
 from .model import ModelOrder, _validated, _whole
 from .simulate import SimConfig, simulate_cinar
-
-# the most grid cells (128 MiB of int64) a run of replications holds at once
-_RUN_CELLS = 2**24
 
 __all__ = [
     "StudyArm",
@@ -131,7 +128,7 @@ def _run_chunk(task):
     top-level for process pools.
 
     Each grid's CLS fit at an order serves the ``cls`` arm and starts every
-    CML arm at that order (its YW fit when CLS fails, as in ``cml_estimate``).
+    CML arm at that order (``cml_estimate``'s own start where it fails).
     A CML arm fits the run's grids in lockstep (``estimate._cml_fits``),
     each bit-identical to its fit alone.  Returns, per replication, one
     (names, estimates, converged) per arm, a failed fit holding its reason
@@ -156,11 +153,9 @@ def _run_chunk(task):
                 f"arm {arm.label!r} needs an explicit innovation family"
                 " for this data-generating process")] * len(grids)
         else:
-            # cml_estimate's start: the CLS fit, else the YW fit, else its own
-            starts = [fit if isinstance(fit, FitResult) else _attempt(yw_estimate, grid, order)
-                      for fit, grid in zip(cls_fits[order], grids)]
+            # where CLS failed, the search takes cml_estimate's own start
             fits = _cml_fits(grids, order, family, [
-                start if isinstance(start, FitResult) else None for start in starts])
+                fit if isinstance(fit, FitResult) else None for fit in cls_fits[order]])
         columns.append([
             (fit.names, tuple(float(v) for v in fit.estimates), fit.diagnostics.converged)
             if isinstance(fit, FitResult)
@@ -176,9 +171,10 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
     ``sizes`` is a sequence of (n1, n2) pairs; ``arms`` a sequence of
     StudyArm (or tags accepted by parse_arm); ``reps`` replications per
     size.  Each size's replications are split into min(threads, reps)
-    contiguous runs, more where a run would hold over ``_RUN_CELLS`` grid
-    cells; a run's CML arms fit its grids in lockstep, and with ``threads``
-    > 1 a process pool of at most ``threads`` workers takes one run each.
+    contiguous runs, more where a run's grids would take over half of
+    ``estimate._STACK_CELLS``; a run's CML arms fit its grids in lockstep,
+    and with ``threads`` > 1 a process pool of at most ``threads`` workers
+    takes one run each.
     Deterministic for a fixed master seed regardless of ``threads``: every
     fit is the one of its grid alone.  Every input is checked before any
     replication starts.
@@ -198,9 +194,10 @@ def run_study(params, sizes, arms, reps, master_seed=0, burn_in=100, threads=1):
     seeds = [replication_seed(master_seed, rep) for rep in range(reps)]
     tasks = []
     for n1, n2 in sizes:
-        # min(threads, reps) contiguous runs, cut to at most _RUN_CELLS grid
-        # cells, which a run simulates before it fits them
-        runs = max(min(threads, reps), -(-reps * n1 * n2 // _RUN_CELLS))
+        # min(threads, reps) contiguous runs; a run simulates its grids
+        # before it fits them, and they take at most half the cells its
+        # lockstep fits may hold
+        runs = max(min(threads, reps), -(-reps * n1 * n2 // (_STACK_CELLS // 2)))
         bounds = [reps * k // runs for k in range(runs + 1)]
         tasks += [(params, n1, n2, burn_in, arms, seeds[a:b])
                   for a, b in zip(bounds, bounds[1:]) if a < b]

@@ -741,15 +741,14 @@ class TestCmlScore:
                          estimates=np.array([0.1, 0.1, 0.1, 100.0]),
                          admissible=True, diagnostics=FitDiagnostics(0, True))
         trials = []
-        value_score_hessian = estimate_module._Stack.value_score_hessian
+        box_point = estimate_module._box_point
 
-        def watched(self, vecs, laws):
-            out = value_score_hessian(self, vecs, laws)
-            trials.extend((vec[3], np.all(np.isfinite(hess)))
-                          for vec, (_, _, hess) in zip(vecs, out))
-            return out
+        def watched(result, vec, one_minus, m):
+            trials.append((vec[3], result[1] is not None
+                           and bool(np.all(np.isfinite(result[2])))))
+            return box_point(result, vec, one_minus, m)
 
-        monkeypatch.setattr(estimate_module._Stack, "value_score_hessian", watched)
+        monkeypatch.setattr(estimate_module, "_box_point", watched)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = cml_estimate(grid, ORDER11, init=init)
@@ -1255,6 +1254,39 @@ class TestLockstepFits:
         assert max(fits[k].diagnostics.n_fev for k in (0, 3, 4)) < 41
         for k in (0, 2, 3, 4):
             _assert_same_fit(fits[k], cml_estimate(grids[k], ORDER11))
+
+
+    @pytest.mark.parametrize("room, sizes", [(0, [1, 1, 1, 1, 1]), (10**7, [5])])
+    def test_batches_are_cut_at_the_budget_and_released(self, monkeypatch, room, sizes):
+        """The budget counts the grids given: with no room past them each
+        grid runs alone, with room for all one batch takes the five.  A
+        batch's likelihoods are built just before its searches (at most the
+        next batch's first besides them is alive) and every fit is its fit
+        alone."""
+        import weakref
+
+        grids = self._grids("poisson", ORDER11, 5)
+        alive, batches = weakref.WeakSet(), []
+        init, lockstep = _CmlLikelihood.__init__, estimate_module._lockstep
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            alive.add(self)
+
+        def watched(likelihoods, starts, lo, m):
+            batches.append(len(likelihoods))
+            assert len(alive) <= len(likelihoods) + 1
+            return lockstep(likelihoods, starts, lo, m)
+
+        monkeypatch.setattr(_CmlLikelihood, "__init__", tracked)
+        monkeypatch.setattr(estimate_module, "_lockstep", watched)
+        monkeypatch.setattr(estimate_module, "_STACK_CELLS",
+                            sum(grid.values.size for grid in grids) + room)
+        fits = estimate_module._cml_fits(grids, ORDER11)
+        assert batches == sizes
+        monkeypatch.undo()
+        for grid, fit in zip(grids, fits):
+            _assert_same_fit(fit, cml_estimate(grid, ORDER11))
 
 
 class TestPassMemoryBudget:
