@@ -28,6 +28,18 @@ from .model import lag_views
 # refused before their series are allocated
 _MAX_CELLS = 2**24
 
+# the sites (or tuples) per block of a site-sized pass: the simulator's
+# decisions, the Pearson moments and the PIT keep their temporaries to a
+# few blocks, not a few site vectors
+_BLOCK = 2**16
+
+
+def _blocks(shape):
+    """Slices of the first axis of an array of ``shape``, each of about
+    ``_BLOCK`` elements (at least one row), that cover it in order."""
+    step = max(1, _BLOCK // math.prod(shape[1:]))
+    return (slice(lo, lo + step) for lo in range(0, shape[0], step))
+
 
 def _check_cells(n_max, x_max, extra_columns=0, support=False):
     """Refuse an (n_max+1) x (x_max+1+extra_columns) table over _MAX_CELLS,
@@ -93,12 +105,15 @@ class SiteTuples:
     Built once per (grid ``values``, ``order``, ``lags``), ``lags`` indexing
     the order's lag set (default all).  Each site's tuple is keyed into one
     intp by mixed radix over the columns' maxima.  When that key space is
-    at most 4 times the number of interior sites (its counts take at most 4
-    int64 per site), one ``bincount`` gives the distinct tuples, in key
-    order, with their ``counts``; otherwise the tuples are the sites, as
-    views of the grid, with unit counts.  ``x`` and ``pasts`` hold the
-    ``size`` tuples, ``n_sites`` counts the interior sites, and ``n_max``
-    (largest past) and ``x_max`` size the tables gathered through ``flat``.
+    at most 4 times the number of interior sites, the distinct tuples, in
+    key order, and their ``counts`` come from the key vector: by one
+    ``bincount`` when the key space is no larger than the sites (its table
+    takes at most one int64 per site), else by sorting the keys in place;
+    either way the keys are freed before the scan for the distinct ones.
+    Otherwise the tuples are the sites, as views of the grid, with unit
+    counts.  ``x`` and ``pasts`` hold the ``size`` tuples, ``n_sites``
+    counts the interior sites, and ``n_max`` (largest past) and ``x_max``
+    size the tables gathered through ``flat``.
     """
 
     def __init__(self, values, order, lags=None):
@@ -109,25 +124,47 @@ class SiteTuples:
         radices = [int(column.max()) + 1 for column in (x, *pasts)]
         self.x_max, self.n_max = radices[0] - 1, max(radices[1:]) - 1
         self.counts = np.broadcast_to(np.intp(1), (self.n_sites,))
-        if math.prod(radices) <= 4 * self.n_sites:
+        space = math.prod(radices)
+        if space <= 4 * self.n_sites:
             key = x.astype(np.intp)
             for column, radix in zip(pasts, radices[1:]):
                 key *= radix
                 key += column
-            table = np.bincount(key.ravel())
-            # a bool mask: nonzero is about 3x faster on it than on int64
-            keys = np.flatnonzero(table != 0)
-            self.counts = table[keys]
+            key = key.reshape(-1)
+            if space <= self.n_sites:
+                table = np.bincount(key)
+                del key
+                # a bool mask: nonzero is about 3x faster on it than on int64
+                keys = np.flatnonzero(table != 0)
+                self.counts = table[keys]
+            else:
+                key.sort()
+                first = np.empty(key.size, dtype=bool)
+                first[0] = True
+                np.not_equal(key[1:], key[:-1], out=first[1:])
+                keys = key[first]
+                del key
+                self.counts = np.diff(np.flatnonzero(first), append=self.n_sites)
             self.x, *self.pasts = np.unravel_index(keys, radices)
         self.size = self.counts.size
 
-    def flat(self, width, lags=None, out=None):
+    def blocks(self):
+        """(rows, tuples) slice pairs that cut the tuples into blocks of about
+        ``_BLOCK``: ``rows`` slices ``x`` and ``pasts`` (as ``flat`` takes
+        it), and ``tuples`` the per-tuple vectors such as ``counts``."""
+        per_row = self.size // len(self.x)
+        for rows in _blocks(np.shape(self.x)):
+            yield rows, slice(rows.start * per_row, rows.stop * per_row)
+
+    def flat(self, width, lags=None, out=None, rows=slice(None)):
         """Indices past * width + x into a raveled table of row ``width``, one
         row per lag (``lags`` indexes ``pasts``, default all) and one column
-        per tuple, written to ``out`` if given."""
+        per tuple of the block ``rows`` (default all, see ``blocks``),
+        written to ``out`` if given."""
+        x = self.x[rows]
         pasts = self.pasts if lags is None else [self.pasts[j] for j in lags]
-        flat = np.empty((len(pasts), self.size), dtype=np.intp) if out is None else out
+        flat = np.empty((len(pasts), x.size), dtype=np.intp) if out is None else out
         for row, past in zip(flat, pasts):
-            row = row.reshape(np.shape(self.x))
-            np.add(np.multiply(past, width, out=row), self.x, out=row)
+            row = row.reshape(x.shape)
+            np.add(np.multiply(past[rows], width, out=row), x, out=row)
         return flat

@@ -104,13 +104,26 @@ def _mirror_lex_negative(values, K, L):
 # =============================================================================
 
 
-def _grid_values(grid):
-    """Accept a CountGrid or any 2-D array-like (e.g. residual fields)."""
+def _centred(grid):
+    """A CountGrid or any 2-D array-like (e.g. residual fields) as floats,
+    less their mean: in place when the conversion to float made a copy (as
+    of a count grid), else in a new array.  A grid holding a NaN or an
+    infinity is refused, naming its first such cell: its mean is not
+    finite."""
     v = grid.values if hasattr(grid, "values") else grid
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2:
-        raise ValidationError(f"expected a 2-D grid, got shape {v.shape}")
-    return v
+    values = np.asarray(v, dtype=float)
+    if values.ndim != 2:
+        raise ValidationError(f"expected a 2-D grid, got shape {values.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean()
+    if not np.isfinite(mean):
+        cells = np.argwhere(~np.isfinite(values))
+        raise ValidationError(
+            f"the grid must be finite: cell {tuple(cells[0].tolist())} is"
+            f" {values[tuple(cells[0])]}" if cells.size
+            else f"the grid's mean overflows to {mean}")
+    fresh = values is not v and values.base is None
+    return np.subtract(values, mean, out=values if fresh else None)
 
 
 def sample_acvf(grid, k, l):
@@ -120,8 +133,7 @@ def sample_acvf(grid, k, l):
     in-grid, with divisor n1*n2.  Negative-lex lags are served through the
     identity gamma(k,l) = gamma(-k,-l), making the symmetry exact.
     """
-    v = _grid_values(grid)
-    return _acvf(v - v.mean(), k, l)
+    return _acvf(_centred(grid), k, l)
 
 
 def _acvf(centred, k, l):
@@ -143,8 +155,7 @@ def _acvf(centred, k, l):
 def sample_acf(grid, window):
     """Sample autocorrelation table over {|k| <= K, |l| <= L}."""
     K, L = _window(window)
-    v = _grid_values(grid)
-    centred = v - v.mean()
+    centred = _centred(grid)
     gamma0 = _acvf(centred, 0, 0)
     if gamma0 <= 0.0:
         raise ValidationError("degenerate grid: sample variance is zero")

@@ -8,14 +8,16 @@ routine here is a different reduction of that mixture.
 
 The PIT depends on a site only through its tuple (x, past at each lag), so
 it gathers its CDF table over ``_kernels.SiteTuples``; the Pearson
-residuals take the mixture's closed-form moments site by site, in place.
+residuals take the mixture's closed-form moments site by site.  Both run
+in blocks of ``_kernels._BLOCK`` sites or tuples, so their temporaries
+stay a few blocks on any grid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (SiteTuples, _check_cells, lag_site_values,
+from ._kernels import (SiteTuples, _blocks, _check_cells, lag_site_values,
                        thinning_convolution_table)
 from .acf import AcfTable, sample_acf
 from .errors import ValidationError
@@ -198,7 +200,9 @@ def pearson_residuals(params, grid):
     observed; the summary holds their mean, variance (divisor n-1), and
     sample ACF on the |k|,|l| <= 2 window, so the interior must be at least
     3x3 sites, and the residuals must not all be equal (as on an all-zero
-    grid), which leaves their ACF undefined.  It builds no table.
+    grid), which leaves their ACF undefined.  It builds no table: the
+    moments are taken a block of rows at a time into the residual array,
+    so beside it the call holds one float site vector at most.
     """
     _validated(params)
     (n1, n2), (p1, p2) = (grid.n1, grid.n2), (params.order.p1, params.order.p2)
@@ -208,12 +212,14 @@ def pearson_residuals(params, grid):
             f" their (2, 2) residual ACF; a {n1}x{n2} grid at order"
             f" ({p1},{p2}) has {max(n1 - p1, 0)}x{max(n2 - p2, 0)}")
     x, pasts = lag_views(grid.values, params.order)
-    mean, var = _mixture_moments(params, pasts)
-    if np.any(var <= 0):
-        raise ValidationError("conditional variance must be positive")
-    res = np.subtract(x, mean, out=mean)
-    res /= np.sqrt(var, out=var)
-    del mean, var
+    res = np.empty(x.shape)
+    for rows in _blocks(x.shape):
+        mean, var = _mixture_moments(params, [past[rows] for past in pasts])
+        if np.any(var <= 0):
+            raise ValidationError("conditional variance must be positive")
+        np.subtract(x[rows], mean, out=res[rows])
+        res[rows] /= np.sqrt(var, out=var)
+        del mean, var
     if res.min() == res.max():
         raise ValidationError(
             f"Pearson residuals are all equal ({res.flat[0]:.6g}) on this"
@@ -238,15 +244,29 @@ def pit_histogram(params, grid, bins=10):
     _validated(params)
     bins = _whole(bins, "bins", 2)
     sites = SiteTuples(grid.values, params.order)
-    counts, x_max, size = sites.counts, sites.x_max, sites.size
+    x_max = sites.x_max
     _check_cells(sites.n_max, x_max, extra_columns=1)  # the zero column below
     # Thinning (F(-1) = 0, F) keeps its zero column, so F(x-1) sits just before
-    # F(x) in the raveled table; lag by lag, memory stays a few tuple vectors.
+    # F(x) in the raveled table; block by block and lag by lag, memory stays a
+    # few block vectors.
     table = thinning_convolution_table(params.alpha, np.concatenate(
         ([0.0], np.cumsum(params.innovation.pmf_table(x_max)))), sites.n_max)
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    heights = np.zeros(bins)
+    for rows, tuples in sites.blocks():
+        _add_pit_block(params.phi, table, sites, rows, sites.counts[tuples], edges,
+                       heights)
+    return heights * (bins / sites.n_sites)
+
+
+def _add_pit_block(phi, table, sites, rows, counts, edges, heights):
+    """Add the cell masses of the block ``rows`` of ``sites``' tuples, of
+    ``counts``, to ``heights``: a call's temporaries are a few block vectors,
+    freed on return."""
+    size = counts.size
     f_lo, f_hi, values = np.zeros(size), np.zeros(size), np.empty(size)
-    for j, p in enumerate(params.phi):
-        (flat,) = sites.flat(x_max + 2, [j])
+    for j, p in enumerate(phi):
+        (flat,) = sites.flat(sites.x_max + 2, [j], rows=rows)
         f_lo += p * lag_site_values(table, flat, out=values)
         flat += 1
         f_hi += p * lag_site_values(table, flat, out=values)
@@ -266,15 +286,12 @@ def pit_histogram(params, grid, bins=10):
 
     # each tuple adds its count over its width times its overlap with
     # [F(x-1), F(x)] to a cell
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    heights = np.empty(bins)
     overlap, start = np.empty_like(f_hi), np.empty_like(f_lo)
-    for b in range(bins):
+    for b in range(heights.size):
         np.minimum(f_hi, edges[b + 1], out=overlap)
         overlap -= np.maximum(f_lo, edges[b], out=start)
-        heights[b] = np.einsum("i,i->", np.maximum(overlap, 0, out=overlap), weight)
+        heights[b] += np.einsum("i,i->", np.maximum(overlap, 0, out=overlap), weight)
     heights[0] += counts[at_zero].sum()
-    return heights * (bins / counts.sum())
 
 
 def information_criteria(loglik_max, n_params, n1, n2, n_ell):

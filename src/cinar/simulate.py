@@ -12,9 +12,11 @@ Randomness comes from a counter-based Philox generator seeded by
 ``SimConfig.seed``.  The generator is consumed in a fixed order (innovation
 field, decision field, then binomial thinnings along successive
 anti-diagonals), so identical configs produce bit-identical grids.  The
-lag decisions live only until each site's selected past (and, censored,
-its sign) is indexed; the simulators return the grid alone.  Each
-anti-diagonal is a strided slice of the raveled grid, drawn by ascending
+decision field is drawn in blocks of ``_kernels._BLOCK`` sites, and each
+block's decisions live only until its sites' selected pasts (and,
+censored, their int8 signs) are indexed, so a simulation holds the grid,
+one index vector and a few blocks; the simulators return the grid alone.
+Each anti-diagonal is a strided slice of the raveled grid, drawn by ascending
 row as in the fancy-indexing loop of ``tests/_sim_oracle.py``, whose
 grids these equal bit for bit.
 """
@@ -24,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels import _blocks
 from .errors import ValidationError
 from .model import CinarParams, CountGrid, SignPattern, _validated, _whole
 
@@ -115,22 +118,28 @@ def _simulate_kernel(config):
     # innovation draw; interior sites add a thinned past to it.
     xf = np.asarray(params.innovation.sample(gen, size=(big1, big2)),
                     dtype=np.int64).reshape(-1)
-    # the lag index of each site is the number of cumulative weights below
+    # The lag index of each site is the number of cumulative weights below
     # its uniform; the last, 1 up to rounding, is left out so the index
-    # stays below len(lags)
-    u = gen.random(xf.size)
-    dec = np.zeros(xf.size, dtype=np.intp)
-    for c in cum_phi[:-1]:
-        dec += u > c
-    del u
-
-    # site (s, d - s) of diagonal d is xf[s * step + d]; xf[src] is its
-    # selected past
+    # stays below len(lags).  The uniforms are drawn a block at a time
+    # (Philox gives the same stream in blocks as in one call), and each
+    # block's decisions are written straight into the selected past's
+    # index: site (s, d - s) of diagonal d is xf[s * step + d], and
+    # xf[src] is its selected past.
     step = big2 - 1
-    src = np.arange(xf.size) - (lags[:, 0] * big2 + lags[:, 1])[dec]
+    offsets = lags[:, 0] * big2 + lags[:, 1]
+    src = np.arange(xf.size)
     if signs is not None:
-        sgn = signs.signs[dec]
-    del dec
+        sign_of, sgn = signs.signs.astype(np.int8), np.empty(xf.size, dtype=np.int8)
+    for block in _blocks(src.shape):
+        uniforms = gen.random(src[block].size)
+        dec = np.zeros(uniforms.size, dtype=np.intp)
+        for c in cum_phi[:-1]:
+            dec += uniforms > c
+        del uniforms
+        src[block] -= offsets[dec]
+        if signs is not None:
+            sgn[block] = sign_of[dec]
+        del dec
 
     # interior sites (s >= p1, t >= p2) by ascending anti-diagonal s + t = d;
     # every referenced past lies on a strictly smaller diagonal
@@ -145,5 +154,6 @@ def _simulate_kernel(config):
             xf[sl] = np.maximum(sgn[sl] * thin + xf[sl], 0)
         else:
             xf[sl] += thin
+    del src
 
     return CountGrid(xf.reshape(big1, big2)[big1 - n1:, big2 - n2:])

@@ -139,6 +139,24 @@ class TestSampleAcvf:
         g = CountGrid(np.random.default_rng(3).poisson(4.0, (8, 8)))
         assert sample_acvf(g, 2.0, np.int64(-1)) == sample_acvf(g, 2, -1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_grid_is_refused_naming_its_first_cell(self, bad):
+        """sample_acvf returned nan for such a grid, and sample_acf warned,
+        then failed as an AcfTable of non-finite values; both refuse it up
+        front, with no numpy warning."""
+        values = np.random.default_rng(3).normal(size=(8, 9))
+        values[5, 1] = values[6, 7] = bad
+        message = f"^the grid must be finite: cell \\(5, 1\\) is {re.escape(str(bad))}$"
+        with pytest.raises(ValidationError, match=message):
+            sample_acvf(values, 1, 0)
+        with pytest.raises(ValidationError, match=message):
+            sample_acf(values, (1, 1))
+
+    def test_finite_values_whose_mean_overflows_are_refused(self):
+        with pytest.raises(ValidationError, match="^the grid's mean overflows to inf$"):
+            sample_acvf(np.full((3, 3), 1e308), 0, 0)
+
 
 # =============================================================================
 # Sample autocorrelation table
@@ -190,6 +208,25 @@ class TestSampleAcf:
         got = sample_acf(grid, (2.0, np.int64(1)))
         assert got.window == (2, 1)
         assert np.array_equal(got.values, want.values)
+
+    def test_count_grid_takes_one_float_site_vector(self):
+        """A count grid's float copy is centred in place: the table holds one
+        float site vector (measured 1.003; centring into a second copy
+        took 2.00), and a float grid given in is left as it was."""
+        import tracemalloc
+
+        grid = CountGrid(np.random.default_rng(9).poisson(3.0, (500, 500)))
+        want = sample_acf(grid, (3, 3))
+        tracemalloc.start()
+        try:
+            sample_acf(grid, (3, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 500 * 500 * 8, peak / (500 * 500 * 8)
+        floats = grid.values.astype(float)
+        assert np.array_equal(sample_acf(floats, (3, 3)).values, want.values)
+        assert np.array_equal(floats, grid.values)
 
     def test_degenerate_grid_raises(self):
         with pytest.raises(ValidationError, match="degenerate"):

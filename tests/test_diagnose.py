@@ -24,9 +24,11 @@ from cinar import (
     simulate_cinar,
     tobit_conditional_pmf,
 )
+from cinar import _kernels
 from cinar._kernels import SiteTuples
 from cinar.diagnose import ConditionalPmf, DiagnosticsReport, conditional_moments
 from cinar.estimate import _CmlLikelihood
+from cinar.model import lag_views
 
 from _diag_oracle import pearson_oracle, pit_oracle
 from _stats_helpers import lagged_stack
@@ -498,6 +500,32 @@ class TestGridDiagnosticsAgainstLaggedStack:
     def test_pearson_matches_lagged_stack_formula(self, oracle_case):
         _check_pearson(*oracle_case)
 
+    def test_pit_in_small_blocks_matches_sites_by_bins_formula(self, oracle_case,
+                                                                monkeypatch):
+        """Blocks of 37 sites cut the grid into 199 blocks of one row; only
+        the order of the cell sums changes."""
+        monkeypatch.setattr(_kernels, "_BLOCK", 37)
+        _check_pit(*oracle_case)
+
+    def test_pit_on_tuples_in_small_blocks_matches_sites_by_bins_formula(
+            self, tuple_case, monkeypatch):
+        monkeypatch.setattr(_kernels, "_BLOCK", 37)
+        _check_pit(*tuple_case)
+
+    def test_pearson_in_small_blocks_is_bit_identical(self, oracle_case, monkeypatch):
+        """Residuals, mean, variance and ACF in blocks of 37 sites (one row)
+        and of 400 (two rows) equal those of one block bit for bit.  (The
+        oracle sums w1 and w2 by matmul, so it agrees to rounding only.)"""
+        params, grid = oracle_case
+        want = pearson_residuals(params, grid)
+        for block in (37, 400):
+            monkeypatch.setattr(_kernels, "_BLOCK", block)
+            got = pearson_residuals(params, grid)
+            assert np.array_equal(got.values, want.values)
+            assert (got.mean, got.variance) == (want.mean, want.variance)
+            assert np.array_equal(got.acf.values, want.acf.values)
+            _check_pearson(params, grid)
+
     def test_pearson_on_tuples_matches_lagged_stack_formula(self, tuple_case):
         params, grid = tuple_case
         if grid.values.any():
@@ -538,14 +566,32 @@ class TestGridDiagnosticsAgainstLaggedStack:
             tracemalloc.stop()
         assert peak <= 1.05 * 1001 * 1001 * 8, peak / (1001 * 1001 * 8)
 
+    def test_pit_memory_on_site_tuples_stays_below_one_and_a_half_site_vectors(self):
+        """On a 700x700 grid whose tuples are its sites (i.i.d. counts about
+        50 spread the key space), the PIT holds a few blocks of tuple
+        vectors and its table: measured 0.72 float site vectors (5.27 in
+        one block)."""
+        params = _poi_params()
+        grid = CountGrid(np.random.default_rng(1).poisson(50.0, (700, 700)))
+        sites = SiteTuples(grid.values, params.order)
+        assert sites.size == sites.n_sites == 699 * 699
+        pit_histogram(params, grid)  # the innovation's CDF cache is built
+        tracemalloc.start()
+        try:
+            pit_histogram(params, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 699 * 699 * 8, peak / (699 * 699 * 8)
+
     @pytest.mark.parametrize("params", [_poi_params(), _nb_params()],
                              ids=["poisson", "nb"])
-    def test_pearson_memory_stays_below_three_and_a_half_site_vectors(self, params):
-        """On 300x300, the moments take three float site vectors, w1, w2 and
-        a scratch, with the mean and the variance written over w1 and w2
-        (measured 3.09 on both grids; keying the (x, past) tuples took 3.74
-        on the Poisson grid, and summing per-site temporaries 6.0)."""
-        grid = simulate_cinar(SimConfig(params, n1=300, n2=300, burn_in=50, seed=4))
+    def test_pearson_memory_stays_below_its_output_and_1_2_site_vectors(self, params):
+        """On 600x600, the moments are taken in blocks into the output, so the
+        peak is the output and one float site vector, the variance's or the
+        residual ACF's centred copy (measured 1.003 beside the output; the
+        moments over every site at once took 2.02)."""
+        grid = simulate_cinar(SimConfig(params, n1=600, n2=600, burn_in=50, seed=4))
         pearson_residuals(params, grid)
         tracemalloc.start()
         try:
@@ -553,7 +599,7 @@ class TestGridDiagnosticsAgainstLaggedStack:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 299 * 299 * 8, peak / (299 * 299 * 8)
+        assert peak < 2.2 * 599 * 599 * 8, peak / (599 * 599 * 8)
 
     def test_each_table_is_sized_where_it_is_built(self):
         """A count of 4095 puts n_max = x_max = 4095: the PIT's zero-prefixed
@@ -588,6 +634,71 @@ class TestGridDiagnosticsAgainstLaggedStack:
         assert res.values.shape == (4, 4)
         assert np.isfinite(res.values).all()
         assert res.values[1, 1] == res.values.max() > 1e11
+
+
+def _bincount_tuples(values, order):
+    """The distinct (x, past) tuples in key order and their counts, by one
+    ``bincount`` over the whole key space of ``ravel_multi_index``."""
+    x, pasts = lag_views(values, order)
+    columns = [column.ravel() for column in (x, *pasts)]
+    radices = [int(column.max()) + 1 for column in columns]
+    table = np.bincount(np.ravel_multi_index(columns, radices))
+    keys = np.flatnonzero(table)
+    return np.unravel_index(keys, radices), table[keys]
+
+
+def _keyed_grid(order, radix, shape, seed):
+    """A grid of i.i.d. counts below ``radix - 1`` with one ``radix - 1`` in
+    its middle, so that every column of its tuples has the radix ``radix``."""
+    values = np.random.default_rng(seed).integers(0, radix - 1, shape)
+    values[shape[0] // 2, shape[1] // 2] = radix - 1
+    return values
+
+
+class TestSiteTuples:
+    # (order, radix, shape): key spaces of 1, 2, 3.1 and 4 keys per site at
+    # order (1,1), and of 2 at order (2,1)
+    _KEYED = {
+        "1-key": (ModelOrder(1, 1), 10, (101, 101)),
+        "2-keys": (ModelOrder(1, 1), 10, (51, 101)),
+        "3-keys": (ModelOrder(1, 1), 10, (35, 96)),
+        "4-keys": (ModelOrder(1, 1), 10, (51, 51)),
+        "2-keys-21": (ModelOrder(2, 1), 4, (34, 65)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_KEYED))
+    def test_sorted_keys_give_the_bincount_tuples(self, case):
+        """Above one key per site the keys are sorted in place, not counted
+        by ``bincount``; x, every past and the counts are the same arrays,
+        in the same order, as one ``bincount`` over the key space gives."""
+        order, radix, shape = self._KEYED[case]
+        for seed in range(3):
+            values = _keyed_grid(order, radix, shape, seed)
+            sites = SiteTuples(values, order)
+            keys_per_site = radix ** (order.n_lags + 1) / sites.n_sites
+            assert keys_per_site == pytest.approx(float(case[0]), rel=0.05)
+            (x, *pasts), counts = _bincount_tuples(values, order)
+            for got, want in zip((sites.x, *sites.pasts, sites.counts),
+                                 (x, *pasts, counts)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert sites.size == counts.size < sites.n_sites == counts.sum()
+
+    def test_memory_at_two_keys_per_site(self):
+        """On a 300x300 grid of 2.18 keys per site, building the tuples holds
+        the key vector and a bool mask: measured 1.14 int64 per site (a
+        ``bincount`` table beside the keys took 3.36)."""
+        values = np.minimum(np.random.default_rng(2).poisson(1.0, (300, 300)), 19)
+        values[150, 150] = 20
+        SiteTuples(values, ModelOrder(1, 1))
+        tracemalloc.start()
+        try:
+            sites = SiteTuples(values, ModelOrder(1, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 21 ** 4 / sites.n_sites == pytest.approx(2.18, abs=0.01)
+        assert peak < 1.4 * 299 * 299 * 8, peak / (299 * 299 * 8)
 
 
 # =============================================================================

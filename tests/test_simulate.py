@@ -22,6 +22,7 @@ from cinar import (
     stationary_moments,
 )
 
+from cinar import _kernels
 from cinar._kernels import thinning_convolution_table
 
 from _sim_oracle import simulate_oracle
@@ -223,22 +224,26 @@ class TestSimulateCinar:
         band = 4.0 * np.sqrt(par.phi * (1.0 - par.phi) / dec.size)
         assert np.all(np.abs(freq - par.phi) < band)
 
-    def test_peak_memory_is_four_site_vectors(self):
-        """The innovation field, the decisions and the two index vectors that
-        build the pasts' offsets: 4 int64 per site of the extended grid
-        (measured 4.002); a site-length temporary kept alive through the
-        wavefront, such as the decision uniforms, reads 5."""
+    @pytest.mark.parametrize("censored", [False, True], ids=["plain", "tobit"])
+    def test_peak_memory_is_two_and_a_half_site_vectors(self, censored):
+        """The innovation field and the selected pasts' index, 2 int64 per
+        site of the 900x900 extended grid, beside a few blocks of decisions
+        and, censored, the int8 signs (measured 2.18 and 2.31).  Decisions
+        and two index vectors over every site at once took 4.0."""
         import tracemalloc
 
-        config = SimConfig(_strong_params(), 300, 300, burn_in=100, seed=4)
-        simulate_cinar(config)  # lazy set-up outside the traced call
+        params = _strong_params()
+        signs = SignPattern(params.order, (1, -1, 1)) if censored else None
+        config = SimConfig(params, 800, 800, burn_in=100, seed=4, signs=signs)
+        simulate = simulate_tobit_cinar if censored else simulate_cinar
+        simulate(config)  # lazy set-up outside the traced call
         tracemalloc.start()
         try:
-            simulate_cinar(config)
+            simulate(config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * 8 * 400 * 400, peak / (8 * 400 * 400)
+        assert peak < 2.5 * 8 * 900 * 900, peak / (8 * 900 * 900)
 
     def test_marginal_is_poisson(self, strong_grid):
         """theta=(0.2,0.2,0.5), mu_eps=1: marginal passes GOF vs Poisson(10).
@@ -329,13 +334,19 @@ def _oracle_params(p1, p2, family):
     return CinarParams(order, theta, innovation)
 
 
+@pytest.mark.parametrize("block", [None, 37], ids=["one-block", "block-37"])
 @pytest.mark.parametrize("burn_in", [0, 100])
 @pytest.mark.parametrize("censored", [False, True], ids=["plain", "tobit"])
 @pytest.mark.parametrize("family", ["poisson", "nb", "tabulated"])
 @pytest.mark.parametrize("p1, p2", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_matches_per_diagonal_oracle(p1, p2, family, censored, burn_in):
+def test_matches_per_diagonal_oracle(p1, p2, family, censored, burn_in, block,
+                                     monkeypatch):
     """Grids are bit-identical to the fancy-indexing loop, on 1 x n, n x 1,
-    (p1+1) x (p2+1) and 13 x 9 grids; Tobit runs carry mixed signs."""
+    (p1+1) x (p2+1) and 13 x 9 grids; Tobit runs carry mixed signs.  With
+    blocks of 37 sites the decision field of the larger grids is drawn in
+    up to 333 blocks, cut across rows."""
+    if block is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
     params = _oracle_params(p1, p2, family)
     signs = None
     if censored:
