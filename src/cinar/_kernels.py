@@ -28,6 +28,9 @@ from .model import lag_views
 # refused before their series are allocated
 _MAX_CELLS = 2**24
 
+# the largest key space whose site-tuple keys are uint32
+_KEYS_32 = 2**32
+
 # the sites (or tuples) per block of a site-sized pass: the simulator's
 # decisions, the Pearson moments and the PIT keep their temporaries to a
 # few blocks, not a few site vectors
@@ -104,12 +107,12 @@ class SiteTuples:
 
     Built once per (grid ``values``, ``order``, ``lags``), ``lags`` indexing
     the order's lag set (default all).  Each site's tuple is keyed into one
-    intp by mixed radix over the columns' maxima.  When that key space is
-    at most 4 times the number of interior sites, the distinct tuples, in
-    key order, and their ``counts`` come from the key vector: by one
-    ``bincount`` when the key space is no larger than the sites (its table
-    takes at most one int64 per site), else by sorting the keys in place;
-    either way the keys are freed before the scan for the distinct ones.
+    integer by mixed radix over the columns' maxima: uint32 when the key
+    space fits in ``_KEYS_32``, as on any grid under 2**30 sites, else intp.
+    When that key space is at most 4 times the number of interior sites,
+    the keys (half an int64 per site) are sorted in place, and the distinct
+    tuples, in key order, and their ``counts`` are read off the sorted keys
+    with one bool mask; the keys are freed before the tuples are unravelled.
     Otherwise the tuples are the sites, as views of the grid, with unit
     counts.  ``x`` and ``pasts`` hold the ``size`` tuples, ``n_sites``
     counts the interior sites, and ``n_max`` (largest past) and ``x_max``
@@ -126,25 +129,18 @@ class SiteTuples:
         self.counts = np.broadcast_to(np.intp(1), (self.n_sites,))
         space = math.prod(radices)
         if space <= 4 * self.n_sites:
-            key = x.astype(np.intp)
+            key = x.astype(np.uint32 if space <= _KEYS_32 else np.intp)
             for column, radix in zip(pasts, radices[1:]):
                 key *= radix
-                key += column
+                np.add(key, column, out=key, casting="unsafe")
             key = key.reshape(-1)
-            if space <= self.n_sites:
-                table = np.bincount(key)
-                del key
-                # a bool mask: nonzero is about 3x faster on it than on int64
-                keys = np.flatnonzero(table != 0)
-                self.counts = table[keys]
-            else:
-                key.sort()
-                first = np.empty(key.size, dtype=bool)
-                first[0] = True
-                np.not_equal(key[1:], key[:-1], out=first[1:])
-                keys = key[first]
-                del key
-                self.counts = np.diff(np.flatnonzero(first), append=self.n_sites)
+            key.sort()
+            first = np.empty(key.size, dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            keys = key[first]
+            del key
+            self.counts = np.diff(np.flatnonzero(first), append=self.n_sites)
             self.x, *self.pasts = np.unravel_index(keys, radices)
         self.size = self.counts.size
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _MAX_CELLS
+from ._kernels import _MAX_CELLS, _blocks
 from .errors import NumericalError, ValidationError
 from .model import _validated, _whole
 
@@ -104,14 +104,16 @@ def _mirror_lex_negative(values, K, L):
 # =============================================================================
 
 
-def _centred(grid):
-    """A CountGrid or any 2-D array-like (e.g. residual fields) as floats,
-    less their mean: in place when the conversion to float made a copy (as
-    of a count grid), else in a new array.  A grid holding a NaN or an
-    infinity is refused, naming its first such cell: its mean is not
-    finite."""
-    v = grid.values if hasattr(grid, "values") else grid
-    values = np.asarray(v, dtype=float)
+def _row_sums(grid, lags):
+    """(mean, N, row sums) of a CountGrid or any 2-D array-like of N cells:
+    per lex-positive lag (k, l) of ``lags``, the sums over t of c[i + k, t +
+    l] c[i, t] for rows i < n1 - k, c = values - mean.  The grid is centred
+    into one buffer a block of rows at a time, with the k rows below it, so
+    it is never copied whole and a row sum does not depend on the block.  A
+    count grid's mean is its integer sum over N (exact below 2**53).  A grid
+    holding a NaN or an infinity is refused, naming its first such cell."""
+    values = np.asarray(grid.values if hasattr(grid, "values") else grid)
+    values = values if values.dtype.kind in "iu" else values.astype(float, copy=False)
     if values.ndim != 2:
         raise ValidationError(f"expected a 2-D grid, got shape {values.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -122,8 +124,21 @@ def _centred(grid):
             f"the grid must be finite: cell {tuple(cells[0].tolist())} is"
             f" {values[tuple(cells[0])]}" if cells.size
             else f"the grid's mean overflows to {mean}")
-    fresh = values is not v and values.base is None
-    return np.subtract(values, mean, out=values if fresh else None)
+    n1, n2 = values.shape
+    for k, l in lags:
+        if k >= n1 or abs(l) >= n2:
+            raise ValidationError(f"lag ({k},{l}) out of range for a {n1}x{n2} grid")
+    below = max(k for k, _ in lags)
+    sums = [np.empty(n1 - k) for k, _ in lags]
+    buffer = np.empty((min(n1, next(_blocks(values.shape)).stop + below), n2))
+    for rows in _blocks(values.shape):
+        block = values[rows.start: rows.stop + below]
+        centred = np.subtract(block, mean, out=buffer[: len(block)])
+        for row, (k, l) in zip(sums, lags):
+            a = centred[k: k + rows.stop - rows.start, max(l, 0): n2 + min(l, 0)]
+            b = centred[: len(a), max(-l, 0): n2 + min(-l, 0)]
+            row[rows.start: rows.start + len(a)] = np.einsum("ij,ij->i", a, b)
+    return mean, values.size, sums
 
 
 def sample_acvf(grid, k, l):
@@ -133,38 +148,26 @@ def sample_acvf(grid, k, l):
     in-grid, with divisor n1*n2.  Negative-lex lags are served through the
     identity gamma(k,l) = gamma(-k,-l), making the symmetry exact.
     """
-    return _acvf(_centred(grid), k, l)
-
-
-def _acvf(centred, k, l):
-    """``sample_acvf`` of the grid whose centred values are ``centred``."""
     k, l = _whole(k, "lag k", -np.inf), _whole(l, "lag l", -np.inf)
-    n1, n2 = centred.shape
-    if abs(k) >= n1 or abs(l) >= n2:
-        raise ValidationError(
-            f"lag ({k},{l}) out of range for a {n1}x{n2} grid"
-        )
     if k < 0 or (k == 0 and l < 0):
         k, l = -k, -l
-    a = centred[k:, max(l, 0): n2 + min(l, 0)]
-    b = centred[: n1 - k, max(-l, 0): n2 + min(-l, 0)]
-    # row sums, then a pairwise sum over rows: no grid-sized temporary
-    return float(np.einsum("ij,ij->i", a, b).sum() / (n1 * n2))
+    _, size, (sums,) = _row_sums(grid, [(k, l)])
+    return float(sums.sum() / size)
 
 
 def sample_acf(grid, window):
-    """Sample autocorrelation table over {|k| <= K, |l| <= L}."""
+    """Sample autocorrelation table over {|k| <= K, |l| <= L}, read a block
+    of rows at a time (``_row_sums``): a count or float grid is left as it
+    was, and beside the table the call holds a few blocks of it."""
     K, L = _window(window)
-    centred = _centred(grid)
-    gamma0 = _acvf(centred, 0, 0)
+    lags = [(k, l) for k in range(K + 1) for l in range(-L, L + 1) if k > 0 or l >= 0]
+    _, size, sums = _row_sums(grid, lags)
+    gamma0, *gammas = (float(row.sum() / size) for row in sums)
     if gamma0 <= 0.0:
         raise ValidationError("degenerate grid: sample variance is zero")
     values = np.empty((2 * K + 1, 2 * L + 1))
-    for k in range(0, K + 1):
-        for l in range(-L, L + 1):
-            if k == 0 and l < 0:
-                continue
-            values[k + K, l + L] = _acvf(centred, k, l) / gamma0
+    for (k, l), gamma in zip(lags[1:], gammas):
+        values[k + K, l + L] = gamma / gamma0
     values[K, L] = 1.0
     _mirror_lex_negative(values, K, L)
     return AcfTable((K, L), values)

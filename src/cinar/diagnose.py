@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import (SiteTuples, _blocks, _check_cells, lag_site_values,
                        thinning_convolution_table)
-from .acf import AcfTable, sample_acf
+from .acf import AcfTable, _row_sums, sample_acf
 from .errors import ValidationError
 from .model import _validated, _whole, lag_views
 
@@ -201,8 +201,8 @@ def pearson_residuals(params, grid):
     sample ACF on the |k|,|l| <= 2 window, so the interior must be at least
     3x3 sites, and the residuals must not all be equal (as on an all-zero
     grid), which leaves their ACF undefined.  It builds no table: the
-    moments are taken a block of rows at a time into the residual array,
-    so beside it the call holds one float site vector at most.
+    moments, the variance (lag-0 row sums over n - 1) and the ACF each run
+    a block of rows at a time, so beside its output the call holds a few.
     """
     _validated(params)
     (n1, n2), (p1, p2) = (grid.n1, grid.n2), (params.order.p1, params.order.p2)
@@ -224,10 +224,11 @@ def pearson_residuals(params, grid):
         raise ValidationError(
             f"Pearson residuals are all equal ({res.flat[0]:.6g}) on this"
             f" {n1}x{n2} grid, so their sample ACF is undefined")
+    mean, size, (squares,) = _row_sums(res, [(0, 0)])
     return PearsonResiduals(
         values=res,
-        mean=float(res.mean()),
-        variance=float(res.var(ddof=1)),
+        mean=float(mean),
+        variance=float(squares.sum() / (size - 1)),
         acf=sample_acf(res, (2, 2)),
     )
 

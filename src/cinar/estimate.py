@@ -49,8 +49,11 @@ _RADIUS0 = 10.0
 # The corner alpha = 0 (every w at 0) is outside the model: the search
 # stands in for it with one w at _W_FLOOR, within |score| _W_FLOOR of the
 # corner's log-likelihood, and counts such a w as on its bound, where its
-# Hessian row, which loses digits like 1 / alpha**2, goes unused.
+# Hessian row, which loses digits like 1 / alpha**2, goes unused: where the
+# stand-in's held scores are about 0, the curvature that decides whether to
+# release them is read at every w = _W_PROBE, where it keeps its digits.
 _W_FLOOR = 1e-10
+_W_PROBE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -659,6 +662,15 @@ def _trust_step(lam, vecs, gq, radius):
     return vecs @ (gq / (lam + shift)), True
 
 
+def _scaled_eigh(hess, free):
+    """Ascending eigenvalues and eigenvectors of -``hess`` on the ``free``
+    coordinates, scaled by 1 / sqrt(max(|H_ii|, 1)), and that scale."""
+    neg = -hess[np.ix_(free, free)]
+    scale = 1.0 / np.sqrt(np.maximum(np.abs(np.diag(neg)), 1.0))
+    lam, vecs = np.linalg.eigh(neg * np.outer(scale, scale))
+    return lam, vecs, scale
+
+
 def _box_search(v, lo, m):
     """The search of ``cml_estimate`` from ``v`` over the box v >= ``lo``, as
     a generator: it yields each point it needs evaluated, ``v`` first, is
@@ -669,23 +681,41 @@ def _box_search(v, lo, m):
     on_bound = np.where(np.arange(v.size) < m, _W_FLOOR, lo)
     radius, n_iter, fresh = _RADIUS0, 0, True
     while True:
-        loglik, grad, hess = point[:3]
         if fresh:
+            loglik, grad, hess = point[:3]
             held = (v <= on_bound) & (grad < 0.0)
-            free, fresh = ~held, False
-            grad_norm = float(np.max(np.abs(grad[free])
-                                     * np.maximum(1.0, np.abs(v[free]))))
-            if grad_norm <= _GTOL:
+            scaled = np.abs(grad) * np.maximum(1.0, np.abs(v))
+            flat = held & (scaled <= _GTOL)
+            if flat.any() and v[:m].sum() <= _W_FLOOR:
+                # the stand-in's w rows are not usable: read the curvature
+                # at every w = _W_PROBE
+                probe = yield np.where(np.arange(v.size) < m, _W_PROBE, v)
+                n_iter += 1
+                hess = hess if probe is None else probe[2]
+            free, fresh = ~held | flat, False
+            lam, vecs, scale = _scaled_eigh(hess, free)
+            # a saddle of the face: the likelihood is convex along a direction
+            # through held coordinates of about zero score, so they are
+            # released and the step goes inward along that direction
+            released = flat.any() and lam[0] < 0.0
+            if released:
+                if vecs[flat[free], 0].sum() < 0.0:
+                    vecs[:, 0] *= -1.0
+                held &= ~flat
+            elif flat.any():
+                free = ~held
+                lam, vecs, scale = _scaled_eigh(hess, free)
+            grad_norm = float(np.max(scaled[free]))
+            gq = vecs.T @ (grad[free] * scale)
+            if released:  # the released scores are about 0: step inward
+                gq[0] = abs(gq[0])
+            elif grad_norm <= _GTOL:
                 message = "projected score below tolerance"
                 break
-            neg = -hess[np.ix_(free, free)]
-            scale = 1.0 / np.sqrt(np.maximum(np.abs(np.diag(neg)), 1.0))
-            lam, vecs = np.linalg.eigh(neg * np.outer(scale, scale))
-            gq = vecs.T @ (grad[free] * scale)
-            if lam[0] > 0.0 and gq @ (gq / lam) < 2 * _GAIN_RTOL * (1 + abs(loglik)):
+            elif lam[0] > 0.0 and gq @ (gq / lam) < 2 * _GAIN_RTOL * (1 + abs(loglik)):
                 message = "Newton step gain below tolerance"
                 break
-        if n_iter == _MAX_ITER:
+        if n_iter >= _MAX_ITER:
             message = f"iteration limit ({_MAX_ITER} trial points) reached"
             break
         n_iter += 1
@@ -812,7 +842,9 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
     perfect-fit corners, lie at infinity.  Each iteration holds the
     coordinates on their bound whose score pushes outward, takes a
     trust-region Newton step on the exact observed information of the
-    others and projects it onto the box, so a face is reached exactly.  A
+    others and projects it onto the box, so a face is reached exactly; a
+    held score within the tolerance below is released where the likelihood
+    is convex along a direction through it, and the step goes inward.  A
     trial point costs one likelihood pass, finite wherever the model is;
     one outside its domain, or whose Hessian overflows, is refused.  The
     search stops at a Newton gain under 1e-12 (1 + |loglik|), a scaled

@@ -586,11 +586,13 @@ class TestGridDiagnosticsAgainstLaggedStack:
 
     @pytest.mark.parametrize("params", [_poi_params(), _nb_params()],
                              ids=["poisson", "nb"])
-    def test_pearson_memory_stays_below_its_output_and_1_2_site_vectors(self, params):
-        """On 600x600, the moments are taken in blocks into the output, so the
-        peak is the output and one float site vector, the variance's or the
-        residual ACF's centred copy (measured 1.003 beside the output; the
-        moments over every site at once took 2.02)."""
+    def test_pearson_memory_stays_below_its_output_and_0_73_site_vectors(self, params):
+        """On 600x600, the moments are taken in blocks into the output, and
+        the variance and the residual ACF centre it a block of rows at a
+        time, so the peak is the output and a few blocks (measured 0.569
+        float site vectors beside the output; a whole centred copy for the
+        variance and the ACF took 1.003, the moments over every site at
+        once 2.02)."""
         grid = simulate_cinar(SimConfig(params, n1=600, n2=600, burn_in=50, seed=4))
         pearson_residuals(params, grid)
         tracemalloc.start()
@@ -599,7 +601,7 @@ class TestGridDiagnosticsAgainstLaggedStack:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.2 * 599 * 599 * 8, peak / (599 * 599 * 8)
+        assert peak < 1.73 * 599 * 599 * 8, peak / (599 * 599 * 8)
 
     def test_each_table_is_sized_where_it_is_built(self):
         """A count of 4095 puts n_max = x_max = 4095: the PIT's zero-prefixed
@@ -656,9 +658,10 @@ def _keyed_grid(order, radix, shape, seed):
 
 
 class TestSiteTuples:
-    # (order, radix, shape): key spaces of 1, 2, 3.1 and 4 keys per site at
-    # order (1,1), and of 2 at order (2,1)
+    # (order, radix, shape): key spaces of 0.5, 1, 2, 3.1 and 4 keys per site
+    # at order (1,1), and of 2 at order (2,1)
     _KEYED = {
+        "0.5-keys": (ModelOrder(1, 1), 10, (142, 142)),
         "1-key": (ModelOrder(1, 1), 10, (101, 101)),
         "2-keys": (ModelOrder(1, 1), 10, (51, 101)),
         "3-keys": (ModelOrder(1, 1), 10, (35, 96)),
@@ -668,15 +671,16 @@ class TestSiteTuples:
 
     @pytest.mark.parametrize("case", sorted(_KEYED))
     def test_sorted_keys_give_the_bincount_tuples(self, case):
-        """Above one key per site the keys are sorted in place, not counted
-        by ``bincount``; x, every past and the counts are the same arrays,
-        in the same order, as one ``bincount`` over the key space gives."""
+        """The keys are sorted in place, not counted by ``bincount``, at any
+        number of keys per site; x, every past and the counts are the same
+        arrays, in the same order, as one ``bincount`` over the key space
+        gives."""
         order, radix, shape = self._KEYED[case]
         for seed in range(3):
             values = _keyed_grid(order, radix, shape, seed)
             sites = SiteTuples(values, order)
             keys_per_site = radix ** (order.n_lags + 1) / sites.n_sites
-            assert keys_per_site == pytest.approx(float(case[0]), rel=0.05)
+            assert keys_per_site == pytest.approx(float(case.split("-")[0]), rel=0.05)
             (x, *pasts), counts = _bincount_tuples(values, order)
             for got, want in zip((sites.x, *sites.pasts, sites.counts),
                                  (x, *pasts, counts)):
@@ -684,10 +688,24 @@ class TestSiteTuples:
                 assert np.array_equal(got, want)
             assert sites.size == counts.size < sites.n_sites == counts.sum()
 
+    @pytest.mark.parametrize("case", ["0.5-keys", "2-keys", "2-keys-21"])
+    def test_wide_keys_give_the_same_tuples(self, case, monkeypatch):
+        """Keys are uint32 where the key space fits in ``_KEYS_32``, else
+        intp; with that limit below the key space, the intp keys give the
+        same tuples and counts, of the same dtypes."""
+        order, radix, shape = self._KEYED[case]
+        values = _keyed_grid(order, radix, shape, 0)
+        want = SiteTuples(values, order)
+        monkeypatch.setattr(_kernels, "_KEYS_32", radix ** (order.n_lags + 1) - 1)
+        got = SiteTuples(values, order)
+        for a, b in zip((got.x, *got.pasts, got.counts), (want.x, *want.pasts, want.counts)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
     def test_memory_at_two_keys_per_site(self):
         """On a 300x300 grid of 2.18 keys per site, building the tuples holds
-        the key vector and a bool mask: measured 1.14 int64 per site (a
-        ``bincount`` table beside the keys took 3.36)."""
+        the uint32 key vector and a bool mask: measured 0.775 int64 per site
+        (int64 keys took 1.14, a ``bincount`` table beside them 3.36)."""
         values = np.minimum(np.random.default_rng(2).poisson(1.0, (300, 300)), 19)
         values[150, 150] = 20
         SiteTuples(values, ModelOrder(1, 1))
@@ -698,7 +716,7 @@ class TestSiteTuples:
         finally:
             tracemalloc.stop()
         assert 21 ** 4 / sites.n_sites == pytest.approx(2.18, abs=0.01)
-        assert peak < 1.4 * 299 * 299 * 8, peak / (299 * 299 * 8)
+        assert peak < 0.86 * 299 * 299 * 8, peak / (299 * 299 * 8)
 
 
 # =============================================================================

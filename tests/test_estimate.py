@@ -863,6 +863,18 @@ class TestTrustRegionAgainstBfgs:
                 assert fit.loglik >= bfgs_fit(grid, order, family)[1] - 1e-6
         assert np.median(passes) <= 8, passes
 
+    def test_face_saddle_is_left_inward(self):
+        """A 9x8 grid of 124s with a 122 at (0, 0), fitted NB at order (2,1)
+        from its CLS start, reaches the corner alpha = 0 with i_eps = 1,
+        where every w's score is about 0 and the likelihood is convex along
+        w with mu_eps following: the search stopped there at -163.16.  The
+        flat w's are released and the step goes inward, towards the
+        perfect fit at alpha -> 1 (measured -0.0034)."""
+        values = np.full((9, 8), 124)
+        values[0, 0] = 122
+        fit = cml_estimate(CountGrid(values), ModelOrder(2, 1), family="nb")
+        assert fit.loglik > -1.0, fit.diagnostics
+
     @pytest.mark.parametrize("index", [8, 11])
     def test_nb_fit_of_poisson_data_ends_on_the_floor(self, index):
         """NB fits of Poisson data end with i_eps exactly 1, the face where
