@@ -85,15 +85,15 @@ def log_thinning_table(alphas, log_series, n_max):
     keep = np.array([math.log1p(-alpha) for alpha in alphas])
     columns = ((np.array([math.log(alpha) for alpha in alphas]) - keep)[:, None]
                * np.arange(log_series.shape[-1]))
-    table = np.empty((len(keep), int(n_max) + 1, log_series.shape[-1]))
-    np.subtract(log_series, columns, out=table[:, 0])
-    table[:, :, 0] = table[:, :1, 0]
-    by_row = table.swapaxes(0, 1)
-    for stay, move, row in zip(by_row[:-1, :, 1:], by_row[:-1, :, :-1],
-                               by_row[1:, :, 1:]):
+    # M row by row, each row of the stack contiguous
+    by_row = np.empty((int(n_max) + 1,) + log_series.shape)
+    np.subtract(log_series, columns, out=by_row[0])
+    by_row[:, :, 0] = by_row[:1, :, 0]
+    for stay, move, row in zip(by_row[:-1, :, 1:], by_row[:-1, :, :-1], by_row[1:, :, 1:]):
         np.logaddexp(stay, move, out=row)
-    table += keep[:, None, None] * np.arange(int(n_max) + 1)[:, None] + columns[:, None]
-    return table
+    table = np.empty((len(keep),) + by_row.shape[::2])
+    return np.add(by_row.swapaxes(0, 1), keep[:, None, None] * np.arange(int(n_max) + 1)[:, None]
+                  + columns[:, None], out=table)
 
 
 def lag_site_values(table, flat, out=None):

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_SQRT_EPS = np.sqrt(_EPS)
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 # CML stops once a Newton step on the free coordinates would gain under
 # _GAIN_RTOL (1 + |loglik|), or once the projected score, each entry
@@ -64,7 +65,9 @@ class FitDiagnostics:
     evaluations (the standard errors reuse the last Hessian); each also
     computes the score, so ``n_grad`` equals ``n_fev``.  ``grad_norm`` is
     the largest projected score in the search's coordinates v, each entry
-    scaled by max(1, |v_i|); ``message`` is the stop reason, ``se_error``
+    scaled by max(1, |v_i|), and ``converged`` says it is at most 1e-5 (1 +
+    |loglik|) at a stop short of the trial point limit; ``message`` is the
+    stop reason, ``se_error``
     says why CML standard errors are missing, and ``at_bounds`` names the
     parameters held on their lower bound at the end, () in the interior.
     """
@@ -242,7 +245,7 @@ def cml_loglik(params, grid):
     _validated(params)
     stack = _Stack([_CmlLikelihood(grid.values, params.order)])
     with np.errstate(over="ignore"):
-        return stack.log_probabilities([params.alpha], [params.phi],
+        return stack.log_probabilities(np.array([params.alpha]), np.array([params.phi]),
                                        [params.innovation])[0][0]
 
 
@@ -322,11 +325,11 @@ class _Stack:
     The kept grids' tables lie on a leading axis, padded to their largest
     n_max and x_max, and their tuples end to end, each grid's in
     ``slices``, with gather indices (``flat``) offset into its own table,
-    in buffers sized once for all members.  The table builds, gathers,
-    log-sum-exp and ``bincount`` run once over the stack.  Every reduction
-    runs on one grid's slice, or on a contiguous copy of its table block,
-    with the shapes of its pass alone, so each grid's results are
-    bit-identical to that pass: a stack of one is it.
+    in buffers sized once for all members.  Each stage is one call over the
+    stack, the table-side terms one per ``groups`` of grids of one
+    ``_padded`` shape; only the per-tuple sums ``phi @ values`` and the Gram
+    products run grid by grid.  What a grid reads depends on its own shape
+    and tuples alone, so its results are bit-identical to its pass alone.
     """
 
     def __init__(self, members):
@@ -344,8 +347,15 @@ class _Stack:
         """Run the next passes over the members at the indices ``keep``."""
         self.live = [self.members[r] for r in keep]
         self.n_max = max(member.n_max for member in self.live)
-        self.width = max(member.x_max for member in self.live) + 1
-        ends = np.cumsum([member.sites.size for member in self.live]).tolist()
+        self.x_max = np.array([member.x_max for member in self.live])
+        self.width = self.x_max.max() + 1
+        groups = {}
+        for r, member in enumerate(self.live):
+            groups.setdefault((_padded(member.n_max + 1), _padded(member.x_max + 1)), []).append(r)
+        self.groups = [(np.array(at) if len(groups) > 1 else slice(None), shape)
+                       for shape, at in groups.items()]
+        self.sizes = [member.sites.size for member in self.live]
+        ends = np.cumsum(self.sizes).tolist()
         self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
         # a tuple's score row is divided by sqrt(c_s), 1 where no count is above 1
         self.root = (np.sqrt(np.concatenate([member.sites.counts for member in self.live]))
@@ -362,9 +372,9 @@ class _Stack:
                 self.flat[:, at] += k * cells
 
     def log_probabilities(self, alphas, phis, innovations):
-        """([loglik per grid], stacked L), a pass's first stage; it leaves c_s
-        exp(L[l_sj, x_s] - log p_s) in the site-value buffer, past the floats
-        only if phi_j = 0."""
+        """([loglik per grid], stacked L), a pass's first stage (``phis`` a
+        row per grid); it leaves c_s exp(L[l_sj, x_s] - log p_s) in the
+        site-value buffer, past the floats only if phi_j = 0."""
         series = np.full((len(self.live), self.width), -np.inf)
         for row, member, innovation in zip(series, self.live, innovations):
             member.n_fev += 1
@@ -373,22 +383,21 @@ class _Stack:
         values = lag_site_values(table, self.flat, out=self._site_values)
         # log p_s = top_s + log sum_j phi_j exp(L_sj - top_s), top_s the
         # largest L_sj at a lag of positive weight
-        if all(phi.all() for phi in phis):
+        if (phis > 0.0).all():
             top = values.max(axis=0)
         else:
-            top = np.empty(values.shape[1])
-            for phi, at in zip(phis, self.slices):
-                np.max(values[:, at], axis=0, out=top[at],
-                       where=(phi > 0.0)[:, None], initial=-np.inf)
+            top = np.full(values.shape[1], -np.inf)
+            for value, off in zip(values, np.where(phis > 0.0, 0.0, -np.inf).T):
+                np.maximum(top, value + np.repeat(off, self.sizes), out=top)
         values -= top
         np.exp(values, out=values)
         scaled = np.empty(values.shape[1])
         for phi, at in zip(phis, self.slices):
             np.matmul(phi, values[:, at], out=scaled[at])
         top += np.log(scaled)
-        logliks = []
+        logliks = [float(top[at] @ member.sites.counts)
+                   for member, at in zip(self.live, self.slices)]
         for member, at in zip(self.live, self.slices):
-            logliks.append(float(np.einsum("s,s->", top[at], member.sites.counts)))
             np.divide(member.sites.counts, scaled[at], out=scaled[at])
         values *= scaled
         return logliks, table
@@ -405,36 +414,41 @@ class _Stack:
         """
         m = self.flat.shape[0]
         alphas, innovations = zip(*laws)
-        phis = [vec[:m] / alpha for vec, alpha in zip(vecs, alphas)]
+        alphas = np.array(alphas)
+        phis = np.array(vecs)[:, :m] / alphas[:, None]
         # a ratio or weight beyond the floats makes the Hessian non-finite
         with np.errstate(over="ignore", invalid="ignore"):
             logliks, table = self.log_probabilities(alphas, phis, innovations)
             values = self._site_values
-            ratios = _derivative_ratios(table, alphas, innovations,
-                                        [member.x_max + 1 for member in self.live])
-            q = vecs[0].size - m + 1
-            lag_weights = np.empty((m, table.size))
+            ratios = _derivative_ratios(table, alphas, innovations, self.x_max)
+            lag_weights = np.empty((len(alphas), m) + table.shape[1:])
             for j, rows in enumerate(self.flat):
-                lag_weights[j] = np.bincount(rows, values[j], minlength=table.size)
-            lag_weights = lag_weights.reshape(m, *table.shape).swapaxes(0, 1)
-            # per grid, from its lag weights W: g[j] and G[a, j] sum the
+                lag_weights[:, j] = np.bincount(rows, values[j],
+                                                minlength=table.size).reshape(table.shape)
+            # per group, from its lag weights W: g[j] and G[a, j] sum the
             # ratios 1 and dC/da / C over them, and w = phi @ W
-            sums = []
-            for r, phi in enumerate(phis):
-                weights = self._own(lag_weights, r).reshape(m, -1)
-                d1 = self._own(ratios[:, :q], r).reshape(q, -1)
-                sums.append((weights.sum(axis=1), d1 @ weights.T, phi @ weights))
+            q = vecs[0].size - m + 1
+            terms = []
+            for at, shape in self.groups:
+                blocks = self._block(ratios, at, shape), self._block(table, at, shape)
+                weights = self._block(lag_weights, at, shape)
+                weights = weights.reshape(len(weights), m, -1)
+                d1 = blocks[0][:, :q].reshape(len(weights), q, -1)
+                terms.append(blocks + (weights.sum(axis=-1), d1 @ weights.swapaxes(1, 2),
+                                       phis[at, None] @ weights))
             del lag_weights, weights, d1
-            out = [_table_terms(self._own(ratios, r), self._own(table, r), *sums[r],
-                                alphas[r], phis[r]) for r in range(len(sums))]
-            del sums
+            scores = np.empty((len(alphas), m + q - 1))
+            hess = np.empty((len(alphas), m + q - 1, m + q - 1))
+            for (at, _), group in zip(self.groups, terms):
+                scores[at], hess[at] = _table_terms(*group, alphas[at], phis[at])
+            del terms
 
             # Second term: the Gram of the per-tuple score.  Rows m.. of the
             # site buffer take phi_j dC/da / C gathered lag by lag and weighted
             # by c_s C_sj / p_s, a = 0 (alpha) last; every row is divided by
             # sqrt(c_s) so that a tuple's row counts c_s times.
             site = self._site_rows
-            phi_tables = np.array(phis)[:, :, None, None]
+            phi_tables = phis[:, :, None, None]
             gathered = np.empty(values.shape[1])
             for a in range(q):
                 row = site[-1] if a == 0 else site[m + a - 1]
@@ -448,30 +462,45 @@ class _Stack:
             if isinstance(self.root, np.ndarray):
                 site /= self.root
             # alpha d log p_s / d theta_j = C_sj / p_s - 1 + alpha d log p_s / d alpha
-            for alpha, at in zip(alphas, self.slices):
-                site[-1, at] *= alpha
+            site[-1] *= alphas[0] if len(alphas) == 1 else np.repeat(alphas, self.sizes)
             site[-1] -= self.root
             values += site[-1]
-            for (score, hess), alpha, at in zip(out, alphas, self.slices):
+            for grid_hess, alpha, at in zip(hess, alphas, self.slices):
                 lag_rows, d_psi = values[:, at], site[m:-1, at]
-                hess[:m, :m] -= lag_rows @ lag_rows.T / alpha**2
+                grid_hess[:m, :m] -= lag_rows @ lag_rows.T / alpha**2
                 cross = lag_rows @ d_psi.T / alpha
-                hess[:m, m:] -= cross
-                hess[m:, :m] -= cross.T
-                hess[m:, m:] -= d_psi @ d_psi.T
-        return [(loglik, score, hess) for loglik, (score, hess) in zip(logliks, out)]
+                grid_hess[:m, m:] -= cross
+                grid_hess[m:, :m] -= cross.T
+                grid_hess[m:, m:] -= d_psi @ d_psi.T
+        return list(zip(logliks, scores, hess))
 
-    def _own(self, tables, r):
-        """Grid r's block of the stacked ``tables``, contiguous in its own
-        table shape (a view when nothing is padded)."""
-        member = self.live[r]
-        return np.ascontiguousarray(tables[r, ..., :member.n_max + 1, :member.x_max + 1])
+    def _block(self, tables, at, shape):
+        """The stacked ``tables`` (grid, ..., n, x) of grids ``at``, one
+        contiguous block at their padded ``shape``, with the cells past each
+        grid's own n_max and x_max 0."""
+        grids = self.live if isinstance(at, slice) else [self.live[r] for r in at]
+        own = [(member.n_max + 1, member.x_max + 1) for member in grids]
+        if isinstance(at, slice) and set(own) == {shape}:
+            return tables  # nothing is padded
+        block = np.zeros((len(grids),) + tables.shape[1:-2] + shape)
+        for into, grid, (rows, columns) in zip(block, tables[at], own):
+            into[..., :rows, :columns] = grid[..., :rows, :columns]
+        return block
+
+
+def _padded(size):
+    """A table side of ``size`` for the table-side terms: the multiple of 16
+    at or above it, up to 32, so that grids of near sizes share those calls
+    and each keeps the bits of its pass alone; a larger table's terms cost
+    more by the padding than by the calls."""
+    return size if size > 32 else -(-size // 16) * 16
 
 
 def _table_terms(ratios, weights, g, big_g, w, alpha, phi):
-    """(score, first Hessian term) of one grid, from its ``ratios`` (the
-    first-order ones, then the pairs) and its weights A, each contiguous in
-    the grid's own table shape, and the sums g, G and w of its lag weights.
+    """(scores, first Hessian terms) of grids of one table shape, stacked on
+    a leading axis, from their ``ratios`` (the first-order ones, then the
+    pairs) and weights A, and the sums g, G and w of their lag weights, at
+    their ``alpha`` and ``phi``.
 
     d/dphi_j = g[j], d/da = G phi and d/dtheta_k = d/dalpha + (g[k] -
     phi.g) / alpha.  With D = dC/dalpha at a site's lags, d2p/dtheta_k
@@ -479,33 +508,35 @@ def _table_terms(ratios, weights, g, big_g, w, alpha, phi):
     + phi.d2C/dalpha2, and d2p/dtheta_k dpsi = (dC/dpsi_k - phi.dC/dpsi) /
     alpha + phi.d2C/dalpha dpsi, each over p_s.
     """
-    (q, m), pairs = big_g.shape, ratios[len(big_g):]
-    d1 = ratios[:q]
-    d_a = big_g @ phi
+    grids, q, m = big_g.shape
+    d1 = ratios[:, :q].reshape(grids, q, -1)
     # second[a, b] = <d2C/da db / C, w>: the pair ratio (a, b) and, as
     # alpha also thins, the step of each first-order ratio in row and
     # column 0, read through the adjoint u of the step, <step R, w> =
     # <R, u>.  At (0, 0) that counts <step 1, u> twice, not once.
-    pair_w = iter(pairs.reshape(len(pairs), -1) @ w)
-    second = np.empty((q, q))
+    pair_w = iter((ratios[:, q:].reshape(grids, ratios.shape[1] - q, -1)
+                   @ w.swapaxes(1, 2)).swapaxes(0, 1)[..., 0])
+    second = np.empty((grids, q, q))
     for a in range(q):
         for b in range(a, q):
-            second[a, b] = second[b, a] = next(pair_w)
+            second[:, a, b] = second[:, b, a] = next(pair_w)
     w = w.reshape(weights.shape)
-    u = _step_adjoint(w, weights, alpha)
-    d1_u = d1.reshape(q, -1) @ u.ravel()
-    second[0] += d1_u
+    al = alpha[:, None, None]
+    u = _step_adjoint(w, weights, al)
+    d1_u = (d1 @ u.reshape(grids, -1, 1))[..., 0]
     second[:, 0] += d1_u
-    second[0, 0] -= _step_adjoint(u, weights, alpha, out=w).sum()
-    g_phi, big_g_phi = g - phi @ g, big_g - d_a[:, None]
-    score = np.concatenate([d_a[0] + g_phi / alpha, d_a[1:]])
-    hess = np.empty((m + q - 1, m + q - 1))
-    hess[:m, :m] = (second[0, 0] + (big_g_phi[0][:, None] + big_g_phi[0])
-                    / alpha - (g_phi[:, None] + g_phi) / alpha**2)
-    hess[:m, m:] = big_g_phi[1:].T / alpha + second[0, 1:]
-    hess[m:, :m] = hess[:m, m:].T
-    hess[m:, m:] = second[1:, 1:]
-    return score, hess
+    second[:, :, 0] += d1_u
+    second[:, 0, 0] -= _step_adjoint(u, weights, al, out=w).reshape(grids, -1).sum(axis=-1)
+    d_a = (big_g @ phi[..., None])[..., 0]
+    g_phi = g - (phi[:, None] @ g[..., None])[..., 0]
+    big_g_phi = big_g - d_a[..., None]
+    hess = np.empty((grids, m + q - 1, m + q - 1))
+    hess[:, :m, :m] = (second[:, :1, :1] + (big_g_phi[:, 0, :, None] + big_g_phi[:, :1]) / al
+                       - (g_phi[..., None] + g_phi[:, None]) / al**2)
+    hess[:, :m, m:] = big_g_phi[:, 1:].swapaxes(1, 2) / al + second[:, :1, 1:]
+    hess[:, m:, :m] = hess[:, :m, m:].swapaxes(1, 2)
+    hess[:, m:, m:] = second[:, 1:, 1:]
+    return np.concatenate([d_a[:, :1] + g_phi / alpha[:, None], d_a[:, 1:]], axis=1), hess
 
 
 def _pass_tables(m, q):
@@ -519,22 +550,23 @@ def _step_adjoint(w, weights, alpha, out=None):
     """The adjoint u, <step R, w> = <R, u>, of the alpha step of a ratio
     table, step R = n (R[n-1, x-1] (1 - A) / alpha - R[n-1, x] A / (1 -
     alpha)), the ratio to C of d(R C)/dalpha by thinning, with the
-    ``weights`` A, written to ``out`` if given; it overwrites ``w``."""
+    ``weights`` A (grid, n, x), written to ``out`` if given; it overwrites
+    ``w``."""
     u = np.empty_like(w) if out is None else out
-    u[-1] = 0.0
-    w[1:] *= np.arange(1, w.shape[0])[:, None]
-    np.multiply(w[1:], weights[1:], out=u[:-1])
-    w[1:] -= u[:-1]
-    u[:-1] /= alpha - 1.0
-    u[:-1, :-1] += w[1:, 1:] / alpha
+    u[:, -1] = 0.0
+    w[:, 1:] *= np.arange(1, w.shape[1])[:, None]
+    np.multiply(w[:, 1:], weights[:, 1:], out=u[:, :-1])
+    w[:, 1:] -= u[:, :-1]
+    u[:, :-1] /= alpha - 1.0
+    u[:, :-1, :-1] += w[:, 1:, 1:] / alpha
     return u
 
 
-def _derivative_ratios(table, alphas, innovations, widths):
+def _derivative_ratios(table, alphas, innovations, x_max):
     """The ratio tables of a pass, from the stacked L = ``table`` (grid, n,
     x), which it overwrites with the weights A = (1 - alpha) C[n-1, x] /
     C[n, x]; grid r has thinning probability ``alphas[r]``, innovation law
-    ``innovations[r]`` and ``widths[r]`` columns of its own, the rest
+    ``innovations[r]`` and its own columns to ``x_max[r]``, the rest
     padding.
 
     The innovation PMF e moves as de/da = e * h_a and d2e/da da' = e * (h_a
@@ -542,44 +574,37 @@ def _derivative_ratios(table, alphas, innovations, widths):
     with convolution, so the tables are sum_k s[k] C[n, x-k] / C[n, x], by
     Horner's rule in exp(L[n, x-1] - L[n, x]) over every row where the
     series end by k = 2 (Poisson: fewer calls than thinning), else over row
-    0, thinned by A and 1 - A.  A grid's series, where they end and so its
-    rule are taken at its own width, as in its pass alone.  Returns, per
-    grid, dC/da / C, a = (alpha, *param_names), the first with alpha's step
-    n ((1 - A) / alpha - A / (1 - alpha)), then d2C/da db / C less that
-    step, for a <= b.
+    0, thinned by A and 1 - A.  One ``_ratio_series`` call of the family
+    gives every grid's series; a grid reads its terms to its x_max, so where
+    they end and its rule are those of its pass alone.  Returns, per grid,
+    dC/da / C, a = (alpha, *param_names), the first with alpha's step n ((1
+    - A) / alpha - A / (1 - alpha)), then d2C/da db / C less that step, for
+    a <= b.
     """
     stack, rows, width = table.shape
-    series, last = None, []
-    for r, (innovation, own) in enumerate(zip(innovations, widths)):
-        h, hh = innovation.derivative_series(own - 1)
-        q = h.shape[0]
-        own_series = np.vstack([h] + [np.convolve(h[a], h[b])[:own] + hh[a, b]
-                                      for a in range(q) for b in range(a, q)])
-        if series is None:
-            series = np.zeros((stack, len(own_series), width))
-        series[r, :, :own] = own_series
-        last.append(np.flatnonzero(own_series.any(axis=0)).max(initial=0))
+    series = type(innovations[0])._ratio_series(innovations, width)
+    ends = np.minimum(np.where(series.any(axis=1), np.arange(width), 0).max(axis=1), x_max)
     horner = []
     for over_rows in (True, False):
         # Horner's rule over every row for the grids whose series end by k = 2
-        grids = [r for r, end in enumerate(last) if (end <= 2) == over_rows]
-        if not grids:
+        grids = np.flatnonzero((ends <= 2) == over_rows)
+        if not grids.size:
             continue
-        at = slice(None) if len(grids) == stack else np.array(grids)
-        ends = np.array([last[r] for r in grids])
-        low, n_rows = ends.min(), rows if over_rows else 1
+        at = slice(None) if grids.size == stack else grids
+        low, high = ends[at].min(), ends[at].max()
+        n_rows = rows if over_rows else 1
         back = np.exp(table[at, :n_rows, :-1] - table[at, :n_rows, 1:])[:, None]
         terms = series[at][:, :, None]
-        part = np.zeros((len(grids), series.shape[1], n_rows, width))
-        for k in range(ends.max(), -1, -1):
+        part = np.zeros((grids.size, series.shape[1], n_rows, width))
+        for k in range(high, -1, -1):
             if k > low:  # a grid whose series end before k takes no step
                 np.multiply(part[..., k + 1:], back[..., :width - k - 1],
-                            out=part[..., k + 1:], where=(ends >= k)[:, None, None, None])
+                            out=part[..., k + 1:], where=(ends[at] >= k)[:, None, None, None])
             else:
                 part[..., k + 1:] *= back[..., :width - k - 1]
             part[..., k:] += terms[..., k:k + 1]
         horner.append((at, part, not over_rows))
-    alpha = np.array(alphas)[:, None, None]
+    alpha = alphas[:, None, None]
     move = np.zeros_like(table)
     move[:, 1:, 1:] = np.exp(table[:, :-1, :-1] - table[:, 1:, 1:] + np.log(alpha))
     table[:, 1:] = np.exp(table[:, :-1] - table[:, 1:] + np.log1p(-alpha))
@@ -629,7 +654,7 @@ def _box_point(result, vec, one_minus, m):
     moves by (1 - alpha) (I - theta 1^T) dw, with curvature (1 - alpha)**2
     (2 g.theta - g_i - g_j), and mu_eps = e^v by mu_eps dv, with g mu_eps."""
     loglik, score, hess = result
-    if score is None or not np.all(np.isfinite(hess)):
+    if score is None or not np.isfinite(hess).all():
         return None
     theta, g = vec[:m], score[:m]
     jac = np.eye(vec.size)
@@ -665,9 +690,9 @@ def _trust_step(lam, vecs, gq, radius):
 def _scaled_eigh(hess, free):
     """Ascending eigenvalues and eigenvectors of -``hess`` on the ``free``
     coordinates, scaled by 1 / sqrt(max(|H_ii|, 1)), and that scale."""
-    neg = -hess[np.ix_(free, free)]
-    scale = 1.0 / np.sqrt(np.maximum(np.abs(np.diag(neg)), 1.0))
-    lam, vecs = np.linalg.eigh(neg * np.outer(scale, scale))
+    neg = -hess if free.all() else -hess[free][:, free]
+    scale = 1.0 / np.sqrt(np.maximum(np.abs(neg.diagonal()), 1.0))
+    lam, vecs = np.linalg.eigh(neg * (scale[:, None] * scale))
     return lam, vecs, scale
 
 
@@ -686,7 +711,8 @@ def _box_search(v, lo, m):
             held = (v <= on_bound) & (grad < 0.0)
             scaled = np.abs(grad) * np.maximum(1.0, np.abs(v))
             flat = held & (scaled <= _GTOL)
-            if flat.any() and v[:m].sum() <= _W_FLOOR:
+            any_flat = flat.any()
+            if any_flat and v[:m].sum() <= _W_FLOOR:
                 # the stand-in's w rows are not usable: read the curvature
                 # at every w = _W_PROBE
                 probe = yield np.where(np.arange(v.size) < m, _W_PROBE, v)
@@ -695,17 +721,18 @@ def _box_search(v, lo, m):
             free, fresh = ~held | flat, False
             lam, vecs, scale = _scaled_eigh(hess, free)
             # a saddle of the face: the likelihood is convex along a direction
-            # through held coordinates of about zero score, so they are
-            # released and the step goes inward along that direction
-            released = flat.any() and lam[0] < 0.0
+            # through held coordinates of about zero score, beyond the
+            # rounding of the scaled Hessian, so they are released and the
+            # step goes inward along that direction
+            released = any_flat and lam[0] < -_SQRT_EPS * max(1.0, -lam[0], lam[-1])
             if released:
                 if vecs[flat[free], 0].sum() < 0.0:
                     vecs[:, 0] *= -1.0
                 held &= ~flat
-            elif flat.any():
+            elif any_flat:
                 free = ~held
                 lam, vecs, scale = _scaled_eigh(hess, free)
-            grad_norm = float(np.max(scaled[free]))
+            grad_norm = float(scaled[free].max())
             gq = vecs.T @ (grad[free] * scale)
             if released:  # the released scores are about 0: step inward
                 gq[0] = abs(gq[0])
@@ -734,7 +761,7 @@ def _box_search(v, lo, m):
             radius *= 2.0
         if rho > 0.15:
             v, point, fresh = trial, new, True
-        elif radius * scale.max() < _EPS * np.max(np.abs(v), initial=1.0):
+        elif radius * scale.max() < _EPS * max(np.abs(v).max(), 1.0):
             message = "trust radius below the rounding of the point"
             break
     return point, held, grad_norm, n_iter, message
@@ -844,7 +871,8 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
     trust-region Newton step on the exact observed information of the
     others and projects it onto the box, so a face is reached exactly; a
     held score within the tolerance below is released where the likelihood
-    is convex along a direction through it, and the step goes inward.  A
+    is convex along a direction through it beyond the rounding of the
+    Hessian, and the step goes inward.  A
     trial point costs one likelihood pass, finite wherever the model is;
     one outside its domain, or whose Hessian overflows, is refused.  The
     search stops at a Newton gain under 1e-12 (1 + |loglik|), a scaled
@@ -959,7 +987,8 @@ def _cml_result(grid, order, family, likelihood, outcome, free_idx, names,
         admissible=bool(validate_params(params_hat)),
         diagnostics=FitDiagnostics(
             n_iter=n_iter, grad_norm=grad_norm,
-            converged=grad_norm <= 1e-5 * (1.0 + abs(loglik_max)),
+            converged=(grad_norm <= 1e-5 * (1.0 + abs(loglik_max))
+                       and not message.startswith("iteration limit")),
             n_fev=likelihood.n_fev, n_grad=likelihood.n_fev,
             message=message, se_error=se_error, at_bounds=at_bounds,
         ),

@@ -875,6 +875,33 @@ class TestTrustRegionAgainstBfgs:
         fit = cml_estimate(CountGrid(values), ModelOrder(2, 1), family="nb")
         assert fit.loglik > -1.0, fit.diagnostics
 
+    def test_rounding_does_not_release_a_face(self):
+        """An 8x10 grid fitted Poisson at order (2,1): from about its 45th
+        pass the smallest eigenvalue of the scaled -H over the free and flat
+        coordinates is -1e-13, rounding and not curvature.  Releasing the
+        flat theta there skipped both stop tests each pass, to the trial
+        point limit (140 passes, loglik -55.1365486); a release needs an
+        eigenvalue below sqrt(eps) of the scaled Hessian's largest."""
+        values = np.array([[1, 0, 1, 0, 0, 0, 0, 2, 0, 1], [1, 0, 0, 0, 0, 1, 1, 0, 0, 1],
+                           [1, 1, 0, 0, 0, 0, 2, 0, 2, 1], [2, 1, 1, 0, 2, 0, 2, 2, 2, 1],
+                           [2, 1, 3, 0, 1, 2, 2, 0, 2, 1], [1, 1, 1, 0, 1, 1, 2, 2, 2, 2],
+                           [2, 2, 1, 1, 2, 2, 2, 2, 2, 2], [2, 1, 1, 0, 2, 2, 1, 3, 2, 2]])
+        fit = cml_estimate(CountGrid(values), ModelOrder(2, 1))
+        assert fit.diagnostics.n_fev <= 44, fit.diagnostics
+        assert fit.loglik >= -55.1365421
+        assert fit.diagnostics.message == "projected score below tolerance"
+
+    def test_iteration_limit_is_not_converged(self, monkeypatch):
+        """A search cut at the trial point limit reads converged=False,
+        though its scaled score, 1.4e-3 one point before the stop on the
+        score, is under 1e-5 (1 + |loglik|)."""
+        grid = _sim(_poi([0.3, 0.4, 0.1], 1.0), 30, seed=5)
+        monkeypatch.setattr(estimate_module, "_MAX_ITER", 3)
+        fit = cml_estimate(grid, ORDER11)
+        assert fit.diagnostics.message == "iteration limit (3 trial points) reached"
+        assert fit.diagnostics.grad_norm <= 1e-5 * (1.0 + abs(fit.loglik))
+        assert not fit.diagnostics.converged
+
     @pytest.mark.parametrize("index", [8, 11])
     def test_nb_fit_of_poisson_data_ends_on_the_floor(self, index):
         """NB fits of Poisson data end with i_eps exactly 1, the face where
@@ -1026,7 +1053,7 @@ class TestLogFormPass:
         at = tuple(np.array(cells).T)
         got = np.concatenate([table[0][at][None],
                               estimate_module._derivative_ratios(
-                                  table, [vec[0]], [law], [1001])[0][
+                                  table, np.array([vec[0]]), [law], np.array([1000]))[0][
                                   (slice(None),) + at]])
         with mp.workdps(60):
             want = thinning_cells_mp(vec, cells, 1000)
@@ -1267,6 +1294,78 @@ class TestLockstepFits:
         for k in (0, 2, 3, 4):
             _assert_same_fit(fits[k], cml_estimate(grids[k], ORDER11))
 
+
+    @staticmethod
+    def _capped(count, seed, family):
+        """A 12x12 grid whose largest count, at an interior site, is
+        ``count``, so its n_max and x_max are ``count``."""
+        rng = np.random.default_rng(seed)
+        values = rng.poisson(3.0, (12, 12)) if family == "poisson" else (
+            rng.negative_binomial(2, 0.4, (12, 12)))
+        values = np.minimum(values, count - 1)
+        values[5, 6] = count
+        return CountGrid(values)
+
+    @pytest.mark.parametrize("family, order", [
+        ("poisson", ORDER11), ("poisson", ModelOrder(2, 2)), ("nb", ORDER11)])
+    def test_grids_on_both_sides_of_a_padding_boundary(self, family, order):
+        """Grids whose n_max and x_max are 15, 16 and 17 read their tables
+        at 16 and 32 columns and rows: in one batch, on either side of the
+        boundary and of both ratio rules (an NB grid of counts up to 2 takes
+        Horner's rule over every row), each fit is its fit alone."""
+        grids = [self._capped(count, seed, family)
+                 for seed, count in enumerate([15, 16, 17, 15, 17])]
+        grids.insert(2, CountGrid(np.random.default_rng(3).integers(0, 3, (12, 12))))
+        shapes = {(estimate_module._padded(g.values.max() + 1)) for g in grids}
+        assert shapes == {16, 32}
+        fits = estimate_module._cml_fits(grids, order, family)
+        for grid, fit in zip(grids, fits):
+            _assert_same_fit(fit, cml_estimate(grid, order, family=family))
+
+    @pytest.mark.parametrize("width", [3, 16, 48])
+    def test_poisson_series_are_built_once_read_only(self, width):
+        """Poisson's ratio series do not depend on mu: one read-only build
+        per width serves every law, equal to a fresh build."""
+        from cinar.innovations import _ratio_rows
+
+        laws = [PoissonInnovation(0.5), PoissonInnovation(7.0)]
+        series = PoissonInnovation._ratio_series(laws, width)
+        again = PoissonInnovation._ratio_series(laws[:1], width)
+        assert np.shares_memory(series, again)
+        with pytest.raises(ValueError):
+            series[0, 0, 0] = 1.0
+        h, hh = laws[1].derivative_series(width - 1)
+        fresh = _ratio_rows(h[None], hh[None])[0]
+        for rows in series:
+            np.testing.assert_array_equal(rows, fresh)
+
+    def test_round_calls_do_not_grow_with_the_grids(self):
+        """One round of a stacked pass over 8 grids of one padded shape
+        makes at most 1.5 times the Python-level calls of a round over one:
+        every table-side stage is one call for the stack."""
+        import cProfile
+        import pstats
+
+        grids = [_sim(_poi([0.3, 0.3, 0.2], 0.5), 30, seed=seed) for seed in range(8)]
+        vec = np.array([0.3, 0.3, 0.2, 0.5])
+
+        def calls(stack):
+            laws = [estimate_module._law_at(innovation_family("poisson"), vec, 3)] * len(
+                stack.live)
+            stack.value_score_hessian([vec] * len(stack.live), laws)
+            profile = cProfile.Profile()
+            profile.enable()
+            stack.value_score_hessian([vec] * len(stack.live), laws)
+            profile.disable()
+            return sum(row[1] for row in pstats.Stats(profile).stats.values())
+
+        stack = estimate_module._Stack(
+            [_CmlLikelihood(g.values, ORDER11, innovation_family("poisson")) for g in grids])
+        assert len(stack.groups) == 1
+        many = calls(stack)
+        stack.arrange([0])
+        one = calls(stack)
+        assert many <= 1.5 * one, (one, many)
 
     @pytest.mark.parametrize("room, sizes", [(0, [1, 1, 1, 1, 1]), (10**7, [5])])
     def test_batches_are_cut_at_the_budget_and_released(self, monkeypatch, room, sizes):
