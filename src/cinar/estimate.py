@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-_SQRT_EPS = np.sqrt(_EPS)
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 # CML stops once a Newton step on the free coordinates would gain under
 # _GAIN_RTOL (1 + |loglik|), or once the projected score, each entry
@@ -67,9 +66,9 @@ class FitDiagnostics:
     the largest projected score in the search's coordinates v, each entry
     scaled by max(1, |v_i|), and ``converged`` says it is at most 1e-5 (1 +
     |loglik|) at a stop short of the trial point limit; ``message`` is the
-    stop reason, ``se_error``
-    says why CML standard errors are missing, and ``at_bounds`` names the
-    parameters held on their lower bound at the end, () in the interior.
+    stop reason, ``se_error`` says why CML standard errors are missing, and
+    ``at_bounds`` names the parameters held on their lower bound at the
+    end, () in the interior.
     """
 
     n_iter: int
@@ -425,23 +424,23 @@ class _Stack:
             for j, rows in enumerate(self.flat):
                 lag_weights[:, j] = np.bincount(rows, values[j],
                                                 minlength=table.size).reshape(table.shape)
-            # per group, from its lag weights W: g[j] and G[a, j] sum the
-            # ratios 1 and dC/da / C over them, and w = phi @ W
             q = vecs[0].size - m + 1
-            terms = []
-            for at, shape in self.groups:
-                blocks = self._block(ratios, at, shape), self._block(table, at, shape)
-                weights = self._block(lag_weights, at, shape)
-                weights = weights.reshape(len(weights), m, -1)
-                d1 = blocks[0][:, :q].reshape(len(weights), q, -1)
-                terms.append(blocks + (weights.sum(axis=-1), d1 @ weights.swapaxes(1, 2),
-                                       phis[at, None] @ weights))
-            del lag_weights, weights, d1
             scores = np.empty((len(alphas), m + q - 1))
             hess = np.empty((len(alphas), m + q - 1, m + q - 1))
-            for (at, _), group in zip(self.groups, terms):
-                scores[at], hess[at] = _table_terms(*group, alphas[at], phis[at])
-            del terms
+            for k, (at, shape) in enumerate(self.groups):
+                # per group, from its lag weights W: g[j] and G[a, j] sum the
+                # ratios 1 and dC/da / C over them, and w = phi @ W
+                ratio_block = self._block(ratios, at, shape)
+                grids = len(ratio_block)
+                weights = self._block(lag_weights, at, shape).reshape(grids, m, -1)
+                sums = (weights.sum(axis=-1), ratio_block[:, :q].reshape(grids, q, -1)
+                        @ weights.swapaxes(1, 2), phis[at, None] @ weights)
+                del weights
+                if k == len(self.groups) - 1:  # W is done before the last terms
+                    del lag_weights
+                scores[at], hess[at] = _table_terms(
+                    ratio_block, self._block(table, at, shape), *sums, alphas[at], phis[at])
+                del ratio_block, sums
 
             # Second term: the Gram of the per-tuple score.  Rows m.. of the
             # site buffer take phi_j dC/da / C gathered lag by lag and weighted
@@ -475,32 +474,29 @@ class _Stack:
         return list(zip(logliks, scores, hess))
 
     def _block(self, tables, at, shape):
-        """The stacked ``tables`` (grid, ..., n, x) of grids ``at``, one
-        contiguous block at their padded ``shape``, with the cells past each
-        grid's own n_max and x_max 0."""
-        grids = self.live if isinstance(at, slice) else [self.live[r] for r in at]
-        own = [(member.n_max + 1, member.x_max + 1) for member in grids]
+        """The stacked ``tables`` (grid, ..., n, x) of grids ``at`` at their
+        padded ``shape``, 0 past each grid's own n_max and x_max."""
+        at_rows = range(len(self.live)) if isinstance(at, slice) else at
+        own = [(self.live[r].n_max + 1, self.live[r].x_max + 1) for r in at_rows]
         if isinstance(at, slice) and set(own) == {shape}:
             return tables  # nothing is padded
-        block = np.zeros((len(grids),) + tables.shape[1:-2] + shape)
-        for into, grid, (rows, columns) in zip(block, tables[at], own):
-            into[..., :rows, :columns] = grid[..., :rows, :columns]
+        block = np.zeros((len(own),) + tables.shape[1:-2] + shape)
+        for into, r, (rows, columns) in zip(block, at_rows, own):
+            into[..., :rows, :columns] = tables[r, ..., :rows, :columns]
         return block
 
 
 def _padded(size):
-    """A table side of ``size`` for the table-side terms: the multiple of 16
-    at or above it, up to 32, so that grids of near sizes share those calls
-    and each keeps the bits of its pass alone; a larger table's terms cost
-    more by the padding than by the calls."""
+    """A table side of ``size`` for the table-side terms, fixed by the grid
+    alone: the multiple of 16 at or above it up to 32, shared by grids of near
+    sizes; larger sides keep their size (padding them costs more than calls)."""
     return size if size > 32 else -(-size // 16) * 16
 
 
 def _table_terms(ratios, weights, g, big_g, w, alpha, phi):
-    """(scores, first Hessian terms) of grids of one table shape, stacked on
-    a leading axis, from their ``ratios`` (the first-order ones, then the
-    pairs) and weights A, and the sums g, G and w of their lag weights, at
-    their ``alpha`` and ``phi``.
+    """(scores, first Hessian terms) of grids of one table shape, stacked, from
+    their ``ratios`` (the first-order ones, then the pairs), weights A, the
+    sums g, G and w of their lag weights, ``alpha`` and ``phi``.
 
     d/dphi_j = g[j], d/da = G phi and d/dtheta_k = d/dalpha + (g[k] -
     phi.g) / alpha.  With D = dC/dalpha at a site's lags, d2p/dtheta_k
@@ -509,7 +505,6 @@ def _table_terms(ratios, weights, g, big_g, w, alpha, phi):
     alpha + phi.d2C/dalpha dpsi, each over p_s.
     """
     grids, q, m = big_g.shape
-    d1 = ratios[:, :q].reshape(grids, q, -1)
     # second[a, b] = <d2C/da db / C, w>: the pair ratio (a, b) and, as
     # alpha also thins, the step of each first-order ratio in row and
     # column 0, read through the adjoint u of the step, <step R, w> =
@@ -523,7 +518,7 @@ def _table_terms(ratios, weights, g, big_g, w, alpha, phi):
     w = w.reshape(weights.shape)
     al = alpha[:, None, None]
     u = _step_adjoint(w, weights, al)
-    d1_u = (d1 @ u.reshape(grids, -1, 1))[..., 0]
+    d1_u = (ratios[:, :q].reshape(grids, q, -1) @ u.reshape(grids, -1, 1))[..., 0]
     second[:, 0] += d1_u
     second[:, :, 0] += d1_u
     second[:, 0, 0] -= _step_adjoint(u, weights, al, out=w).reshape(grids, -1).sum(axis=-1)
@@ -549,9 +544,8 @@ def _pass_tables(m, q):
 def _step_adjoint(w, weights, alpha, out=None):
     """The adjoint u, <step R, w> = <R, u>, of the alpha step of a ratio
     table, step R = n (R[n-1, x-1] (1 - A) / alpha - R[n-1, x] A / (1 -
-    alpha)), the ratio to C of d(R C)/dalpha by thinning, with the
-    ``weights`` A (grid, n, x), written to ``out`` if given; it overwrites
-    ``w``."""
+    alpha)), the ratio to C of d(R C)/dalpha by thinning, with the weights
+    A (grid, n, x), written to ``out`` if given; it overwrites ``w``."""
     u = np.empty_like(w) if out is None else out
     u[:, -1] = 0.0
     w[:, 1:] *= np.arange(1, w.shape[1])[:, None]
@@ -574,12 +568,11 @@ def _derivative_ratios(table, alphas, innovations, x_max):
     with convolution, so the tables are sum_k s[k] C[n, x-k] / C[n, x], by
     Horner's rule in exp(L[n, x-1] - L[n, x]) over every row where the
     series end by k = 2 (Poisson: fewer calls than thinning), else over row
-    0, thinned by A and 1 - A.  One ``_ratio_series`` call of the family
-    gives every grid's series; a grid reads its terms to its x_max, so where
-    they end and its rule are those of its pass alone.  Returns, per grid,
-    dC/da / C, a = (alpha, *param_names), the first with alpha's step n ((1
-    - A) / alpha - A / (1 - alpha)), then d2C/da db / C less that step, for
-    a <= b.
+    0, thinned by A and 1 - A.  One ``_ratio_series`` call gives every
+    grid's series; a grid reads them to its x_max, so where they end and its
+    rule are those of its pass alone.  Returns, per grid, dC/da / C, a =
+    (alpha, *param_names), the first with alpha's step n ((1 - A) / alpha -
+    A / (1 - alpha)), then d2C/da db / C less that step, for a <= b.
     """
     stack, rows, width = table.shape
     series = type(innovations[0])._ratio_series(innovations, width)
@@ -711,8 +704,7 @@ def _box_search(v, lo, m):
             held = (v <= on_bound) & (grad < 0.0)
             scaled = np.abs(grad) * np.maximum(1.0, np.abs(v))
             flat = held & (scaled <= _GTOL)
-            any_flat = flat.any()
-            if any_flat and v[:m].sum() <= _W_FLOOR:
+            if flat.any() and v[:m].sum() <= _W_FLOOR:
                 # the stand-in's w rows are not usable: read the curvature
                 # at every w = _W_PROBE
                 probe = yield np.where(np.arange(v.size) < m, _W_PROBE, v)
@@ -724,12 +716,12 @@ def _box_search(v, lo, m):
             # through held coordinates of about zero score, beyond the
             # rounding of the scaled Hessian, so they are released and the
             # step goes inward along that direction
-            released = any_flat and lam[0] < -_SQRT_EPS * max(1.0, -lam[0], lam[-1])
+            released = flat.any() and lam[0] < -np.sqrt(_EPS) * max(1.0, -lam[0], lam[-1])
             if released:
                 if vecs[flat[free], 0].sum() < 0.0:
                     vecs[:, 0] *= -1.0
                 held &= ~flat
-            elif any_flat:
+            elif flat.any():
                 free = ~held
                 lam, vecs, scale = _scaled_eigh(hess, free)
             grad_norm = float(scaled[free].max())
@@ -872,9 +864,9 @@ def cml_estimate(grid, order, family="poisson", init=None, fix_zero=()):
     others and projects it onto the box, so a face is reached exactly; a
     held score within the tolerance below is released where the likelihood
     is convex along a direction through it beyond the rounding of the
-    Hessian, and the step goes inward.  A
-    trial point costs one likelihood pass, finite wherever the model is;
-    one outside its domain, or whose Hessian overflows, is refused.  The
+    Hessian, and the step goes inward.  A trial point costs one likelihood
+    pass, finite wherever the model is; one outside its domain, or whose
+    Hessian overflows, is refused.  The
     search stops at a Newton gain under 1e-12 (1 + |loglik|), a scaled
     projected score under 1e-6, a trust radius below the rounding of the
     point, or 200 trial points.  The standard errors reuse the last
@@ -900,8 +892,9 @@ def _cml_fits(grids, order, family="poisson", inits=None, fix_zero=()):
     whose likelihoods are built just before their searches and released
     after.  A batch of several grids is cut where it would hold more than
     ``_STACK_CELLS`` cells, counting the grids given, which stay held
-    throughout: its tables, ``_pass_tables`` padded tables per grid and
-    one more set for the grid whose block is copied out, and its per-tuple
+    throughout: its tables, ``_pass_tables`` tables per grid at the
+    ``_padded`` shape of its largest counts twice (the stack's set and the
+    copies a ``_Stack._block`` of one group may take), and its per-tuple
     arrays, 3 m + q + 6 per tuple for m lags and q - 1 innovation
     parameters (site rows, gather indices, the tuples and four
     temporaries).  A grid's fit does not depend on the others: it is
@@ -944,7 +937,7 @@ def _cml_fits(grids, order, family="poisson", inits=None, fix_zero=()):
             continue
         n_max, x_max = max(n_max, likelihood.n_max), max(x_max, likelihood.x_max)
         tuples += likelihood.sites.size
-        cells = ((n_max + 1) * (x_max + 1) * likelihood.tables * (len(batch) + 2)
+        cells = (_padded(n_max + 1) * _padded(x_max + 1) * likelihood.tables * 2 * (len(batch) + 1)
                  + (3 * m_free + len(family.param_names) + 7) * tuples)
         if batch and cells > budget:
             fit(batch)

@@ -190,18 +190,14 @@ class PoissonInnovation(_InverseCdfMixin):
         h[1, :2] = [-1.0, 1.0][: h.shape[1]]
         return h, np.zeros((2,) + h.shape)
 
-    @classmethod
-    def _ratio_series(cls, laws, width):
-        """``_ratio_rows`` of ``laws`` at ``width`` columns: they do not
-        depend on mu, so each width is built once, read-only."""
-        rows = cls._ratio_cache.get(width)
-        if rows is None:
-            rows = _ratio_rows(*(part[None] for part in laws[0].derivative_series(width - 1)))[0]
-            rows.setflags(write=False)
-            cls._ratio_cache[width] = rows
-        return np.broadcast_to(rows, (len(laws),) + rows.shape)
-
-    _ratio_cache = {}
+    @staticmethod
+    def _ratio_series(laws, width):
+        """``NbMarginalInnovation._ratio_series`` for ``laws``, which do not
+        depend on mu: h_mu = [-1, 1] and h_mu * h_mu = [1, -2, 1]."""
+        rows = np.zeros((len(laws), 5, width))
+        rows[:, 1, :2] = [-1.0, 1.0][:width]
+        rows[:, 4, :3] = [1.0, -2.0, 1.0][:width]
+        return rows
 
     def moments(self):
         return self.mu, self.mu
@@ -220,65 +216,71 @@ _TAYLOR = (-1.0) ** _J * np.array([(_J + 1) / (_J + 2), -(_J + 1) * (_J + 2) / (
 
 
 def _p_series(x, kmax):
-    """Series in u of P'(x) and P''(x), P(x) = -log(1 + x (1-u)) / x, at
-    each point of the column ``x``.
+    """Series in u of P'(x) and P''(x), P(x) = -log(1 + x (1-u)) / x.
 
     P_0 = -log(1+x)/x, and for k >= 1, P_k = y**(k-1) z / k with y = x/(1+x)
     and z = 1/(1+x), so that P_k' = z**2 ((k-1) z y**(k-2) - y**(k-1)) / k
     and P_k'' = z**3 ((k-1)(k-2) z**2 y**(k-3) - 4 (k-1) z y**(k-2) + 2
-    y**(k-1)) / k, all finite at x = 0.  Returns, per point, two rows of
-    kmax+1 coefficients.
+    y**(k-1)) / k, all finite at x = 0.  Returns, per point of ``x``, two
+    rows of kmax+1 coefficients.
     """
-    y, z = x / (1.0 + x), 1.0 / (1.0 + x)
     k = np.arange(1.0, int(kmax) + 1.0)
     out = np.empty((len(x), 2, k.size + 1))
-    for row, point in zip(out, x[:, 0].tolist()):
+    scalars = []
+    for row, point in zip(out, x):
+        y, z = point / (1.0 + point), 1.0 / (1.0 + point)
         if point < 0.5:
             row[:, 0] = _TAYLOR[:2] @ point**_J
         else:
-            ell, zp = math.log1p(point) / point, 1.0 / (1.0 + point)
-            row[:, 0] = (ell - zp) / point, (zp * zp - 2.0 * (ell - zp) / point) / point
+            ell = math.log1p(point) / point
+            row[:, 0] = (ell - z) / point, (z * z - 2.0 * (ell - z) / point) / point
+        scalars.append((y, z, z**2, z**3))
+    y, z, z2, z3 = np.array(scalars).T[..., None]
     # y**(k-1), y**(k-2) and y**(k-3), 1 where their factor k-1 or k-2 is 0
     powers = np.ones((len(x), k.size + 2))
     powers[:, 2:] = y ** (k - 1.0)
     y1, y2, y3 = powers[:, 2:], powers[:, 1:-1], powers[:, :-2]
-    out[:, 0, 1:] = ((k - 1.0) * z * y2 - y1) * z**2 / k
-    out[:, 1, 1:] = ((k - 1.0) * (k - 2.0) * z**2 * y3 - 4.0 * (k - 1.0) * z * y2
-                     + 2.0 * y1) * z**3 / k
+    out[:, 0, 1:] = ((k - 1.0) * z * y2 - y1) * z2 / k
+    out[:, 1, 1:] = ((k - 1.0) * (k - 2.0) * z2 * y3 - 4.0 * (k - 1.0) * z * y2
+                     + 2.0 * y1) * z3 / k
     return out
 
 
 def _q_divided_differences(alpha, r, kmax):
     """Series in u of Q[a, r] = P(r) + a P[a, r], Q[a, a, r] and Q[a, r, r],
-    the divided differences of Q(x) = x P(x) at a = alpha r and r, per point
-    of the columns ``alpha`` and ``r``.  With y = x/(1+x), z = 1/(1+x) and
-    rho = y_a/y_r = alpha (1+r) z_a, Q_k = y**k/k gives, for k >= 2, Q[a, r]
-    = z_a z_r y_r**(k-1) S_{k-1} / k, Q[a, a, r] = z_a**2 z_r (z_r
-    y_r**(k-2) T_{k-2} / k - y_a**(k-1)) and Q[a, r, r] = z_a z_r**2
-    y_r**(k-2) (z_r U_{k-2} - y_r S_{k-1}) / k, over the positive sums S_n,
-    T_n and U_n of rho**j, (j+1) rho**j and S_j, j <= n; Q_0 = -log(1+x)
-    gives -z_a log1p(t)/t, z_a**2 (t - log1p(t))/t**2 and z_a**2
-    (log1p(t)/t - 1/(1+t))/t, t = (r-a) z_a.  No difference of nearby values
-    is taken."""
-    z_a, z_r = 1.0 / (1.0 + alpha * r), 1.0 / (1.0 + r)
-    y, t = r * z_r, (1.0 - alpha) * r * z_a
+    the divided differences of Q(x) = x P(x) at a = alpha r and r, per pair
+    of ``alpha`` and ``r``.  With y = x/(1+x), z = 1/(1+x) and rho = y_a/y_r
+    = alpha (1+r) z_a, Q_k = y**k/k gives, for k >= 2, Q[a, r] = z_a z_r
+    y_r**(k-1) S_{k-1} / k, Q[a, a, r] = z_a**2 z_r (z_r y_r**(k-2) T_{k-2}
+    / k - y_a**(k-1)) and Q[a, r, r] = z_a z_r**2 y_r**(k-2) (z_r U_{k-2} -
+    y_r S_{k-1}) / k, over the positive sums S_n, T_n and U_n of rho**j,
+    (j+1) rho**j and S_j, j <= n; Q_0 = -log(1+x) gives -z_a log1p(t)/t,
+    z_a**2 (t - log1p(t))/t**2 and z_a**2 (log1p(t)/t - 1/(1+t))/t, t =
+    (r-a) z_a.  No difference of nearby values is taken."""
     n = np.arange(float(kmax))
-    powers = (alpha * (1.0 + r) * z_a) ** n
-    sums = np.cumsum(powers, axis=-1)
     out = np.empty((len(r), 3, kmax + 1))
-    for rows, point, scale in zip(out, t[:, 0].tolist(), z_a[:, 0].tolist()):
-        ell = math.log1p(point) / point if point else 1.0
-        rows[0, 0] = -scale * ell
-        rows[1:, 0] = (_TAYLOR[2:] @ point**_J if point < 0.5 else
-                       ((1.0 - ell) / point, (ell - 1.0 / (1.0 + point)) / point))
-    out[:, 1:, 0] *= z_a**2
-    out[:, 0, 1:] = z_a * z_r * y ** n * sums / (n + 1.0)
-    if kmax:
-        out[:, 1, 1], out[:, 2, 1] = (-z_a**2 * z_r)[:, 0], (-z_a * z_r**2)[:, 0]
+    scalars = []
+    for rows, a, x in zip(out, alpha, r):
+        z_a, z_r = 1.0 / (1.0 + a * x), 1.0 / (1.0 + x)
+        y, t = x * z_r, (1.0 - a) * x * z_a
+        rows[0, 0] = -z_a * (math.log1p(t) / t if t else 1.0)
+        if t < 0.5:
+            first, second = _TAYLOR[2:] @ t**_J
+        else:
+            ell = math.log1p(t) / t
+            first, second = (1.0 - ell) / t, (ell - 1.0 / (1.0 + t)) / t
+        rows[1:, 0] = z_a**2 * first, z_a**2 * second
+        if kmax:
+            rows[1:, 1] = -z_a**2 * z_r, -z_a * z_r**2
+        scalars.append((a * (1.0 + x) * z_a, y, z_r, z_a * z_r, z_a**2 * z_r, z_a * z_r**2))
+    rho, y, z_r, z_ar, z_aar, z_arr = np.array(scalars).T[..., None]
+    powers = rho ** n
+    sums = np.cumsum(powers, axis=-1)
+    out[:, 0, 1:] = z_ar * y ** n * sums / (n + 1.0)
     k, scale = n[1:] + 1.0, y ** n[:-1]
-    out[:, 1, 2:] = z_a**2 * z_r * (z_r * scale * np.cumsum(n[1:] * powers[:, :-1], axis=-1)
-                                    / k - scale * y * powers[:, 1:])
-    out[:, 2, 2:] = (z_a * z_r**2 * scale
+    out[:, 1, 2:] = z_aar * (z_r * scale * np.cumsum(n[1:] * powers[:, :-1], axis=-1) / k
+                             - scale * y * powers[:, 1:])
+    out[:, 2, 2:] = (z_arr * scale
                      * (z_r * np.cumsum(sums[:, :-1], axis=-1) - y * sums[:, 1:]) / k)
     return out
 
@@ -289,10 +291,8 @@ def _nb_series(laws, kmax):
     - alpha P(alpha r)], differentiated through r = (i_eps - 1)/(1 +
     alpha), so dr/di_eps = 1/(1 + alpha) and dr/dalpha = -r/(1 + alpha);
     nothing is divided by r, so the series are exact at r = 0."""
-    mu_eps, r, alpha = np.array([(law.mu_eps, law.r, law.alpha) for law in laws]).T[..., None]
-    m = mu_eps / (1.0 - alpha)
-    s, om = 1.0 / (1.0 + alpha), 1.0 - alpha
-    (q_r, w_r), (q_x, w_x) = _p_series(np.vstack([r, alpha * r]), kmax).reshape(
+    alpha, r = [law.alpha for law in laws], [law.r for law in laws]
+    (q_r, w_r), (q_x, w_x) = _p_series(r + [a * x for a, x in zip(alpha, r)], kmax).reshape(
         2, len(r), 2, -1).swapaxes(1, 2)
     # log G = m F with F = P(r) - alpha P(alpha r), whose r-derivatives are
     # f_r and f_rr; at fixed r, c = 2 P'(alpha r) + alpha r P''(alpha r)
@@ -301,31 +301,25 @@ def _nb_series(laws, kmax):
     # cancels by 1 - alpha, and so do its first derivatives: log G = mu_eps
     # f_om, differentiated by Q's second divided differences.
     f_om, q_aar, q_arr = _q_divided_differences(alpha, r, kmax).swapaxes(0, 1)
-    f_r, f_rr = q_r - alpha**2 * q_x, w_r - alpha**3 * w_x
-    c = 2.0 * q_x + alpha * r * w_x
-    f_aa = r * s * (s * (r * f_rr + 2.0 * f_r) - om * c)
+    scalars = []
+    for mu, a, x in ((law.mu_eps, law.alpha, law.r) for law in laws):
+        m, s = mu / (1.0 - a), 1.0 / (1.0 + a)
+        scalars.append((mu, a, x, s, 1.0 - a, m, a**2, a**3, a * x, x * s, m * s * s))
+    mu_eps, alpha, r, s, om, m, a2, a3, ar, rs, mss = np.array(scalars).T[..., None]
+    f_r, f_rr = q_r - a2 * q_x, w_r - a3 * w_x
+    c = 2.0 * q_x + ar * w_x
+    f_aa = rs * (s * (r * f_rr + 2.0 * f_r) - om * c)
     f_ai = -s * (alpha * c + s * (f_r + r * f_rr))
     # dm/dmu_eps = 1 / (1 - alpha) and dm/dalpha = m / (1 - alpha)
-    f_om_a, f_om_i = r * s * (q_aar - q_arr), s * (alpha * q_aar + q_arr)
+    f_om_a, f_om_i = rs * (q_aar - q_arr), s * (alpha * q_aar + q_arr)
     h = np.stack([mu_eps * f_om_a, f_om, mu_eps * f_om_i], axis=1)
-    hh = np.zeros((len(r), 3, 3, kmax + 1))
+    hh = np.zeros((len(laws), 3, 3, kmax + 1))
     hh[:, 0, 0] = m * (2.0 * f_om_a + f_aa)
     hh[:, 0, 1] = hh[:, 1, 0] = f_om_a
     hh[:, 0, 2] = hh[:, 2, 0] = m * (f_om_i + f_ai)
     hh[:, 1, 2] = hh[:, 2, 1] = f_om_i
-    hh[:, 2, 2] = m * s * s * f_rr
+    hh[:, 2, 2] = mss * f_rr
     return h, hh
-
-
-def _ratio_rows(h, hh):
-    """The series of the ratios e_a / e and e_ab / e of a PMF e's first and
-    second derivatives to e, from its ``derivative_series`` (h, hh), stacked
-    on a leading axis: rows h_a, then h_a * h_b + hh_ab for a <= b, each
-    product truncated at h's width."""
-    q, width = h.shape[-2:]
-    return np.array([np.vstack([rows] + [np.convolve(rows[a], rows[b])[:width] + second[a, b]
-                                         for a in range(q) for b in range(a, q)])
-                     for rows, second in zip(h, hh)])
 
 
 class NbMarginalInnovation(_InverseCdfMixin):
@@ -416,8 +410,14 @@ class NbMarginalInnovation(_InverseCdfMixin):
 
     @staticmethod
     def _ratio_series(laws, width):
-        """``_ratio_rows`` of ``laws`` at ``width`` columns, in one build."""
-        return _ratio_rows(*_nb_series(laws, width - 1))
+        """Per law of ``laws``, the series of the ratios e_a / e and e_ab / e
+        of its PMF e's first and second derivatives to e at ``width``
+        columns, from its (h, hh): rows h_a, then h_a * h_b + hh_ab for a <=
+        b, each product truncated."""
+        h, hh = _nb_series(laws, width - 1)
+        return np.array([np.vstack([rows] + [np.convolve(rows[a], rows[b])[:width] + second[a, b]
+                                             for a in range(3) for b in range(a, 3)])
+                         for rows, second in zip(h, hh)])
 
     def pmf_table(self, kmax):
         """P(eps=k) for k = 0..kmax by ``_pmf_table``."""
