@@ -1394,12 +1394,11 @@ class TestLockstepFits:
             _assert_same_fit(fit, cml_estimate(grid, ORDER11))
 
 
-    def test_pass_over_several_padded_shapes_stays_in_the_batch_budget(self):
+    def test_pass_over_several_padded_shapes_holds_one_group_at_a_time(self):
         """One pass over NB grids of four padded shapes (16, 32, and sides
-        of 46 and 60 kept) peaks below the table cells ``_cml_fits`` counts
-        for their batch: two sets per grid at the padded shape of the
-        largest counts, one group's padded copies held at a time, and 3 m +
-        q + 6 = 18 cells per tuple."""
+        of 46 and 60 kept), one grid each, peaks within the stack's table
+        set and one group's padded copies, plus 3 m + q + 6 = 18 cells per
+        tuple: every group's copies at once would take more."""
         import tracemalloc
 
         family = innovation_family("nb")
@@ -1417,9 +1416,8 @@ class TestLockstepFits:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        side = estimate_module._padded(60)
         tuples = sum(likelihood.sites.size for likelihood in likelihoods)
-        assert peak <= 8 * (side * side * likelihoods[0].tables * 2 * 4 + 18 * tuples), peak
+        assert peak <= 8 * (60 * 60 * likelihoods[0].tables * (4 + 1) + 18 * tuples), peak
 
 
 class TestPassMemoryBudget:
